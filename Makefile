@@ -24,7 +24,7 @@ FUZZ_TARGETS := \
 COVER_PKGS := ./internal/serve ./internal/runtime ./internal/registry
 COVER_FLOOR := 75.0
 
-.PHONY: verify build test race vet staticcheck fuzz cover cover-floor bench bench-smoke bench-micro bench-json bench-json3 bench-check serve-smoke multi-model-smoke autotune-sim
+.PHONY: verify build test race vet staticcheck fuzz cover cover-floor bench bench-smoke bench-micro benchmark-smoke serve-smoke multi-model-smoke autotune-sim
 
 verify: build test race vet
 
@@ -90,27 +90,14 @@ bench-micro:
 	$(GO) test -run '^$$' -bench 'GemmVariants|GemmInt|EmitBlocked' -benchtime 1x \
 		./internal/tensor ./internal/quant ./internal/ipe
 
-# Paired serial-vs-sharded wall-time measurements for the intra-op pool.
-bench-json:
-	$(GO) run ./cmd/inspire-perf > BENCH_2.json
-
-# Interpreted-vs-compiled executor measurements over the LeNet-5 and
-# SqueezeNet layer shapes, with per-layer runtime metrics and the
-# fused-vs-unfused graph-scheduler comparison attached (the committed
-# baseline cmd/benchdiff gates against).
-bench-json3:
-	$(GO) run ./cmd/inspire-perf -compiled -metrics -sched > BENCH_3.json
-
-# Perf-regression gate: one quick interleaving of the BENCH_3 measurement
-# against the committed baseline, failing on a >25% geomean slowdown — or,
-# via -improve, on a >=1.5x geomean speedup (the committed baseline is
-# stale and should be regenerated with `make bench-json3`).
-# Cross-machine variance makes absolute ns incomparable, so CI runs this as
-# a non-blocking signal; locally it is most meaningful right after a fresh
-# `make bench-json3` on the same box.
-bench-check:
-	$(GO) run ./cmd/inspire-perf -compiled -metrics -sched -quick > /tmp/bench_current.json
-	$(GO) run ./cmd/benchdiff -baseline BENCH_3.json -current /tmp/bench_current.json -improve
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own, so `go build ./...` and `go test ./...` never compile it. This vets it
+# and runs its unit tests against the current internal/ packages, then runs
+# every workload for one second through the real server: correctness of every
+# reply is checked, timings at this length are not meaningful. Blocking in CI.
+benchmark-smoke:
+	cd benchmark && $(GO) vet . && $(GO) test -short .
+	bash benchmark/run.sh --seconds 1
 
 # Deterministic online-autotuner suite under the race detector: the bandit
 # simulations (stable winner / regime shift / noisy near-tie over the fixed
@@ -122,22 +109,42 @@ autotune-sim:
 
 # End-to-end serving smoke: boot inspire-serve on an ephemeral port, fire a
 # short concurrent load at both models, and fail on any dropped (429) or
-# failed request. Exercises the full path (HTTP -> batcher -> RunBatch ->
-# metrics) in a few seconds; heavier runs are manual (see README).
+# failed request; then SIGTERM the server and fail unless it exits 0 with
+# "drained, bye" as its last log line. Exercises the full path (HTTP ->
+# batcher -> RunBatch -> metrics -> drain) in a few seconds; heavier runs are
+# manual (see README). The second half boots a lenet5-only server 20 times
+# and SIGTERMs it the instant the address file appears (boot spins on the
+# file without sleeping, so the signal lands within microseconds of the
+# bind), asserting the same drained exit: a signal arriving right after the
+# bind must never kill the process by default action.
 serve-smoke:
 	@set -e; \
 	dir=$$(mktemp -d /tmp/inspire-smoke.XXXXXX); \
-	trap 'rm -rf $$dir' EXIT; \
+	pid=; \
+	trap '[ -z "$$pid" ] || kill -9 $$pid 2>/dev/null || true; rm -rf $$dir' EXIT; \
 	$(GO) build -o $$dir/inspire-serve ./cmd/inspire-serve; \
 	$(GO) build -o $$dir/inspire-load ./cmd/inspire-load; \
-	$$dir/inspire-serve -addr 127.0.0.1:0 -addrfile $$dir/addr & \
-	pid=$$!; \
-	trap 'kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $$dir' EXIT; \
-	i=0; while [ $$i -lt 100 ] && ! [ -s $$dir/addr ]; do sleep 0.1; i=$$((i+1)); done; \
-	[ -s $$dir/addr ] || { echo "serve-smoke: server never bound"; exit 1; }; \
-	addr=$$(cat $$dir/addr); \
-	$$dir/inspire-load -url http://$$addr -models lenet5,squeezenet \
-		-clients 32 -duration 3s -fail
+	boot() { \
+		rm -f $$dir/addr; \
+		$$dir/inspire-serve -addr 127.0.0.1:0 -addrfile $$dir/addr "$$@" > $$dir/log 2>&1 & \
+		pid=$$!; \
+		i=0; while [ $$i -lt 5000000 ] && ! [ -s $$dir/addr ]; do i=$$((i+1)); done; \
+		[ -s $$dir/addr ] || { echo "serve-smoke: server never bound"; cat $$dir/log; exit 1; }; \
+	}; \
+	drain() { \
+		kill -TERM $$pid; \
+		rc=0; wait $$pid || rc=$$?; pid=; \
+		[ $$rc -eq 0 ] && [ "$$(tail -n 1 $$dir/log)" = "inspire-serve: drained, bye" ] || \
+			{ echo "serve-smoke: $$1: exit $$rc, log ends:"; tail -n 3 $$dir/log; exit 1; }; \
+	}; \
+	boot; \
+	$$dir/inspire-load -url http://$$(cat $$dir/addr) -models lenet5,squeezenet \
+		-clients 32 -duration 3s -fail; \
+	drain "SIGTERM after load"; \
+	n=0; while [ $$n -lt 20 ]; do \
+		n=$$((n+1)); boot -models lenet5; drain "boot $$n then immediate SIGTERM"; \
+	done; \
+	echo "serve-smoke: drained after load; 20/20 immediate SIGTERMs drained"
 
 # Multi-model hot-swap smoke: boot inspire-serve with both models sharing
 # one dictionary store, fire concurrent load at both endpoints, and POST a

@@ -9,14 +9,14 @@
 //	inspire-serve -autotune -tune-cache tuning.json
 //	inspire-serve -share-dict=false        # disable shared-dictionary interning
 //
-// Every model compiles through obs.CompilePlan — the same code path
-// inspire-perf measures — so a served plan and a benchmarked plan differ
-// only in the explicit options (-force/-fuse/-autotune), never in model
-// construction. With -share-dict (the default) all models and all hot-swap
-// versions compile through one content-addressed dictionary store:
-// identical index-pair programs across models and versions are interned
-// once and their compiled emit tables reused, shrinking resident bytes per
-// model (watch the "models" table of `inspire-stats -url ...`).
+// Every model compiles through obs.CompilePlan, so a served plan and a
+// benchmarked plan (benchmark/) differ only in the explicit options
+// (-force/-fuse/-autotune), never in model construction. With -share-dict
+// (the default) all models and all hot-swap versions compile through one
+// content-addressed dictionary store: identical index-pair programs across
+// models and versions are interned once and their compiled emit tables
+// reused, shrinking resident bytes per model (watch the "models" table of
+// `inspire-stats -url ...`).
 //
 // Hot swap: POST /v1/models/{model}/versions with {"seed":N} compiles a new
 // weight version while the old one keeps serving, atomically redirects
@@ -128,8 +128,7 @@ func main() {
 	}
 
 	// Every version of every model — the startup loads below and all later
-	// hot swaps — compiles through this one function, so serving and
-	// benchmarking (inspire-perf) can never drift apart in model setup.
+	// hot swaps — compiles through this one function.
 	var tunersMu sync.Mutex
 	var tuners []*runtime.PlanTuner
 	compile := func(model string, seed uint64) (*runtime.Plan, error) {
@@ -197,6 +196,12 @@ func main() {
 		reg.StartPoolSizer(*poolSize)
 	}
 
+	// Catch SIGINT/SIGTERM before the address is bound or published: from
+	// the moment a script can learn the address, a signal must drain, never
+	// kill by default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inspire-serve: %v\n", err)
@@ -215,8 +220,6 @@ func main() {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Printf("inspire-serve: %v: draining\n", s)

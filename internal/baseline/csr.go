@@ -81,27 +81,18 @@ func (c *CSR) MatMat(b *tensor.Tensor) *tensor.Tensor {
 	}
 	p := b.Dim(1)
 	out := tensor.New(c.M, p)
-	c.MatMatInto(out.Data(), b.Data(), p)
+	c.MatMatIntoPar(out.Data(), b.Data(), p, nil)
 	return out
 }
 
-// MatMatInto is MatMat over raw row-major buffers: b holds [K, p], dst
-// receives [M, p]. dst is zeroed before accumulation, so it need not be
-// clean.
-func (c *CSR) MatMatInto(dst, b []float32, p int) {
-	if len(b) < c.K*p || len(dst) < c.M*p {
-		panic("baseline: CSR MatMatInto buffers too small")
-	}
-	c.matMatRows(dst, b, p, 0, c.M)
-}
-
-// MatMatIntoPar is MatMatInto sharded over output rows on the given
-// parallelism context (nil par or one shard runs serially). Rows are
-// disjoint and each row's accumulation walk is untouched, so results are
-// bit-identical to the serial kernel for any shard count.
+// MatMatIntoPar is MatMat over raw row-major buffers: b holds [K, p], dst
+// receives [M, p] (zeroed before accumulation, so it need not be clean),
+// sharded over output rows on the given parallelism context (nil par or one
+// shard runs serially). Rows are disjoint and each row's accumulation walk
+// is untouched, so results are bit-identical for any shard count.
 func (c *CSR) MatMatIntoPar(dst, b []float32, p int, par *tensor.Par) {
 	if len(b) < c.K*p || len(dst) < c.M*p {
-		panic("baseline: CSR MatMatInto buffers too small")
+		panic("baseline: CSR MatMatIntoPar buffers too small")
 	}
 	if par.Parallel() {
 		par.For(c.M, func(shard, lo, hi int) {
@@ -173,50 +164,23 @@ func (l *ConvCSR) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(out, in, &s)
+	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
 	return out
 }
 
-// ForwardInto is Forward writing into a preallocated [n, outC, oh, ow]
-// destination, drawing im2col and result buffers from the caller's Scratch.
-// dst must not alias in.
-func (l *ConvCSR) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
-	metrics.Count(metrics.KernelCSR)
-	spec := l.Spec
-	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
-	mark := s.Mark()
-	col := s.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s.Take(ocg * oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			tensor.Im2colGroupInto(col, in, b, g, spec)
-			l.Mats[g].MatMatInto(res, col, oh*ow)
-			addConvBias(od, res, l.Bias, spec.OutC, b, g, ocg, oh*ow)
-		}
-	}
-	s.Release(mark)
-}
-
-// ForwardIntoPar is ForwardInto sharded on the given parallelism context:
-// im2col over matrix rows, the sparse matmul over output channels. The
-// shared col/res staging buffers come from shard 0's scratch, taken before
-// each parallel region and released after it joins. Results are
-// bit-identical to ForwardInto.
+// ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
+// destination (dst must not alias in), sharded on the given parallelism
+// context: im2col over matrix rows, the sparse matmul over output channels.
+// The shared col/res staging buffers come from shard 0's scratch, taken
+// before each parallel region and released after it joins. Results are
+// bit-identical for any shard count.
 func (l *ConvCSR) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	metrics.Count(metrics.KernelCSR)
 	spec := l.Spec
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+		panic(fmt.Sprintf("baseline: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups

@@ -90,28 +90,19 @@ func (f *Factorized) MatMat(b *tensor.Tensor) *tensor.Tensor {
 	}
 	p := b.Dim(1)
 	out := tensor.New(f.M, p)
-	f.MatMatInto(out.Data(), b.Data(), p, make([]float32, p))
+	f.MatMatIntoPar(out.Data(), b.Data(), p, tensor.NewPar(nil, 1))
 	return out
 }
 
-// MatMatInto is MatMat over raw row-major buffers: b holds [K, p], dst
-// receives [M, p] (zeroed before accumulation), and group is a work buffer
-// of at least p floats.
-func (f *Factorized) MatMatInto(dst, b []float32, p int, group []float32) {
-	if len(b) < f.K*p || len(dst) < f.M*p || len(group) < p {
-		panic("baseline: Factorized MatMatInto buffers too small")
-	}
-	f.matMatRows(dst, b, p, group, 0, f.M)
-}
-
-// MatMatIntoPar is MatMatInto sharded over output rows on the given
-// parallelism context, each shard taking its private group work buffer
-// from its scratch (one shard runs serially on shard 0's scratch). Rows
-// are disjoint and each row's term walk is untouched, so results are
-// bit-identical to the serial kernel for any shard count.
+// MatMatIntoPar is MatMat over raw row-major buffers: b holds [K, p], dst
+// receives [M, p] (zeroed before accumulation). It shards over output rows
+// on the given parallelism context, each shard taking its private p-float
+// group work buffer from its scratch (one shard runs serially on shard 0's
+// scratch). Rows are disjoint and each row's term walk is untouched, so
+// results are bit-identical for any shard count.
 func (f *Factorized) MatMatIntoPar(dst, b []float32, p int, par *tensor.Par) {
 	if len(b) < f.K*p || len(dst) < f.M*p {
-		panic("baseline: Factorized MatMatInto buffers too small")
+		panic("baseline: Factorized MatMatIntoPar buffers too small")
 	}
 	if par.Parallel() {
 		par.For(f.M, func(shard, lo, hi int) {
@@ -226,51 +217,23 @@ func (l *ConvFactorized) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(out, in, &s)
+	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
 	return out
 }
 
-// ForwardInto is Forward writing into a preallocated [n, outC, oh, ow]
-// destination, drawing work buffers from the caller's Scratch. dst must not
-// alias in.
-func (l *ConvFactorized) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
-	metrics.Count(metrics.KernelFactorized)
-	spec := l.Spec
-	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
-	mark := s.Mark()
-	col := s.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s.Take(ocg * oh * ow)
-	group := s.Take(oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			tensor.Im2colGroupInto(col, in, b, g, spec)
-			l.Mats[g].MatMatInto(res, col, oh*ow, group)
-			addConvBias(od, res, l.Bias, spec.OutC, b, g, ocg, oh*ow)
-		}
-	}
-	s.Release(mark)
-}
-
-// ForwardIntoPar is ForwardInto sharded on the given parallelism context:
-// im2col over matrix rows, the factorized matmul over output channels with
-// per-shard group buffers. The shared col/res staging buffers come from
-// shard 0's scratch, taken before each parallel region and released after
-// it joins. Results are bit-identical to ForwardInto.
+// ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
+// destination (dst must not alias in), sharded on the given parallelism
+// context: im2col over matrix rows, the factorized matmul over output
+// channels with per-shard group buffers. The shared col/res staging buffers
+// come from shard 0's scratch, taken before each parallel region and
+// released after it joins. Results are bit-identical for any shard count.
 func (l *ConvFactorized) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	metrics.Count(metrics.KernelFactorized)
 	spec := l.Spec
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+		panic(fmt.Sprintf("baseline: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups

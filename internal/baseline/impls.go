@@ -52,10 +52,6 @@ func CSRConvVariants() []CSRConvVariant {
 		{Name: "forward", F: func(l *ConvCSR, dst, in *tensor.Tensor, par *tensor.Par) {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
-		{Name: "forward-into", F: func(l *ConvCSR, dst, in *tensor.Tensor, par *tensor.Par) {
-			var s tensor.Scratch
-			l.ForwardInto(dst, in, &s)
-		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvCSR, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, par)
 		}},
@@ -77,10 +73,6 @@ func FactConvVariants() []FactConvVariant {
 		{Name: "forward", F: func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par) {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
-		{Name: "forward-into", F: func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par) {
-			var s tensor.Scratch
-			l.ForwardInto(dst, in, &s)
-		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, par)
 		}},
@@ -100,10 +92,6 @@ func WinogradVariants() []WinogradVariant {
 	return []WinogradVariant{
 		{Name: "forward", F: func(l *ConvWinograd, dst, in *tensor.Tensor, par *tensor.Par) {
 			copy(dst.Data(), l.Forward(in).Data())
-		}},
-		{Name: "forward-into", F: func(l *ConvWinograd, dst, in *tensor.Tensor, par *tensor.Par) {
-			var s tensor.Scratch
-			l.ForwardInto(dst, in, &s)
 		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvWinograd, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, par)
@@ -127,9 +115,6 @@ func CSRMatVariants(c *CSR) []MatVariant {
 		{Name: "matmat", F: func(dst, b []float32, p int, par *tensor.Par) {
 			copy(dst, c.MatMat(tensor.From(b, c.K, p)).Data())
 		}},
-		{Name: "matmat-into", F: func(dst, b []float32, p int, par *tensor.Par) {
-			c.MatMatInto(dst, b, p)
-		}},
 		{Name: "matmat-into-par", UsesPar: true, F: func(dst, b []float32, p int, par *tensor.Par) {
 			c.MatMatIntoPar(dst, b, p, par)
 		}},
@@ -142,9 +127,6 @@ func FactMatVariants(f *Factorized) []MatVariant {
 	return []MatVariant{
 		{Name: "matmat", F: func(dst, b []float32, p int, par *tensor.Par) {
 			copy(dst, f.MatMat(tensor.From(b, f.K, p)).Data())
-		}},
-		{Name: "matmat-into", F: func(dst, b []float32, p int, par *tensor.Par) {
-			f.MatMatInto(dst, b, p, make([]float32, p))
 		}},
 		{Name: "matmat-into-par", UsesPar: true, F: func(dst, b []float32, p int, par *tensor.Par) {
 			f.MatMatIntoPar(dst, b, p, par)

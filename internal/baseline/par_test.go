@@ -36,7 +36,7 @@ func expectSame(t *testing.T, name string, shards int, got, want []float32) {
 }
 
 // TestConvCSRForwardIntoParBitIdentical checks the channel-sharded sparse
-// convolution against the serial path.
+// convolution against its one-shard run.
 func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
@@ -46,9 +46,8 @@ func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 	}
 	oh, ow := spec.OutDims(10, 10)
 	want := tensor.New(2, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(want, in, &s)
-	for _, shards := range []int{1, 2, 5, 16} {
+	l.ForwardIntoPar(want, in, forcedPar(1))
+	for _, shards := range []int{2, 5, 16} {
 		got := tensor.New(2, spec.OutC, oh, ow)
 		l.ForwardIntoPar(got, in, forcedPar(shards))
 		expectSame(t, "ConvCSR", shards, got.Data(), want.Data())
@@ -56,8 +55,8 @@ func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 }
 
 // TestConvFactorizedForwardIntoParBitIdentical checks the channel-sharded
-// value-factorized convolution (per-shard group buffers) against the
-// serial path.
+// value-factorized convolution (per-shard group buffers) against its
+// one-shard run.
 func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
@@ -67,9 +66,8 @@ func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 	}
 	oh, ow := spec.OutDims(10, 10)
 	want := tensor.New(2, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(want, in, &s)
-	for _, shards := range []int{1, 2, 5, 16} {
+	l.ForwardIntoPar(want, in, forcedPar(1))
+	for _, shards := range []int{2, 5, 16} {
 		got := tensor.New(2, spec.OutC, oh, ow)
 		l.ForwardIntoPar(got, in, forcedPar(shards))
 		expectSame(t, "ConvFactorized", shards, got.Data(), want.Data())
@@ -77,7 +75,7 @@ func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 }
 
 // TestConvWinogradForwardIntoParBitIdentical checks the tile-row-sharded
-// Winograd convolution against the serial path, including odd output
+// Winograd convolution against its one-shard run, including odd output
 // extents (partial edge tiles).
 func TestConvWinogradForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
@@ -94,9 +92,8 @@ func TestConvWinogradForwardIntoParBitIdentical(t *testing.T) {
 		}
 		oh, ow := spec.OutDims(hw, hw)
 		want := tensor.New(2, spec.OutC, oh, ow)
-		var s tensor.Scratch
-		l.ForwardInto(want, in, &s)
-		for _, shards := range []int{1, 2, 3, 13} {
+		l.ForwardIntoPar(want, in, forcedPar(1))
+		for _, shards := range []int{2, 3, 13} {
 			got := tensor.New(2, spec.OutC, oh, ow)
 			l.ForwardIntoPar(got, in, forcedPar(shards))
 			expectSame(t, "ConvWinograd", shards, got.Data(), want.Data())
@@ -113,7 +110,7 @@ func TestCSRMatMatIntoParBitIdentical(t *testing.T) {
 	b := tensor.New(20, 45)
 	tensor.FillGaussian(b, tensor.NewRNG(58), 1)
 	want := make([]float32, 33*45)
-	c.MatMatInto(want, b.Data(), 45)
+	c.MatMatIntoPar(want, b.Data(), 45, forcedPar(1))
 	for _, shards := range []int{2, 7, 40} {
 		got := make([]float32, 33*45)
 		c.MatMatIntoPar(got, b.Data(), 45, forcedPar(shards))

@@ -122,43 +122,26 @@ func (l *ConvWinograd) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(out, in, &s)
+	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
 	return out
 }
 
-// ForwardInto is Forward writing into a preallocated [n, outC, oh, ow]
-// destination, drawing the transformed-tile buffer from the caller's
-// Scratch. dst must not alias in.
-func (l *ConvWinograd) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
-	metrics.Count(metrics.KernelWinograd)
-	spec := l.Spec
-	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	nTilesY := (oh + 1) / 2
-	mark := s.Mark()
-	vTiles := s.Take(c * 16) // transformed input tiles, 16 floats per channel
-	l.forwardTileRows(dst, in, oh, ow, vTiles, 0, n*nTilesY)
-	s.Release(mark)
-}
-
-// ForwardIntoPar is ForwardInto sharded over flattened (batch, tile-row)
-// units on the given parallelism context, each shard holding its private
-// transformed-tile buffer in its scratch (one shard runs serially on shard
-// 0's scratch). Tile rows own disjoint output rows and every tile's
-// transforms are untouched, so results are bit-identical to ForwardInto.
-// Sharding over tile rows rather than output channels keeps each input
-// tile's transform computed once per shard instead of once per channel.
+// ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
+// destination (dst must not alias in), sharded over flattened (batch,
+// tile-row) units on the given parallelism context, each shard holding its
+// private transformed-tile buffer in its scratch (one shard runs serially
+// on shard 0's scratch). Tile rows own disjoint output rows and every
+// tile's transforms are untouched, so results are bit-identical for any
+// shard count. Sharding over tile rows rather than output channels keeps
+// each input tile's transform computed once per shard instead of once per
+// channel.
 func (l *ConvWinograd) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	metrics.Count(metrics.KernelWinograd)
 	spec := l.Spec
 	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+		panic(fmt.Sprintf("baseline: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
 	}
 	nTilesY := (oh + 1) / 2
 	units := n * nTilesY

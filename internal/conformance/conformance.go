@@ -30,7 +30,7 @@
 //
 // To plug a new kernel in, register it in its package's enumeration shim
 // (tensor.ConvImpls / ipe.ConvVariants / baseline.CSRConvVariants /
-// graph.ExecVariants / runtime.ForceableImpls and friends) — the driver
+// runtime.ForceableImpls and friends) — the driver
 // picks registered variants up without changes here. A kernel is considered
 // correct only once this package exercises it.
 package conformance

@@ -440,8 +440,8 @@ func CheckProgram(seed uint64) error {
 }
 
 // CheckGraph rebuilds the model-graph case for seed and cross-checks the
-// whole-graph execution paths: the graph walkers (bitwise family, close to
-// the reference), then for every forceable runtime implementation plus
+// whole-graph execution paths: the graph.Eval walker (close to the
+// reference), then for every forceable runtime implementation plus
 // auto-selection, a freshly compiled plan's Executor at several
 // parallelism settings (bitwise family, close to an oracle evaluated on
 // the plan's effective weights), Plan.Run, and chunked RunBatch at one and
@@ -453,33 +453,12 @@ func CheckGraph(seed uint64) error {
 		return fmt.Errorf("conformance: seed %d: graph reference: %w", seed, err)
 	}
 
-	var first []float32
-	var firstName string
-	for _, v := range graph.ExecVariants() {
-		ps := []*tensor.Par{serialPar()}
-		if v.UsesPar {
-			ps = pars()
-		}
-		for _, par := range ps {
-			name := "graph/" + v.Name
-			if v.UsesPar {
-				name = fmt.Sprintf("%s[shards=%d]", name, par.Shards())
-			}
-			out, err := v.F(gc.Graph, gc.Input, par)
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d: %s: %w", seed, name, err)
-			}
-			if first == nil {
-				if err := checkGraphClose(seed, name, out.Data(), ref); err != nil {
-					return err
-				}
-				first, firstName = out.Data(), name
-				continue
-			}
-			if err := checkExact(seed, name, firstName, out.Data(), first); err != nil {
-				return err
-			}
-		}
+	out, err := graph.Eval(gc.Graph, gc.Input)
+	if err != nil {
+		return fmt.Errorf("conformance: seed %d: graph/eval: %w", seed, err)
+	}
+	if err := checkGraphClose(seed, "graph/eval", out.Data(), ref); err != nil {
+		return err
 	}
 
 	// A second, independently generated input for the middle RunBatch

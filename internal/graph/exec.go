@@ -79,19 +79,27 @@ func EvalNode(n *Node, ins []*tensor.Tensor) (*tensor.Tensor, error) {
 	return out, nil
 }
 
-// EvalNodeInto executes a single node writing the result into a
+// EvalNodeIntoPar executes a single node writing the result into a
 // preallocated destination tensor of the node's output shape, honoring the
 // FusedReLU attribute. It is the destination-passing counterpart of
 // EvalNode: no output (or intermediate) tensor is allocated, so a planned
 // runtime can point dst straight into its activation arena. dst must not
 // alias any input (the memory planner guarantees this for planned buffers).
-// OpInput and OpConst nodes produce no computation and are rejected.
-func EvalNodeInto(dst *tensor.Tensor, n *Node, ins []*tensor.Tensor) error {
+// OpInput and OpConst nodes produce no computation and are rejected. The
+// heavy operators (conv, dense) shard on the given parallelism context (nil
+// par runs serially); everything else runs serially. Results are
+// bit-identical for any shard count.
+func EvalNodeIntoPar(dst *tensor.Tensor, n *Node, ins []*tensor.Tensor, par *tensor.Par) error {
+	// Conv and dense count themselves inside their tensor kernels; the
+	// remaining operators are the generic walker's.
+	if n.Kind != OpConv && n.Kind != OpDense {
+		metrics.Count(metrics.KernelGeneric)
+	}
 	switch n.Kind {
 	case OpConv:
-		tensor.Conv2DInto(dst, ins[0], n.Param("weight"), n.Param("bias"), n.Attrs.Conv)
+		tensor.Conv2DIntoPar(dst, ins[0], n.Param("weight"), n.Param("bias"), n.Attrs.Conv, par)
 	case OpDense:
-		tensor.DenseInto(dst, ins[0], n.Param("weight"), n.Param("bias"))
+		tensor.DenseIntoPar(dst, ins[0], n.Param("weight"), n.Param("bias"), par)
 	case OpBatchNorm:
 		tensor.BatchNormInto(dst, ins[0], n.Param("gamma"), n.Param("beta"),
 			n.Param("mean"), n.Param("var"), n.Attrs.Eps)
@@ -115,28 +123,6 @@ func EvalNodeInto(dst *tensor.Tensor, n *Node, ins []*tensor.Tensor) error {
 		concatChannelsInto(dst, ins)
 	default:
 		return fmt.Errorf("unsupported op kind %v", n.Kind)
-	}
-	if n.Attrs.FusedReLU {
-		tensor.ReLUInto(dst, dst)
-	}
-	return nil
-}
-
-// EvalNodeIntoPar is EvalNodeInto with the heavy operators (conv, dense)
-// sharded on the given parallelism context; everything else runs serially
-// through EvalNodeInto. Results are bit-identical to EvalNodeInto for any
-// shard count.
-func EvalNodeIntoPar(dst *tensor.Tensor, n *Node, ins []*tensor.Tensor, par *tensor.Par) error {
-	switch n.Kind {
-	case OpConv:
-		tensor.Conv2DIntoPar(dst, ins[0], n.Param("weight"), n.Param("bias"), n.Attrs.Conv, par)
-	case OpDense:
-		tensor.DenseIntoPar(dst, ins[0], n.Param("weight"), n.Param("bias"), par)
-	default:
-		// Conv and dense count themselves inside their tensor kernels; the
-		// remaining operators are the generic walker's.
-		metrics.Count(metrics.KernelGeneric)
-		return EvalNodeInto(dst, n, ins)
 	}
 	if n.Attrs.FusedReLU {
 		tensor.ReLUInto(dst, dst)

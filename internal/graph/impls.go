@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // Clone returns a deep copy of the graph: fresh nodes with re-linked
 // inputs, deep-copied parameter and constant tensors, and the same IDs.
@@ -47,76 +43,4 @@ func (g *Graph) Clone() *Graph {
 	// Optimize-produced annotation and are recomputed on the clone by the
 	// next Optimize, so the copy starts with none.
 	return c
-}
-
-// EvalInto executes the graph through the destination-passing node kernels,
-// allocating one plain output tensor per node (no arena, no aliasing). It
-// computes the same per-element arithmetic as Eval, so the two are
-// bit-identical; the conformance harness checks that.
-func EvalInto(g *Graph, input *tensor.Tensor) (*tensor.Tensor, error) {
-	return evalIntoPar(g, input, nil)
-}
-
-// EvalIntoPar is EvalInto with the heavy operators sharded on the given
-// parallelism context; results are bit-identical to EvalInto for any shard
-// count (see EvalNodeIntoPar).
-func EvalIntoPar(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error) {
-	return evalIntoPar(g, input, par)
-}
-
-func evalIntoPar(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error) {
-	if !input.Shape().Equal(g.In.OutShape) {
-		return nil, fmt.Errorf("graph: input shape %v != declared %v", input.Shape(), g.In.OutShape)
-	}
-	vals := make(map[*Node]*tensor.Tensor)
-	vals[g.In] = input
-	for _, n := range g.Topo() {
-		switch n.Kind {
-		case OpInput:
-			continue
-		case OpConst:
-			vals[n] = n.Value
-			continue
-		}
-		if !n.OutShape.Valid() {
-			return nil, fmt.Errorf("graph: %s has no inferred shape; run InferShapes first", n)
-		}
-		out := tensor.New(n.OutShape...)
-		var err error
-		if par != nil {
-			err = EvalNodeIntoPar(out, n, inputsOf(n, vals), par)
-		} else {
-			err = EvalNodeInto(out, n, inputsOf(n, vals))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("graph: evaluating %s: %w", n, err)
-		}
-		vals[n] = out
-	}
-	return vals[g.Out], nil
-}
-
-// ExecVariant is one registered whole-graph execution path for the
-// conformance harness. All variants share the tensor kernels' per-element
-// accumulation order, so they form one bit-identical family.
-type ExecVariant struct {
-	Name    string
-	UsesPar bool
-	F       func(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error)
-}
-
-// ExecVariants enumerates the reference graph executors: the map-based
-// allocating walker and the destination-passing walker, serial and sharded.
-func ExecVariants() []ExecVariant {
-	return []ExecVariant{
-		{Name: "eval", F: func(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error) {
-			return Eval(g, input)
-		}},
-		{Name: "eval-into", F: func(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error) {
-			return EvalInto(g, input)
-		}},
-		{Name: "eval-into-par", UsesPar: true, F: func(g *Graph, input *tensor.Tensor, par *tensor.Par) (*tensor.Tensor, error) {
-			return EvalIntoPar(g, input, par)
-		}},
-	}
 }

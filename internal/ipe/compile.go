@@ -55,13 +55,12 @@ type Compiled struct {
 
 	// Emit stream, CSR over rows → terms → symbol locations: row r spans
 	// terms rowOff[r]..rowOff[r+1], term t sums the locations
-	// syms[termOff[t]:termOff[t+1]] and contributes values[t]·Σ (float
-	// path) or codes[t]·Σ (integer path). The matrix executors walk this
-	// form: per-term decode cost is amortized over a whole column block.
+	// syms[termOff[t]:termOff[t+1]] and contributes values[t]·Σ. The
+	// matrix executor walks this form: per-term decode cost is amortized
+	// over a whole column block.
 	syms    []int32
 	termOff []int32
 	values  []float32
-	codes   []int32
 	rowOff  []int32
 
 	// tape is the same emit stream flattened for the single-vector
@@ -251,7 +250,6 @@ func compile(p *Program) *Compiled {
 	c.syms = make([]int32, 0, nSyms)
 	c.termOff = make([]int32, 1, nTerms+1)
 	c.values = make([]float32, 0, nTerms)
-	c.codes = make([]int32, 0, nTerms)
 	c.rowOff = make([]int32, 1, p.M+1)
 	c.tape = make([]int32, 0, p.M+3*nTerms+nSyms)
 	for _, row := range p.Rows {
@@ -277,7 +275,6 @@ func compile(p *Program) *Compiled {
 			}
 			c.termOff = append(c.termOff, int32(len(c.syms)))
 			c.values = append(c.values, t.Value)
-			c.codes = append(c.codes, t.Code)
 		}
 		c.rowOff = append(c.rowOff, int32(len(c.values)))
 	}
@@ -396,51 +393,25 @@ func (c *Compiled) ExecuteIntScratch(x []int32, y, vals []int64) {
 	}
 }
 
-// ExecuteMatrix evaluates the compiled program on a [K, P] column matrix,
-// producing the [M, P] result (convenience wrapper over
-// ExecuteMatrixInto).
-func (c *Compiled) ExecuteMatrix(cols *tensor.Tensor) *tensor.Tensor {
-	if cols.Shape().Rank() != 2 || cols.Dim(0) != c.K {
-		panic(fmt.Sprintf("ipe: compiled ExecuteMatrix wants [K=%d, P] input, got %v", c.K, cols.Shape()))
-	}
-	pTotal := cols.Dim(1)
-	out := tensor.New(c.M, pTotal)
-	var s tensor.Scratch
-	c.ExecuteMatrixInto(out.Data(), cols.Data(), pTotal, &s)
-	return out
-}
-
-// ExecuteMatrixInto is the compiled column-blocked matrix executor: cols
-// holds the [K, pTotal] input, dst receives the [M, pTotal] result. The
-// block scratchpad is ScratchLen()·colBlock words — NumSlots compacted
-// slabs past the inputs instead of the interpreter's per-entry slabs — and
-// comes from the caller's Scratch. Bit-identical to
-// Program.ExecuteMatrixInto.
-func (c *Compiled) ExecuteMatrixInto(dst, cols []float32, pTotal int, s *tensor.Scratch) {
-	metrics.Count(metrics.KernelIPECompiled)
-	checkMatrixBuffers("compiled ExecuteMatrixInto", c.K, c.M, len(dst), len(cols), pTotal)
-	c.executeMatrixCols(dst, cols, pTotal, 0, pTotal, s)
-}
-
-// ExecuteMatrixIntoPar is ExecuteMatrixInto sharded over colBlock-aligned
-// column ranges on the given parallelism context (see
-// Program.ExecuteMatrixIntoPar for the bit-identity argument; it holds
-// unchanged here).
+// ExecuteMatrixIntoPar is the compiled column-blocked matrix executor: cols
+// holds the [K, pTotal] input, dst receives the [M, pTotal] result. It
+// shards over colBlock-aligned column ranges on the given parallelism
+// context, each shard drawing its block scratchpad — ScratchLen()·colBlock
+// words, NumSlots compacted slabs past the inputs instead of the
+// interpreter's per-entry slabs — from its private scratch (one shard runs
+// serially on shard 0's scratch). Aligned shard boundaries put every column
+// in the same block position with the same arithmetic as the one-shard
+// walk, so results are bit-identical for any shard count, and bit-identical
+// to Program.ExecuteMatrixInto; see emitblock.go for the register-blocked
+// column walk.
 func (c *Compiled) ExecuteMatrixIntoPar(dst, cols []float32, pTotal int, par *tensor.Par) {
 	metrics.Count(metrics.KernelIPECompiled)
 	checkMatrixBuffers("compiled ExecuteMatrixIntoPar", c.K, c.M, len(dst), len(cols), pTotal)
 	if par.Parallel() {
 		par.ForBlocks(pTotal, colBlock, func(shard, lo, hi int) {
-			c.executeMatrixCols(dst, cols, pTotal, lo, hi, par.Scratch(shard))
+			c.executeMatrixColsBlocked(dst, cols, pTotal, lo, hi, par.Scratch(shard))
 		})
 		return
 	}
-	c.executeMatrixCols(dst, cols, pTotal, 0, pTotal, par.Scratch(0))
-}
-
-// executeMatrixCols processes input columns [lo, hi) (lo colBlock-aligned)
-// against the flat streams; see emitblock.go for the register-blocked
-// implementation and its bit-identity argument.
-func (c *Compiled) executeMatrixCols(dst, cols []float32, pTotal, lo, hi int, s *tensor.Scratch) {
-	c.executeMatrixColsBlocked(dst, cols, pTotal, lo, hi, s)
+	c.executeMatrixColsBlocked(dst, cols, pTotal, 0, pTotal, par.Scratch(0))
 }

@@ -73,9 +73,9 @@ func assertCompiledMatches(t *testing.T, p *Program) {
 		}
 		wantM := make([]float32, p.M*pTotal)
 		gotM := make([]float32, p.M*pTotal)
-		var s1, s2 tensor.Scratch
-		p.ExecuteMatrixInto(wantM, cols, pTotal, &s1)
-		c.ExecuteMatrixInto(gotM, cols, pTotal, &s2)
+		var s tensor.Scratch
+		p.ExecuteMatrixInto(wantM, cols, pTotal, &s)
+		c.ExecuteMatrixIntoPar(gotM, cols, pTotal, tensor.NewPar(nil, 1))
 		for i := range wantM {
 			if math.Float32bits(wantM[i]) != math.Float32bits(gotM[i]) {
 				t.Fatalf("matrix P=%d element %d: interpreted %v != compiled %v", pTotal, i, wantM[i], gotM[i])
@@ -343,12 +343,13 @@ func benchMatrix(b *testing.B, compiled bool) {
 	}
 	dst := make([]float32, prog.M*pTotal)
 	var s tensor.Scratch
+	par := tensor.NewPar(nil, 1)
 	c := prog.Compiled()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if compiled {
-			c.ExecuteMatrixInto(dst, cols, pTotal, &s)
+			c.ExecuteMatrixIntoPar(dst, cols, pTotal, par)
 		} else {
 			prog.ExecuteMatrixInto(dst, cols, pTotal, &s)
 		}

@@ -69,51 +69,26 @@ func (l *ConvLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	var s tensor.Scratch
-	l.ForwardInto(out, in, &s)
+	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
 	return out
 }
 
-// ForwardInto is Forward writing into a preallocated [n, outC, oh, ow]
-// destination, drawing the im2col and program buffers from the caller's
-// Scratch: once the scratch is warm, execution performs no heap
-// allocations. Programs run in their compiled form (compile.go), which is
-// bit-identical to the interpreter. dst must not alias in.
-func (l *ConvLayer) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
-	spec := l.Spec
-	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("ipe: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
-	mark := s.Mark()
-	col := s.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s.Take(ocg * oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			tensor.Im2colGroupInto(col, in, b, g, spec)
-			l.Programs[g].Compiled().ExecuteMatrixInto(res, col, oh*ow, s) // [ocg, oh*ow]
-			l.addBias(od, res, b, g, ocg, oh*ow)
-		}
-	}
-	s.Release(mark)
-}
-
-// ForwardIntoPar is ForwardInto sharded on the given parallelism context:
-// the im2col lowering shards over matrix rows and the program execution
-// over column blocks, with per-shard scratch arenas. The shared col/res
-// staging buffers come from shard 0's scratch — taken before each parallel
-// region starts and released after it joins, so no two goroutines ever use
-// one Scratch concurrently. Results are bit-identical to ForwardInto.
+// ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
+// destination (dst must not alias in), sharded on the given parallelism
+// context: the im2col lowering shards over matrix rows and the program
+// execution over column blocks, with per-shard scratch arenas. The shared
+// col/res staging buffers come from shard 0's scratch — taken before each
+// parallel region starts and released after it joins, so no two goroutines
+// ever use one Scratch concurrently; once the scratches are warm, execution
+// performs no heap allocations at one shard. Programs run in their compiled
+// form (compile.go), which is bit-identical to the interpreter, and results
+// are bit-identical for any shard count.
 func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	spec := l.Spec
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("ipe: ForwardInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+		panic(fmt.Sprintf("ipe: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
@@ -125,7 +100,7 @@ func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	for b := 0; b < n; b++ {
 		for g := 0; g < spec.Groups; g++ {
 			tensor.Im2colGroupIntoPar(col, in, b, g, spec, par)
-			l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, col, oh*ow, par)
+			l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, col, oh*ow, par) // [ocg, oh*ow]
 			l.addBias(od, res, b, g, ocg, oh*ow)
 		}
 	}
@@ -213,20 +188,8 @@ func (l *DenseLayer) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
 	mark := s.Mark()
 	od := dst.Data()
 	id := in.Data()
-	b := 0
-	if n >= laneCount {
-		// 4 batch rows per stream sweep (bit-identical per lane to the
-		// single-vector walk below).
-		lanes := s.Take(laneCount * c.ScratchLen())
-		for ; b+laneCount <= n; b += laneCount {
-			c.ExecuteScratch4(
-				id[b*k:(b+1)*k], id[(b+1)*k:(b+2)*k], id[(b+2)*k:(b+3)*k], id[(b+3)*k:(b+4)*k],
-				od[b*m:(b+1)*m], od[(b+1)*m:(b+2)*m], od[(b+2)*m:(b+3)*m], od[(b+3)*m:(b+4)*m],
-				lanes)
-		}
-	}
 	scratch := s.Take(c.ScratchLen())
-	for ; b < n; b++ {
+	for b := 0; b < n; b++ {
 		c.ExecuteScratch(id[b*k:(b+1)*k], od[b*m:(b+1)*m], scratch)
 	}
 	if l.Bias != nil {

@@ -240,7 +240,7 @@ func (c *Compiled) MemoryBytes() int64 {
 		return 0
 	}
 	words := len(c.pairA) + len(c.pairB) + len(c.pairDst) +
-		len(c.syms) + len(c.termOff) + len(c.values) + len(c.codes) +
+		len(c.syms) + len(c.termOff) + len(c.values) +
 		len(c.rowOff) + len(c.tape) + len(c.gatherRows)
 	return int64(words)*4 + 96
 }

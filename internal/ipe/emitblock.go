@@ -6,7 +6,7 @@ import (
 
 // Register-blocked block executor for the compiled matrix path.
 //
-// Three changes over the PR-4 emit (see executeMatrixCols for the
+// Three changes over the PR-4 emit (see Program.ExecuteMatrixInto for the
 // baseline's structure, which emitWide keeps):
 //
 //   - Block-local slabs are strided by the *actual* block width bw instead
@@ -44,11 +44,14 @@ import (
 // the interpreter across its full seed matrix.
 
 // emitWideCutoff is the block width at or above which the fused-slab-pass
-// emit beats the register-chunked emit (measured on the BENCH_3 shapes:
-// streaming passes win once a term's decode is amortized over >=32
-// columns).
+// emit beats the register-chunked emit (measured on the LeNet-5 and
+// SqueezeNet conv shapes: streaming passes win once a term's decode is
+// amortized over >=32 columns).
 const emitWideCutoff = 32
 
+// executeMatrixColsBlocked processes input columns [lo, hi) (lo
+// colBlock-aligned) against the flat streams, restoring the scratch
+// watermark before returning.
 func (c *Compiled) executeMatrixColsBlocked(dst, cols []float32, pTotal, lo, hi int, s *tensor.Scratch) {
 	mark := s.Mark()
 	scratch := s.Take(c.ScratchLen() * colBlock)
@@ -105,7 +108,7 @@ func (c *Compiled) executeMatrixColsBlocked(dst, cols []float32, pTotal, lo, hi 
 // executeBlock4 runs one whole 4-column block — gather, pair stream, emit —
 // with every slab a fixed 4-float sub-slice and all accumulators in locals.
 // This is the serving shape for late SqueezeNet fire modules (2x2 feature
-// maps) and the unit the 4-lane tape executors share.
+// maps).
 func (c *Compiled) executeBlock4(dst, cols, scratch []float32, pTotal, c0 int) {
 	K := c.K
 	for _, gr := range c.gatherRows {

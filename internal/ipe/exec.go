@@ -110,54 +110,19 @@ func (p *Program) ExecuteMatrix(cols *tensor.Tensor) *tensor.Tensor {
 // the [K, pTotal] input, dst receives the [M, pTotal] result (every element
 // is written). Transient block buffers come from the caller's Scratch, so
 // warmed steady-state execution performs no heap allocations. The scratch
-// watermark is restored before returning.
+// watermark is restored before returning. This interpreter is the bitwise
+// anchor of the ipe-matrix family; serving runs Compiled.ExecuteMatrixIntoPar.
 func (p *Program) ExecuteMatrixInto(dst, cols []float32, pTotal int, s *tensor.Scratch) {
 	metrics.Count(metrics.KernelIPEInterp)
 	checkMatrixBuffers("ExecuteMatrixInto", p.K, p.M, len(dst), len(cols), pTotal)
-	p.executeMatrixCols(dst, cols, pTotal, 0, pTotal, s)
-}
-
-// checkMatrixBuffers panics when dst/cols cannot hold the [M, pTotal] /
-// [K, pTotal] matrices the named executor is about to touch. Shared by the
-// interpreted and compiled matrix paths so every panic names the function
-// actually called.
-func checkMatrixBuffers(fn string, k, m, dstLen, colsLen, pTotal int) {
-	if colsLen < k*pTotal || dstLen < m*pTotal {
-		panic(fmt.Sprintf("ipe: %s buffers too small (|cols|=%d K·P=%d |dst|=%d M·P=%d)",
-			fn, colsLen, k*pTotal, dstLen, m*pTotal))
-	}
-}
-
-// ExecuteMatrixIntoPar is ExecuteMatrixInto sharded over column ranges of
-// the input matrix on the given parallelism context, each shard drawing its
-// block buffers from its private scratch (one shard runs serially on shard
-// 0's scratch). Shard boundaries are colBlock-aligned, so every column
-// falls in the same block position and sees the same arithmetic as the
-// serial walk — results are bit-identical for any shard count.
-func (p *Program) ExecuteMatrixIntoPar(dst, cols []float32, pTotal int, par *tensor.Par) {
-	metrics.Count(metrics.KernelIPEInterp)
-	checkMatrixBuffers("ExecuteMatrixIntoPar", p.K, p.M, len(dst), len(cols), pTotal)
-	if par.Parallel() {
-		par.ForBlocks(pTotal, colBlock, func(shard, lo, hi int) {
-			p.executeMatrixCols(dst, cols, pTotal, lo, hi, par.Scratch(shard))
-		})
-		return
-	}
-	p.executeMatrixCols(dst, cols, pTotal, 0, pTotal, par.Scratch(0))
-}
-
-// executeMatrixCols processes input columns [lo, hi) (lo colBlock-aligned)
-// of the [K, pTotal] matrix, writing the matching columns of the [M,
-// pTotal] destination. The scratch watermark is restored before returning.
-func (p *Program) executeMatrixCols(dst, cols []float32, pTotal, lo, hi int, s *tensor.Scratch) {
 	cd, od := cols, dst
 	nsym := p.NumSymbols()
 	mark := s.Mark()
 	scratch := s.Take(nsym * colBlock)
 	acc := s.Take(colBlock)
 	group := s.Take(colBlock)
-	for c0 := lo; c0 < hi; c0 += colBlock {
-		bw := min(colBlock, hi-c0)
+	for c0 := 0; c0 < pTotal; c0 += colBlock {
+		bw := min(colBlock, pTotal-c0)
 		// Load the raw input rows for this column block.
 		for i := 0; i < p.K; i++ {
 			copy(scratch[i*colBlock:i*colBlock+bw], cd[i*pTotal+c0:i*pTotal+c0+bw])
@@ -194,4 +159,15 @@ func (p *Program) executeMatrixCols(dst, cols []float32, pTotal, lo, hi int, s *
 		}
 	}
 	s.Release(mark)
+}
+
+// checkMatrixBuffers panics when dst/cols cannot hold the [M, pTotal] /
+// [K, pTotal] matrices the named executor is about to touch. Shared by the
+// interpreted and compiled matrix paths so every panic names the function
+// actually called.
+func checkMatrixBuffers(fn string, k, m, dstLen, colsLen, pTotal int) {
+	if colsLen < k*pTotal || dstLen < m*pTotal {
+		panic(fmt.Sprintf("ipe: %s buffers too small (|cols|=%d K·P=%d |dst|=%d M·P=%d)",
+			fn, colsLen, k*pTotal, dstLen, m*pTotal))
+	}
 }

@@ -243,3 +243,33 @@ func TestEncodeConvRejectsWrongWeightShape(t *testing.T) {
 		t.Fatal("wrong weight shape must be rejected")
 	}
 }
+
+// TestDenseForwardBatchRemainders drives DenseLayer.ForwardInto across
+// batch sizes 1..9, checking every row equals the single-vector execution.
+func TestDenseForwardBatchRemainders(t *testing.T) {
+	const m, k = 16, 150
+	w := tensor.New(m, k)
+	tensor.FillGaussian(w, tensor.NewRNG(3), 1)
+	layer, _, err := EncodeDense(w, nil, 4, 0, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := layer.Program.Compiled()
+	for n := 1; n <= 9; n++ {
+		in := tensor.New(n, k)
+		tensor.FillGaussian(in, tensor.NewRNG(uint64(n)), 1)
+		out := tensor.New(n, m)
+		var s tensor.Scratch
+		layer.ForwardInto(out, in, &s)
+		want := make([]float32, m)
+		scratch := make([]float32, c.ScratchLen())
+		for b := 0; b < n; b++ {
+			c.ExecuteScratch(in.Data()[b*k:(b+1)*k], want, scratch)
+			for i := range want {
+				if out.Data()[b*m+i] != want[i] {
+					t.Fatalf("n=%d row %d out %d: %x want %x", n, b, i, out.Data()[b*m+i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -27,13 +27,9 @@ type ConvVariant struct {
 // them are bit-identical for any shard count (documented on
 // ForwardIntoPar).
 func ConvVariants() []ConvVariant {
-	var s tensor.Scratch
 	return []ConvVariant{
 		{Name: "forward", F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
 			copy(dst.Data(), l.Forward(in).Data())
-		}},
-		{Name: "forward-into", F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
-			l.ForwardInto(dst, in, &s)
 		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, par)
@@ -103,24 +99,19 @@ type MatrixVariant struct {
 	F       func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par)
 }
 
-// MatrixVariants enumerates the column-blocked matrix paths, interpreted
-// and compiled. Shard boundaries are colBlock-aligned, so all variants are
-// bit-identical for any shard count (documented on ExecuteMatrixIntoPar),
-// and the compiled executors replay the interpreter's arithmetic exactly.
+// MatrixVariants enumerates the column-blocked matrix paths: the
+// interpreter (the family's bitwise anchor) and the compiled executor,
+// which replays the interpreter's arithmetic exactly. Shard boundaries are
+// colBlock-aligned, so the compiled path is bit-identical for any shard
+// count (documented on ExecuteMatrixIntoPar).
 func MatrixVariants() []MatrixVariant {
-	var s, cs tensor.Scratch
+	var s tensor.Scratch
 	return []MatrixVariant{
 		{Name: "matrix", F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
 			copy(dst, p.ExecuteMatrix(tensor.From(cols, p.K, pTotal)).Data())
 		}},
 		{Name: "matrix-into", F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
 			p.ExecuteMatrixInto(dst, cols, pTotal, &s)
-		}},
-		{Name: "matrix-into-par", UsesPar: true, F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
-			p.ExecuteMatrixIntoPar(dst, cols, pTotal, par)
-		}},
-		{Name: "compiled-matrix-into", F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
-			p.Compiled().ExecuteMatrixInto(dst, cols, pTotal, &cs)
 		}},
 		{Name: "compiled-matrix-into-par", UsesPar: true, F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
 			p.Compiled().ExecuteMatrixIntoPar(dst, cols, pTotal, par)

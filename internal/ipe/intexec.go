@@ -27,6 +27,17 @@ func (p *Program) rowScale(r int) float32 {
 	return 0
 }
 
+// RowScales precomputes every row's weight scale (see rowScale) so the
+// integer forward paths requantize with one multiply per output instead of
+// re-walking the row's terms.
+func (p *Program) RowScales() []float32 {
+	scales := make([]float32, p.M)
+	for r := range scales {
+		scales[r] = p.rowScale(r)
+	}
+	return scales
+}
+
 // QuantizeActivations converts a float activation slice to integer codes
 // under the given params (symmetric: zero point 0), clamping to the int8
 // range when bits <= 8.
@@ -94,10 +105,14 @@ func (l *ConvLayer) ForwardInt8(in *tensor.Tensor, xParams quant.Params) *tensor
 			// scales are precomputed instead of re-derived per output.
 			codes := QuantizeActivations(cd, xParams, 8)
 			scales := prog.RowScales()
-			xCol := make([]int32, laneCount*prog.K)
-			acc := make([]int64, laneCount*prog.M)
-			lanes := make([]int64, laneCount*cp.ScratchLen())
-			emit := func(c int, acc []int64) {
+			xCol := make([]int32, prog.K)
+			acc := make([]int64, prog.M)
+			vals := make([]int64, cp.ScratchLen())
+			for c := 0; c < p; c++ {
+				for i := 0; i < prog.K; i++ {
+					xCol[i] = codes[i*p+c]
+				}
+				cp.ExecuteIntScratch(xCol, acc, vals)
 				for oc := 0; oc < ocg; oc++ {
 					v := float32(acc[oc]) * xParams.Scale * scales[oc]
 					if l.Bias != nil {
@@ -105,32 +120,6 @@ func (l *ConvLayer) ForwardInt8(in *tensor.Tensor, xParams quant.Params) *tensor
 					}
 					od[((b*spec.OutC+g*ocg+oc)*oh)*ow+c] = v
 				}
-			}
-			c := 0
-			// Four im2col columns per stream sweep (exact integer
-			// arithmetic, identical to the per-column walk below).
-			for ; c+laneCount <= p; c += laneCount {
-				for i := 0; i < prog.K; i++ {
-					o := i * p
-					xCol[i] = codes[o+c]
-					xCol[prog.K+i] = codes[o+c+1]
-					xCol[2*prog.K+i] = codes[o+c+2]
-					xCol[3*prog.K+i] = codes[o+c+3]
-				}
-				cp.ExecuteIntScratch4(
-					xCol[:prog.K], xCol[prog.K:2*prog.K], xCol[2*prog.K:3*prog.K], xCol[3*prog.K:],
-					acc[:prog.M], acc[prog.M:2*prog.M], acc[2*prog.M:3*prog.M], acc[3*prog.M:],
-					lanes)
-				for lane := 0; lane < laneCount; lane++ {
-					emit(c+lane, acc[lane*prog.M:(lane+1)*prog.M])
-				}
-			}
-			for ; c < p; c++ {
-				for i := 0; i < prog.K; i++ {
-					xCol[i] = codes[i*p+c]
-				}
-				cp.ExecuteIntScratch(xCol[:prog.K], acc[:prog.M], lanes[:cp.ScratchLen()])
-				emit(c, acc[:prog.M])
 			}
 		}
 	}

@@ -26,9 +26,9 @@ func encodeTestProgram(t *testing.T, m, k int, seed uint64) *Program {
 	return prog
 }
 
-// TestExecuteMatrixIntoParBitIdentical checks the column-sharded matrix
-// executor against the serial walk for column counts below, at, and
-// straddling the colBlock quantum.
+// TestExecuteMatrixIntoParBitIdentical checks the column-sharded compiled
+// matrix executor against the interpreter's serial walk for column counts
+// below, at, and straddling the colBlock quantum.
 func TestExecuteMatrixIntoParBitIdentical(t *testing.T) {
 	prog := encodeTestProgram(t, 16, 32, 41)
 	for _, pTotal := range []int{1, 63, 64, 65, 300} {
@@ -39,7 +39,7 @@ func TestExecuteMatrixIntoParBitIdentical(t *testing.T) {
 		prog.ExecuteMatrixInto(want, cols.Data(), pTotal, &s)
 		for _, shards := range []int{1, 2, 3, 16} {
 			got := make([]float32, prog.M*pTotal)
-			prog.ExecuteMatrixIntoPar(got, cols.Data(), pTotal, forcedPar(shards))
+			prog.Compiled().ExecuteMatrixIntoPar(got, cols.Data(), pTotal, forcedPar(shards))
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("pTotal=%d shards=%d: [%d] = %v != serial %v", pTotal, shards, i, got[i], want[i])
@@ -50,8 +50,8 @@ func TestExecuteMatrixIntoParBitIdentical(t *testing.T) {
 }
 
 // TestConvLayerForwardIntoParBitIdentical checks the fully sharded encoded
-// convolution (parallel im2col + parallel program execution) against the
-// serial ForwardInto, including a grouped layer.
+// convolution (parallel im2col + parallel program execution) against its
+// one-shard run, including a grouped layer.
 func TestConvLayerForwardIntoParBitIdentical(t *testing.T) {
 	specs := []tensor.ConvSpec{
 		{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -70,9 +70,8 @@ func TestConvLayerForwardIntoParBitIdentical(t *testing.T) {
 		tensor.FillGaussian(in, tensor.NewRNG(45), 1)
 		oh, ow := spec.Normalize().OutDims(11, 11)
 		want := tensor.New(2, spec.OutC, oh, ow)
-		var s tensor.Scratch
-		layer.ForwardInto(want, in, &s)
-		for _, shards := range []int{1, 2, 4, 9} {
+		layer.ForwardIntoPar(want, in, forcedPar(1))
+		for _, shards := range []int{2, 4, 9} {
 			got := tensor.New(2, spec.OutC, oh, ow)
 			layer.ForwardIntoPar(got, in, forcedPar(shards))
 			for i := range want.Data() {

@@ -112,32 +112,3 @@ func (sp ScratchPlan) Validate(p *Program) bool {
 	}
 	return true
 }
-
-// ExecuteSlots evaluates the program through the scratch plan: dictionary
-// values live in plan slots instead of one word per entry. It exists to
-// prove the plan's semantic equivalence; production decoders would bake the
-// slot ids into the stream.
-func (p *Program) ExecuteSlots(x, y []float32, plan ScratchPlan) {
-	slots := make([]float32, plan.NumSlots)
-	val := func(s int32) float32 {
-		if int(s) < p.K {
-			return x[s]
-		}
-		return slots[plan.Slot[int(s)-p.K]]
-	}
-	for j, pr := range p.Pairs {
-		v := val(pr.A) + val(pr.B)
-		slots[plan.Slot[j]] = v
-	}
-	for r := range p.Rows {
-		var acc float32
-		for _, t := range p.Rows[r].Terms {
-			var g float32
-			for _, s := range t.Syms {
-				g += val(s)
-			}
-			acc += t.Value * g
-		}
-		y[r] = acc
-	}
-}

@@ -26,6 +26,35 @@ func TestAllocateScratchValidProperty(t *testing.T) {
 	}
 }
 
+// executeSlots evaluates the program through the scratch plan: dictionary
+// values live in plan slots instead of one word per entry. It exists to
+// prove the plan's semantic equivalence; production decoders bake the slot
+// ids into the stream (compile.go).
+func executeSlots(p *Program, x, y []float32, plan ScratchPlan) {
+	slots := make([]float32, plan.NumSlots)
+	val := func(s int32) float32 {
+		if int(s) < p.K {
+			return x[s]
+		}
+		return slots[plan.Slot[int(s)-p.K]]
+	}
+	for j, pr := range p.Pairs {
+		v := val(pr.A) + val(pr.B)
+		slots[plan.Slot[j]] = v
+	}
+	for r := range p.Rows {
+		var acc float32
+		for _, t := range p.Rows[r].Terms {
+			var g float32
+			for _, s := range t.Syms {
+				g += val(s)
+			}
+			acc += t.Value * g
+		}
+		y[r] = acc
+	}
+}
+
 func TestExecuteSlotsMatchesExecuteProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
@@ -42,7 +71,7 @@ func TestExecuteSlotsMatchesExecuteProperty(t *testing.T) {
 		y1 := make([]float32, prog.M)
 		y2 := make([]float32, prog.M)
 		prog.Execute(x, y1)
-		prog.ExecuteSlots(x, y2, plan)
+		executeSlots(prog, x, y2, plan)
 		for i := range y1 {
 			if y1[i] != y2[i] {
 				return false

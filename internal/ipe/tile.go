@@ -12,37 +12,16 @@ import (
 // columns and the encoded program runs over exactly those columns. The
 // compiled matrix executor accumulates each output column independently
 // (per-column scratch lanes), so every tile element is bit-identical to the
-// corresponding element of a whole-layer ForwardInto — the property the
+// corresponding element of a whole-layer ForwardIntoPar — the property the
 // conformance harness checks for the tiled path.
 
-// ForwardWindowInto evaluates the conv output window rows [oy0,oy1) × cols
-// [ox0,ox1) of batch element b into tile ([outC, oy1-oy0, ox1-ox0]),
-// drawing the im2col and program buffers from the caller's Scratch. An
-// empty window is a no-op. tile must not come from s (take it before
-// calling, or from a different arena).
-func (l *ConvLayer) ForwardWindowInto(tile []float32, in *tensor.Tensor, b, oy0, oy1, ox0, ox1 int, s *tensor.Scratch) {
-	spec := l.Spec
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	thw := l.checkWindow(tile, in, oy0, oy1, ox0, ox1)
-	if thw == 0 {
-		return
-	}
-	mark := s.Mark()
-	col := s.Take(icg * spec.KH * spec.KW * thw)
-	res := s.Take(ocg * thw)
-	for g := 0; g < spec.Groups; g++ {
-		tensor.Im2colWindowInto(col, in, b, g, spec, oy0, oy1, ox0, ox1)
-		l.Programs[g].Compiled().ExecuteMatrixInto(res, col, thw, s)
-		l.addBiasTile(tile, res, g, ocg, thw)
-	}
-	s.Release(mark)
-}
-
-// ForwardWindowIntoPar is ForwardWindowInto with the im2col lowering and
-// program execution sharded on the parallelism context; staging buffers
-// come from shard 0's scratch, exactly like ForwardIntoPar. Results are
-// bit-identical to ForwardWindowInto.
+// ForwardWindowIntoPar evaluates the conv output window rows [oy0,oy1) ×
+// cols [ox0,ox1) of batch element b into tile ([outC, oy1-oy0, ox1-ox0]),
+// with the im2col lowering and program execution sharded on the
+// parallelism context; staging buffers come from shard 0's scratch, exactly
+// like ForwardIntoPar. An empty window is a no-op. tile may come from shard
+// 0's scratch only if taken before the call. Results are bit-identical for
+// any shard count.
 func (l *ConvLayer) ForwardWindowIntoPar(tile []float32, in *tensor.Tensor, b, oy0, oy1, ox0, ox1 int, par *tensor.Par) {
 	spec := l.Spec
 	icg := spec.InC / spec.Groups

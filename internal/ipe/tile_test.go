@@ -30,14 +30,14 @@ func TestForwardWindowMatchesForward(t *testing.T) {
 		want := layer.Forward(in)
 		oh, ow := spec.OutDims(12, 12)
 
-		var s tensor.Scratch
+		serial := tensor.NewPar(nil, 1)
 		for b := 0; b < 2; b++ {
 			for oy0 := 0; oy0 < oh; oy0 += 5 {
 				for ox0 := 0; ox0 < ow; ox0 += 7 {
 					oy1, ox1 := min(oy0+5, oh), min(ox0+7, ow)
 					th, tw := oy1-oy0, ox1-ox0
 					tile := make([]float32, spec.OutC*th*tw)
-					layer.ForwardWindowInto(tile, in, b, oy0, oy1, ox0, ox1, &s)
+					layer.ForwardWindowIntoPar(tile, in, b, oy0, oy1, ox0, ox1, serial)
 					for oc := 0; oc < spec.OutC; oc++ {
 						for oy := oy0; oy < oy1; oy++ {
 							for ox := ox0; ox < ox1; ox++ {

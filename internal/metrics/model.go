@@ -123,7 +123,7 @@ type SharedDictSnapshot struct {
 // FilterModel returns a copy of the snapshot restricted to one model's
 // series: its endpoint and registry rows (exact name match) and its layer,
 // region, and autotune rows (name prefixed "model/" or "model@", the two
-// MetricsPrefix conventions of serve.Registry and the versioned registry).
+// MetricsPrefix conventions of obs.Meter and the versioned registry).
 // Process-wide series (kernels, pool, executor, shared dict) are kept as-is
 // since they cannot be attributed per model.
 func (s Snapshot) FilterModel(model string) Snapshot {

@@ -1,8 +1,8 @@
 // Package obs runs the evaluation models under the runtime metrics
 // recorder and renders the resulting snapshots as report tables. It is the
-// shared half of the observability CLIs: cmd/inspire-stats is a thin flag
-// wrapper around it, and cmd/inspire-perf uses it for the -metrics mode and
-// for the per-layer attachments of the BENCH_3 report.
+// shared half of the serving and observability CLIs: cmd/inspire-stats is a
+// thin flag wrapper around it, and cmd/inspire-serve and benchmark/ compile
+// their models through it.
 package obs
 
 import (
@@ -25,8 +25,8 @@ type Model struct {
 }
 
 // Default weight seeds for the evaluation networks: the geometries and
-// weights every report (BENCH_2/3), the conformance sweep, and the serving
-// CLIs agree on. GraphByName maps seed 0 here.
+// weights the benchmark, the observability tables, and the serving CLIs
+// agree on. GraphByName maps seed 0 here.
 const (
 	LeNet5Seed     = 9
 	SqueezeNetSeed = 11
@@ -34,10 +34,10 @@ const (
 
 // GraphByName builds the named evaluation network with seed-derived
 // weights. Seed 0 selects the model's default evaluation seed, so every
-// caller — inspire-serve, inspire-perf, inspire-stats, the conformance
-// sweep — constructs bit-identical graphs from the same name. Non-zero
-// seeds produce distinct weight versions of the same architecture (the
-// hot-swap registry's version loads).
+// caller — inspire-serve, inspire-stats, benchmark/ — constructs
+// bit-identical graphs from the same name. Non-zero seeds produce distinct
+// weight versions of the same architecture (the hot-swap registry's
+// version loads).
 func GraphByName(name string, seed uint64) (*graph.Graph, error) {
 	switch name {
 	case "lenet5":
@@ -74,7 +74,7 @@ func InputFor(name string) (*tensor.Tensor, error) {
 // CompilePlan is the one compile path the serving and benchmarking CLIs
 // share: it builds the named evaluation model at the given weight seed and
 // compiles it through exactly the options the caller passes — so a plan
-// served by inspire-serve and a plan measured by inspire-perf differ in
+// served by inspire-serve and a plan measured by benchmark/ differ in
 // nothing but the caller's explicit Options (Force/Fuse/TuningStore/
 // DictStore), never in model construction.
 func CompilePlan(name string, seed uint64, opts runtime.Options) (*runtime.Plan, error) {
@@ -91,7 +91,7 @@ func CompilePlan(name string, seed uint64, opts runtime.Options) (*runtime.Plan,
 
 // EvalModels builds the two evaluation networks (LeNet-5 and the 32x32
 // SqueezeNet) with deterministic weights and inputs, matching the
-// geometries the BENCH_3 report measures.
+// geometries inspire-serve serves.
 func EvalModels() []Model {
 	models := make([]Model, 0, 2)
 	for _, name := range []string{"lenet5", "squeezenet"} {

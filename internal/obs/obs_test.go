@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/ipe"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
 )
@@ -51,5 +54,40 @@ func TestMeterAndTables(t *testing.T) {
 	}
 	if PoolTable(s).NumRows() != 1 || ExecTable(s).NumRows() != 1 {
 		t.Error("pool/exec tables must render exactly one row")
+	}
+}
+
+// TestDefaultTrafficKernelCensus pins the kernel families default-flag
+// serving traffic dispatches: each evaluation model compiled through
+// CompilePlan with inspire-serve's default options (auto selection, 4-bit,
+// unfused, one shared dictionary store) and run under a fresh recorder
+// installed before compile, as the server does. Path deletions are argued
+// from this census (DESIGN.md §15), so a change in implementation selection
+// must change the golden set here deliberately.
+func TestDefaultTrafficKernelCensus(t *testing.T) {
+	want := []string{"factorized", "generic", "im2col", "ipe-compiled"}
+	opts := runtime.Options{Force: runtime.ImplAuto, Bits: 4, DictStore: ipe.NewDictStore()}
+	for _, name := range []string{"lenet5", "squeezenet"} {
+		in, err := InputFor(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := runtime.EnableMetrics()
+		plan, err := CompilePlan(name, 0, opts)
+		if err == nil {
+			_, err = plan.RunBatch(in, 1)
+		}
+		runtime.DisableMetrics()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for k := range rec.Snapshot().Kernels {
+			got = append(got, k)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s dispatched kernel families %v, want %v", name, got, want)
+		}
 	}
 }

@@ -357,7 +357,7 @@ func (e *Executor) dispatchStep(st *execStep, impl Impl) error {
 // head kernel straight into the tail's buffer and rectify in place. Tiled
 // regions stream SRAM-sized conv tiles through scratch into the pool: when
 // there are at least as many tiles as shards the tiles themselves are the
-// parallel units (serial kernels, per-shard scratch); otherwise the tiles
+// parallel units (one-shard kernels, per-shard scratch); otherwise the tiles
 // run in order with the kernels sharded internally. Both schedules produce
 // bit-identical outputs — every tile element equals the corresponding
 // whole-layer element, and each pool output is written exactly once.
@@ -381,16 +381,15 @@ func (e *Executor) runRegion(st *execStep) error {
 	units := batch * nw
 	if e.par.Parallel() && e.par.Shards() > 1 && units >= e.par.Shards() {
 		e.par.For(units, func(shard, lo, hi int) {
-			s := e.par.Scratch(shard)
+			sp := e.par.Shard(shard)
 			for u := lo; u < hi; u++ {
-				e.execTile(re, in, dst, u/nw, u%nw, s, nil)
+				e.execTile(re, in, dst, u/nw, u%nw, sp)
 			}
 		})
 	} else {
-		s0 := e.par.Scratch(0)
 		for b := 0; b < batch; b++ {
 			for wi := 0; wi < nw; wi++ {
-				e.execTile(re, in, dst, b, wi, s0, e.par)
+				e.execTile(re, in, dst, b, wi, e.par)
 			}
 		}
 	}
@@ -401,29 +400,22 @@ func (e *Executor) runRegion(st *execStep) error {
 	return nil
 }
 
-// execTile computes one conv-output tile of one batch element into scratch,
-// rectifies it if the region fused a ReLU, and reduces it through the pool
-// window into the region's output buffer. With par non-nil the conv kernel
-// shards internally (tile-serial mode); otherwise it runs serial on s
-// (tile-parallel mode).
-func (e *Executor) execTile(re *regionExec, in, dst *tensor.Tensor, b, wi int, s *tensor.Scratch, par *tensor.Par) {
+// execTile computes one conv-output tile of one batch element into shard 0's
+// scratch of par, rectifies it if the region fused a ReLU, and reduces it
+// through the pool window into the region's output buffer. The conv kernel
+// shards internally on par: the executor's own context in tile-serial mode,
+// a one-shard view over the running shard's scratch in tile-parallel mode.
+func (e *Executor) execTile(re *regionExec, in, dst *tensor.Tensor, b, wi int, par *tensor.Par) {
 	rp := re.rp
 	w := re.windows[wi]
+	s := par.Scratch(0)
 	mark := s.Mark()
 	tile := s.Take(rp.Tile.TileFloats)
 	if tn := re.outC * w.ConvPixels(); tn > 0 {
 		if rp.Impl == ImplIPE {
-			if par != nil {
-				rp.headOp.ipeConv.ForwardWindowIntoPar(tile, in, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
-			} else {
-				rp.headOp.ipeConv.ForwardWindowInto(tile, in, b, w.CY0, w.CY1, w.CX0, w.CX1, s)
-			}
+			rp.headOp.ipeConv.ForwardWindowIntoPar(tile, in, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
 		} else {
-			if par != nil {
-				tensor.Conv2DWindowIntoPar(tile, in, re.weight, re.bias, rp.Head.Attrs.Conv, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
-			} else {
-				tensor.Conv2DWindowInto(tile, in, re.weight, re.bias, rp.Head.Attrs.Conv, b, w.CY0, w.CY1, w.CX0, w.CX1)
-			}
+			tensor.Conv2DWindowIntoPar(tile, in, re.weight, re.bias, rp.Head.Attrs.Conv, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
 		}
 		if rp.ApplyReLU {
 			tensor.ReLUSlice(tile[:tn])
@@ -439,7 +431,7 @@ func (e *Executor) execTile(re *regionExec, in, dst *tensor.Tensor, b, wi int, s
 
 // runStep dispatches one operator to its selected destination-passing
 // kernel. Conv/dense implementations apply their fused ReLU after the
-// kernel; the generic graph path handles it inside EvalNodeInto.
+// kernel; the generic graph path handles it inside EvalNodeIntoPar.
 func (e *Executor) runStep(st *execStep, impl Impl) error {
 	n, op, dst := st.node, st.op, st.out
 	switch {

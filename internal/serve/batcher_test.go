@@ -330,32 +330,3 @@ func TestBatcherValidation(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistry covers registration, lookup, metrics prefixing, and
-// double-registration.
-func TestRegistry(t *testing.T) {
-	runtime.EnableMetrics()
-	defer runtime.DisableMetrics()
-	reg := NewRegistry()
-	plan := testPlan(t)
-	m, err := reg.Register("tiny", plan, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.MetricsPrefix != "tiny/" {
-		t.Errorf("metrics prefix = %q", plan.MetricsPrefix)
-	}
-	if got, ok := reg.Get("tiny"); !ok || got != m {
-		t.Error("lookup failed")
-	}
-	if _, err := reg.Register("tiny", testPlan(t), Config{}); err == nil {
-		t.Error("double registration accepted")
-	}
-	if names := reg.Names(); len(names) != 1 || names[0] != "tiny" {
-		t.Errorf("names = %v", names)
-	}
-	reg.Close()
-	if _, err := m.Batcher.Submit(testInput(1, 1)); !errors.Is(err, ErrClosed) {
-		t.Errorf("submit after registry close = %v", err)
-	}
-}

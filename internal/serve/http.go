@@ -51,9 +51,9 @@ type errorBody struct {
 var ErrUnknownModel = errors.New("serve: unknown model")
 
 // Provider is what the HTTP front end serves: a set of named models that
-// answer predict requests. The single-version Registry implements it
-// directly; the versioned hot-swap registry (internal/registry) implements
-// it with swap-aware routing.
+// answer predict requests. The versioned hot-swap registry
+// (internal/registry) implements it with swap-aware routing; tests
+// substitute a one-batcher fake.
 type Provider interface {
 	// Names lists the served model names, sorted.
 	Names() []string

@@ -9,22 +9,52 @@ import (
 	"time"
 
 	"repro/internal/runtime"
+	"repro/internal/tensor"
 )
 
-// newTestServer spins a registry with the tiny plan behind an httptest
-// server.
-func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *Registry) {
-	t.Helper()
-	reg := NewRegistry()
-	if _, err := reg.Register("tiny", testPlan(t), cfg); err != nil {
-		t.Fatal(err)
+// tinyProvider is the Provider the HTTP tests serve: the tiny plan as model
+// "tiny" behind one batcher, always version 1.
+type tinyProvider struct {
+	plan    *runtime.Plan
+	batcher *Batcher
+}
+
+func (p *tinyProvider) Names() []string { return []string{"tiny"} }
+
+func (p *tinyProvider) Info(name string) (ModelInfo, bool) {
+	if name != "tiny" {
+		return ModelInfo{}, false
 	}
-	srv := httptest.NewServer(NewHandler(reg))
+	cfg := p.batcher.cfg
+	return ModelInfo{
+		Name:        name,
+		Version:     1,
+		InputShape:  p.plan.Graph.In.OutShape,
+		OutputShape: p.plan.Graph.Out.OutShape,
+		MaxBatch:    cfg.MaxBatch,
+		SLONs:       cfg.SLO.Nanoseconds(),
+	}, true
+}
+
+func (p *tinyProvider) Predict(name string, input *tensor.Tensor) (*tensor.Tensor, int64, error) {
+	if name != "tiny" {
+		return nil, 0, ErrUnknownModel
+	}
+	out, err := p.batcher.Submit(input)
+	return out, 1, err
+}
+
+// newTestServer spins the tiny provider behind an httptest server.
+func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *tinyProvider) {
+	t.Helper()
+	plan := testPlan(t)
+	p := &tinyProvider{plan: plan, batcher: NewBatcher("tiny", plan, cfg)}
+	srv := httptest.NewServer(NewHandler(p))
 	t.Cleanup(func() {
 		srv.Close()
-		reg.Close()
+		p.batcher.Close()
 	})
-	return srv, reg
+	return srv, p
 }
 
 func TestHTTPPredict(t *testing.T) {
@@ -81,7 +111,7 @@ func TestHTTPPredictDefaultsShape(t *testing.T) {
 func TestHTTPErrors(t *testing.T) {
 	runtime.EnableMetrics()
 	defer runtime.DisableMetrics()
-	srv, reg := newTestServer(t, Config{})
+	srv, p := newTestServer(t, Config{})
 
 	post := func(path string, body []byte) int {
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
@@ -108,8 +138,8 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("wrong dims -> %d, want 400", got)
 	}
 
-	// Draining registry rejects with 503.
-	reg.Close()
+	// A draining batcher rejects with 503.
+	p.batcher.Close()
 	if got := post("/v1/models/tiny/predict", good); got != http.StatusServiceUnavailable {
 		t.Errorf("closed -> %d, want 503", got)
 	}

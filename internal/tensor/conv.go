@@ -78,20 +78,16 @@ func Conv2D(in, weight, bias *Tensor, spec ConvSpec) *Tensor {
 		panic(fmt.Sprintf("tensor: Conv2D produces empty output %dx%d", oh, ow))
 	}
 	out := New(n, spec.OutC, oh, ow)
-	Conv2DInto(out, in, weight, bias, spec)
+	Conv2DIntoPar(out, in, weight, bias, spec, nil)
 	return out
 }
 
-// Conv2DInto is Conv2D writing into a preallocated destination of shape
-// [n, outC, oh, ow]. dst must not alias in.
-func Conv2DInto(dst, in, weight, bias *Tensor, spec ConvSpec) {
-	Conv2DIntoPar(dst, in, weight, bias, spec, nil)
-}
-
-// Conv2DIntoPar is Conv2DInto sharded over (batch, output channel) units on
-// the given parallelism context (nil par or one shard runs serially). Each
-// unit owns a disjoint output plane and its accumulation loop is untouched,
-// so the result is bit-identical to the serial kernel for any shard count.
+// Conv2DIntoPar is Conv2D writing into a preallocated destination of shape
+// [n, outC, oh, ow] (dst must not alias in), sharded over (batch, output
+// channel) units on the given parallelism context (nil par or one shard
+// runs serially). Each unit owns a disjoint output plane and its
+// accumulation loop is untouched, so the result is bit-identical for any
+// shard count.
 func Conv2DIntoPar(dst, in, weight, bias *Tensor, spec ConvSpec, par *Par) {
 	metrics.Count(metrics.KernelDirect)
 	spec = spec.Normalize()
@@ -110,7 +106,7 @@ func Conv2DIntoPar(dst, in, weight, bias *Tensor, spec ConvSpec, par *Par) {
 	// with the right size would silently take a garbage layout.
 	if dst.Shape().Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != spec.OutC ||
 		dst.Dim(2) != oh || dst.Dim(3) != ow {
-		panic(fmt.Sprintf("tensor: Conv2DInto dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+		panic(fmt.Sprintf("tensor: Conv2DIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
 	}
 	units := n * spec.OutC
 	if par.Parallel() {
@@ -185,21 +181,16 @@ func Im2colGroup(in *Tensor, b, g int, spec ConvSpec) *Tensor {
 	oh, ow := spec.OutDims(h, w)
 	icg := spec.InC / spec.Groups
 	out := New(icg*spec.KH*spec.KW, oh*ow)
-	Im2colGroupInto(out.Data(), in, b, g, spec)
+	Im2colGroupIntoPar(out.Data(), in, b, g, spec, nil)
 	return out
 }
 
-// Im2colGroupInto is Im2colGroup writing into a caller-provided buffer of at
-// least icg*kH*kW*oh*ow floats (e.g. from a Scratch). Every element is
-// written, so the buffer need not be zeroed.
-func Im2colGroupInto(dst []float32, in *Tensor, b, g int, spec ConvSpec) {
-	Im2colGroupIntoPar(dst, in, b, g, spec, nil)
-}
-
-// Im2colGroupIntoPar is Im2colGroupInto sharded over output matrix rows on
-// the given parallelism context (nil par or one shard runs serially). Rows
-// are pure disjoint copies, so the lowering is identical for any shard
-// count.
+// Im2colGroupIntoPar is Im2colGroup writing into a caller-provided buffer of
+// at least icg*kH*kW*oh*ow floats (e.g. from a Scratch; every element is
+// written, so the buffer need not be zeroed), sharded over output matrix
+// rows on the given parallelism context (nil par or one shard runs
+// serially). Rows are pure disjoint copies, so the lowering is identical for
+// any shard count.
 func Im2colGroupIntoPar(dst []float32, in *Tensor, b, g int, spec ConvSpec, par *Par) {
 	metrics.Count(metrics.KernelIm2col)
 	spec = spec.Normalize()
@@ -208,7 +199,7 @@ func Im2colGroupIntoPar(dst []float32, in *Tensor, b, g int, spec ConvSpec, par 
 	icg := spec.InC / spec.Groups
 	rows := icg * spec.KH * spec.KW
 	if len(dst) < rows*oh*ow {
-		panic(fmt.Sprintf("tensor: Im2colGroupInto dst %d < %d", len(dst), rows*oh*ow))
+		panic(fmt.Sprintf("tensor: Im2colGroupIntoPar dst %d < %d", len(dst), rows*oh*ow))
 	}
 	if par.Parallel() {
 		par.For(rows, func(shard, lo, hi int) {
@@ -504,20 +495,15 @@ func sqrt32(x float32) float32 {
 // in is [n, k]; weight is [m, k]; bias may be nil or [m]. Result is [n, m].
 func Dense(in, weight, bias *Tensor) *Tensor {
 	out := New(in.Dim(0), weight.Dim(0))
-	DenseInto(out, in, weight, bias)
+	DenseIntoPar(out, in, weight, bias, nil)
 	return out
 }
 
-// DenseInto is Dense writing into a preallocated [n, m] destination. dst
-// must not alias in.
-func DenseInto(dst, in, weight, bias *Tensor) {
-	DenseIntoPar(dst, in, weight, bias, nil)
-}
-
-// DenseIntoPar is DenseInto sharded over flattened (batch, output) elements
-// on the given parallelism context (nil par or one shard runs serially).
-// Each output element's dot product and bias add are untouched, so the
-// result is bit-identical to the serial kernel for any shard count.
+// DenseIntoPar is Dense writing into a preallocated [n, m] destination (dst
+// must not alias in), sharded over flattened (batch, output) elements on
+// the given parallelism context (nil par or one shard runs serially). Each
+// output element's dot product and bias add are untouched, so the result is
+// bit-identical for any shard count.
 func DenseIntoPar(dst, in, weight, bias *Tensor, par *Par) {
 	metrics.Count(metrics.KernelGEMM)
 	n, k := in.Dim(0), in.Dim(1)
@@ -526,7 +512,7 @@ func DenseIntoPar(dst, in, weight, bias *Tensor, par *Par) {
 		panic(fmt.Sprintf("tensor: Dense inner dims differ: input %d vs weight %d", k, k2))
 	}
 	if dst.NumElements() != n*m {
-		panic(fmt.Sprintf("tensor: DenseInto dst %v != [%d %d]", dst.Shape(), n, m))
+		panic(fmt.Sprintf("tensor: DenseIntoPar dst %v != [%d %d]", dst.Shape(), n, m))
 	}
 	units := n * m
 	if par.Parallel() {

@@ -8,45 +8,19 @@ import (
 
 // Gemm computes C = A·B for row-major matrices, where A is m×k, B is k×n and
 // C is m×n. C is overwritten. It is the reference (naive, cache-blocked)
-// matrix multiply used by the im2col convolution path and by the fully
-// connected layers.
+// matrix multiply: the oracle the packed GemmBlocked kernels are held
+// bit-identical to, and the GEMM of the Conv2DIm2col reference lowering.
 func Gemm(a, b, c []float32, m, k, n int) {
 	metrics.Count(metrics.KernelGEMM)
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: Gemm buffer too small for m=%d k=%d n=%d", m, k, n))
 	}
-	gemmRows(a, b, c, k, n, 0, m)
-}
-
-// GemmPar is Gemm sharded over row blocks of C on the given parallelism
-// context (nil par or one shard runs serially). Rows are fully independent
-// and each element's k-accumulation order does not depend on the row
-// blocking, so the result is bit-identical to Gemm for any shard count.
-func GemmPar(a, b, c []float32, m, k, n int, par *Par) {
-	metrics.Count(metrics.KernelGEMM)
-	if len(a) < m*k || len(b) < k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: GemmPar buffer too small for m=%d k=%d n=%d", m, k, n))
-	}
-	if par.Parallel() {
-		par.For(m, func(shard, lo, hi int) {
-			gemmRows(a, b, c, k, n, lo, hi)
-		})
-		return
-	}
-	gemmRows(a, b, c, k, n, 0, m)
-}
-
-// gemmRows computes rows [lo, hi) of C = A·B (zeroing them first) with the
-// cache-blocked loop nest. For a fixed output element the accumulation
-// walks p in ascending bs-blocks regardless of the row range, so splitting
-// the row space preserves bit-exact results.
-func gemmRows(a, b, c []float32, k, n, lo, hi int) {
-	for i := range c[lo*n : hi*n] {
-		c[lo*n+i] = 0
+	for i := range c[:m*n] {
+		c[i] = 0
 	}
 	const bs = 64 // block size tuned for L1-resident tiles of float32
-	for i0 := lo; i0 < hi; i0 += bs {
-		iMax := min(i0+bs, hi)
+	for i0 := 0; i0 < m; i0 += bs {
+		iMax := min(i0+bs, m)
 		for p0 := 0; p0 < k; p0 += bs {
 			pMax := min(p0+bs, k)
 			for j0 := 0; j0 < n; j0 += bs {

@@ -28,9 +28,9 @@ type ConvVariant struct {
 }
 
 // ConvImpls enumerates this package's convolution families: the direct
-// 7-loop kernel (serial, destination-passing, and sharded — one family,
-// bit-identical by construction) and the im2col+GEMM lowering (its own
-// family; different accumulation order).
+// 7-loop kernel (allocating reference and the sharded destination-passing
+// entry point — one family, bit-identical by construction) and the
+// im2col+GEMM lowering (its own family; different accumulation order).
 func ConvImpls() []ConvImpl {
 	return []ConvImpl{
 		{
@@ -38,9 +38,6 @@ func ConvImpls() []ConvImpl {
 			Variants: []ConvVariant{
 				{Name: "alloc", F: func(dst, in, w, b *Tensor, spec ConvSpec, par *Par) {
 					copy(dst.Data(), Conv2D(in, w, b, spec).Data())
-				}},
-				{Name: "into", F: func(dst, in, w, b *Tensor, spec ConvSpec, par *Par) {
-					Conv2DInto(dst, in, w, b, spec)
 				}},
 				{Name: "into-par", UsesPar: true, F: func(dst, in, w, b *Tensor, spec ConvSpec, par *Par) {
 					Conv2DIntoPar(dst, in, w, b, spec, par)
@@ -77,9 +74,10 @@ type DenseVariant struct {
 }
 
 // DenseImpls enumerates the dense families: the per-output dot-product
-// kernel (serial and sharded, one family) and the GEMM lowerings (its own
-// family: cache-blocked GEMM on the materialized transpose plus the packed
-// register-microkernel paths, all bit-identical).
+// kernel (allocating reference and sharded entry point, one family) and the
+// GEMM lowerings (its own family: the naive cache-blocked Gemm on the
+// materialized transpose as the anchor, then the packed register-microkernel
+// path, bit-identical to it).
 func DenseImpls() []DenseImpl {
 	return []DenseImpl{
 		{
@@ -87,9 +85,6 @@ func DenseImpls() []DenseImpl {
 			Variants: []DenseVariant{
 				{Name: "alloc", F: func(dst, in, w, b *Tensor, par *Par) {
 					copy(dst.Data(), Dense(in, w, b).Data())
-				}},
-				{Name: "into", F: func(dst, in, w, b *Tensor, par *Par) {
-					DenseInto(dst, in, w, b)
 				}},
 				{Name: "into-par", UsesPar: true, F: func(dst, in, w, b *Tensor, par *Par) {
 					DenseIntoPar(dst, in, w, b, par)
@@ -99,14 +94,8 @@ func DenseImpls() []DenseImpl {
 		{
 			Family: "tensor-gemm",
 			Variants: []DenseVariant{
-				{Name: "serial", F: func(dst, in, w, b *Tensor, par *Par) {
-					denseViaGemm(dst, in, w, b, nil)
-				}},
-				{Name: "par", UsesPar: true, F: func(dst, in, w, b *Tensor, par *Par) {
-					denseViaGemm(dst, in, w, b, par)
-				}},
-				{Name: "blocked", F: func(dst, in, w, b *Tensor, par *Par) {
-					DenseGemmInto(dst, in, w, b, par.Scratch(0))
+				{Name: "naive", F: func(dst, in, w, b *Tensor, par *Par) {
+					denseViaGemm(dst, in, w, b)
 				}},
 				{Name: "blocked-par", UsesPar: true, F: func(dst, in, w, b *Tensor, par *Par) {
 					DenseGemmIntoPar(dst, in, w, b, par)
@@ -116,18 +105,13 @@ func DenseImpls() []DenseImpl {
 	}
 }
 
-// denseViaGemm computes the dense layer as the blocked GEMM x·Wᵀ followed
-// by a bias add. The serial and sharded GEMM are bit-identical (disjoint
-// row ranges, unchanged per-element order), so both live in one family.
-func denseViaGemm(dst, in, w, b *Tensor, par *Par) {
+// denseViaGemm computes the dense layer as the naive Gemm x·Wᵀ on the
+// materialized transpose followed by a bias add.
+func denseViaGemm(dst, in, w, b *Tensor) {
 	n, k := in.Dim(0), in.Dim(1)
 	m := w.Dim(0)
 	wt := Transpose(w) // [k, m]
-	if par.Parallel() {
-		GemmPar(in.Data(), wt.Data(), dst.Data(), n, k, m, par)
-	} else {
-		Gemm(in.Data(), wt.Data(), dst.Data(), n, k, m)
-	}
+	Gemm(in.Data(), wt.Data(), dst.Data(), n, k, m)
 	if b != nil {
 		bd, od := b.Data(), dst.Data()
 		for r := 0; r < n; r++ {

@@ -330,49 +330,19 @@ func micro8x8(pa, pb []float32, kb int, c []float32, ldc, i0, j0, mh, nw int, ac
 	}
 }
 
-// DenseGemmInto computes the dense layer dst = in·Wᵀ + bias with the
+// DenseGemmIntoPar computes the dense layer dst = in·Wᵀ + bias with the
 // packed microkernel GEMM, packing W's micro-panels straight from its
 // row-major layout (no transpose materialization). Per element the product
-// order and accumulation chain equal DenseInto's dot products, so this is
-// bit-identical to the tensor-dense family's kernels.
-func DenseGemmInto(dst, in, w, bias *Tensor, s *Scratch) {
-	nb, k := in.Dim(0), in.Dim(1)
-	m := w.Dim(0)
-	checkDense(dst, in, w, bias, nb, k, m)
-	metrics.Count(metrics.KernelGEMM)
-	if nb == 0 || m == 0 {
-		return
-	}
-	a, wd, c := in.Data(), w.Data(), dst.Data()
-	mark := s.Mark()
-	mr, nr := gemmTiles(nb, m)
-	kc := min(k, gemmKC)
-	nt := (m + nr - 1) / nr
-	pb := s.Take(nt * kc * nr)
-	pa := s.Take(kc * mr)
-	for p0 := 0; p0 < k || p0 == 0; p0 += kc {
-		kb := min(kc, k-p0)
-		if p0 > 0 && kb <= 0 {
-			break
-		}
-		packBT(pb, wd, m, k, p0, kb, kc, nr)
-		gemmRowRange(a, c, pa, pb, nb, k, m, p0, kb, kc, 0, nb, mr, nr)
-	}
-	s.Release(mark)
-	addBiasRows(dst, bias, nb, m)
-}
-
-// DenseGemmIntoPar is DenseGemmInto sharded over mr-aligned batch-row
-// blocks (bit-identical to DenseGemmInto for any shard count; W panels are
-// staged once in shard 0's scratch).
+// order and accumulation chain equal DenseIntoPar's dot products, so this is
+// bit-identical to the tensor-dense family's kernels. One shard packs and
+// consumes one k panel at a time from shard 0's scratch; more shards split
+// mr-aligned batch-row blocks over W panels staged once, all up front, in
+// shard 0's scratch — the same chains either way, so results are
+// bit-identical for any shard count.
 func DenseGemmIntoPar(dst, in, w, bias *Tensor, par *Par) {
 	nb, k := in.Dim(0), in.Dim(1)
 	m := w.Dim(0)
 	checkDense(dst, in, w, bias, nb, k, m)
-	if !par.Parallel() {
-		DenseGemmInto(dst, in, w, bias, par.Scratch(0))
-		return
-	}
 	metrics.Count(metrics.KernelGEMM)
 	if nb == 0 || m == 0 {
 		return
@@ -381,9 +351,24 @@ func DenseGemmIntoPar(dst, in, w, bias *Tensor, par *Par) {
 	mr, nr := gemmTiles(nb, m)
 	kc := min(k, gemmKC)
 	nt := (m + nr - 1) / nr
-	panels := (k + kc - 1) / kc
 	s0 := par.Scratch(0)
 	mark := s0.Mark()
+	if !par.Parallel() {
+		pb := s0.Take(nt * kc * nr)
+		pa := s0.Take(kc * mr)
+		for p0 := 0; p0 < k || p0 == 0; p0 += kc {
+			kb := min(kc, k-p0)
+			if p0 > 0 && kb <= 0 {
+				break
+			}
+			packBT(pb, wd, m, k, p0, kb, kc, nr)
+			gemmRowRange(a, c, pa, pb, nb, k, m, p0, kb, kc, 0, nb, mr, nr)
+		}
+		s0.Release(mark)
+		addBiasRows(dst, bias, nb, m)
+		return
+	}
+	panels := (k + kc - 1) / kc
 	pbAll := s0.Take(panels * nt * kc * nr)
 	for pi := 0; pi < panels; pi++ {
 		p0 := pi * kc

@@ -122,9 +122,10 @@ func TestGemmBlockedParScratchReuse(t *testing.T) {
 	}
 }
 
-// TestDenseGemmMatchesDense checks the packed dense paths (direct-from-W
-// micro-panel packing, no transpose materialization) are bit-identical to
-// DenseInto, with and without bias, serial and sharded.
+// TestDenseGemmMatchesDense checks the packed dense path (direct-from-W
+// micro-panel packing, no transpose materialization) is bit-identical to
+// DenseIntoPar, with and without bias, at one shard (per-panel packing) and
+// sharded (all panels staged up front).
 func TestDenseGemmMatchesDense(t *testing.T) {
 	r := NewRNG(23)
 	shapes := [][3]int{{1, 400, 120}, {3, 25, 6}, {7, 150, 16}, {9, 513, 10}}
@@ -138,23 +139,14 @@ func TestDenseGemmMatchesDense(t *testing.T) {
 		fillNorm(r, bias.Data())
 		for _, b := range []*Tensor{nil, bias} {
 			want := New(nb, m)
-			DenseInto(want, in, w, b)
-			got := New(nb, m)
-			DenseGemmInto(got, in, w, b, &Scratch{})
-			for i := range want.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("nb=%d k=%d m=%d bias=%v: [%d]=%g want %g",
-						nb, k, m, b != nil, i, got.Data()[i], want.Data()[i])
-				}
-			}
-			for _, shards := range []int{2, 3} {
-				par := NewPar(nil, shards)
-				gotPar := New(nb, m)
-				DenseGemmIntoPar(gotPar, in, w, b, par)
+			DenseIntoPar(want, in, w, b, nil)
+			for _, shards := range []int{1, 2, 3} {
+				got := New(nb, m)
+				DenseGemmIntoPar(got, in, w, b, NewPar(nil, shards))
 				for i := range want.Data() {
-					if gotPar.Data()[i] != want.Data()[i] {
-						t.Fatalf("par shards=%d nb=%d k=%d m=%d: [%d]=%g want %g",
-							shards, nb, k, m, i, gotPar.Data()[i], want.Data()[i])
+					if got.Data()[i] != want.Data()[i] {
+						t.Fatalf("shards=%d nb=%d k=%d m=%d bias=%v: [%d]=%g want %g",
+							shards, nb, k, m, b != nil, i, got.Data()[i], want.Data()[i])
 					}
 				}
 			}

@@ -12,12 +12,13 @@ import (
 // shards must never share one). A nil *Par means serial execution with no
 // scratch, which only kernels that need no scratch accept.
 //
-// Sharded kernels split work over disjoint output regions and keep each
-// output's accumulation order unchanged, so for any shard count the result
-// is bit-identical to the serial kernel. With Shards() == 1 the kernels
-// take their serial path directly — no closures, no goroutines, zero heap
-// allocations — reproducing the exact cost profile of the plain Into
-// kernels.
+// Par is the one kernel calling convention: every kernel family has a single
+// destination-passing *Par entry point and no separate serial form. Sharded
+// kernels split work over disjoint output regions and keep each output's
+// accumulation order unchanged, so the result is bit-identical for any
+// shard count. With Shards() == 1 the kernels take their serial path
+// directly — no closures, no goroutines, zero heap allocations — so a
+// one-shard Par is the serial kernel.
 type Par struct {
 	pool    *parallel.Pool
 	shards  int
@@ -59,6 +60,13 @@ func (p *Par) Parallel() bool { return p != nil && p.shards > 1 }
 
 // Scratch returns shard i's private scratch arena.
 func (p *Par) Scratch(i int) *Scratch { return p.scratch[i] }
+
+// Shard returns a one-shard context over shard i's scratch arena. The body
+// of a parallel region passes it to the *Par kernels to run them serially
+// on that shard's private scratch.
+func (p *Par) Shard(i int) *Par {
+	return &Par{pool: p.pool, shards: 1, scratch: p.scratch[i : i+1 : i+1]}
+}
 
 // HighWater returns the largest per-shard scratch peak (in floats) across
 // the context's shards — the executor's per-run scratch telemetry.

@@ -31,26 +31,8 @@ func expectBitIdentical(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// TestGemmParBitIdentical checks GemmPar against Gemm for shard counts
-// around and beyond the row count, including odd sizes that straddle the
-// cache-block boundary.
-func TestGemmParBitIdentical(t *testing.T) {
-	for _, dims := range [][3]int{{1, 7, 5}, {65, 130, 67}, {128, 64, 32}} {
-		m, k, n := dims[0], dims[1], dims[2]
-		a := randTensor(1, m, k)
-		b := randTensor(2, k, n)
-		want := make([]float32, m*n)
-		Gemm(a.Data(), b.Data(), want, m, k, n)
-		for _, shards := range []int{1, 2, 3, 8, m + 3} {
-			got := make([]float32, m*n)
-			GemmPar(a.Data(), b.Data(), got, m, k, n, forcedPar(shards))
-			expectBitIdentical(t, "GemmPar", got, want)
-		}
-	}
-}
-
 // TestConv2DIntoParBitIdentical checks the sharded direct convolution
-// against the serial kernel, covering grouped and strided specs.
+// against its one-shard run, covering grouped and strided specs.
 func TestConv2DIntoParBitIdentical(t *testing.T) {
 	specs := []ConvSpec{
 		{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -62,7 +44,7 @@ func TestConv2DIntoParBitIdentical(t *testing.T) {
 		bias := randTensor(5, spec.OutC)
 		oh, ow := spec.Normalize().OutDims(9, 9)
 		want := New(2, spec.OutC, oh, ow)
-		Conv2DInto(want, in, w, bias, spec)
+		Conv2DIntoPar(want, in, w, bias, spec, forcedPar(1))
 		for _, shards := range []int{2, 5, 64} {
 			got := New(2, spec.OutC, oh, ow)
 			Conv2DIntoPar(got, in, w, bias, spec, forcedPar(shards))
@@ -82,21 +64,21 @@ func TestConv2DIntoRejectsWrongShapeDst(t *testing.T) {
 	bad := New(4, 1, 6, 6)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Conv2DInto accepted a wrong-shaped dst with matching element count")
+			t.Fatal("Conv2DIntoPar accepted a wrong-shaped dst with matching element count")
 		}
 	}()
-	Conv2DInto(bad, in, w, nil, spec)
+	Conv2DIntoPar(bad, in, w, nil, spec, nil)
 }
 
 // TestDenseIntoParBitIdentical checks the sharded fully connected kernel
-// against the serial one, with and without bias.
+// against its one-shard run, with and without bias.
 func TestDenseIntoParBitIdentical(t *testing.T) {
 	in := randTensor(8, 3, 50)
 	w := randTensor(9, 20, 50)
 	bias := randTensor(10, 20)
 	for _, b := range []*Tensor{nil, bias} {
 		want := New(3, 20)
-		DenseInto(want, in, w, b)
+		DenseIntoPar(want, in, w, b, forcedPar(1))
 		for _, shards := range []int{2, 7, 100} {
 			got := New(3, 20)
 			DenseIntoPar(got, in, w, b, forcedPar(shards))
@@ -106,7 +88,7 @@ func TestDenseIntoParBitIdentical(t *testing.T) {
 }
 
 // TestIm2colGroupIntoParBitIdentical checks the sharded lowering against
-// the serial one for a grouped spec.
+// its one-shard run for a grouped spec.
 func TestIm2colGroupIntoParBitIdentical(t *testing.T) {
 	spec := ConvSpec{InC: 4, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2}
 	in := randTensor(11, 2, 4, 7, 7)
@@ -114,7 +96,7 @@ func TestIm2colGroupIntoParBitIdentical(t *testing.T) {
 	size := (spec.InC / spec.Groups) * spec.KH * spec.KW * oh * ow
 	for g := 0; g < spec.Groups; g++ {
 		want := make([]float32, size)
-		Im2colGroupInto(want, in, 1, g, spec)
+		Im2colGroupIntoPar(want, in, 1, g, spec, forcedPar(1))
 		for _, shards := range []int{2, 4, 32} {
 			got := make([]float32, size)
 			Im2colGroupIntoPar(got, in, 1, g, spec, forcedPar(shards))

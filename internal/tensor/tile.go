@@ -48,11 +48,6 @@ func Conv2DWindowIntoPar(tile []float32, in, weight, bias *Tensor, spec ConvSpec
 	conv2DWindowUnits(tile, in, weight, bias, spec, b, oy0, oy1, ox0, ox1, 0, spec.OutC)
 }
 
-// Conv2DWindowInto is the serial form of Conv2DWindowIntoPar.
-func Conv2DWindowInto(tile []float32, in, weight, bias *Tensor, spec ConvSpec, b, oy0, oy1, ox0, ox1 int) {
-	Conv2DWindowIntoPar(tile, in, weight, bias, spec, b, oy0, oy1, ox0, ox1, nil)
-}
-
 // conv2DWindowUnits computes output channels [lo, hi) of a conv window —
 // the window-restricted counterpart of conv2DUnits, with the identical
 // accumulation loop.
@@ -125,11 +120,6 @@ func Im2colWindowIntoPar(dst []float32, in *Tensor, b, g int, spec ConvSpec, oy0
 		return
 	}
 	im2colWindowRows(dst, in, b, g, spec, oy0, oy1, ox0, ox1, 0, rows)
-}
-
-// Im2colWindowInto is the serial form of Im2colWindowIntoPar.
-func Im2colWindowInto(dst []float32, in *Tensor, b, g int, spec ConvSpec, oy0, oy1, ox0, ox1 int) {
-	Im2colWindowIntoPar(dst, in, b, g, spec, oy0, oy1, ox0, ox1, nil)
 }
 
 // im2colWindowRows lowers window matrix rows [lo, hi); row r unpacks to

@@ -34,7 +34,7 @@ func TestConv2DWindowMatchesFull(t *testing.T) {
 			th, tw := oy1-oy0, ox1-ox0
 			tile := make([]float32, spec.OutC*th*tw)
 			for b := 0; b < 2; b++ {
-				Conv2DWindowInto(tile, in, w, bias, spec, b, oy0, oy1, ox0, ox1)
+				Conv2DWindowIntoPar(tile, in, w, bias, spec, b, oy0, oy1, ox0, ox1, nil)
 				for oc := 0; oc < spec.OutC; oc++ {
 					for oy := oy0; oy < oy1; oy++ {
 						for ox := ox0; ox < ox1; ox++ {
@@ -61,7 +61,7 @@ func TestConv2DWindowParMatchesSerial(t *testing.T) {
 	w := gaussTensor(rng, spec.WeightShape()...)
 	b := gaussTensor(rng, 7)
 	serial := make([]float32, 7*9*9)
-	Conv2DWindowInto(serial, in, w, b, spec, 0, 0, 9, 0, 9)
+	Conv2DWindowIntoPar(serial, in, w, b, spec, 0, 0, 9, 0, 9, NewPar(nil, 1))
 	par := NewPar(nil, 3)
 	sharded := make([]float32, 7*9*9)
 	Conv2DWindowIntoPar(sharded, in, w, b, spec, 0, 0, 9, 0, 9, par)
@@ -90,7 +90,7 @@ func TestIm2colWindowMatchesFull(t *testing.T) {
 			}
 			th, tw := oy1-oy0, ox1-ox0
 			dst := make([]float32, rows*th*tw)
-			Im2colWindowInto(dst, in, 1, g, spec, oy0, oy1, ox0, ox1)
+			Im2colWindowIntoPar(dst, in, 1, g, spec, oy0, oy1, ox0, ox1, nil)
 			for r := 0; r < rows; r++ {
 				for oy := oy0; oy < oy1; oy++ {
 					for ox := ox0; ox < ox1; ox++ {
