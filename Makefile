@@ -39,8 +39,11 @@ test:
 race:
 	$(GO) test -race ./...
 
+# go vet plus formatting: any file gofmt would rewrite fails the target (and
+# with it verify and the CI verify job).
 vet: staticcheck
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt -l . is not clean:"; echo "$$out"; exit 1; }
 
 # staticcheck when available (CI installs it; local runs without it just get
 # go vet). honnef.co/go/tools is the de-facto second linter tier for Go.

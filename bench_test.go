@@ -13,6 +13,7 @@
 package repro
 
 import (
+	"fmt"
 	"io"
 	"testing"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/quant"
 	"repro/internal/runtime"
 	"repro/internal/schedule"
@@ -155,6 +157,24 @@ func BenchmarkEncodeMidLayer(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeLargeLayer measures the encoder on a 512x4608 layer (a
+// ResNet stage-4 3x3 conv): ~1.7M non-zero codes in 7K sequences, the size
+// at which the encoder used to shard its pair count across cores and now
+// runs on one.
+func BenchmarkEncodeLargeLayer(b *testing.B) {
+	r := tensor.NewRNG(5)
+	w := tensor.New(512, 4608)
+	tensor.FillGaussian(w, r, tensor.KaimingStd(4608))
+	q := quant.Quantize(w, 4, quant.PerTensor)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ipe.Encode(q, ipe.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGemm measures the blocked GEMM on 128^3.
 func BenchmarkGemm(b *testing.B) {
 	r := tensor.NewRNG(3)
@@ -235,6 +255,25 @@ func BenchmarkCompileLeNetAuto(b *testing.B) {
 		if _, err := runtime.Compile(g, runtime.Options{Bits: 4}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCompileSqueezeNetAuto measures the compile a hot swap pays: the
+// served 32x32 SqueezeNet through obs.CompilePlan with inspire-serve's
+// default options, on one compile worker and on GOMAXPROCS. allocs/op and
+// B/op are the garbage a swap charges to the predicts running beside it
+// (internal/obs TestCompileAllocationBudget gates them).
+func BenchmarkCompileSqueezeNetAuto(b *testing.B) {
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts := runtime.Options{Bits: 4, DictStore: ipe.NewDictStore(), Workers: workers}
+				if _, err := obs.CompilePlan("squeezenet", 0, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

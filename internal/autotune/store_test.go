@@ -20,8 +20,8 @@ func storeWith(entries map[Key]Entry) *Store {
 
 func TestStoreRoundTrip(t *testing.T) {
 	want := map[Key]Entry{
-		{Shape: "conv-n1-c1-k8", Impl: "ipe", Par: 0}:   {MeanNs: 1234.5, Samples: 100, UpdatedUnixNs: 42},
-		{Shape: "conv-n1-c1-k8", Impl: "dense", Par: 0}: {MeanNs: 2000, Samples: 90, UpdatedUnixNs: 41},
+		{Shape: "conv-n1-c1-k8", Impl: "ipe", Par: 0}:    {MeanNs: 1234.5, Samples: 100, UpdatedUnixNs: 42},
+		{Shape: "conv-n1-c1-k8", Impl: "dense", Par: 0}:  {MeanNs: 2000, Samples: 90, UpdatedUnixNs: 41},
 		{Shape: "dense-m10-k84-b2", Impl: "csr", Par: 4}: {MeanNs: 88, Samples: 7},
 	}
 	path := filepath.Join(t.TempDir(), "tune.json")

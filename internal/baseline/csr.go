@@ -28,8 +28,16 @@ func NewCSR(w *tensor.Tensor) *CSR {
 		panic(fmt.Sprintf("baseline: NewCSR wants [m,k], got %v", w.Shape()))
 	}
 	m, k := w.Dim(0), w.Dim(1)
-	c := &CSR{M: m, K: k, RowPtr: make([]int32, m+1)}
 	d := w.Data()
+	// Count first and allocate exactly: Col and Val stay resident for the
+	// life of the plan, and append's growth would leave up to 2x slack.
+	nnz := 0
+	for _, v := range d[:m*k] {
+		if v != 0 {
+			nnz++
+		}
+	}
+	c := &CSR{M: m, K: k, RowPtr: make([]int32, m+1), Col: make([]int32, 0, nnz), Val: make([]float32, 0, nnz)}
 	for r := 0; r < m; r++ {
 		for i := 0; i < k; i++ {
 			if v := d[r*k+i]; v != 0 {
@@ -137,14 +145,19 @@ type ConvCSR struct {
 // NewConvCSR quantizes the OIHW weights and builds the per-group CSR
 // matrices.
 func NewConvCSR(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme quant.Scheme) (*ConvCSR, error) {
+	return NewConvCSRFromQuantized(quant.Quantize(w, bits, scheme), bias, spec)
+}
+
+// NewConvCSRFromQuantized builds the per-group CSR matrices of already
+// quantized OIHW weights; the layer keeps q, which it does not modify.
+func NewConvCSRFromQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvCSR, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if !w.Shape().Equal(spec.WeightShape()) {
-		return nil, fmt.Errorf("baseline: weight shape %v != expected %v", w.Shape(), spec.WeightShape())
+	if !q.Shape.Equal(spec.WeightShape()) {
+		return nil, fmt.Errorf("baseline: weight shape %v != expected %v", q.Shape, spec.WeightShape())
 	}
-	q := quant.Quantize(w, bits, scheme)
 	deq := q.Dequantize()
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups

@@ -2,7 +2,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ipe"
 	"repro/internal/metrics"
@@ -38,30 +37,14 @@ func NewFactorized(q *quant.Quantized) *Factorized {
 	m := q.Shape[0]
 	k := q.NumElements() / m
 	f := &Factorized{M: m, K: k, Rows: make([]FRow, m)}
-	scale := func(row int) float32 {
-		if q.Scheme == quant.PerChannel && len(q.Params) > row {
-			return q.Params[row].Scale
+	q.GroupRows(nil, func(r int, groups []quant.RowGroup) {
+		scale := q.RowScale(r)
+		terms := make([]FTerm, len(groups))
+		for i, g := range groups {
+			terms[i] = FTerm{Code: g.Code, Value: float32(g.Code) * scale, Idx: g.Idx}
 		}
-		return q.Params[0].Scale
-	}
-	for r := 0; r < m; r++ {
-		groups := make(map[int32][]int32)
-		for i := 0; i < k; i++ {
-			if c := q.Codes[r*k+i]; c != 0 {
-				groups[c] = append(groups[c], int32(i))
-			}
-		}
-		codes := make([]int32, 0, len(groups))
-		for c := range groups {
-			codes = append(codes, c)
-		}
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		for _, c := range codes {
-			f.Rows[r].Terms = append(f.Rows[r].Terms, FTerm{
-				Code: c, Value: float32(c) * scale(r), Idx: groups[c],
-			})
-		}
-	}
+		f.Rows[r].Terms = terms
+	})
 	return f
 }
 
@@ -182,31 +165,24 @@ type ConvFactorized struct {
 // NewConvFactorized quantizes the OIHW weights and builds per-group
 // factorized executors.
 func NewConvFactorized(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme quant.Scheme) (*ConvFactorized, error) {
+	return NewConvFactorizedFromQuantized(quant.Quantize(w, bits, scheme), bias, spec)
+}
+
+// NewConvFactorizedFromQuantized builds the per-group factorized executors
+// of already quantized OIHW weights; the layer keeps q, which it does not
+// modify.
+func NewConvFactorizedFromQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvFactorized, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if !w.Shape().Equal(spec.WeightShape()) {
-		return nil, fmt.Errorf("baseline: weight shape %v != expected %v", w.Shape(), spec.WeightShape())
+	if !q.Shape.Equal(spec.WeightShape()) {
+		return nil, fmt.Errorf("baseline: weight shape %v != expected %v", q.Shape, spec.WeightShape())
 	}
-	q := quant.Quantize(w, bits, scheme)
-	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	kSize := icg * spec.KH * spec.KW
 	l := &ConvFactorized{Spec: spec, Bias: bias, Quant: q}
 	for g := 0; g < spec.Groups; g++ {
-		gq := &quant.Quantized{
-			Codes:  q.Codes[g*ocg*kSize : (g+1)*ocg*kSize],
-			Shape:  tensor.Shape{ocg, kSize},
-			Bits:   q.Bits,
-			Scheme: q.Scheme,
-		}
-		if q.Scheme == quant.PerChannel {
-			gq.Params = q.Params[g*ocg : (g+1)*ocg]
-		} else {
-			gq.Params = q.Params
-		}
-		l.Mats = append(l.Mats, NewFactorized(gq))
+		l.Mats = append(l.Mats, NewFactorized(q.Rows(g*ocg, (g+1)*ocg)))
 	}
 	return l, nil
 }

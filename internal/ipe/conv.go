@@ -21,33 +21,25 @@ type ConvLayer struct {
 // index-pair encodes it (per group). The returned layer computes the same
 // convolution as tensor.Conv2D over the *dequantized* weights.
 func EncodeConv(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme quant.Scheme, cfg Config) (*ConvLayer, Stats, error) {
+	return EncodeConvQuantized(quant.Quantize(w, bits, scheme), bias, spec, cfg)
+}
+
+// EncodeConvQuantized index-pair encodes already quantized OIHW weights
+// (per group); the layer keeps q, which it does not modify.
+func EncodeConvQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec, cfg Config) (*ConvLayer, Stats, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-	if !w.Shape().Equal(spec.WeightShape()) {
+	if !q.Shape.Equal(spec.WeightShape()) {
 		return nil, Stats{}, fmt.Errorf("ipe: weight shape %v != expected %v for spec %+v",
-			w.Shape(), spec.WeightShape(), spec)
+			q.Shape, spec.WeightShape(), spec)
 	}
-	q := quant.Quantize(w, bits, scheme)
 	layer := &ConvLayer{Spec: spec, Bias: bias, Quant: q}
-	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	kSize := icg * spec.KH * spec.KW
 	var total Stats
 	for g := 0; g < spec.Groups; g++ {
-		gq := &quant.Quantized{
-			Codes:  q.Codes[g*ocg*kSize : (g+1)*ocg*kSize],
-			Shape:  tensor.Shape{ocg, icg, spec.KH, spec.KW},
-			Bits:   q.Bits,
-			Scheme: q.Scheme,
-		}
-		if q.Scheme == quant.PerChannel {
-			gq.Params = q.Params[g*ocg : (g+1)*ocg]
-		} else {
-			gq.Params = q.Params
-		}
-		prog, st, err := Encode(gq, cfg)
+		prog, st, err := Encode(q.Rows(g*ocg, (g+1)*ocg), cfg)
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("ipe: encoding group %d: %w", g, err)
 		}
@@ -153,10 +145,15 @@ type DenseLayer struct {
 
 // EncodeDense quantizes an [m, k] weight matrix and index-pair encodes it.
 func EncodeDense(w, bias *tensor.Tensor, bits int, scheme quant.Scheme, cfg Config) (*DenseLayer, Stats, error) {
-	if w.Shape().Rank() != 2 {
-		return nil, Stats{}, fmt.Errorf("ipe: EncodeDense wants [m, k] weight, got %v", w.Shape())
+	return EncodeDenseQuantized(quant.Quantize(w, bits, scheme), bias, cfg)
+}
+
+// EncodeDenseQuantized index-pair encodes an already quantized [m, k]
+// weight matrix; the layer keeps q, which it does not modify.
+func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (*DenseLayer, Stats, error) {
+	if q.Shape.Rank() != 2 {
+		return nil, Stats{}, fmt.Errorf("ipe: EncodeDense wants [m, k] weight, got %v", q.Shape)
 	}
-	q := quant.Quantize(w, bits, scheme)
 	prog, st, err := Encode(q, cfg)
 	if err != nil {
 		return nil, Stats{}, err
@@ -223,23 +220,10 @@ func EncodeConvShared(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, sc
 			w.Shape(), spec.WeightShape(), spec)
 	}
 	q := quant.Quantize(w, bits, scheme)
-	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	kSize := icg * spec.KH * spec.KW
 	qs := make([]*quant.Quantized, spec.Groups)
-	for g := 0; g < spec.Groups; g++ {
-		gq := &quant.Quantized{
-			Codes:  q.Codes[g*ocg*kSize : (g+1)*ocg*kSize],
-			Shape:  tensor.Shape{ocg, icg, spec.KH, spec.KW},
-			Bits:   q.Bits,
-			Scheme: q.Scheme,
-		}
-		if q.Scheme == quant.PerChannel {
-			gq.Params = q.Params[g*ocg : (g+1)*ocg]
-		} else {
-			gq.Params = q.Params
-		}
-		qs[g] = gq
+	for g := range qs {
+		qs[g] = q.Rows(g*ocg, (g+1)*ocg)
 	}
 	progs, stats, err := EncodeShared(qs, cfg)
 	if err != nil {

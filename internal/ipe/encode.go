@@ -1,10 +1,10 @@
 package ipe
 
 import (
+	"cmp"
 	"fmt"
-	goruntime "runtime"
-	"sort"
-	"sync"
+	"math"
+	"slices"
 
 	"repro/internal/quant"
 )
@@ -18,14 +18,27 @@ type sequence struct {
 	syms []int32
 }
 
-// encoder carries the mutable merge state.
+// candidate is one mergeable pair of the current round: its key and count,
+// and the pair-table slot that receives its symbol if it makes the budget.
+type candidate struct {
+	key   uint64
+	count int32
+	slot  uint32
+}
+
+// encoder carries the mutable merge state. Every slice and the pair table
+// keep their storage between rounds and, through the pool in pairtable.go,
+// between Encode calls.
 type encoder struct {
 	cfg   Config
 	k     int
 	seqs  []sequence
+	idx   []int32 // storage behind every sequence's syms
 	pairs []Pair  // provisional dictionary
 	depth []int32 // per provisional dictionary entry
 	tile  []int32 // per symbol (raw + provisional)
+	table pairTable
+	cands []candidate
 }
 
 func pairKey(a, b int32) uint64 {
@@ -57,64 +70,26 @@ func Encode(q *quant.Quantized, cfg Config) (*Program, Stats, error) {
 	}
 	k := q.NumElements() / m
 
-	enc := &encoder{cfg: cfg, k: k}
-	enc.initTiles()
+	enc := newEncoder(cfg, k)
+	defer enc.release()
 	stats := Stats{}
 	enc.appendSequences(q, 0, &stats)
+	enc.run(&stats)
 
-	switch cfg.Policy {
-	case PolicyGreedy:
-		enc.runGreedy(&stats)
-	default:
-		enc.runLayered(&stats)
-	}
-	stats.Merges = len(enc.pairs)
-	for _, s := range enc.seqs {
-		stats.OutputSymbols += len(s.syms)
-	}
-
-	prog := enc.buildProgramScaled(m, q.Bits, func(row int) float32 {
-		return scaleOf(q, row)
-	}, &stats)
+	prog := enc.buildProgramScaled(m, q.Bits, q.RowScale, &stats)
 	return prog, stats, nil
 }
 
 // appendSequences adds the (row, value) index sets of one quantized matrix,
-// with its rows mapped to the global row space starting at rowOffset.
-// Codes iterate in ascending order for determinism.
+// with its rows mapped to the global row space starting at rowOffset. Rows
+// and, within a row, codes arrive in ascending order (quant.GroupRows).
 func (e *encoder) appendSequences(q *quant.Quantized, rowOffset int, stats *Stats) {
-	m := q.Shape[0]
-	k := q.NumElements() / m
-	for row := 0; row < m; row++ {
-		base := row * k
-		groups := make(map[int32][]int32)
-		for i := 0; i < k; i++ {
-			c := q.Codes[base+i]
-			if c == 0 {
-				continue
-			}
-			groups[c] = append(groups[c], int32(i))
+	e.idx = q.GroupRows(e.idx, func(row int, groups []quant.RowGroup) {
+		for _, g := range groups {
+			stats.InputSymbols += len(g.Idx)
+			e.seqs = append(e.seqs, sequence{row: rowOffset + row, code: g.Code, syms: g.Idx})
 		}
-		codes := make([]int32, 0, len(groups))
-		for c := range groups {
-			codes = append(codes, c)
-		}
-		sort.Slice(codes, func(a, b int) bool { return codes[a] < codes[b] })
-		for _, c := range codes {
-			stats.InputSymbols += len(groups[c])
-			e.seqs = append(e.seqs, sequence{row: rowOffset + row, code: c, syms: groups[c]})
-		}
-	}
-}
-
-func (e *encoder) initTiles() {
-	// Raw symbol tiles; merged symbols append as they are created.
-	e.tile = make([]int32, e.k)
-	if e.cfg.TileSize > 0 {
-		for i := 0; i < e.k; i++ {
-			e.tile[i] = int32(i / e.cfg.TileSize)
-		}
-	}
+	})
 }
 
 // symDepth returns the depth of any symbol id.
@@ -125,129 +100,123 @@ func (e *encoder) symDepth(s int32) int32 {
 	return e.depth[int(s)-e.k]
 }
 
+// pairDepth returns the depth a symbol merging (a, b) would have.
+func (e *encoder) pairDepth(a, b int32) int32 {
+	return max(e.symDepth(a), e.symDepth(b)) + 1
+}
+
 // legalPair reports whether merging (a, b) respects the depth and tile
 // constraints.
 func (e *encoder) legalPair(a, b int32) bool {
 	if e.cfg.TileSize > 0 && e.tile[a] != e.tile[b] {
 		return false
 	}
-	if e.cfg.MaxDepth > 0 {
-		d := e.symDepth(a)
-		if db := e.symDepth(b); db > d {
-			d = db
-		}
-		if int(d)+1 > e.cfg.MaxDepth {
-			return false
-		}
-	}
-	return true
+	return e.cfg.MaxDepth <= 0 || int(e.pairDepth(a, b)) <= e.cfg.MaxDepth
 }
 
 // allocSymbol appends a new dictionary entry for the pair (a, b) and
 // returns its symbol id.
 func (e *encoder) allocSymbol(a, b int32) int32 {
-	d := e.symDepth(a)
-	if db := e.symDepth(b); db > d {
-		d = db
-	}
+	e.depth = append(e.depth, e.pairDepth(a, b))
 	e.pairs = append(e.pairs, Pair{A: a, B: b})
-	e.depth = append(e.depth, d+1)
 	e.tile = append(e.tile, e.tile[a]) // == tile[b] under the constraint
 	return int32(e.k + len(e.pairs) - 1)
 }
 
-// countAdjacent tallies canonical adjacent pairs across all sequences.
-// Counting dominates encode time on large layers, so it shards the
-// sequence list across workers with private maps and merges; addition is
-// commutative, so the result is identical to a serial count.
-func (e *encoder) countAdjacent() map[uint64]int {
-	workers := goruntime.GOMAXPROCS(0)
-	const minSeqsPerWorker = 2048
-	if len(e.seqs) < 2*minSeqsPerWorker || workers < 2 {
-		counts := make(map[uint64]int)
-		for _, s := range e.seqs {
-			for i := 0; i+1 < len(s.syms); i++ {
-				counts[pairKey(s.syms[i], s.syms[i+1])]++
-			}
-		}
-		return counts
+// run merges under the configured policy until nothing more merges, then
+// closes the merge statistics.
+func (e *encoder) run(stats *Stats) {
+	switch e.cfg.Policy {
+	case PolicyGreedy:
+		e.runGreedy(stats)
+	default:
+		e.runLayered(stats)
 	}
-	if max := len(e.seqs) / minSeqsPerWorker; workers > max {
-		workers = max
+	stats.Merges = len(e.pairs)
+	for _, s := range e.seqs {
+		stats.OutputSymbols += len(s.syms)
 	}
-	shards := make([]map[uint64]int, workers)
-	var wg sync.WaitGroup
-	chunk := (len(e.seqs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(e.seqs))
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := make(map[uint64]int)
-			for _, s := range e.seqs[lo:hi] {
-				for i := 0; i+1 < len(s.syms); i++ {
-					m[pairKey(s.syms[i], s.syms[i+1])]++
-				}
-			}
-			shards[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	counts := shards[0]
-	for _, m := range shards[1:] {
-		for k, v := range m {
-			counts[k] += v
+}
+
+// countAdjacent refills the pair table with the canonical adjacent pairs of
+// all sequences, dropping the previous round's counts and symbols.
+func (e *encoder) countAdjacent() {
+	e.table.reset()
+	for _, s := range e.seqs {
+		for i := 0; i+1 < len(s.syms); i++ {
+			e.table.add(pairKey(s.syms[i], s.syms[i+1]))
 		}
 	}
-	return counts
+}
+
+// collectCandidates lists every counted pair that repeats often enough and
+// may legally merge.
+func (e *encoder) collectCandidates() {
+	minCount := e.cfg.minCount()
+	e.cands = e.cands[:0]
+	for _, pos := range e.table.used {
+		s := e.table.slots[pos]
+		if int(s.count) < minCount {
+			continue
+		}
+		if a, b := keyPair(s.key); e.legalPair(a, b) {
+			e.cands = append(e.cands, candidate{key: s.key, count: s.count, slot: pos})
+		}
+	}
+}
+
+// assign creates the dictionary entry of a candidate and marks its pair for
+// replacement.
+func (e *encoder) assign(c candidate) {
+	a, b := keyPair(c.key)
+	e.table.slots[c.slot].sym = e.allocSymbol(a, b)
+}
+
+// mergeOrder ranks candidates by count descending, then key ascending: a
+// total order (keys are unique), so the dictionary never depends on the
+// order the table enumerates pairs in.
+func mergeOrder(x, y candidate) int {
+	return cmp.Or(cmp.Compare(y.count, x.count), cmp.Compare(x.key, y.key))
 }
 
 // runLayered performs batched merge rounds until no pair repeats or the
-// dictionary is full.
+// dictionary is full, merging each round's candidates in mergeOrder.
 func (e *encoder) runLayered(stats *Stats) {
-	minCount := e.cfg.minCount()
 	for {
-		counts := e.countAdjacent()
-		type cand struct {
-			key   uint64
-			count int
+		// A full dictionary ends the encoding before the round is counted:
+		// nothing a count could find would be merged.
+		budget := math.MaxInt
+		if e.cfg.MaxDict > 0 {
+			budget = e.cfg.MaxDict - len(e.pairs)
 		}
-		cands := make([]cand, 0, len(counts))
-		for key, c := range counts {
-			if c < minCount {
-				continue
-			}
-			a, b := keyPair(key)
-			if !e.legalPair(a, b) {
-				continue
-			}
-			cands = append(cands, cand{key, c})
+		if budget <= 0 {
+			return
 		}
+		e.countAdjacent()
+		e.collectCandidates()
+		cands := e.cands
 		if len(cands) == 0 {
 			return
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].count != cands[j].count {
-				return cands[i].count > cands[j].count
+		if len(cands) > budget {
+			// Only pairs at least as frequent as the budget-th most frequent
+			// one can make the budget: drop the rest before sorting.
+			var hist [256]int // by count; counts of 255 and up share a bucket
+			for _, c := range cands {
+				hist[min(c.count, 255)]++
 			}
-			return cands[i].key < cands[j].key
-		})
-		if e.cfg.MaxDict > 0 {
-			budget := e.cfg.MaxDict - len(e.pairs)
-			if budget <= 0 {
-				return
+			floor, n := int32(255), hist[255]
+			for ; n < budget; n += hist[floor] {
+				floor--
 			}
-			if len(cands) > budget {
-				cands = cands[:budget]
-			}
+			cands = slices.DeleteFunc(cands, func(c candidate) bool { return c.count < floor })
 		}
-		assigned := make(map[uint64]int32, len(cands))
+		slices.SortFunc(cands, mergeOrder)
+		cands = cands[:min(len(cands), budget)]
 		for _, c := range cands {
-			a, b := keyPair(c.key)
-			assigned[c.key] = e.allocSymbol(a, b)
+			e.assign(c)
 		}
-		if !e.replaceAssigned(assigned) {
+		if !e.replaceAssigned() {
 			return // no occurrence actually replaced; avoid spinning
 		}
 		stats.Rounds++
@@ -257,95 +226,50 @@ func (e *encoder) runLayered(stats *Stats) {
 // runGreedy merges the single most frequent pair per iteration (textbook
 // BPE). Used for small layers and ablation.
 func (e *encoder) runGreedy(stats *Stats) {
-	minCount := e.cfg.minCount()
 	for {
 		if e.cfg.MaxDict > 0 && len(e.pairs) >= e.cfg.MaxDict {
 			return
 		}
-		counts := e.countAdjacent()
-		bestKey, bestCount := uint64(0), 0
-		for key, c := range counts {
-			if c < minCount {
-				continue
-			}
-			a, b := keyPair(key)
-			if !e.legalPair(a, b) {
-				continue
-			}
-			if c > bestCount || (c == bestCount && key < bestKey) {
-				bestKey, bestCount = key, c
-			}
-		}
-		if bestCount == 0 {
+		e.countAdjacent()
+		e.collectCandidates()
+		if len(e.cands) == 0 {
 			return
 		}
-		a, b := keyPair(bestKey)
-		sym := e.allocSymbol(a, b)
-		if !e.replaceAssigned(map[uint64]int32{bestKey: sym}) {
+		e.assign(slices.MinFunc(e.cands, mergeOrder))
+		if !e.replaceAssigned() {
 			return
 		}
 		stats.Rounds++
 	}
 }
 
-// replaceAssigned rewrites every sequence, substituting assigned pairs left
-// to right without overlap. It reports whether any replacement happened.
-// Sequences are independent, so the rewrite shards across workers on large
-// inputs; replacement within a sequence is sequential, so determinism is
-// preserved.
-func (e *encoder) replaceAssigned(assigned map[uint64]int32) bool {
-	rewrite := func(lo, hi int) bool {
-		any := false
-		for si := lo; si < hi; si++ {
-			s := e.seqs[si].syms
-			if len(s) < 2 {
-				continue
-			}
-			out := s[:0]
-			i := 0
-			for i < len(s) {
-				if i+1 < len(s) {
-					if sym, ok := assigned[pairKey(s[i], s[i+1])]; ok {
-						out = append(out, sym)
-						i += 2
-						any = true
-						continue
-					}
+// replaceAssigned rewrites every sequence in place, substituting the pairs
+// assigned a symbol this round left to right without overlap. It reports
+// whether any replacement happened.
+func (e *encoder) replaceAssigned() bool {
+	any := false
+	for si := range e.seqs {
+		s := e.seqs[si].syms
+		if len(s) < 2 {
+			continue
+		}
+		out := s[:0]
+		i := 0
+		for i < len(s) {
+			if i+1 < len(s) {
+				if sym := e.table.assigned(pairKey(s[i], s[i+1])); sym != 0 {
+					out = append(out, sym)
+					i += 2
+					any = true
+					continue
 				}
-				out = append(out, s[i])
-				i++
 			}
-			e.seqs[si].syms = out
+			out = append(out, s[i])
+			i++
 		}
-		return any
+		e.seqs[si].syms = out
 	}
-	workers := goruntime.GOMAXPROCS(0)
-	const minSeqsPerWorker = 2048
-	if len(e.seqs) < 2*minSeqsPerWorker || workers < 2 {
-		return rewrite(0, len(e.seqs))
-	}
-	if max := len(e.seqs) / minSeqsPerWorker; workers > max {
-		workers = max
-	}
-	anyShard := make([]bool, workers)
-	var wg sync.WaitGroup
-	chunk := (len(e.seqs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(e.seqs))
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			anyShard[w] = rewrite(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, a := range anyShard {
-		if a {
-			return true
-		}
-	}
-	return false
+	return any
 }
 
 // buildProgramScaled compacts away dictionary entries no surviving

@@ -41,8 +41,8 @@ func EncodeShared(qs []*quant.Quantized, cfg Config) ([]*Program, Stats, error) 
 		}
 	}
 
-	enc := &encoder{cfg: cfg, k: k}
-	enc.initTiles()
+	enc := newEncoder(cfg, k)
+	defer enc.release()
 	stats := Stats{}
 	// Row offsets map each matrix's rows into one global row space.
 	offsets := make([]int, len(qs)+1)
@@ -50,22 +50,12 @@ func EncodeShared(qs []*quant.Quantized, cfg Config) ([]*Program, Stats, error) 
 		offsets[i+1] = offsets[i] + q.Shape[0]
 		enc.appendSequences(q, offsets[i], &stats)
 	}
-
-	switch cfg.Policy {
-	case PolicyGreedy:
-		enc.runGreedy(&stats)
-	default:
-		enc.runLayered(&stats)
-	}
-	stats.Merges = len(enc.pairs)
-	for _, s := range enc.seqs {
-		stats.OutputSymbols += len(s.syms)
-	}
+	enc.run(&stats)
 
 	combined := enc.buildProgramScaled(offsets[len(qs)], bits, func(row int) float32 {
 		for i := len(qs) - 1; i >= 0; i-- {
 			if row >= offsets[i] {
-				return scaleOf(qs[i], row-offsets[i])
+				return qs[i].RowScale(row - offsets[i])
 			}
 		}
 		return 1
@@ -84,12 +74,4 @@ func EncodeShared(qs []*quant.Quantized, cfg Config) ([]*Program, Stats, error) 
 		}
 	}
 	return progs, stats, nil
-}
-
-// scaleOf returns the dequantization scale of a matrix row.
-func scaleOf(q *quant.Quantized, row int) float32 {
-	if q.Scheme == quant.PerChannel && len(q.Params) > row {
-		return q.Params[row].Scale
-	}
-	return q.Params[0].Scale
 }

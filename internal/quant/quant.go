@@ -74,6 +74,14 @@ func (q *Quantized) ChannelParams(i int) Params {
 	return q.Params[i/chanSize]
 }
 
+// RowScale returns the dequantization scale of row (dimension 0 index) row.
+func (q *Quantized) RowScale(row int) float32 {
+	if q.Scheme == PerChannel && len(q.Params) > row {
+		return q.Params[row].Scale
+	}
+	return q.Params[0].Scale
+}
+
 // Levels returns the number of representable levels, 2^bits.
 func (q *Quantized) Levels() int { return 1 << q.Bits }
 
@@ -120,6 +128,19 @@ func (q *Quantized) Dequantize() *tensor.Tensor {
 		}
 	}
 	return out
+}
+
+// Rows returns rows [lo, hi) of q (dimension 0) as an [hi-lo, K] matrix
+// sharing q's codes and parameters: one group's weights of a grouped
+// convolution.
+func (q *Quantized) Rows(lo, hi int) *Quantized {
+	k := len(q.Codes) / q.Shape[0]
+	v := *q
+	v.Codes, v.Shape = q.Codes[lo*k:hi*k], tensor.Shape{hi - lo, k}
+	if q.Scheme == PerChannel {
+		v.Params = q.Params[lo:hi]
+	}
+	return &v
 }
 
 // Clone returns a deep copy of the quantized tensor.

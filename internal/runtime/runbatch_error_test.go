@@ -43,27 +43,36 @@ func setChunkHook(t *testing.T, h func(int) error, dispatched *int) {
 	})
 }
 
-// TestRunBatchReturnsLowestIndexError fails two chunks — the higher index
-// deterministically first (serial workers would hit it first only with
-// cancellation disabled) — and checks the returned error is the
-// lowest-index failure, wrapped with its chunk index.
+// TestRunBatchReturnsLowestIndexError fails two chunks that are certainly
+// both executing — each failing hook waits until the other has been entered,
+// so neither can trip the cancel flag before the other's worker is past its
+// cancellation check — and checks the returned error is the lowest-index
+// failure, wrapped with its chunk index. (Without the rendezvous chunk 5
+// could fail and cancel the batch before chunk 2's worker looked at the
+// flag; chunk 2 was then legitimately skipped, and the test failed about
+// one run in 130.)
 func TestRunBatchReturnsLowestIndexError(t *testing.T) {
 	plan := errPlan(t)
 	errLow := errors.New("low boom")
 	errHigh := errors.New("high boom")
+	var bothEntered sync.WaitGroup
+	bothEntered.Add(2)
 	setChunkHook(t, func(chunk int) error {
 		switch chunk {
-		case 2:
-			return errLow
-		case 5:
+		case 2, 5:
+			bothEntered.Done()
+			bothEntered.Wait()
+			if chunk == 2 {
+				return errLow
+			}
 			return errHigh
 		}
 		return nil
 	}, nil)
 	in := tensor.New(8, 1, 4, 4)
 	tensor.FillGaussian(in, tensor.NewRNG(31), 1)
-	// workers=8: every chunk is in flight at once, so both failures can
-	// land; the lowest index must still win.
+	// workers=8: a worker is free for every chunk, so the feeder reaches
+	// chunk 5 while chunk 2's hook waits; the lowest index must still win.
 	_, err := plan.RunBatch(in, 8)
 	if err == nil {
 		t.Fatal("expected error")

@@ -378,6 +378,16 @@ func denseConvSim(w schedule.Workload, opts Options) accel.Result {
 // otherwise.
 func wants(force, im Impl) bool { return force == ImplAuto || force == im }
 
+// quantizeOnce quantizes an operator's weights for its CSR, factorized and
+// IPE candidates, which all run on the same codes; nil when the plan is
+// forced to an implementation that builds none of them.
+func quantizeOnce(w *tensor.Tensor, opts Options) *quant.Quantized {
+	if wants(opts.Force, ImplCSR) || wants(opts.Force, ImplFactorized) || wants(opts.Force, ImplIPE) {
+		return quant.Quantize(w, opts.Bits, opts.Scheme)
+	}
+	return nil
+}
+
 func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 	spec := n.Attrs.Conv
 	in := n.Inputs[0].OutShape
@@ -395,8 +405,9 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 		op.Candidates[ImplDense] = denseConvSim(wl, opts)
 		op.profiles[ImplDense] = accel.DenseConvProfile(spec, wl.N, wl.H, wl.W)
 	}
+	q := quantizeOnce(weight, opts)
 	if wants(opts.Force, ImplCSR) {
-		csr, err := baseline.NewConvCSR(weight, bias, spec, opts.Bits, opts.Scheme)
+		csr, err := baseline.NewConvCSRFromQuantized(q, bias, spec)
 		if err != nil {
 			return op, err
 		}
@@ -405,7 +416,7 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 		op.Candidates[ImplCSR] = opts.HW.Simulate(op.profiles[ImplCSR])
 	}
 	if wants(opts.Force, ImplFactorized) {
-		fact, err := baseline.NewConvFactorized(weight, bias, spec, opts.Bits, opts.Scheme)
+		fact, err := baseline.NewConvFactorizedFromQuantized(q, bias, spec)
 		if err != nil {
 			return op, err
 		}
@@ -418,7 +429,7 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 		op.Candidates[ImplFactorized] = opts.HW.Simulate(op.profiles[ImplFactorized])
 	}
 	if wants(opts.Force, ImplIPE) {
-		ipeL, _, err := ipe.EncodeConv(weight, bias, spec, opts.Bits, opts.Scheme, opts.IPE)
+		ipeL, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
 		if err != nil {
 			return op, err
 		}
@@ -485,23 +496,21 @@ func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
 		op.profiles[ImplDense] = toProfile("dense", scaleCost(ipe.DenseCost(m, k)), int64(m*k)*4)
 		op.Candidates[ImplDense] = opts.HW.Simulate(op.profiles[ImplDense])
 	}
-	if wants(opts.Force, ImplCSR) || wants(opts.Force, ImplFactorized) {
-		q := quant.Quantize(weight, opts.Bits, opts.Scheme)
-		if wants(opts.Force, ImplCSR) {
-			csr := baseline.NewCSRFromQuantized(q)
-			op.csrDense = csr
-			op.profiles[ImplCSR] = toProfile("csr", scaleCost(csr.Cost()), int64(csr.NNZ())*6)
-			op.Candidates[ImplCSR] = opts.HW.Simulate(op.profiles[ImplCSR])
-		}
-		if wants(opts.Force, ImplFactorized) {
-			fact := baseline.NewFactorized(q)
-			op.factDense = fact
-			op.profiles[ImplFactorized] = toProfile("factorized", scaleCost(fact.Cost()), fact.StreamSymbols()*2)
-			op.Candidates[ImplFactorized] = opts.HW.Simulate(op.profiles[ImplFactorized])
-		}
+	q := quantizeOnce(weight, opts)
+	if wants(opts.Force, ImplCSR) {
+		csr := baseline.NewCSRFromQuantized(q)
+		op.csrDense = csr
+		op.profiles[ImplCSR] = toProfile("csr", scaleCost(csr.Cost()), int64(csr.NNZ())*6)
+		op.Candidates[ImplCSR] = opts.HW.Simulate(op.profiles[ImplCSR])
+	}
+	if wants(opts.Force, ImplFactorized) {
+		fact := baseline.NewFactorized(q)
+		op.factDense = fact
+		op.profiles[ImplFactorized] = toProfile("factorized", scaleCost(fact.Cost()), fact.StreamSymbols()*2)
+		op.Candidates[ImplFactorized] = opts.HW.Simulate(op.profiles[ImplFactorized])
 	}
 	if wants(opts.Force, ImplIPE) {
-		ipeL, _, err := ipe.EncodeDense(weight, bias, opts.Bits, opts.Scheme, opts.IPE)
+		ipeL, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
 		if err != nil {
 			return op, err
 		}

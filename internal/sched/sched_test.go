@@ -12,8 +12,8 @@ import (
 // filters, 2×2/2 max pool.
 func lenetPool1() Problem {
 	return Problem{
-		Spec:        tensor.ConvSpec{InC: 1, OutC: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
-		InH:         28, InW: 28, Batch: 1,
+		Spec: tensor.ConvSpec{InC: 1, OutC: 6, KH: 5, KW: 5, StrideH: 1, StrideW: 1},
+		InH:  28, InW: 28, Batch: 1,
 		Pool:        graph.PoolAttrs{KH: 2, KW: 2, StrideH: 2, StrideW: 2},
 		WeightBytes: 6 * 1 * 5 * 5 * 4,
 	}
