@@ -8,7 +8,6 @@ FUZZ_TARGETS := \
 	./internal/ipe:FuzzEncodeRoundTrip \
 	./internal/graph:FuzzGraphDeserialize \
 	./internal/runtime:FuzzPlanner \
-	./internal/sched:FuzzTilePlanner \
 	./internal/conformance:FuzzConformanceConv \
 	./internal/conformance:FuzzConformanceDense \
 	./internal/conformance:FuzzConformanceProgram \
@@ -24,7 +23,7 @@ FUZZ_TARGETS := \
 COVER_PKGS := ./internal/serve ./internal/runtime ./internal/registry
 COVER_FLOOR := 75.0
 
-.PHONY: verify build test race vet staticcheck fuzz cover cover-floor bench bench-smoke bench-micro benchmark-smoke serve-smoke multi-model-smoke autotune-sim
+.PHONY: verify build test race vet staticcheck fuzz cover cover-floor loc bench bench-smoke bench-micro benchmark-smoke serve-smoke multi-model-smoke autotune-sim
 
 verify: build test race vet
 
@@ -76,6 +75,11 @@ cover-floor:
 	echo "serving-path coverage: $$total% (floor $(COVER_FLOOR)%)"; \
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "cover-floor: coverage $$total% is below the committed $(COVER_FLOOR)% floor"; exit 1; }
+
+# Non-test Go lines under cmd/ and internal/: the one number deletion PRs
+# quote, always counted the same way.
+loc:
+	@find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -4,14 +4,14 @@
 //
 //	inspire-serve                          # lenet5 + squeezenet on :8080
 //	inspire-serve -addr 127.0.0.1:0        # ephemeral port (printed on stdout)
-//	inspire-serve -models lenet5 -force ipe -fuse
+//	inspire-serve -models lenet5 -force ipe
 //	inspire-serve -max-batch 64 -slo 2ms -queue 4096
 //	inspire-serve -autotune -tune-cache tuning.json
 //	inspire-serve -share-dict=false        # disable shared-dictionary interning
 //
 // Every model compiles through obs.CompilePlan, so a served plan and a
 // benchmarked plan (benchmark/) differ only in the explicit options
-// (-force/-fuse/-autotune), never in model construction. With -share-dict
+// (-force/-autotune), never in model construction. With -share-dict
 // (the default) all models and all hot-swap versions compile through one
 // content-addressed dictionary store: identical index-pair programs across
 // models and versions are interned once and their compiled emit tables
@@ -74,7 +74,6 @@ func main() {
 	force := flag.String("force", "auto",
 		"implementation to pin every conv/dense layer to: auto, dense, csr, factorized, ipe, winograd")
 	bits := flag.Int("bits", 4, "weight quantization bit-width for encoded implementations")
-	fuse := flag.Bool("fuse", false, "compile with the graph-level scheduler (fusion + tiling)")
 	shareDict := flag.Bool("share-dict", true,
 		"intern index-pair programs through one shared dictionary store across models and versions")
 	maxBatch := flag.Int("max-batch", 32, "flush a batch at this many compiled-batch chunks")
@@ -106,7 +105,7 @@ func main() {
 	// Metrics first: batchers and executors resolve the recorder when built.
 	runtime.EnableMetrics()
 
-	opts := runtime.Options{Force: impl, Bits: *bits, Fuse: *fuse}
+	opts := runtime.Options{Force: impl, Bits: *bits}
 	if *tune && impl != runtime.ImplAuto {
 		fmt.Fprintf(os.Stderr, "inspire-serve: -autotune requires -force auto (got %s)\n", *force)
 		os.Exit(2)
@@ -179,8 +178,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "inspire-serve: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("inspire-serve: %s v%d compiled (force=%s fuse=%v autotune=%v share-dict=%v, input %v)\n",
-			name, v.Version, *force, *fuse, *tune, *shareDict, v.Plan.Graph.In.OutShape)
+		fmt.Printf("inspire-serve: %s v%d compiled (force=%s autotune=%v share-dict=%v, input %v)\n",
+			name, v.Version, *force, *tune, *shareDict, v.Plan.Graph.In.OutShape)
 		served++
 	}
 	if served == 0 {

@@ -6,7 +6,6 @@
 //
 //	inspire-stats                  # auto-selected kernels, aligned tables
 //	inspire-stats -force ipe       # pin every conv/dense layer to one family
-//	inspire-stats -fuse            # graph scheduler on: adds per-region tables
 //	inspire-stats -model lenet5    # single model
 //	inspire-stats -json            # machine-readable metrics.Snapshot dump
 //	inspire-stats -runs 20         # more samples per layer series
@@ -39,8 +38,6 @@ func main() {
 	force := flag.String("force", "auto",
 		"implementation to pin every conv/dense layer to: auto, dense, csr, factorized, ipe, winograd")
 	bits := flag.Int("bits", 4, "weight quantization bit-width for encoded implementations")
-	fuse := flag.Bool("fuse", false,
-		"compile with the graph-level scheduler (operator fusion + tiling) and print per-region tables")
 	runs := flag.Int("runs", 5, "inference runs per model (samples per layer series)")
 	model := flag.String("model", "", "restrict to one model: lenet5 or squeezenet (default both)")
 	jsonOut := flag.Bool("json", false, "dump the raw metrics.Snapshot as JSON instead of tables")
@@ -82,7 +79,7 @@ func main() {
 		models = kept
 	}
 
-	s, err := obs.Meter(models, runtime.Options{Force: impl, Bits: *bits, Fuse: *fuse}, *runs)
+	s, err := obs.Meter(models, runtime.Options{Force: impl, Bits: *bits}, *runs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inspire-stats: %v\n", err)
 		os.Exit(1)
@@ -99,10 +96,6 @@ func main() {
 		obs.LayerTable(fmt.Sprintf("%s (force=%s, runs=%d)", m.Name, *force, *runs),
 			s, m.Name+"/").Fprint(os.Stdout)
 		fmt.Println()
-		if *fuse {
-			obs.RegionTable(m.Name+" fused regions", s, m.Name+"/").Fprint(os.Stdout)
-			fmt.Println()
-		}
 	}
 	obs.PoolTable(s).Fprint(os.Stdout)
 	fmt.Println()

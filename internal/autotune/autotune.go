@@ -338,98 +338,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.m)
 }
-
-// GetOrTuneTransfer is GetOrTune with warm starting: on a cache miss, it
-// finds the cached workload whose key shares the longest prefix with the
-// requested one (conv keys embed shape fields most-significant-first, so
-// longer shared prefixes mean more similar layers) and hands its best point
-// to tune as a starting hint. Model families built from one backbone share
-// most layer shapes, which is exactly where transfer pays.
-func (c *Cache) GetOrTuneTransfer(key string, tune func(hint []int) Result) Result {
-	c.mu.Lock()
-	if r, ok := c.m[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return r
-	}
-	c.misses++
-	// Longest-common-prefix neighbor among cached keys.
-	var hint []int
-	bestLCP := 0
-	for k, r := range c.m {
-		if r.BestIdx == nil {
-			continue
-		}
-		lcp := 0
-		for lcp < len(k) && lcp < len(key) && k[lcp] == key[lcp] {
-			lcp++
-		}
-		if lcp > bestLCP {
-			bestLCP = lcp
-			hint = r.BestIdx
-		}
-	}
-	c.mu.Unlock()
-	r := tune(hint)
-	c.mu.Lock()
-	c.m[key] = r
-	c.mu.Unlock()
-	return r
-}
-
-// TuneWithHint runs a genetic search seeded with a known-good point: the
-// hint joins the initial population (clamped to the space's dimensions), so
-// transfer from a similar workload skips the cold-start phase.
-func (g Genetic) TuneWithHint(s Space, budget int, seed uint64, hint []int) Result {
-	if hint == nil {
-		return g.Tune(s, budget, seed)
-	}
-	return hintedSpace{s, hint}.tune(g, budget, seed)
-}
-
-// hintedSpace rewrites the first random point a tuner draws to the hint by
-// wrapping Eval bookkeeping; simpler and fully general would be to extend
-// Tuner with a hint parameter, but only Genetic uses transfer today.
-type hintedSpace struct {
-	Space
-	hint []int
-}
-
-func (h hintedSpace) tune(g Genetic, budget int, seed uint64) Result {
-	g = g.defaults()
-	// Evaluate the (clamped) hint first, then continue with a normal run
-	// on the remaining budget; merge the traces.
-	dims := h.Dims()
-	idx := make([]int, len(dims))
-	for d := range dims {
-		v := 0
-		if d < len(h.hint) {
-			v = h.hint[d]
-		}
-		if v < 0 {
-			v = 0
-		}
-		if v >= dims[d] {
-			v = dims[d] - 1
-		}
-		idx[d] = v
-	}
-	rec := newRecorder()
-	rec.record(h.Space, idx)
-	rest := g.Tune(h.Space, budget-1, seed)
-	for _, tr := range rest.Trials {
-		tr.Index = len(rec.res.Trials)
-		if tr.Cost < rec.res.BestCost {
-			rec.res.BestCost = tr.Cost
-		}
-		tr.Best = rec.res.BestCost
-		rec.res.Trials = append(rec.res.Trials, tr)
-	}
-	if rest.BestCost < rec.res.BestCost || rec.res.BestIdx == nil {
-		if rest.BestIdx != nil {
-			rec.res.BestIdx = rest.BestIdx
-			rec.res.BestCost = rest.BestCost
-		}
-	}
-	return rec.res
-}

@@ -239,64 +239,3 @@ func mathAbs(x float64) float64 {
 	}
 	return x
 }
-
-func TestTransferCacheWarmStart(t *testing.T) {
-	c := NewCache()
-	q := newQuad()
-	// Prime the cache with a solved workload under a similar key.
-	base := Genetic{}.Tune(q, 200, 1)
-	c.GetOrTune("conv-n1-c16-k32-h8", func() Result { return base })
-
-	var gotHint []int
-	r := c.GetOrTuneTransfer("conv-n1-c16-k32-h16", func(hint []int) Result {
-		gotHint = hint
-		return Genetic{}.TuneWithHint(q, 60, 2, hint)
-	})
-	if gotHint == nil {
-		t.Fatal("transfer should supply the neighbor's best point as hint")
-	}
-	if r.BestCost > base.BestCost*1.5 {
-		t.Fatalf("warm-started result %v far off primed best %v", r.BestCost, base.BestCost)
-	}
-	// Second call must hit the cache without re-tuning.
-	calls := 0
-	c.GetOrTuneTransfer("conv-n1-c16-k32-h16", func([]int) Result { calls++; return Result{} })
-	if calls != 0 {
-		t.Fatal("cache hit should not re-tune")
-	}
-}
-
-func TestTuneWithHintEvaluatesHintFirst(t *testing.T) {
-	q := newQuad()
-	// The hint is the known optimum: the first trial must already be
-	// optimal.
-	hint := []int{4, 4, 4}
-	r := Genetic{}.TuneWithHint(q, 40, 3, hint)
-	if len(r.Trials) == 0 || r.Trials[0].Cost != q.optimum() {
-		t.Fatalf("hint not evaluated first: %+v", r.Trials[0])
-	}
-	if r.BestCost != q.optimum() {
-		t.Fatalf("best = %v", r.BestCost)
-	}
-}
-
-func TestTuneWithHintClampsOutOfRange(t *testing.T) {
-	q := newQuad()
-	r := Genetic{}.TuneWithHint(q, 30, 4, []int{99, -5, 99})
-	if len(r.Trials) == 0 {
-		t.Fatal("no trials ran")
-	}
-	// Clamped hint (8, 0, 8) is legal; run must complete within budget.
-	if len(r.Trials) > 30 {
-		t.Fatalf("budget exceeded: %d", len(r.Trials))
-	}
-}
-
-func TestTuneWithHintNilEqualsPlain(t *testing.T) {
-	q := newQuad()
-	a := Genetic{}.TuneWithHint(q, 50, 5, nil)
-	b := Genetic{}.Tune(q, 50, 5)
-	if a.BestCost != b.BestCost || len(a.Trials) != len(b.Trials) {
-		t.Fatal("nil hint must be identical to plain Tune")
-	}
-}

@@ -469,143 +469,93 @@ func CheckGraph(seed uint64) error {
 
 	impls := append([]runtime.Impl{runtime.ImplAuto}, runtime.ForceableImpls()...)
 	for _, impl := range impls {
-		// Every forced implementation compiles once per scheduler mode
-		// (unfused first, then fused). The unfused plan establishes the
-		// family's bitwise base against an oracle on its effective weights;
-		// the fused plan — same graph, same options, Options.Fuse on — must
-		// reproduce that base bitwise on every execution path.
-		var base, extraOut []float32
-		var baseName string
-		for _, fuse := range runtime.FusedModes() {
-			tag := fmt.Sprintf("runtime[force=%v,fused=%v]", impl, fuse)
-			plan, err := runtime.Compile(gc.Graph.Clone(), runtime.Options{Force: impl, Fuse: fuse})
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d: %s: Compile: %w", seed, tag, err)
-			}
-			var oracle []float64
-			if base == nil {
-				eff, err := plan.EffectiveWeights()
-				if err != nil {
-					return fmt.Errorf("conformance: seed %d: %s: %w", seed, tag, err)
-				}
-				if oracle, err = RefGraph(plan.Graph, gc.Input, eff); err != nil {
-					return fmt.Errorf("conformance: seed %d: %s: oracle: %w", seed, tag, err)
-				}
-			}
+		tag := fmt.Sprintf("runtime[force=%v]", impl)
+		plan, err := runtime.Compile(gc.Graph.Clone(), runtime.Options{Force: impl})
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s: Compile: %w", seed, tag, err)
+		}
+		eff, err := plan.EffectiveWeights()
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s: %w", seed, tag, err)
+		}
+		oracle, err := RefGraph(plan.Graph, gc.Input, eff)
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s: oracle: %w", seed, tag, err)
+		}
 
-			e := plan.AcquireExecutor()
-			for _, shards := range []int{1, 3, 0} {
-				e.SetParallelism(shards)
-				out, err := e.Run(gc.Input)
-				if err != nil {
-					plan.ReleaseExecutor(e)
-					return fmt.Errorf("conformance: seed %d: %s: Run: %w", seed, tag, err)
-				}
-				// The executor's output aliases its arena; copy before the
-				// next run overwrites it.
-				data := append([]float32(nil), out.Data()...)
-				name := fmt.Sprintf("%s/executor[shards=%d]", tag, shards)
-				if base == nil {
-					if err := checkGraphClose(seed, name, data, oracle); err != nil {
-						plan.ReleaseExecutor(e)
-						return err
-					}
-					base, baseName = data, name
-					continue
-				}
-				if err := checkExact(seed, name, baseName, data, base); err != nil {
-					plan.ReleaseExecutor(e)
-					return err
-				}
-			}
-			e.SetParallelism(1)
-			out2, err := e.Run(extra)
+		// The first shard count establishes the family's bitwise base
+		// against the oracle on the plan's effective weights; every other
+		// execution path must reproduce that base bitwise.
+		var base []float32
+		var baseName string
+		e := plan.AcquireExecutor()
+		for _, shards := range []int{1, 3, 0} {
+			e.SetParallelism(shards)
+			out, err := e.Run(gc.Input)
 			if err != nil {
 				plan.ReleaseExecutor(e)
-				return fmt.Errorf("conformance: seed %d: %s: Run(extra): %w", seed, tag, err)
+				return fmt.Errorf("conformance: seed %d: %s: Run: %w", seed, tag, err)
 			}
-			data2 := append([]float32(nil), out2.Data()...)
-			plan.ReleaseExecutor(e)
-			if extraOut == nil {
-				extraOut = data2
-			} else if err := checkExact(seed, tag+"/run-extra", "single run on extra input", data2, extraOut); err != nil {
+			// The executor's output aliases its arena; copy before the
+			// next run overwrites it.
+			data := append([]float32(nil), out.Data()...)
+			name := fmt.Sprintf("%s/executor[shards=%d]", tag, shards)
+			if base == nil {
+				if err := checkGraphClose(seed, name, data, oracle); err != nil {
+					plan.ReleaseExecutor(e)
+					return err
+				}
+				base, baseName = data, name
+				continue
+			}
+			if err := checkExact(seed, name, baseName, data, base); err != nil {
+				plan.ReleaseExecutor(e)
 				return err
-			}
-
-			out, err := plan.Run(gc.Input)
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d: %s: Plan.Run: %w", seed, tag, err)
-			}
-			if err := checkExact(seed, tag+"/plan-run", baseName, out.Data(), base); err != nil {
-				return err
-			}
-
-			// RunBatch with three chunks (case input, extra input, case input
-			// again) must reproduce the single runs chunk for chunk at any
-			// worker count.
-			inShape := plan.Graph.In.OutShape
-			batched := tensor.New(append([]int{3 * inShape[0]}, inShape[1:]...)...)
-			per := gc.Input.NumElements()
-			copy(batched.Data()[0:per], gc.Input.Data())
-			copy(batched.Data()[per:2*per], extra.Data())
-			copy(batched.Data()[2*per:3*per], gc.Input.Data())
-			for _, workers := range []int{1, 2} {
-				bout, err := plan.RunBatch(batched, workers)
-				if err != nil {
-					return fmt.Errorf("conformance: seed %d: %s: RunBatch(workers=%d): %w", seed, tag, workers, err)
-				}
-				perOut := bout.NumElements() / 3
-				bd := bout.Data()
-				name := fmt.Sprintf("%s/run-batch[workers=%d]", tag, workers)
-				if err := checkExact(seed, name+"/chunk0", baseName, bd[0:perOut], base); err != nil {
-					return err
-				}
-				if err := checkExact(seed, name+"/chunk1", "single run on extra input", bd[perOut:2*perOut], extraOut); err != nil {
-					return err
-				}
-				if err := checkExact(seed, name+"/chunk2", baseName, bd[2*perOut:3*perOut], base); err != nil {
-					return err
-				}
 			}
 		}
-	}
-
-	// Tiny-SRAM sweep: under a 4 KiB on-chip model the tiling planner must
-	// split realistic regions into several tiles per image, exercising the
-	// windowed kernels' halo and edge paths. Auto-selection depends on the
-	// hardware model, so only the tiled head implementations are forced, and
-	// the fused plan is compared against an unfused plan compiled under the
-	// same shrunk config rather than against the default-config base.
-	tiny := runtime.TinySRAM()
-	for _, impl := range runtime.TiledHeadImpls() {
-		tag := fmt.Sprintf("runtime[force=%v,sram=4KiB]", impl)
-		var tinyBase []float32
-		var tinyBaseName string
-		for _, fuse := range runtime.FusedModes() {
-			plan, err := runtime.Compile(gc.Graph.Clone(), runtime.Options{Force: impl, HW: tiny, Fuse: fuse})
-			if err != nil {
-				return fmt.Errorf("conformance: seed %d: %s: Compile(fused=%v): %w", seed, tag, fuse, err)
-			}
-			e := plan.AcquireExecutor()
-			for _, shards := range []int{1, 0} {
-				e.SetParallelism(shards)
-				out, err := e.Run(gc.Input)
-				if err != nil {
-					plan.ReleaseExecutor(e)
-					return fmt.Errorf("conformance: seed %d: %s: Run(fused=%v): %w", seed, tag, fuse, err)
-				}
-				data := append([]float32(nil), out.Data()...)
-				name := fmt.Sprintf("%s/fused=%v[shards=%d]", tag, fuse, shards)
-				if tinyBase == nil {
-					tinyBase, tinyBaseName = data, name
-					continue
-				}
-				if err := checkExact(seed, name, tinyBaseName, data, tinyBase); err != nil {
-					plan.ReleaseExecutor(e)
-					return err
-				}
-			}
+		e.SetParallelism(1)
+		out2, err := e.Run(extra)
+		if err != nil {
 			plan.ReleaseExecutor(e)
+			return fmt.Errorf("conformance: seed %d: %s: Run(extra): %w", seed, tag, err)
+		}
+		extraOut := append([]float32(nil), out2.Data()...)
+		plan.ReleaseExecutor(e)
+
+		out, err := plan.Run(gc.Input)
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s: Plan.Run: %w", seed, tag, err)
+		}
+		if err := checkExact(seed, tag+"/plan-run", baseName, out.Data(), base); err != nil {
+			return err
+		}
+
+		// RunBatch with three chunks (case input, extra input, case input
+		// again) must reproduce the single runs chunk for chunk at any
+		// worker count.
+		inShape := plan.Graph.In.OutShape
+		batched := tensor.New(append([]int{3 * inShape[0]}, inShape[1:]...)...)
+		per := gc.Input.NumElements()
+		copy(batched.Data()[0:per], gc.Input.Data())
+		copy(batched.Data()[per:2*per], extra.Data())
+		copy(batched.Data()[2*per:3*per], gc.Input.Data())
+		for _, workers := range []int{1, 2} {
+			bout, err := plan.RunBatch(batched, workers)
+			if err != nil {
+				return fmt.Errorf("conformance: seed %d: %s: RunBatch(workers=%d): %w", seed, tag, workers, err)
+			}
+			perOut := bout.NumElements() / 3
+			bd := bout.Data()
+			name := fmt.Sprintf("%s/run-batch[workers=%d]", tag, workers)
+			if err := checkExact(seed, name+"/chunk0", baseName, bd[0:perOut], base); err != nil {
+				return err
+			}
+			if err := checkExact(seed, name+"/chunk1", "single run on extra input", bd[perOut:2*perOut], extraOut); err != nil {
+				return err
+			}
+			if err := checkExact(seed, name+"/chunk2", baseName, bd[2*perOut:3*perOut], base); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

@@ -119,12 +119,6 @@ type Graph struct {
 	In     *Node
 	Out    *Node
 	nextID int
-
-	// Regions holds the fusible operator chains found by the RegionFusion
-	// analysis pass (see fusion.go). It is an annotation over Nodes, not
-	// part of the graph structure: serialization ignores it, Clone drops
-	// it, and Optimize recomputes it after every structural change.
-	Regions []Region
 }
 
 // New creates a graph with one input node of the given shape.

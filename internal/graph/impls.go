@@ -39,8 +39,5 @@ func (g *Graph) Clone() *Graph {
 	}
 	c.In = old2new[g.In]
 	c.Out = old2new[g.Out]
-	// Regions hold pointers into the original node list; they are an
-	// Optimize-produced annotation and are recomputed on the clone by the
-	// next Optimize, so the copy starts with none.
 	return c
 }

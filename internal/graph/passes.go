@@ -34,14 +34,7 @@ func Optimize(g *Graph) error {
 			break
 		}
 	}
-	if err := g.InferShapes(); err != nil {
-		return err
-	}
-	// Region fusion is an analysis annotation and must see the final
-	// structure, so it runs once after the fixpoint (relu-fuse and dce in
-	// particular change which chains exist and who consumes whom).
-	_, err := RegionFusion{}.Run(g)
-	return err
+	return g.InferShapes()
 }
 
 // replaceUses rewires every use of old (as an input or as the graph output)

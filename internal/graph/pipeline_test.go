@@ -11,9 +11,9 @@ import (
 )
 
 // The pass-pipeline golden tests: three small committed .igm graphs run
-// through bn-fold → relu-fuse → region-fusion → dce pass by pass, with the
-// structural outcome of every stage pinned and the numeric output checked
-// against the unoptimized evaluation. Regenerate the graphs with
+// through bn-fold → relu-fuse → dce pass by pass, with the structural
+// outcome of every stage pinned and the numeric output checked against the
+// unoptimized evaluation. Regenerate the graphs with
 //
 //	go test ./internal/graph -run TestPassPipeline -update
 
@@ -48,8 +48,7 @@ func pipelineCases() []pipelineCase {
 	return []pipelineCase{
 		{
 			// The canonical serving chain: the batch norm folds into the
-			// conv, the ReLU fuses into it, and region fusion groups
-			// conv+pool into one tiled region.
+			// conv and the ReLU fuses into it.
 			name: "conv_bn_relu_pool",
 			build: func() *Graph {
 				r := tensor.NewRNG(41)
@@ -75,26 +74,14 @@ func pipelineCases() []pipelineCase {
 				if n := len(g.Topo()); n != 3 {
 					t.Errorf("got %d reachable nodes after dce, want 3 (input, conv, pool)", n)
 				}
-				if len(g.Regions) != 1 {
-					t.Fatalf("got %d regions, want 1: %+v", len(g.Regions), g.Regions)
-				}
-				reg := g.Regions[0]
-				if reg.Head.Name != "conv1" || !reg.Head.Attrs.FusedReLU {
-					t.Errorf("region head = %s (fusedReLU=%v), want conv1 with fused ReLU",
-						reg.Head.Name, reg.Head.Attrs.FusedReLU)
-				}
-				if reg.Pool == nil || reg.Tail != reg.Pool || len(reg.Relus) != 0 {
-					t.Errorf("region shape = %+v, want conv head + pool tail, no interior ReLU", reg)
-				}
-				if got := reg.Name(); got != "conv1+pool1" {
-					t.Errorf("region name = %q, want conv1+pool1", got)
+				if c := findNode(g, "conv1"); c == nil || !c.Attrs.FusedReLU {
+					t.Errorf("conv1 should carry the fused ReLU")
 				}
 			},
 		},
 		{
 			// A dense chain with a double ReLU: the first rectifier fuses
-			// into the dense node, the second survives as the interior of an
-			// elementwise region (the runtime replays it in place).
+			// into the dense node, the second survives as its own node.
 			name: "dense_relu",
 			build: func() *Graph {
 				r := tensor.NewRNG(42)
@@ -110,27 +97,18 @@ func pipelineCases() []pipelineCase {
 				if n := countKind(g, OpReLU); n != 1 {
 					t.Errorf("got %d explicit ReLU nodes, want 1 (relu_a fused, relu_b kept)", n)
 				}
-				if len(g.Regions) != 1 {
-					t.Fatalf("got %d regions, want 1: %+v", len(g.Regions), g.Regions)
+				if fc := findNode(g, "fc1"); fc == nil || !fc.Attrs.FusedReLU {
+					t.Errorf("fc1 should carry the fused ReLU")
 				}
-				reg := g.Regions[0]
-				if reg.Head.Name != "fc1" || !reg.Head.Attrs.FusedReLU {
-					t.Errorf("region head = %s (fusedReLU=%v), want fc1 with fused ReLU",
-						reg.Head.Name, reg.Head.Attrs.FusedReLU)
-				}
-				if reg.Pool != nil || len(reg.Relus) != 1 || reg.Relus[0].Name != "relu_b" {
-					t.Errorf("region shape = %+v, want dense head + interior relu_b, no pool", reg)
-				}
-				if got := reg.Name(); got != "fc1+relu_b" {
-					t.Errorf("region name = %q, want fc1+relu_b", got)
+				if findNode(g, "relu_b") == nil {
+					t.Errorf("relu_b should survive as an explicit node")
 				}
 			},
 		},
 		{
 			// A stem feeding two branches: the stem's ReLU still fuses (the
-			// stem had a single consumer at fuse time), but the stem itself
-			// must not head a region — its output has two consumers and must
-			// materialize. Each branch fuses into its own conv+pool region.
+			// stem had a single consumer at fuse time), and so does each
+			// branch's.
 			name: "multi_consumer",
 			build: func() *Graph {
 				r := tensor.NewRNG(43)
@@ -158,20 +136,10 @@ func pipelineCases() []pipelineCase {
 				if n := countKind(g, OpReLU); n != 0 {
 					t.Errorf("got %d explicit ReLU nodes, want 0 (all single-consumer producers)", n)
 				}
-				if len(g.Regions) != 2 {
-					t.Fatalf("got %d regions, want 2 branch regions: %+v", len(g.Regions), g.Regions)
-				}
-				for _, reg := range g.Regions {
-					if reg.Head.Name == "stem" {
-						t.Errorf("stem headed a region; its two consumers require it to materialize")
+				for _, name := range []string{"br_a", "br_b"} {
+					if br := findNode(g, name); br == nil || !br.Attrs.FusedReLU {
+						t.Errorf("%s conv should carry the fused ReLU", name)
 					}
-					if reg.Pool == nil || !reg.Head.Attrs.FusedReLU {
-						t.Errorf("branch region %s: want fused-ReLU conv head + pool tail, got %+v",
-							reg.Name(), reg)
-					}
-				}
-				if a, b := g.Regions[0].Name(), g.Regions[1].Name(); a != "br_a+br_a_pool" || b != "br_b+br_b_pool" {
-					t.Errorf("region names = %q, %q; want br_a+br_a_pool, br_b+br_b_pool", a, b)
 				}
 				stem := findNode(g, "stem")
 				if stem == nil || !stem.Attrs.FusedReLU {
@@ -194,7 +162,7 @@ func findNode(g *Graph, name string) *Node {
 // TestPassPipelineGolden loads each committed graph, pins its byte-level
 // serialization (Save∘ReadGraph must reproduce the file), runs the pass
 // pipeline stage by stage, checks the optimized graph still computes the
-// same function, and asserts the expected structure and region annotations.
+// same function, and asserts the expected structure.
 func TestPassPipelineGolden(t *testing.T) {
 	for _, c := range pipelineCases() {
 		c := c
@@ -236,7 +204,7 @@ func TestPassPipelineGolden(t *testing.T) {
 			}
 			want := append([]float32(nil), before.Data()...)
 
-			for _, p := range []Pass{FoldBatchNorm{}, FuseReLU{}, RegionFusion{}, EliminateDead{}} {
+			for _, p := range []Pass{FoldBatchNorm{}, FuseReLU{}, EliminateDead{}} {
 				if _, err := p.Run(g); err != nil {
 					t.Fatalf("pass %s: %v", p.Name(), err)
 				}

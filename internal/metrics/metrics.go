@@ -81,9 +81,6 @@ type Recorder struct {
 	byName  map[string]*LayerStats
 	ordered []*LayerStats
 
-	regByName  map[string]*RegionStats
-	regOrdered []*RegionStats
-
 	epByName  map[string]*EndpointStats
 	epOrdered []*EndpointStats
 
@@ -102,11 +99,10 @@ type Recorder struct {
 // installs the recorder process-wide.
 func New() *Recorder {
 	return &Recorder{
-		byName:    make(map[string]*LayerStats),
-		regByName: make(map[string]*RegionStats),
-		epByName:  make(map[string]*EndpointStats),
-		atByName:  make(map[string]*AutotuneStats),
-		mdByName:  make(map[string]*ModelStats),
+		byName:   make(map[string]*LayerStats),
+		epByName: make(map[string]*EndpointStats),
+		atByName: make(map[string]*AutotuneStats),
+		mdByName: make(map[string]*ModelStats),
 	}
 }
 
@@ -164,24 +160,6 @@ func (r *Recorder) Layer(name string) *LayerStats {
 	r.byName[name] = l
 	r.ordered = append(r.ordered, l)
 	return l
-}
-
-// Region returns the named fused-region series, creating it on first use.
-// Like Layer, registration is the cold path (executor construction) and the
-// handle records with atomics; executors of one plan share series by name.
-func (r *Recorder) Region(name string) *RegionStats {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.regByName[name]; ok {
-		return s
-	}
-	s := &RegionStats{name: name}
-	r.regByName[name] = s
-	r.regOrdered = append(r.regOrdered, s)
-	return s
 }
 
 // Endpoint returns the named serving-endpoint series, creating it on first
@@ -329,49 +307,6 @@ func (s *EndpointStats) ObserveQueueDepth(depth int) {
 	atomicMax(&s.queueMax, int64(depth))
 }
 
-// RegionStats aggregates one fused region's executions and the scheduler's
-// memory model for it. Runs and Tiles are live counters; the byte fields
-// are plan-time gauges set once via SetModel. All methods are atomic and
-// nil-safe.
-type RegionStats struct {
-	name string
-	mode atomic.Pointer[string]
-
-	// Runs counts region-step executions; Tiles counts the tile passes
-	// those runs performed (batch × tiles per image for tiled regions).
-	Runs  atomic.Int64
-	Tiles atomic.Int64
-
-	retainedBytes    atomic.Int64
-	spilledBytes     atomic.Int64
-	fusedDRAMBytes   atomic.Int64
-	unfusedDRAMBytes atomic.Int64
-}
-
-// Name returns the region's registration name.
-func (s *RegionStats) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// SetModel records the scheduler's decision for the region: its execution
-// mode ("tiled", "elementwise", or "spilled"), the intermediate bytes it
-// retained on-chip vs spilled to the arena, and the modeled DRAM traffic
-// with and without fusion. Idempotent; every executor of the plan sets the
-// same values.
-func (s *RegionStats) SetModel(mode string, retained, spilled, fusedDRAM, unfusedDRAM int64) {
-	if s == nil {
-		return
-	}
-	s.mode.Store(&mode)
-	s.retainedBytes.Store(retained)
-	s.spilledBytes.Store(spilled)
-	s.fusedDRAMBytes.Store(fusedDRAM)
-	s.unfusedDRAMBytes.Store(unfusedDRAM)
-}
-
 // LayerStats aggregates one layer's executions: dispatch counts and total
 // latency per kernel family, a latency histogram, and batch-size extents.
 // The per-kernel (count, sum-ns) pairs form the latency series the online
@@ -457,7 +392,7 @@ type ExecStats struct {
 	BatchItems atomic.Int64 // chunks dispatched across all RunBatch calls
 
 	ArenaBytesResident atomic.Int64 // bytes of activation arenas built (resident in the pool)
-	ArenaBytesPeak     atomic.Int64 // largest single plan arena built (the high-water metric the fused scheduler shrinks)
+	ArenaBytesPeak     atomic.Int64 // largest single plan arena built
 	ScratchHighWater   atomic.Int64 // max per-shard scratch floats observed
 
 	RunNs Hist // end-to-end Run latency

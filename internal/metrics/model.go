@@ -121,8 +121,8 @@ type SharedDictSnapshot struct {
 }
 
 // FilterModel returns a copy of the snapshot restricted to one model's
-// series: its endpoint and registry rows (exact name match) and its layer,
-// region, and autotune rows (name prefixed "model/" or "model@", the two
+// series: its endpoint and registry rows (exact name match) and its layer
+// and autotune rows (name prefixed "model/" or "model@", the two
 // MetricsPrefix conventions of obs.Meter and the versioned registry).
 // Process-wide series (kernels, pool, executor, shared dict) are kept as-is
 // since they cannot be attributed per model.
@@ -137,12 +137,6 @@ func (s Snapshot) FilterModel(model string) Snapshot {
 	for _, l := range s.Layers {
 		if owns(l.Name) {
 			out.Layers = append(out.Layers, l)
-		}
-	}
-	out.Regions = nil
-	for _, r := range s.Regions {
-		if owns(r.Name) {
-			out.Regions = append(out.Regions, r)
 		}
 	}
 	out.Endpoints = nil

@@ -27,20 +27,6 @@ type LayerSnapshot struct {
 	MaxBatch  int64   `json:"max_batch"`
 }
 
-// RegionSnapshot is the point-in-time view of one fused region: the
-// scheduler's decision (mode, retained/spilled bytes, modeled DRAM traffic
-// fused vs unfused) and the live run/tile counters.
-type RegionSnapshot struct {
-	Name             string `json:"name"`
-	Mode             string `json:"mode"`
-	Runs             int64  `json:"runs"`
-	Tiles            int64  `json:"tiles"`
-	RetainedBytes    int64  `json:"retained_bytes"`
-	SpilledBytes     int64  `json:"spilled_bytes"`
-	FusedDRAMBytes   int64  `json:"fused_dram_bytes"`
-	UnfusedDRAMBytes int64  `json:"unfused_dram_bytes"`
-}
-
 // AutotuneSnapshot is the point-in-time view of one tuned layer's bandit:
 // the implementation currently serving it, the executions the bandit
 // routed, the exploration fraction spent on alternates, and how many
@@ -105,9 +91,6 @@ type ExecSnapshot struct {
 // serializable to JSON (the expvar-style dump).
 type Snapshot struct {
 	Layers []LayerSnapshot `json:"layers"`
-	// Regions lists the fused-region series (empty unless a plan compiled
-	// with the graph scheduler registered executors).
-	Regions []RegionSnapshot `json:"regions,omitempty"`
 	// Endpoints lists the serving-endpoint series (empty unless a serve
 	// batcher registered traffic).
 	Endpoints []EndpointSnapshot `json:"endpoints,omitempty"`
@@ -136,7 +119,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	layers := append([]*LayerStats(nil), r.ordered...)
-	regions := append([]*RegionStats(nil), r.regOrdered...)
 	endpoints := append([]*EndpointStats(nil), r.epOrdered...)
 	autotune := append([]*AutotuneStats(nil), r.atOrdered...)
 	models := append([]*ModelStats(nil), r.mdOrdered...)
@@ -144,9 +126,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	s.Layers = make([]LayerSnapshot, 0, len(layers))
 	for _, l := range layers {
 		s.Layers = append(s.Layers, l.Snapshot())
-	}
-	for _, reg := range regions {
-		s.Regions = append(s.Regions, reg.Snapshot())
 	}
 	for _, ep := range endpoints {
 		s.Endpoints = append(s.Endpoints, ep.Snapshot())
@@ -231,25 +210,6 @@ func (s *AutotuneStats) Snapshot() AutotuneSnapshot {
 	snap.Executions = s.Executions.Load()
 	snap.Explorations = s.Explorations.Load()
 	snap.Promotions = s.Promotions.Load()
-	return snap
-}
-
-// Snapshot captures one region series.
-func (s *RegionStats) Snapshot() RegionSnapshot {
-	var snap RegionSnapshot
-	if s == nil {
-		return snap
-	}
-	snap.Name = s.name
-	if m := s.mode.Load(); m != nil {
-		snap.Mode = *m
-	}
-	snap.Runs = s.Runs.Load()
-	snap.Tiles = s.Tiles.Load()
-	snap.RetainedBytes = s.retainedBytes.Load()
-	snap.SpilledBytes = s.spilledBytes.Load()
-	snap.FusedDRAMBytes = s.fusedDRAMBytes.Load()
-	snap.UnfusedDRAMBytes = s.unfusedDRAMBytes.Load()
 	return snap
 }
 

@@ -30,7 +30,7 @@ var compiledProgramDigests = map[string]string{
 }
 
 // serveDefaults is what a default-flag inspire-serve compiles with: auto
-// selection, 4-bit, unfused, a dictionary store of its own.
+// selection, 4-bit, a dictionary store of its own.
 func serveDefaults() runtime.Options {
 	return runtime.Options{Force: runtime.ImplAuto, Bits: 4, DictStore: ipe.NewDictStore()}
 }

@@ -75,8 +75,8 @@ func InputFor(name string) (*tensor.Tensor, error) {
 // share: it builds the named evaluation model at the given weight seed and
 // compiles it through exactly the options the caller passes — so a plan
 // served by inspire-serve and a plan measured by benchmark/ differ in
-// nothing but the caller's explicit Options (Force/Fuse/TuningStore/
-// DictStore), never in model construction.
+// nothing but the caller's explicit Options (Force/TuningStore/DictStore),
+// never in model construction.
 func CompilePlan(name string, seed uint64, opts runtime.Options) (*runtime.Plan, error) {
 	g, err := GraphByName(name, seed)
 	if err != nil {
@@ -160,34 +160,6 @@ func LayerTable(title string, s metrics.Snapshot, prefix string) *report.Table {
 			report.Count(l.Latency.MeanNs),
 			report.Count(l.Latency.MaxNs),
 			report.Num(l.MeanBatch),
-		)
-	}
-	return t
-}
-
-// RegionTable renders the snapshot's fused-region series whose names start
-// with prefix (all of them when prefix is empty) as one row per region: the
-// scheduler's mode decision, live run/tile counters, the intermediate bytes
-// it retained on-chip or spilled, and the modeled DRAM traffic with and
-// without fusion. Empty snapshots (plans compiled without Options.Fuse)
-// render a header-only table.
-func RegionTable(title string, s metrics.Snapshot, prefix string) *report.Table {
-	t := report.NewTable(title,
-		"region", "mode", "runs", "tiles", "retained", "spilled",
-		"fused dram", "unfused dram")
-	for _, r := range s.Regions {
-		if prefix != "" && !strings.HasPrefix(r.Name, prefix) {
-			continue
-		}
-		t.AddRow(
-			strings.TrimPrefix(r.Name, prefix),
-			r.Mode,
-			report.Count(r.Runs),
-			report.Count(r.Tiles),
-			report.Bytes(r.RetainedBytes),
-			report.Bytes(r.SpilledBytes),
-			report.Bytes(r.FusedDRAMBytes),
-			report.Bytes(r.UnfusedDRAMBytes),
 		)
 	}
 	return t
@@ -343,9 +315,8 @@ func Capacity(s metrics.Snapshot) float64 {
 }
 
 // ExecTable renders the executor/arena telemetry: pooling behavior, run
-// counts, arena residency, the largest single plan arena built (the
-// high-water mark the fused scheduler shrinks), and the kernel-scratch
-// high-water mark.
+// counts, arena residency, the largest single plan arena built, and the
+// kernel-scratch high-water mark.
 func ExecTable(s metrics.Snapshot) *report.Table {
 	t := report.NewTable("executors",
 		"acquires", "reuses", "builds", "runs", "mean run ns",

@@ -60,12 +60,15 @@ func TestMeterAndTables(t *testing.T) {
 // TestDefaultTrafficKernelCensus pins the kernel families default-flag
 // serving traffic dispatches: each evaluation model compiled through
 // CompilePlan with inspire-serve's default options (auto selection, 4-bit,
-// unfused, one shared dictionary store) and run under a fresh recorder
-// installed before compile, as the server does. Path deletions are argued
-// from this census (DESIGN.md §15), so a change in implementation selection
-// must change the golden set here deliberately.
+// one shared dictionary store) and run under a fresh recorder installed
+// before compile, as the server does. Path deletions are argued from this
+// census (DESIGN.md §15), so a change in implementation selection must
+// change the golden set here deliberately. The same run pins what the
+// memory planner and the step runner hand the ledger: the plan's arena size
+// (runtime.arena_peak_bytes) and one executed step per plan operator.
 func TestDefaultTrafficKernelCensus(t *testing.T) {
 	want := []string{"factorized", "generic", "im2col", "ipe-compiled"}
+	arena := map[string]int64{"lenet5": 23520, "squeezenet": 81920}
 	opts := runtime.Options{Force: runtime.ImplAuto, Bits: 4, DictStore: ipe.NewDictStore()}
 	for _, name := range []string{"lenet5", "squeezenet"} {
 		in, err := InputFor(name)
@@ -81,13 +84,26 @@ func TestDefaultTrafficKernelCensus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		snap := rec.Snapshot()
 		var got []string
-		for k := range rec.Snapshot().Kernels {
+		for k := range snap.Kernels {
 			got = append(got, k)
 		}
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s dispatched kernel families %v, want %v", name, got, want)
+		}
+		if plan.ArenaBytes != arena[name] || snap.Exec.ArenaBytesPeak != arena[name] {
+			t.Errorf("%s arena = %d B (recorded peak %d), want %d",
+				name, plan.ArenaBytes, snap.Exec.ArenaBytesPeak, arena[name])
+		}
+		if len(snap.Layers) != len(plan.Ops) {
+			t.Errorf("%s recorded %d layer series for %d plan ops", name, len(snap.Layers), len(plan.Ops))
+		}
+		for _, l := range snap.Layers {
+			if l.Latency.Count != 1 {
+				t.Errorf("%s step %s executed %d times in one run, want 1", name, l.Name, l.Latency.Count)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 
-	"repro/internal/accel"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
@@ -19,28 +18,6 @@ import (
 // one of these.
 func ForceableImpls() []Impl {
 	return []Impl{ImplDense, ImplCSR, ImplFactorized, ImplIPE, ImplWinograd}
-}
-
-// FusedModes enumerates the graph-scheduler settings the conformance
-// driver sweeps: every forced implementation compiles once without and once
-// with Options.Fuse, and the two plans must agree bitwise on every path
-// (executor at several shard counts, Plan.Run, chunked RunBatch).
-func FusedModes() []bool { return []bool{false, true} }
-
-// TiledHeadImpls enumerates the implementations whose region heads the
-// tiling planner drives through the windowed kernel entry points. The
-// driver additionally compiles these under TinySRAM, forcing multi-tile
-// schedules so the windowed kernels' partial-halo paths are exercised.
-func TiledHeadImpls() []Impl { return []Impl{ImplDense, ImplIPE} }
-
-// TinySRAM returns the default accelerator model with on-chip SRAM shrunk
-// to 4 KiB, small enough that realistic conv regions need several tiles per
-// image. Fused and unfused plans compiled under the same shrunk config must
-// still agree bitwise.
-func TinySRAM() accel.Config {
-	c := accel.Default()
-	c.SRAMBytes = 4 << 10
-	return c
 }
 
 // EffectiveWeights returns, per node ID, the weight tensor each compiled

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
-	"repro/internal/sched"
 	"repro/internal/tensor"
 )
 
@@ -43,7 +42,6 @@ type Executor struct {
 // runs, but refreshing all of them is branch-free pointer writes).
 type execStep struct {
 	op     *CompiledOp
-	node   *graph.Node
 	insIDs []int
 	ins    []*tensor.Tensor
 	out    *tensor.Tensor
@@ -53,22 +51,6 @@ type execStep struct {
 	// by layer name, so pooled executors aggregate into the same rows.
 	stats  *metrics.LayerStats
 	kernel metrics.Kernel
-	// region is set for fused region steps (nil for singletons); the step
-	// then runs the whole region through runRegion instead of runStep.
-	region *regionExec
-}
-
-// regionExec is the precompiled execution state of one fused region step:
-// the tile windows, their pool-side views, and the head kernel's operands.
-type regionExec struct {
-	rp      *RegionPlan
-	windows []sched.Window      // per-image tile grid (empty unless tiled)
-	pools   []tensor.PoolWindow // pool view of each window
-	outC    int                 // conv output channels (tile plane count)
-	maxPool bool
-	// weight/bias back the dense windowed kernel (nil for IPE heads).
-	weight, bias *tensor.Tensor
-	stats        *metrics.RegionStats
 }
 
 // NewExecutor builds an execution context for the plan: it allocates the
@@ -93,10 +75,6 @@ func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 		e.rec.Exec.Builds.Add(1)
 		e.rec.Exec.ArenaBytesResident.Add(p.ArenaBytes)
 		e.rec.Exec.UpdateArenaPeak(p.ArenaBytes)
-		for _, rp := range p.Regions {
-			e.rec.Region(p.MetricsPrefix+rp.Name).SetModel(rp.Mode(),
-				rp.RetainedBytes, rp.SpilledBytes, rp.FusedDRAMBytes, rp.UnfusedDRAMBytes)
-		}
 	}
 	maxID := 0
 	order := p.Graph.Topo()
@@ -111,38 +89,23 @@ func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 			e.slots[n.ID] = n.Value
 		}
 	}
-	e.steps = make([]execStep, len(p.steps))
-	for i, ps := range p.steps {
-		var (
-			op   *CompiledOp
-			n    *graph.Node // dispatch node (region head for fused steps)
-			outN *graph.Node // node whose buffer the step writes
-			name string      // metrics series name
-			re   *regionExec
-		)
-		if ps.region != nil {
-			rp := ps.region
-			op, n, outN, name = rp.headOp, rp.Head, rp.Tail, rp.Name
-			re = newRegionExec(rp)
-			if e.rec != nil {
-				re.stats = e.rec.Region(p.MetricsPrefix + name)
-			}
-		} else {
-			op, n, outN, name = ps.op, ps.op.Node, ps.op.Node, ps.op.Node.Name
-		}
-		al, ok := p.Alloc[outN.ID]
+	e.steps = make([]execStep, len(p.Ops))
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		n := op.Node
+		al, ok := p.Alloc[n.ID]
 		if !ok {
-			panic(fmt.Sprintf("runtime: no allocation for %s", outN))
+			panic(fmt.Sprintf("runtime: no allocation for %s", n))
 		}
-		out := tensor.From(e.arena[al.Offset/4:al.End()/4], outN.OutShape...)
-		e.slots[outN.ID] = out
+		out := tensor.From(e.arena[al.Offset/4:al.End()/4], n.OutShape...)
+		e.slots[n.ID] = out
 		st := execStep{
-			op: op, node: n, out: out, region: re,
+			op: op, out: out,
 			insIDs: make([]int, len(n.Inputs)),
 			ins:    make([]*tensor.Tensor, len(n.Inputs)),
 		}
 		if e.rec != nil {
-			st.stats = e.rec.Layer(p.MetricsPrefix + name)
+			st.stats = e.rec.Layer(p.MetricsPrefix + n.Name)
 			st.kernel = stepKernel(op)
 		}
 		for j, in := range n.Inputs {
@@ -150,49 +113,7 @@ func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 		}
 		e.steps[i] = st
 	}
-	// Retained concats have an allocation (their inputs write through into
-	// it) but no step of their own; materialize their views so consumers
-	// can read the assembled slab.
-	for _, n := range order {
-		if e.slots[n.ID] != nil || n.Kind == graph.OpInput {
-			continue
-		}
-		if al, ok := p.Alloc[n.ID]; ok {
-			e.slots[n.ID] = tensor.From(e.arena[al.Offset/4:al.End()/4], n.OutShape...)
-		}
-	}
 	return e
-}
-
-// newRegionExec precompiles one fused region's execution state. For tiled
-// regions it materializes the per-image window grid once, with each
-// window's pool-side view, so Run touches no planner code.
-func newRegionExec(rp *RegionPlan) *regionExec {
-	re := &regionExec{rp: rp}
-	if !rp.Tiled {
-		return re
-	}
-	re.windows = rp.Problem.Windows(rp.Tile)
-	re.outC = rp.Head.Attrs.Conv.Normalize().OutC
-	re.maxPool = rp.Pool.Kind == graph.OpMaxPool
-	pa := rp.Pool.Attrs.Pool
-	re.pools = make([]tensor.PoolWindow, len(re.windows))
-	for i, w := range re.windows {
-		re.pools[i] = tensor.PoolWindow{
-			KH: pa.KH, KW: pa.KW,
-			StrideH: pa.StrideH, StrideW: pa.StrideW,
-			PadH: pa.PadH, PadW: pa.PadW,
-			InH: rp.Tile.ConvOH, InW: rp.Tile.ConvOW,
-			PY0: w.PY0, PY1: w.PY1, PX0: w.PX0, PX1: w.PX1,
-			CY0: w.CY0, CX0: w.CX0,
-			TH: w.CY1 - w.CY0, TW: w.CX1 - w.CX0,
-		}
-	}
-	if rp.Impl == ImplDense {
-		re.weight = rp.Head.Param("weight")
-		re.bias = rp.Head.Param("bias")
-	}
-	return re
 }
 
 // stepKernel maps a compiled operator to the kernel-family tag its
@@ -285,7 +206,7 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 			arm := lt.arms[i][lt.perStep[i].Choose()]
 			impl, armPar = arm.impl, arm.par
 			if stats != nil {
-				kernel = stepKernelFor(st.node.Kind, impl)
+				kernel = stepKernelFor(st.op.Node.Kind, impl)
 				if armPar > 0 && e.rec != nil {
 					// Parallelism-qualified arms record into their own
 					// series ("layer@pN") so the bandit can separate
@@ -303,10 +224,10 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 		var err error
 		if stats != nil {
 			t0 := time.Now()
-			err = e.dispatchStep(st, impl)
+			err = e.runStep(st, impl)
 			stats.Record(kernel, time.Since(t0).Nanoseconds(), batch)
 		} else {
-			err = e.dispatchStep(st, impl)
+			err = e.runStep(st, impl)
 		}
 		if prevPar > 0 {
 			e.par.SetShards(prevPar)
@@ -317,7 +238,7 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 				e.rec.Exec.Runs.Add(1)
 				e.rec.Exec.RunErrors.Add(1)
 			}
-			return nil, fmt.Errorf("runtime: executing %s: %w", st.node, err)
+			return nil, fmt.Errorf("runtime: executing %s: %w", st.op.Node, err)
 		}
 	}
 	e.dropInputRefs()
@@ -342,98 +263,14 @@ func (e *Executor) dropInputRefs() {
 	}
 }
 
-// dispatchStep routes a step to the fused-region runner or the singleton
-// operator path. impl is the implementation to execute — st.op.Impl unless
-// the online tuner routed this execution to an alternate arm (fused region
-// steps are never tuned, so regions always run their planned impl).
-func (e *Executor) dispatchStep(st *execStep, impl Impl) error {
-	if st.region != nil {
-		return e.runRegion(st)
-	}
-	return e.runStep(st, impl)
-}
-
-// runRegion executes one fused region step. Elementwise regions run the
-// head kernel straight into the tail's buffer and rectify in place. Tiled
-// regions stream SRAM-sized conv tiles through scratch into the pool: when
-// there are at least as many tiles as shards the tiles themselves are the
-// parallel units (one-shard kernels, per-shard scratch); otherwise the tiles
-// run in order with the kernels sharded internally. Both schedules produce
-// bit-identical outputs — every tile element equals the corresponding
-// whole-layer element, and each pool output is written exactly once.
-func (e *Executor) runRegion(st *execStep) error {
-	re := st.region
-	if !re.rp.Tiled {
-		if err := e.runStep(st, st.op.Impl); err != nil {
-			return err
-		}
-		if re.rp.ExtraReLU {
-			tensor.ReLUInto(st.out, st.out)
-		}
-		if re.stats != nil {
-			re.stats.Runs.Add(1)
-		}
-		return nil
-	}
-	in, dst := st.ins[0], st.out
-	batch := in.Dim(0)
-	nw := len(re.windows)
-	units := batch * nw
-	if e.par.Parallel() && e.par.Shards() > 1 && units >= e.par.Shards() {
-		e.par.For(units, func(shard, lo, hi int) {
-			sp := e.par.Shard(shard)
-			for u := lo; u < hi; u++ {
-				e.execTile(re, in, dst, u/nw, u%nw, sp)
-			}
-		})
-	} else {
-		for b := 0; b < batch; b++ {
-			for wi := 0; wi < nw; wi++ {
-				e.execTile(re, in, dst, b, wi, e.par)
-			}
-		}
-	}
-	if re.stats != nil {
-		re.stats.Runs.Add(1)
-		re.stats.Tiles.Add(int64(units))
-	}
-	return nil
-}
-
-// execTile computes one conv-output tile of one batch element into shard 0's
-// scratch of par, rectifies it if the region fused a ReLU, and reduces it
-// through the pool window into the region's output buffer. The conv kernel
-// shards internally on par: the executor's own context in tile-serial mode,
-// a one-shard view over the running shard's scratch in tile-parallel mode.
-func (e *Executor) execTile(re *regionExec, in, dst *tensor.Tensor, b, wi int, par *tensor.Par) {
-	rp := re.rp
-	w := re.windows[wi]
-	s := par.Scratch(0)
-	mark := s.Mark()
-	tile := s.Take(rp.Tile.TileFloats)
-	if tn := re.outC * w.ConvPixels(); tn > 0 {
-		if rp.Impl == ImplIPE {
-			rp.headOp.ipeConv.ForwardWindowIntoPar(tile, in, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
-		} else {
-			tensor.Conv2DWindowIntoPar(tile, in, re.weight, re.bias, rp.Head.Attrs.Conv, b, w.CY0, w.CY1, w.CX0, w.CX1, par)
-		}
-		if rp.ApplyReLU {
-			tensor.ReLUSlice(tile[:tn])
-		}
-	}
-	if re.maxPool {
-		tensor.MaxPool2DWindowFromTile(dst, tile, b, re.pools[wi])
-	} else {
-		tensor.AvgPool2DWindowFromTile(dst, tile, b, re.pools[wi])
-	}
-	s.Release(mark)
-}
-
 // runStep dispatches one operator to its selected destination-passing
-// kernel. Conv/dense implementations apply their fused ReLU after the
-// kernel; the generic graph path handles it inside EvalNodeIntoPar.
+// kernel. impl is the implementation to execute — st.op.Impl unless the
+// online tuner routed this execution to an alternate arm. Conv/dense
+// implementations apply their fused ReLU after the kernel; the generic graph
+// path handles it inside EvalNodeIntoPar.
 func (e *Executor) runStep(st *execStep, impl Impl) error {
-	n, op, dst := st.node, st.op, st.out
+	op, dst := st.op, st.out
+	n := op.Node
 	switch {
 	case n.Kind == graph.OpConv && impl == ImplCSR:
 		op.csrConv.ForwardIntoPar(dst, st.ins[0], e.par)

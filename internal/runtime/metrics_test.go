@@ -134,7 +134,7 @@ func TestExecutorMetricsDisabled(t *testing.T) {
 	}
 	for _, st := range e.steps {
 		if st.stats != nil {
-			t.Fatalf("step %s has a layer series while disabled", st.node.Name)
+			t.Fatalf("step %s has a layer series while disabled", st.op.Node.Name)
 		}
 	}
 	in := tensor.New(1, 1, 28, 28)

@@ -90,13 +90,6 @@ type Options struct {
 	// Force pins every conv/dense operator to one implementation;
 	// ImplAuto (zero value) selects per operator by simulated cycles.
 	Force Impl
-	// Fuse turns on the graph-level scheduler: fused regions
-	// (conv→relu→pool, dense→relu) execute as single arena-resident
-	// passes with cache-sized tiles planned against HW.SRAMBytes, and
-	// single-consumer concat inputs write through into the concat's
-	// buffer. Results are bit-identical to the unfused plan; peak arena
-	// bytes and modeled DRAM traffic shrink (see DESIGN.md §10).
-	Fuse bool
 	// TuneDense auto-tunes the dense schedule per conv layer instead of
 	// using the default heuristic schedule.
 	TuneDense bool
@@ -160,12 +153,6 @@ type CompiledOp struct {
 	// Candidates maps every evaluated implementation to its modeled
 	// execution, for the per-layer reports.
 	Candidates map[Impl]accel.Result
-	// profiles holds the roofline kernel profile behind each candidate, so
-	// the fused scheduler can re-simulate a region with its DRAM traffic
-	// replaced by the tiled value. (The dense conv candidate's Sim comes
-	// from the schedule explorer; its entry here is the representative
-	// roofline profile.)
-	profiles map[Impl]accel.KernelProfile
 
 	// shapeKey identifies the operator's workload shape for the persistent
 	// tuning cache (schedule.Workload.Key for convs, a dense key for FC
@@ -186,7 +173,9 @@ type CompiledOp struct {
 // Plan is a compiled, memory-planned, implementation-selected graph.
 type Plan struct {
 	Graph *graph.Graph
-	Ops   []CompiledOp
+	// Ops is the execution schedule: one step per operator, in topological
+	// order.
+	Ops []CompiledOp
 	// Alloc maps node IDs to arena placements; ArenaBytes is the arena
 	// size.
 	Alloc      map[int]Allocation
@@ -194,15 +183,6 @@ type Plan struct {
 	// Total is the modeled whole-network execution.
 	Total accel.Result
 	Opts  Options
-
-	// Regions records the scheduler's decision for every fusible region of
-	// the graph (empty unless compiled with Options.Fuse). Spilled entries
-	// execute member-by-member; the rest execute as single fused steps.
-	Regions []*RegionPlan
-	// steps is the execution schedule NewExecutor walks: singleton operator
-	// steps interleaved with fused region steps, in topological order.
-	// Without Fuse it is exactly one singleton per op.
-	steps []planStep
 
 	// MetricsPrefix is prepended to layer names when executors register
 	// their metrics series (e.g. "lenet5/" so two plans in one process
@@ -230,12 +210,8 @@ type Plan struct {
 
 // Compile optimizes g in place, builds every candidate implementation for
 // each conv/dense operator, simulates them on the accelerator model,
-// selects per-operator winners, and then plans memory. Without Options.Fuse
-// the memory plan is the classic whole-tensor interval allocation; with it
-// the fused scheduler groups region chains into single steps, tiles their
-// interiors against SRAM, and write-through-retains concat inputs (memory
-// planning must therefore run after implementation selection, which decides
-// which regions tile).
+// selects per-operator winners, and plans memory (PlanMemory's whole-tensor
+// interval allocation).
 func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
 	if err := graph.Optimize(g); err != nil {
@@ -285,27 +261,13 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 		}
 	}
 	p.Ops = ops
-	if opts.Fuse {
-		if err := buildFusedPlan(p); err != nil {
-			return nil, err
-		}
-	} else {
-		alloc, arenaBytes, err := PlanMemory(g)
-		if err != nil {
-			return nil, err
-		}
-		p.Alloc, p.ArenaBytes = alloc, arenaBytes
-		p.steps = make([]planStep, len(p.Ops))
-		for i := range p.Ops {
-			p.steps[i] = planStep{op: &p.Ops[i]}
-		}
+	alloc, arenaBytes, err := PlanMemory(g)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range p.steps {
-		if s.region != nil {
-			p.Total.Accumulate(s.region.Sim)
-		} else {
-			p.Total.Accumulate(s.op.Sim)
-		}
+	p.Alloc, p.ArenaBytes = alloc, arenaBytes
+	for i := range p.Ops {
+		p.Total.Accumulate(p.Ops[i].Sim)
 	}
 	return p, nil
 }
@@ -397,13 +359,11 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{
 		Node:       n,
 		Candidates: make(map[Impl]accel.Result),
-		profiles:   make(map[Impl]accel.KernelProfile),
 	}
 
 	if wants(opts.Force, ImplDense) {
 		// Dense candidate (float weights, scheduled).
 		op.Candidates[ImplDense] = denseConvSim(wl, opts)
-		op.profiles[ImplDense] = accel.DenseConvProfile(spec, wl.N, wl.H, wl.W)
 	}
 	q := quantizeOnce(weight, opts)
 	if wants(opts.Force, ImplCSR) {
@@ -412,8 +372,7 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 			return op, err
 		}
 		op.csrConv = csr
-		op.profiles[ImplCSR] = accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ())
-		op.Candidates[ImplCSR] = opts.HW.Simulate(op.profiles[ImplCSR])
+		op.Candidates[ImplCSR] = opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ()))
 	}
 	if wants(opts.Force, ImplFactorized) {
 		fact, err := baseline.NewConvFactorizedFromQuantized(q, bias, spec)
@@ -425,8 +384,7 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 		for _, m := range fact.Mats {
 			factSyms += m.K
 		}
-		op.profiles[ImplFactorized] = accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, fact.Cost(), factSyms)
-		op.Candidates[ImplFactorized] = opts.HW.Simulate(op.profiles[ImplFactorized])
+		op.Candidates[ImplFactorized] = opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, fact.Cost(), factSyms))
 	}
 	if wants(opts.Force, ImplIPE) {
 		ipeL, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
@@ -442,19 +400,16 @@ func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
 			ipeL.Programs[i].Compiled()
 		}
 		op.ipeConv = ipeL
-		op.profiles[ImplIPE] = accel.IPEConvProfile(ipeL, wl.N, wl.H, wl.W)
-		op.Candidates[ImplIPE] = opts.HW.Simulate(op.profiles[ImplIPE])
+		op.Candidates[ImplIPE] = opts.HW.Simulate(accel.IPEConvProfile(ipeL, wl.N, wl.H, wl.W))
 	}
 	if wants(opts.Force, ImplWinograd) {
 		if win, err := baseline.NewConvWinograd(weight, bias, spec); err == nil {
 			op.winConv = win
-			op.profiles[ImplWinograd] = accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, win.Cost(wl.N, wl.H, wl.W))
-			op.Candidates[ImplWinograd] = opts.HW.Simulate(op.profiles[ImplWinograd])
+			op.Candidates[ImplWinograd] = opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, win.Cost(wl.N, wl.H, wl.W)))
 		} else if opts.Force == ImplWinograd {
 			// Winograd does not apply (kernel/stride/groups): fall back to
 			// the dense schedule so a forced-winograd plan stays runnable.
 			op.Candidates[ImplDense] = denseConvSim(wl, opts)
-			op.profiles[ImplDense] = accel.DenseConvProfile(spec, wl.N, wl.H, wl.W)
 		}
 	}
 	op.shapeKey = wl.Key()
@@ -471,7 +426,6 @@ func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{
 		Node:        n,
 		Candidates:  make(map[Impl]accel.Result),
-		profiles:    make(map[Impl]accel.KernelProfile),
 		denseWeight: weight,
 		denseBias:   bias,
 	}
@@ -481,33 +435,30 @@ func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
 		c.Muls *= int64(batch)
 		return c
 	}
-	toProfile := func(name string, c ipe.Cost, weightBytes int64) accel.KernelProfile {
+	simulate := func(name string, c ipe.Cost, weightBytes int64) accel.Result {
 		actBytes := int64(batch*(m+k)) * 4
-		return accel.KernelProfile{
+		return opts.HW.Simulate(accel.KernelProfile{
 			Name: name, Adds: c.Adds, Muls: c.Muls,
 			SRAMAccesses:    2 * (c.Adds + c.Muls),
 			DRAMBytes:       weightBytes + actBytes,
 			WorkingSetBytes: weightBytes,
-		}
+		})
 	}
 	if wants(opts.Force, ImplDense) || opts.Force == ImplWinograd {
 		// Winograd has no dense-FC form; a forced-winograd plan runs its
 		// fully connected layers dense.
-		op.profiles[ImplDense] = toProfile("dense", scaleCost(ipe.DenseCost(m, k)), int64(m*k)*4)
-		op.Candidates[ImplDense] = opts.HW.Simulate(op.profiles[ImplDense])
+		op.Candidates[ImplDense] = simulate("dense", scaleCost(ipe.DenseCost(m, k)), int64(m*k)*4)
 	}
 	q := quantizeOnce(weight, opts)
 	if wants(opts.Force, ImplCSR) {
 		csr := baseline.NewCSRFromQuantized(q)
 		op.csrDense = csr
-		op.profiles[ImplCSR] = toProfile("csr", scaleCost(csr.Cost()), int64(csr.NNZ())*6)
-		op.Candidates[ImplCSR] = opts.HW.Simulate(op.profiles[ImplCSR])
+		op.Candidates[ImplCSR] = simulate("csr", scaleCost(csr.Cost()), int64(csr.NNZ())*6)
 	}
 	if wants(opts.Force, ImplFactorized) {
 		fact := baseline.NewFactorized(q)
 		op.factDense = fact
-		op.profiles[ImplFactorized] = toProfile("factorized", scaleCost(fact.Cost()), fact.StreamSymbols()*2)
-		op.Candidates[ImplFactorized] = opts.HW.Simulate(op.profiles[ImplFactorized])
+		op.Candidates[ImplFactorized] = simulate("factorized", scaleCost(fact.Cost()), fact.StreamSymbols()*2)
 	}
 	if wants(opts.Force, ImplIPE) {
 		ipeL, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
@@ -518,8 +469,7 @@ func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
 		ipeL.Program.Compiled() // lower the serving form at plan time
 		op.ipeDense = ipeL
 		ic := ipeL.Program.Cost()
-		op.profiles[ImplIPE] = toProfile("ipe", scaleCost(ic), ic.StreamSymbols*2+int64(ipeL.Program.DictSize())*4)
-		op.Candidates[ImplIPE] = opts.HW.Simulate(op.profiles[ImplIPE])
+		op.Candidates[ImplIPE] = simulate("ipe", scaleCost(ic), ic.StreamSymbols*2+int64(ipeL.Program.DictSize())*4)
 	}
 	op.shapeKey = fmt.Sprintf("dense-m%d-k%d-b%d", m, k, batch)
 	op.Impl = chooseImpl(op.Candidates, opts.Force)
@@ -557,7 +507,6 @@ func compileGeneric(n *graph.Node, opts Options) CompiledOp {
 	return CompiledOp{
 		Node: n, Impl: ImplDense, Sim: sim,
 		Candidates: map[Impl]accel.Result{ImplDense: sim},
-		profiles:   map[Impl]accel.KernelProfile{ImplDense: prof},
 	}
 }
 

@@ -66,7 +66,7 @@ type tunedArm struct {
 
 // liveTuner is the routing state installed on Plan.live while tuning is
 // active. perStep/arms are indexed by plan step: nil entries are untuned
-// steps (fused regions, generic ops, single-candidate operators).
+// steps (generic ops, single-candidate operators).
 type liveTuner struct {
 	tuner   *autotune.Bandit
 	perStep []*autotune.LayerTuner
@@ -139,23 +139,21 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 		stepIdx []int // plan step index of each declared layer
 		armSets [][]tunedArm
 	)
-	for i, ps := range p.steps {
-		if ps.op == nil || ps.region != nil {
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		impls := op.tunableArms()
+		if len(impls) < 2 || op.shapeKey == "" {
 			continue
 		}
-		impls := ps.op.tunableArms()
-		if len(impls) < 2 || ps.op.shapeKey == "" {
-			continue
-		}
-		name := p.MetricsPrefix + ps.op.Node.Name
+		name := p.MetricsPrefix + op.Node.Name
 		var (
 			names   []string
 			arms    []tunedArm
 			initial = -1
 		)
 		for _, im := range impls {
-			kernel := stepKernelFor(ps.op.Node.Kind, im)
-			if im == ps.op.Impl {
+			kernel := stepKernelFor(op.Node.Kind, im)
+			if im == op.Impl {
 				initial = len(arms)
 			}
 			names = append(names, autotune.ArmName(im.String(), 0))
@@ -176,7 +174,7 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 			continue // planned impl not among the candidates (cannot happen for Compile-built plans)
 		}
 		decls = append(decls, autotune.TunedLayer{
-			Name: name, Shape: ps.op.shapeKey, Arms: names, Initial: initial,
+			Name: name, Shape: op.shapeKey, Arms: names, Initial: initial,
 		})
 		stepIdx = append(stepIdx, i)
 		armSets = append(armSets, arms)
@@ -188,8 +186,8 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 	}
 	lt := &liveTuner{
 		tuner:   tuner,
-		perStep: make([]*autotune.LayerTuner, len(p.steps)),
-		arms:    make([][]tunedArm, len(p.steps)),
+		perStep: make([]*autotune.LayerTuner, len(p.Ops)),
+		arms:    make([][]tunedArm, len(p.Ops)),
 	}
 	// NewBandit keeps >=2-arm layers in declaration order, and every decl
 	// has >=2 arms, so tuner.Layers() aligns 1:1 with decls.

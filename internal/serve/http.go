@@ -127,17 +127,24 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 	if len(shape) == 0 {
 		shape = info.InputShape
 	}
+	mismatch := errorBody{Error: "data length does not match shape"}
 	n := 1
 	for _, d := range shape {
 		if d <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "non-positive dimension in shape"})
 			return
 		}
+		// Every dimension is >= 1, so the product only grows: stop before it
+		// passes len(req.Data) instead of letting it wrap around int and
+		// match again.
+		if d > len(req.Data)/n {
+			writeJSON(w, http.StatusBadRequest, mismatch)
+			return
+		}
 		n *= d
 	}
 	if n != len(req.Data) {
-		writeJSON(w, http.StatusBadRequest, errorBody{
-			Error: "data length does not match shape"})
+		writeJSON(w, http.StatusBadRequest, mismatch)
 		return
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -142,6 +143,50 @@ func TestHTTPErrors(t *testing.T) {
 	p.batcher.Close()
 	if got := post("/v1/models/tiny/predict", good); got != http.StatusServiceUnavailable {
 		t.Errorf("closed -> %d, want 503", got)
+	}
+}
+
+// TestHTTPShapeProductOverflow sends shapes whose element count wraps around
+// int back to len(data): each must be refused with 400 before it reaches the
+// batcher (RunBatch would panic sizing the result on the dispatch goroutine,
+// outside net/http's recover, and take the process down), and the handler
+// must keep serving afterwards.
+func TestHTTPShapeProductOverflow(t *testing.T) {
+	runtime.EnableMetrics()
+	defer runtime.DisableMetrics()
+	srv, _ := newTestServer(t, Config{})
+
+	post := func(body string) *http.Response {
+		resp, err := http.Post(srv.URL+"/v1/models/tiny/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	ones := strings.TrimSuffix(strings.Repeat("1,", 16), ",")
+	for _, body := range []string{
+		`{"data":[],"shape":[1152921504606846976,1,28,28]}`,           // 2^60 * 784 wraps to 0
+		`{"data":[],"shape":[1152921504606846976,1,4,4]}`,             // same, with the tiny model's dims
+		`{"data":[` + ones + `],"shape":[1152921504606846977,1,4,4]}`, // (2^60+1) * 16 wraps to 16
+	} {
+		resp := post(body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s -> %d, want 400", body, resp.StatusCode)
+		}
+	}
+
+	resp := post(`{"data":[` + ones + `],"shape":[1,1,4,4]}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid predict after the overflow bodies -> %d, want 200", resp.StatusCode)
+	}
+	var pr PredictResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Data) != 3 {
+		t.Fatalf("output length %d, want 3", len(pr.Data))
 	}
 }
 

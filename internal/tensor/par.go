@@ -61,13 +61,6 @@ func (p *Par) Parallel() bool { return p != nil && p.shards > 1 }
 // Scratch returns shard i's private scratch arena.
 func (p *Par) Scratch(i int) *Scratch { return p.scratch[i] }
 
-// Shard returns a one-shard context over shard i's scratch arena. The body
-// of a parallel region passes it to the *Par kernels to run them serially
-// on that shard's private scratch.
-func (p *Par) Shard(i int) *Par {
-	return &Par{pool: p.pool, shards: 1, scratch: p.scratch[i : i+1 : i+1]}
-}
-
 // HighWater returns the largest per-shard scratch peak (in floats) across
 // the context's shards — the executor's per-run scratch telemetry.
 func (p *Par) HighWater() int {
