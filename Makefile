@@ -158,7 +158,11 @@ serve-smoke:
 # new lenet5 weight version halfway through the run. -fail trips on any
 # dropped (429) or failed request, any response naming the wrong model, any
 # client observing a version regression, or a failed swap — the zero-drop
-# hot-swap contract, end to end over real HTTP. Blocking in CI.
+# hot-swap contract, end to end over real HTTP. Then ten more lenet5 swaps
+# to never-seen weights must leave /metrics' shared_dict.unique_programs and
+# its count of layer series exactly where they were: a retired version
+# gives back its interned programs and its series (every lenet5 version
+# interns the same number of programs). Needs curl and jq. Blocking in CI.
 multi-model-smoke:
 	@set -e; \
 	dir=$$(mktemp -d /tmp/inspire-mm-smoke.XXXXXX); \
@@ -172,4 +176,17 @@ multi-model-smoke:
 	[ -s $$dir/addr ] || { echo "multi-model-smoke: server never bound"; exit 1; }; \
 	addr=$$(cat $$dir/addr); \
 	$$dir/inspire-load -url http://$$addr -models lenet5,squeezenet \
-		-clients 16 -duration 5s -swap-model lenet5 -swap-seed 5 -fail
+		-clients 16 -duration 5s -swap-model lenet5 -swap-seed 5 -fail; \
+	body="{\"data\":[$$(yes 0.1 | head -n 784 | paste -sd, -)]}"; \
+	predict() { curl -sf -o /dev/null http://$$addr/v1/models/lenet5/predict -d "$$body"; }; \
+	resident() { curl -sf http://$$addr/metrics | jq -r '"\(.shared_dict.unique_programs) programs, \(.layers | length) layer series"'; }; \
+	predict; before=$$(resident); \
+	s=0; while [ $$s -lt 10 ]; do \
+		s=$$((s+1)); \
+		curl -sf -o /dev/null http://$$addr/v1/models/lenet5/versions -d "{\"seed\":$$((1000+s))}" || \
+			{ echo "multi-model-smoke: swap $$s failed"; exit 1; }; \
+	done; \
+	predict; after=$$(resident); \
+	[ "$$before" = "$$after" ] || \
+		{ echo "multi-model-smoke: 10 swaps moved residency: $$before -> $$after"; exit 1; }; \
+	echo "multi-model-smoke: 10 more swaps: $$after, unchanged"

@@ -21,13 +21,16 @@
 // Hot swap: POST /v1/models/{model}/versions with {"seed":N} compiles a new
 // weight version while the old one keeps serving, atomically redirects
 // traffic, drains the old batcher (zero dropped requests — CI enforces it),
-// and releases the old executor pool. Responses carry the serving version,
-// so clients can verify monotonicity across swaps.
+// and retires the old version: its executor pool, its interned programs and
+// its metrics series go, so memory stays flat across swaps. Responses carry
+// the serving version, so clients can verify monotonicity across swaps.
 //
 // With -autotune (auto impl selection only) each version's plan is seeded
 // from the -tune-cache file, an online bandit routes a small exploration
 // fraction of live traffic through alternate kernel implementations,
 // promotes sustained winners, and writes them back to the cache on drain.
+// A model runs one tuner, its serving version's: a hot swap stops the
+// outgoing version's tuner, which writes its winners the same way.
 //
 // Endpoints:
 //
@@ -127,15 +130,28 @@ func main() {
 	}
 
 	// Every version of every model — the startup loads below and all later
-	// hot swaps — compiles through this one function.
+	// hot swaps — compiles through this one function. With -autotune each
+	// model keeps one tuner, its serving version's: the registry compiles a
+	// model's versions one at a time, so tuned[model] always names the
+	// version the next compile replaces.
+	type modelTuner struct {
+		pt      *runtime.PlanTuner
+		version int64
+	}
 	var tunersMu sync.Mutex
-	var tuners []*runtime.PlanTuner
+	tuned := make(map[string]modelTuner)
 	compile := func(model string, seed uint64) (*runtime.Plan, error) {
 		plan, err := obs.CompilePlan(model, seed, opts)
 		if err != nil {
 			return nil, err
 		}
 		if *tune {
+			tunersMu.Lock()
+			prev := tuned[model]
+			tunersMu.Unlock()
+			// The tuner names its series when it starts, so the plan needs
+			// the prefix the registry is about to give this version.
+			plan.MetricsPrefix = fmt.Sprintf("%s@v%d/", model, prev.version+1)
 			pt, err := plan.StartTuner(runtime.TunerConfig{
 				Policy:    autotune.Policy{ExplorePeriod: *tuneExplore},
 				Interval:  *tuneInterval,
@@ -143,11 +159,20 @@ func main() {
 				StorePath: *tuneCache,
 			})
 			if err != nil {
+				plan.ReleasePool() // never served: give back what it interned
 				return nil, fmt.Errorf("autotuning %s: %w", model, err)
 			}
 			tunersMu.Lock()
-			tuners = append(tuners, pt)
+			tuned[model] = modelTuner{pt: pt, version: prev.version + 1}
 			tunersMu.Unlock()
+			if prev.pt != nil {
+				// The outgoing version is about to drain: freeze its routing
+				// at its winners and write them to the cache, as shutdown
+				// does, so nothing keeps the retired plan reachable.
+				if err := prev.pt.Stop(); err != nil {
+					fmt.Fprintf(os.Stderr, "inspire-serve: saving tuning cache: %v\n", err)
+				}
+			}
 		}
 		return plan, nil
 	}
@@ -241,12 +266,12 @@ func main() {
 	// Batchers are drained: freeze routing at the promoted winners and
 	// persist them so the next start plans the tuned configuration.
 	tunersMu.Lock()
-	for _, pt := range tuners {
-		if err := pt.Stop(); err != nil {
+	for _, t := range tuned {
+		if err := t.pt.Stop(); err != nil {
 			fmt.Fprintf(os.Stderr, "inspire-serve: saving tuning cache: %v\n", err)
 		}
 	}
-	n := len(tuners)
+	n := len(tuned)
 	tunersMu.Unlock()
 	if n > 0 && *tuneCache != "" {
 		fmt.Printf("inspire-serve: tuning cache saved to %s (%d entries)\n", *tuneCache, store.Len())

@@ -30,12 +30,20 @@ import (
 // Sharing is purely structural — a canonical program executes the exact
 // instruction stream of every duplicate it replaced, so results stay
 // bit-identical to per-model encoding (enforced by conformance's
-// shared-dict variant). All methods are safe for concurrent use; a nil
-// *DictStore is a valid no-op interner.
+// shared-dict variant).
+//
+// Entries are reference counted: every Intern that returns a canonical
+// program acquires one reference, and Release gives it back. A program
+// whose count reaches zero leaves the store, and a dictionary leaves with
+// the last canonical program aliasing it, so a retired model version hands
+// back what it interned while programs a live plan references stay put.
+// All methods are safe for concurrent use; a nil *DictStore is a valid
+// no-op interner.
 type DictStore struct {
 	mu       sync.Mutex
 	programs map[[32]byte]*Program
-	dicts    map[[32]byte]dictEntry
+	entries  map[*Program]*programEntry // canonical program -> its count
+	dicts    map[[32]byte]*dictEntry
 
 	// Stats fields are atomics so hot-path readers (metrics gauges) never
 	// take the map lock.
@@ -47,16 +55,32 @@ type DictStore struct {
 	savedBytes     atomic.Int64
 }
 
+// programEntry is one canonical program's reference count and what its
+// registration charged to the gauges, so the last release takes off
+// exactly what the first intern put on.
+type programEntry struct {
+	key   [32]byte
+	refs  int
+	bytes int64 // UniqueBytes at registration; also SavedBytes per extra reference
+	// dict is the dictionary the program aliases (nil for an empty one);
+	// dictSaved is the SavedBytes its registration charged for sharing it.
+	dict      *dictEntry
+	dictKey   [32]byte
+	dictSaved int64
+}
+
 type dictEntry struct {
 	pairs []Pair
 	depth []int32
+	refs  int // canonical programs aliasing this dictionary
 }
 
 // NewDictStore returns an empty shared dictionary store.
 func NewDictStore() *DictStore {
 	return &DictStore{
 		programs: make(map[[32]byte]*Program),
-		dicts:    make(map[[32]byte]dictEntry),
+		entries:  make(map[*Program]*programEntry),
+		dicts:    make(map[[32]byte]*dictEntry),
 	}
 }
 
@@ -64,13 +88,14 @@ func NewDictStore() *DictStore {
 type DictStats struct {
 	// Lookups counts Intern calls; ProgramHits of them returned an
 	// existing canonical program and DictHits shared only the pair
-	// dictionary (emit rows differed).
+	// dictionary (emit rows differed). These three only grow.
 	Lookups     int64 `json:"lookups"`
 	ProgramHits int64 `json:"program_hits"`
 	DictHits    int64 `json:"dict_hits"`
 	// UniquePrograms/UniqueBytes measure the canonical set actually
-	// resident; SavedBytes estimates the heap the duplicates would have
-	// kept alive without interning.
+	// resident; SavedBytes estimates the heap the duplicates currently
+	// referencing it would have kept alive without interning. All three
+	// fall as references are released.
 	UniquePrograms int64 `json:"unique_programs"`
 	UniqueBytes    int64 `json:"unique_bytes"`
 	SavedBytes     int64 `json:"saved_bytes"`
@@ -102,11 +127,12 @@ func (s *DictStore) Len() int {
 }
 
 // Intern returns the canonical program for p, registering p as canonical if
-// its content was not seen before. On a program-level hit the caller must
-// drop p and use the returned program (whose Compiled form is shared); on a
-// dictionary-level hit p itself is returned with its Pairs/Depth slices
-// re-aliased to the canonical dictionary. Interned programs are shared
-// across plans and must not be mutated. A nil store interns nothing.
+// its content was not seen before, and acquires one reference to it. On a
+// program-level hit the caller must drop p and use the returned program
+// (whose Compiled form is shared); on a dictionary-level hit p itself is
+// returned with its Pairs/Depth slices re-aliased to the canonical
+// dictionary. Interned programs are shared across plans and must not be
+// mutated. A nil store interns nothing.
 func (s *DictStore) Intern(p *Program) *Program {
 	if s == nil || p == nil {
 		return p
@@ -121,29 +147,72 @@ func (s *DictStore) Intern(p *Program) *Program {
 
 	s.mu.Lock()
 	if canon, hit := s.programs[key]; hit {
+		e := s.entries[canon]
+		e.refs++
 		s.mu.Unlock()
 		s.programHits.Add(1)
-		s.savedBytes.Add(p.MemoryBytes())
+		s.savedBytes.Add(e.bytes)
 		s.publish()
 		return canon
 	}
+	e := &programEntry{key: key, refs: 1, bytes: p.MemoryBytes()}
 	if len(p.Pairs) > 0 {
-		dk := dictKey(p)
-		if d, hit := s.dicts[dk]; hit {
+		e.dictKey = dictKey(p)
+		if d, hit := s.dicts[e.dictKey]; hit {
+			e.dictSaved = int64(len(p.Pairs))*pairBytes + int64(len(p.Depth))*4
 			s.dictHits.Add(1)
-			s.savedBytes.Add(int64(len(p.Pairs))*pairBytes + int64(len(p.Depth))*4)
+			s.savedBytes.Add(e.dictSaved)
 			p.Pairs = d.pairs
 			p.Depth = d.depth
+			e.dict = d
 		} else {
-			s.dicts[dk] = dictEntry{pairs: p.Pairs, depth: p.Depth}
+			e.dict = &dictEntry{pairs: p.Pairs, depth: p.Depth}
+			s.dicts[e.dictKey] = e.dict
 		}
+		e.dict.refs++
 	}
 	s.programs[key] = p
+	s.entries[p] = e
 	s.mu.Unlock()
 	s.uniquePrograms.Add(1)
-	s.uniqueBytes.Add(p.MemoryBytes())
+	s.uniqueBytes.Add(e.bytes)
 	s.publish()
 	return p
+}
+
+// Release gives back one reference per program, each a pointer an Intern
+// call returned. A program whose count reaches zero leaves the store,
+// taking its dictionary along when no other canonical program aliases it;
+// the pointer itself stays valid for whoever still holds it, and a later
+// identical Intern registers a fresh canonical program. Programs the store
+// never counted (a nil store, unhashable programs) are ignored.
+func (s *DictStore) Release(progs ...*Program) {
+	if s == nil || len(progs) == 0 {
+		return
+	}
+	s.mu.Lock()
+	for _, p := range progs {
+		e, ok := s.entries[p]
+		if !ok {
+			continue
+		}
+		if e.refs--; e.refs > 0 {
+			s.savedBytes.Add(-e.bytes)
+			continue
+		}
+		delete(s.entries, p)
+		delete(s.programs, e.key)
+		s.uniquePrograms.Add(-1)
+		s.uniqueBytes.Add(-e.bytes)
+		if d := e.dict; d != nil {
+			s.savedBytes.Add(-e.dictSaved)
+			if d.refs--; d.refs == 0 {
+				delete(s.dicts, e.dictKey)
+			}
+		}
+	}
+	s.mu.Unlock()
+	s.publish()
 }
 
 // publish pushes the store's counters to the process recorder (nil-safe).
@@ -160,14 +229,15 @@ func (s *DictStore) publish() {
 
 // programKey hashes the full program content — wire form (K, M, Bits, pair
 // dictionary, emit rows with codes and values) plus the encoder Config,
-// which the wire format drops but Validate consults.
+// which the wire format drops but Validate consults. The wire form streams
+// into the hash through MarshalBinary's encoder in bounded chunks, so
+// interning never materializes it.
 func programKey(p *Program) ([32]byte, bool) {
-	wire, err := p.MarshalBinary()
-	if err != nil {
+	h := sha256.New()
+	w := wireEncoder{buf: make([]byte, 0, wireChunk+wireSlack), sink: h}
+	if err := w.encode(p); err != nil {
 		return [32]byte{}, false
 	}
-	h := sha256.New()
-	h.Write(wire)
 	var cfg [24]byte
 	le := binary.LittleEndian
 	le.PutUint32(cfg[0:], uint32(p.Config.MaxDict))

@@ -1,6 +1,8 @@
 package ipe
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/quant"
@@ -115,6 +117,17 @@ func TestDictStoreSharesDictionaryAcrossHeads(t *testing.T) {
 	if st.DictHits != 1 {
 		t.Fatalf("stats = %+v, want 1 dict hit", st)
 	}
+
+	// The shared dictionary outlives the program that registered it and
+	// leaves with the last program aliasing it.
+	s.Release(progs[0])
+	if s.Len() != 1 || len(s.dicts) != 1 {
+		t.Fatalf("after releasing the first head: %d programs, %d dictionaries, want 1/1", s.Len(), len(s.dicts))
+	}
+	s.Release(&copy1, progs[1]) // progs[1] was never interned: ignored
+	if st := s.Stats(); s.Len() != 0 || len(s.dicts) != 0 || st.UniqueBytes != 0 || st.SavedBytes != 0 {
+		t.Fatalf("after releasing both heads: %d programs, %d dictionaries, %+v", s.Len(), len(s.dicts), st)
+	}
 }
 
 func TestDictStoreDistinguishesConfig(t *testing.T) {
@@ -152,6 +165,7 @@ func TestDictStoreNilSafe(t *testing.T) {
 	if s.Intern(nil) != nil {
 		t.Fatal("nil program must pass through")
 	}
+	s.Release(p) // no-op
 }
 
 func TestDictStoreConcurrentIntern(t *testing.T) {
@@ -190,5 +204,40 @@ func TestMemoryBytesGrowsWithCompilation(t *testing.T) {
 	after := p.MemoryBytes()
 	if after <= before {
 		t.Fatalf("MemoryBytes after compile = %d, want > %d", after, before)
+	}
+}
+
+func TestProgramKeyStreamsTheWireForm(t *testing.T) {
+	// The key hashes the wire form in wireChunk pieces; it must equal the
+	// hash of MarshalBinary's whole buffer followed by the config, for
+	// programs smaller and several chunks larger than one piece.
+	for _, shape := range [][2]int{{4, 16}, {64, 512}} {
+		p := encodeRandom(t, 5, shape[0], shape[1])
+		wire, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(wire)) != p.WireSize() {
+			t.Fatalf("%v: MarshalBinary wrote %d bytes, WireSize %d", shape, len(wire), p.WireSize())
+		}
+		if shape[0] > 4 && len(wire) < 3*wireChunk {
+			t.Fatalf("%v: %d-byte program does not span several chunks", shape, len(wire))
+		}
+		h := sha256.New()
+		h.Write(wire)
+		var cfg [24]byte
+		le := binary.LittleEndian
+		le.PutUint32(cfg[0:], uint32(p.Config.MaxDict))
+		le.PutUint32(cfg[4:], uint32(p.Config.MaxDepth))
+		le.PutUint32(cfg[8:], uint32(p.Config.TileSize))
+		le.PutUint32(cfg[12:], uint32(p.Config.Policy))
+		le.PutUint32(cfg[16:], uint32(p.Config.MinPairCount))
+		h.Write(cfg[:])
+		var want [32]byte
+		h.Sum(want[:0])
+		got, ok := programKey(p)
+		if !ok || got != want {
+			t.Fatalf("%v: streamed key %x, want %x", shape, got, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package ipe
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"math"
 )
 
@@ -36,54 +37,87 @@ func (p *Program) symbolWidth() int {
 
 // MarshalBinary serializes the program to its wire format.
 func (p *Program) MarshalBinary() ([]byte, error) {
-	symW := p.symbolWidth()
-	buf := make([]byte, 0, 20+len(p.Pairs)*2*symW)
-	le := binary.LittleEndian
-	var scratch [8]byte
-
-	putU32 := func(v uint32) {
-		le.PutUint32(scratch[:4], v)
-		buf = append(buf, scratch[:4]...)
+	w := wireEncoder{buf: make([]byte, 0, p.WireSize())}
+	if err := w.encode(p); err != nil {
+		return nil, err
 	}
-	putSym := func(s int32) {
-		if symW == 2 {
-			le.PutUint16(scratch[:2], uint16(s))
-			buf = append(buf, scratch[:2]...)
-		} else {
-			putU32(uint32(s))
-		}
-	}
+	return w.buf, nil
+}
 
-	putU32(magic)
-	putU32(uint32(p.K))
-	putU32(uint32(p.M))
-	buf = append(buf, byte(p.Bits), byte(symW), 0, 0)
-	putU32(uint32(len(p.Pairs)))
+// wireChunk is how many bytes a streaming wireEncoder buffers before handing
+// them to its sink; wireSlack covers the one write that may cross it.
+const (
+	wireChunk = 4096
+	wireSlack = 8
+)
+
+// wireEncoder is the one writer of the wire format. It appends to buf; with
+// a sink it hands buf over and reuses it whenever wireChunk bytes have
+// accumulated, so a hash (DictStore's content key) consumes the stream
+// without the whole wire form ever being held.
+type wireEncoder struct {
+	buf  []byte
+	sink hash.Hash
+	symW int
+}
+
+func (w *wireEncoder) spill(atLeast int) {
+	if w.sink != nil && len(w.buf) >= atLeast {
+		w.sink.Write(w.buf) // a hash.Hash Write never returns an error
+		w.buf = w.buf[:0]
+	}
+}
+
+func (w *wireEncoder) u16(v uint16) {
+	w.buf = binary.LittleEndian.AppendUint16(w.buf, v)
+	w.spill(wireChunk)
+}
+
+func (w *wireEncoder) u32(v uint32) {
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	w.spill(wireChunk)
+}
+
+func (w *wireEncoder) sym(s int32) {
+	if w.symW == 2 {
+		w.u16(uint16(s))
+	} else {
+		w.u32(uint32(s))
+	}
+}
+
+// encode writes p's wire form and flushes what is left to the sink.
+func (w *wireEncoder) encode(p *Program) error {
+	w.symW = p.symbolWidth()
+	w.u32(magic)
+	w.u32(uint32(p.K))
+	w.u32(uint32(p.M))
+	w.u32(uint32(uint8(p.Bits)) | uint32(w.symW)<<8) // bits, symW, zero pad
+	w.u32(uint32(len(p.Pairs)))
 	for _, pr := range p.Pairs {
-		putSym(pr.A)
-		putSym(pr.B)
+		w.sym(pr.A)
+		w.sym(pr.B)
 	}
 	for _, row := range p.Rows {
 		if len(row.Terms) > math.MaxUint16 {
-			return nil, fmt.Errorf("ipe: row has %d terms, wire format caps at %d",
+			return fmt.Errorf("ipe: row has %d terms, wire format caps at %d",
 				len(row.Terms), math.MaxUint16)
 		}
-		le.PutUint16(scratch[:2], uint16(len(row.Terms)))
-		buf = append(buf, scratch[:2]...)
+		w.u16(uint16(len(row.Terms)))
 		for _, t := range row.Terms {
 			if t.Code > math.MaxInt16 || t.Code < math.MinInt16 {
-				return nil, fmt.Errorf("ipe: code %d exceeds int16 wire range", t.Code)
+				return fmt.Errorf("ipe: code %d exceeds int16 wire range", t.Code)
 			}
-			le.PutUint16(scratch[:2], uint16(int16(t.Code)))
-			buf = append(buf, scratch[:2]...)
-			putU32(math.Float32bits(t.Value))
-			putU32(uint32(len(t.Syms)))
+			w.u16(uint16(int16(t.Code)))
+			w.u32(math.Float32bits(t.Value))
+			w.u32(uint32(len(t.Syms)))
 			for _, s := range t.Syms {
-				putSym(s)
+				w.sym(s)
 			}
 		}
 	}
-	return buf, nil
+	w.spill(0)
+	return nil
 }
 
 // UnmarshalBinary parses a program from its wire format and revalidates

@@ -16,6 +16,8 @@
 package metrics
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -199,6 +201,39 @@ func (r *Recorder) Autotune(name string) *AutotuneStats {
 	r.atByName[name] = s
 	r.atOrdered = append(r.atOrdered, s)
 	return s
+}
+
+// DropPrefix removes every layer and autotune series whose name starts with
+// prefix — a retired model version's "model@vN/" — and returns how many
+// went, so the series count tracks the versions alive rather than every
+// version ever loaded. Endpoint and model series are never dropped: they
+// are keyed by the bare model name and stay continuous across versions. A
+// handle resolved before the drop keeps recording into a series no
+// snapshot shows any more. An empty prefix drops nothing.
+func (r *Recorder) DropPrefix(prefix string) int {
+	if r == nil || prefix == "" {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	r.ordered = slices.DeleteFunc(r.ordered, func(l *LayerStats) bool {
+		if !strings.HasPrefix(l.name, prefix) {
+			return false
+		}
+		delete(r.byName, l.name)
+		n++
+		return true
+	})
+	r.atOrdered = slices.DeleteFunc(r.atOrdered, func(s *AutotuneStats) bool {
+		if !strings.HasPrefix(s.name, prefix) {
+			return false
+		}
+		delete(r.atByName, s.name)
+		n++
+		return true
+	})
+	return n
 }
 
 // AutotuneStats is one tuned layer's published bandit state: the serving

@@ -12,12 +12,14 @@ import (
 )
 
 // compiledProgramDigests pins the encoder's output: SHA-256 over the wire
-// form (length-prefixed MarshalBinary) of every IPE program of each served
-// model, at the default seed and the benchmark's first three swap seeds,
-// compiled with inspire-serve's default options. They were generated before
-// the compile path lost its Go maps (flat pair table, shared row grouping,
-// quantize-once) and must never change with a compile-speed change: a
-// different digest means a different program is being served.
+// form (length-prefixed MarshalBinary) of every conv/dense layer's IPE
+// programs of each served model, at the default seed and the benchmark's
+// first three swap seeds, compiled with inspire-serve's default options but
+// IPE forced, so every layer keeps its encoding (an auto plan keeps only the
+// layers IPE wins). They were generated before the compile path lost its Go
+// maps (flat pair table, shared row grouping, quantize-once) and must never
+// change with a compile-speed change: a different digest means a different
+// program is being served.
 var compiledProgramDigests = map[string]string{
 	"lenet5/0":        "04403defac1c1cc2cfd5bb60adc7c5cd611f247219145dba573a43a06c8f8410",
 	"lenet5/1001":     "5b019d7379365281af9a8954d51422e7897bda83e884f8ad6015ea65d694ad59",
@@ -38,7 +40,9 @@ func serveDefaults() runtime.Options {
 func TestCompiledProgramDigests(t *testing.T) {
 	for _, name := range []string{"lenet5", "squeezenet"} {
 		for _, seed := range []uint64{0, 1001, 1002, 1003} {
-			plan, err := CompilePlan(name, seed, serveDefaults())
+			opts := serveDefaults()
+			opts.Force = runtime.ImplIPE
+			plan, err := CompilePlan(name, seed, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,9 +3,11 @@
 // compiled runtime.Plan and a dynamic batcher, and an atomic pointer names
 // the version receiving traffic. Loading a new version compiles it in the
 // background (traffic keeps flowing through the old version), atomically
-// redirects new submissions, drains the old batcher, and releases the old
-// version's warm executor pool — no request admitted before, during, or
-// after the swap is ever dropped.
+// redirects new submissions, drains the old batcher, and retires the old
+// version — its warm executor pool, the dictionary-store references its
+// plan acquired, and its per-version metrics series all go — so memory
+// stays flat under swap churn. No request admitted before, during, or after
+// the swap is ever dropped.
 //
 // The zero-drop argument is a three-way handshake with serve.Batcher:
 // Predict snapshots the current version and submits to its batcher. Either
@@ -20,8 +22,9 @@
 // index-pair programs across models — and across successive versions of the
 // same model, which typically share most layers — are interned to one
 // canonical program whose compiled emit pass and partial-sum tables are
-// reused. Residency() reports the resulting resident bytes per model, with
-// the interned overlap attributed once.
+// reused. A canonical program stays interned while any live version
+// references it. Residency() reports the resulting resident bytes per model,
+// with the interned overlap attributed once.
 package registry
 
 import (
@@ -64,7 +67,11 @@ type Options struct {
 	MinPool, MaxPool int
 }
 
-// Version is one immutable loaded instance of a model.
+// Version is one immutable loaded instance of a model. It owns its plan —
+// one serving structure per operator, plus a tuner's rebuilt arms when one
+// is attached — the references those structures hold on the dictionary
+// store, its batcher, and the metrics series under Plan.MetricsPrefix;
+// retiring it after the drain gives all of them back.
 type Version struct {
 	Model   string
 	Version int64
@@ -143,7 +150,7 @@ func (r *Registry) Add(name string, seed uint64) (*Version, error) {
 // Swap compiles a new version of the named model and hot-swaps it into the
 // traffic path: the compile runs while the old version keeps serving, the
 // atomic pointer flips, the old batcher drains (completing every admitted
-// request), and the old executor pool is released.
+// request), and the old version is retired.
 func (r *Registry) Swap(name string, seed uint64) (*Version, error) {
 	m, ok := r.model(name)
 	if !ok {
@@ -184,8 +191,11 @@ func (m *Model) load(seed uint64) (*Version, error) {
 	m.cur.Store(v) // new traffic routes to the new version from here on
 	if old != nil {
 		m.swaps.Add(1)
-		old.Batcher.Close()    // drains every admitted request, then stops
-		old.Plan.ReleasePool() // discard the old version's warm executors
+		old.Batcher.Close() // drains every admitted request, then stops
+		// Retire the old version: discard its warm executors, give back the
+		// programs it interned, and drop its per-version series.
+		old.Plan.ReleasePool()
+		metrics.Get().DropPrefix(old.Plan.MetricsPrefix)
 	}
 	m.publish()
 	return v, nil

@@ -420,3 +420,84 @@ func FuzzRegistrySwap(f *testing.F) {
 		wg.Wait()
 	})
 }
+
+// layerPrefixes counts the snapshot's layer series by version prefix (the
+// "model@vN/" part of the name).
+func layerPrefixes(snap metrics.Snapshot) map[string]int {
+	by := make(map[string]int)
+	for _, l := range snap.Layers {
+		if i := strings.Index(l.Name, "/"); i >= 0 {
+			by[l.Name[:i+1]]++
+		}
+	}
+	return by
+}
+
+// TestRetiredVersionsDropTheirSeries: hot swaps leave exactly the serving
+// version's layer series per model, while the model's endpoint and registry
+// series stay continuous.
+func TestRetiredVersionsDropTheirSeries(t *testing.T) {
+	rec := metrics.Enable()
+	defer metrics.Disable()
+	r := testRegistry(t, ipe.NewDictStore())
+	defer r.Close()
+	models := []string{"a", "b"}
+	for i, name := range models {
+		if _, err := r.Add(name, uint64(10+i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Predict(name, testInput()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perVersion := layerPrefixes(rec.Snapshot())["a@v1/"]
+	if perVersion == 0 {
+		t.Fatal("no layer series registered for a@v1")
+	}
+	for s := 0; s < 5; s++ {
+		for i, name := range models {
+			if _, err := r.Swap(name, uint64(100+10*s+i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := r.Predict(name, testInput()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := rec.Snapshot()
+	want := map[string]int{"a@v6/": perVersion, "b@v6/": perVersion}
+	got := layerPrefixes(snap)
+	if len(got) != len(want) || got["a@v6/"] != perVersion || got["b@v6/"] != perVersion {
+		t.Fatalf("layer series by version after 5 swaps = %v, want %v", got, want)
+	}
+	for _, name := range models {
+		ep := snap.FilterModel(name).Endpoints
+		if len(ep) != 1 || ep[0].Requests != 6 {
+			t.Fatalf("%s endpoint series %+v, want one series with 6 requests", name, ep)
+		}
+	}
+}
+
+// TestSwapsToFreshWeightsKeepTheStoreFlat: every swap to never-seen weights
+// interns a new version's programs and retires the old version's, so the
+// store holds one version's worth however many swaps have run.
+func TestSwapsToFreshWeightsKeepTheStoreFlat(t *testing.T) {
+	store := ipe.NewDictStore()
+	r := testRegistry(t, store)
+	defer r.Close()
+	if _, err := r.Add("m", 1); err != nil {
+		t.Fatal(err)
+	}
+	wantLen, wantUnique := store.Len(), store.Stats().UniquePrograms
+	if wantLen == 0 {
+		t.Fatal("first load interned nothing")
+	}
+	for s := uint64(2); s <= 13; s++ {
+		if _, err := r.Swap("m", s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, unique := store.Len(), store.Stats().UniquePrograms; got != wantLen || unique != wantUnique {
+		t.Fatalf("after 12 swaps: Len %d / UniquePrograms %d, want %d / %d", got, unique, wantLen, wantUnique)
+	}
+}

@@ -431,17 +431,24 @@ func (p *Plan) PooledExecutors() int {
 // still in flight are discarded as they are returned instead of re-pooled,
 // so once the last request drains, none of the plan's warm arenas remain
 // resident. This is the hot-swap teardown path — the registry calls it
-// after the old version's batcher has drained. Returns the number of
-// executors discarded now. The plan itself stays runnable (AcquireExecutor
-// builds fresh executors), just no longer pooling.
+// after the old version's batcher has drained. The first call also gives
+// back every IPE program the plan acquired from its dictionary store, so a
+// retired version stops pinning entries no live plan references; later
+// calls release nothing more. Returns the number of executors discarded
+// now. The plan itself stays runnable (AcquireExecutor builds fresh
+// executors, and the plan still holds its programs), just no longer pooling.
 func (p *Plan) ReleasePool() int {
 	p.poolMu.Lock()
 	dead := p.poolFree
+	retiring := !p.poolClosed
 	p.poolFree = nil
 	p.poolClosed = true
 	p.poolMu.Unlock()
 	for _, e := range dead {
 		e.discard()
+	}
+	if retiring {
+		p.Opts.DictStore.Release(p.IPEPrograms()...)
 	}
 	return len(dead)
 }

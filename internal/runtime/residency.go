@@ -2,12 +2,12 @@ package runtime
 
 import (
 	"repro/internal/baseline"
-	"repro/internal/graph"
 	"repro/internal/ipe"
 )
 
-// ResidentBytes estimates the heap bytes this plan's encoded weights keep
-// resident, split into bytes attributable to the plan (owned) and bytes
+// ResidentBytes estimates the heap bytes this plan's serving structures keep
+// resident — the selected implementation per operator, plus the arms a
+// tuner rebuilt — split into bytes attributable to the plan (owned) and bytes
 // aliased to IPE programs some other plan already accounted for (shared).
 // seen carries the canonical-program set across calls: pass one map over
 // every live plan to get dedup-aware totals (a program interned by the
@@ -90,15 +90,6 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 		}
 		if op.denseBias != nil {
 			tensorBytes(op.denseBias)
-		}
-		if op.Node.Kind == graph.OpConv {
-			// Conv float weights are graph params, retained for the dense
-			// candidate whenever one was built.
-			if _, ok := op.Candidates[ImplDense]; ok {
-				if w := op.Node.Param("weight"); w != nil {
-					owned += int64(w.NumElements()) * 4
-				}
-			}
 		}
 	}
 	return owned, shared

@@ -151,7 +151,8 @@ type CompiledOp struct {
 	// Sim is the modeled execution of the chosen implementation.
 	Sim accel.Result
 	// Candidates maps every evaluated implementation to its modeled
-	// execution, for the per-layer reports.
+	// execution, for the per-layer reports. It outlives the candidates'
+	// structures: only Impl's is kept once selection is done.
 	Candidates map[Impl]accel.Result
 
 	// shapeKey identifies the operator's workload shape for the persistent
@@ -159,6 +160,10 @@ type CompiledOp struct {
 	// layers; empty for untunable operators).
 	shapeKey string
 
+	// One serving structure per implementation; after Compile only Impl's
+	// is non-nil, and StartTuner rebuilds the other arms it explores.
+	// denseWeight is the float weight tensor the dense kernel reads (for a
+	// conv, the node parameter EvalNodeIntoPar reads through the node).
 	ipeConv     *ipe.ConvLayer
 	ipeDense    *ipe.DenseLayer
 	csrConv     *baseline.ConvCSR
@@ -210,8 +215,8 @@ type Plan struct {
 
 // Compile optimizes g in place, builds every candidate implementation for
 // each conv/dense operator, simulates them on the accelerator model,
-// selects per-operator winners, and plans memory (PlanMemory's whole-tensor
-// interval allocation).
+// selects per-operator winners, keeps only the winners' structures, and
+// plans memory (PlanMemory's whole-tensor interval allocation).
 func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
 	if err := graph.Optimize(g); err != nil {
@@ -255,12 +260,14 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	}
 	close(next)
 	wg.Wait()
+	p.Ops = ops
 	for i, err := range errs {
 		if err != nil {
+			// Give back what the operators that did compile interned.
+			opts.DictStore.Release(p.IPEPrograms()...)
 			return nil, fmt.Errorf("runtime: compiling %s: %w", nodes[i], err)
 		}
 	}
-	p.Ops = ops
 	alloc, arenaBytes, err := PlanMemory(g)
 	if err != nil {
 		return nil, err
@@ -273,15 +280,15 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 }
 
 func compileNode(n *graph.Node, opts Options) (CompiledOp, error) {
-	switch n.Kind {
-	case graph.OpConv:
-		return compileConv(n, opts)
-	case graph.OpDense:
-		return compileDense(n, opts)
-	default:
-		return compileGeneric(n, opts), nil
+	if n.Kind == graph.OpConv || n.Kind == graph.OpDense {
+		return compileOp(n, opts)
 	}
+	return compileGeneric(n, opts), nil
 }
+
+// implOrder is the order candidate implementations are built in, ranked in
+// (a cycle tie goes to the earlier one) and offered to the online tuner in.
+var implOrder = []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE}
 
 // denseConvSim simulates the dense conv either with the default heuristic
 // schedule or an auto-tuned one.
@@ -350,93 +357,131 @@ func quantizeOnce(w *tensor.Tensor, opts Options) *quant.Quantized {
 	return nil
 }
 
-func compileConv(n *graph.Node, opts Options) (CompiledOp, error) {
-	spec := n.Attrs.Conv
-	in := n.Inputs[0].OutShape
-	wl := schedule.Workload{Spec: spec, N: in[0], H: in[2], W: in[3]}
-	weight, bias := n.Param("weight"), n.Param("bias")
-
+// compileOp builds every wanted candidate implementation of a conv/dense
+// operator, simulates each on the accelerator model and selects the winner
+// (or the tuning store's measured winner). Only the winner's structure stays
+// on the op — the losers were built to be ranked, not served, and
+// Plan.StartTuner rebuilds the ones it explores — and only a winning IPE
+// encoding is interned and lowered, so losing programs are never pinned by
+// the dictionary store.
+func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{
 		Node:       n,
 		Candidates: make(map[Impl]accel.Result),
+		shapeKey:   opShapeKey(n),
 	}
-
-	if wants(opts.Force, ImplDense) {
-		// Dense candidate (float weights, scheduled).
-		op.Candidates[ImplDense] = denseConvSim(wl, opts)
+	if n.Kind == graph.OpDense {
+		op.denseBias = n.Param("bias")
 	}
-	q := quantizeOnce(weight, opts)
-	if wants(opts.Force, ImplCSR) {
-		csr, err := baseline.NewConvCSRFromQuantized(q, bias, spec)
+	q := quantizeOnce(n.Param("weight"), opts)
+	for _, im := range implOrder {
+		if !wants(opts.Force, im) {
+			continue
+		}
+		sim, ok, err := op.build(im, q, opts)
 		if err != nil {
 			return op, err
 		}
-		op.csrConv = csr
-		op.Candidates[ImplCSR] = opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ()))
+		if ok {
+			op.Candidates[im] = sim
+		} else if opts.Force == im {
+			// The forced implementation does not apply (Winograd off a 3x3
+			// stride-1 conv, or on a dense layer): fall back to dense so a
+			// forced plan stays runnable.
+			if op.Candidates[ImplDense], _, err = op.build(ImplDense, q, opts); err != nil {
+				return op, err
+			}
+		}
 	}
-	if wants(opts.Force, ImplFactorized) {
+	op.Impl = chooseImpl(op.Candidates, opts.Force)
+	seedFromStore(&op, opts)
+	op.Sim = op.Candidates[op.Impl]
+	op.keepOnly(op.Impl)
+	op.internIPE(opts.DictStore)
+	return op, nil
+}
+
+// opShapeKey is a conv/dense operator's tuning-cache shape key.
+func opShapeKey(n *graph.Node) string {
+	if n.Kind == graph.OpConv {
+		return convWorkload(n).Key()
+	}
+	w := n.Param("weight")
+	return fmt.Sprintf("dense-m%d-k%d-b%d", w.Dim(0), w.Dim(1), n.Inputs[0].OutShape[0])
+}
+
+func convWorkload(n *graph.Node) schedule.Workload {
+	in := n.Inputs[0].OutShape
+	return schedule.Workload{Spec: n.Attrs.Conv, N: in[0], H: in[2], W: in[3]}
+}
+
+// build constructs implementation im's serving structure on op and returns
+// its modeled execution; ok is false when im does not apply to the operator
+// (Winograd off 3x3 stride-1 convs and on dense layers). q is the operator's
+// quantized weights, shared by the CSR, factorized and IPE structures. IPE
+// programs come out raw; internIPE interns and lowers the ones that are
+// kept. This is the one per-implementation builder: Compile runs it for
+// every candidate, StartTuner for the arms Compile dropped.
+func (op *CompiledOp) build(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+	if op.Node.Kind == graph.OpConv {
+		return op.buildConv(im, q, opts)
+	}
+	return op.buildDense(im, q, opts)
+}
+
+func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+	n := op.Node
+	spec, wl := n.Attrs.Conv, convWorkload(n)
+	weight, bias := n.Param("weight"), n.Param("bias")
+	switch im {
+	case ImplDense:
+		// Float weights, scheduled.
+		op.denseWeight = weight
+		return denseConvSim(wl, opts), true, nil
+	case ImplCSR:
+		csr, err := baseline.NewConvCSRFromQuantized(q, bias, spec)
+		if err != nil {
+			return accel.Result{}, false, err
+		}
+		op.csrConv = csr
+		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ())), true, nil
+	case ImplFactorized:
 		fact, err := baseline.NewConvFactorizedFromQuantized(q, bias, spec)
 		if err != nil {
-			return op, err
+			return accel.Result{}, false, err
 		}
 		op.factConv = fact
 		var factSyms int
 		for _, m := range fact.Mats {
 			factSyms += m.K
 		}
-		op.Candidates[ImplFactorized] = opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, fact.Cost(), factSyms))
-	}
-	if wants(opts.Force, ImplIPE) {
+		return opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, fact.Cost(), factSyms)), true, nil
+	case ImplIPE:
 		ipeL, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
 		if err != nil {
-			return op, err
-		}
-		// Intern first (duplicates collapse to the canonical program, so a
-		// hit reuses an already-lowered form), then lower every program to
-		// its compiled serving form now, so the first Run never pays the
-		// lazy compilation inside the hot path.
-		for i, prog := range ipeL.Programs {
-			ipeL.Programs[i] = opts.DictStore.Intern(prog)
-			ipeL.Programs[i].Compiled()
+			return accel.Result{}, false, err
 		}
 		op.ipeConv = ipeL
-		op.Candidates[ImplIPE] = opts.HW.Simulate(accel.IPEConvProfile(ipeL, wl.N, wl.H, wl.W))
-	}
-	if wants(opts.Force, ImplWinograd) {
-		if win, err := baseline.NewConvWinograd(weight, bias, spec); err == nil {
-			op.winConv = win
-			op.Candidates[ImplWinograd] = opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, win.Cost(wl.N, wl.H, wl.W)))
-		} else if opts.Force == ImplWinograd {
-			// Winograd does not apply (kernel/stride/groups): fall back to
-			// the dense schedule so a forced-winograd plan stays runnable.
-			op.Candidates[ImplDense] = denseConvSim(wl, opts)
+		return opts.HW.Simulate(accel.IPEConvProfile(ipeL, wl.N, wl.H, wl.W)), true, nil
+	case ImplWinograd:
+		win, err := baseline.NewConvWinograd(weight, bias, spec)
+		if err != nil {
+			return accel.Result{}, false, nil // kernel/stride/groups rule Winograd out
 		}
+		op.winConv = win
+		return opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, win.Cost(wl.N, wl.H, wl.W))), true, nil
 	}
-	op.shapeKey = wl.Key()
-	op.Impl = chooseImpl(op.Candidates, opts.Force)
-	seedFromStore(&op, opts)
-	op.Sim = op.Candidates[op.Impl]
-	return op, nil
+	return accel.Result{}, false, nil
 }
 
-func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
-	weight, bias := n.Param("weight"), n.Param("bias")
+func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+	weight, bias := op.Node.Param("weight"), op.Node.Param("bias")
 	m, k := weight.Dim(0), weight.Dim(1)
-	batch := n.Inputs[0].OutShape[0]
-	op := CompiledOp{
-		Node:        n,
-		Candidates:  make(map[Impl]accel.Result),
-		denseWeight: weight,
-		denseBias:   bias,
-	}
-
-	scaleCost := func(c ipe.Cost) ipe.Cost {
-		c.Adds *= int64(batch)
-		c.Muls *= int64(batch)
-		return c
-	}
+	batch := int64(op.Node.Inputs[0].OutShape[0])
 	simulate := func(name string, c ipe.Cost, weightBytes int64) accel.Result {
-		actBytes := int64(batch*(m+k)) * 4
+		c.Adds *= batch
+		c.Muls *= batch
+		actBytes := batch * int64(m+k) * 4
 		return opts.HW.Simulate(accel.KernelProfile{
 			Name: name, Adds: c.Adds, Muls: c.Muls,
 			SRAMAccesses:    2 * (c.Adds + c.Muls),
@@ -444,38 +489,82 @@ func compileDense(n *graph.Node, opts Options) (CompiledOp, error) {
 			WorkingSetBytes: weightBytes,
 		})
 	}
-	if wants(opts.Force, ImplDense) || opts.Force == ImplWinograd {
-		// Winograd has no dense-FC form; a forced-winograd plan runs its
-		// fully connected layers dense.
-		op.Candidates[ImplDense] = simulate("dense", scaleCost(ipe.DenseCost(m, k)), int64(m*k)*4)
-	}
-	q := quantizeOnce(weight, opts)
-	if wants(opts.Force, ImplCSR) {
+	switch im {
+	case ImplDense:
+		op.denseWeight = weight
+		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), true, nil
+	case ImplCSR:
 		csr := baseline.NewCSRFromQuantized(q)
 		op.csrDense = csr
-		op.Candidates[ImplCSR] = simulate("csr", scaleCost(csr.Cost()), int64(csr.NNZ())*6)
-	}
-	if wants(opts.Force, ImplFactorized) {
+		return simulate("csr", csr.Cost(), int64(csr.NNZ())*6), true, nil
+	case ImplFactorized:
 		fact := baseline.NewFactorized(q)
 		op.factDense = fact
-		op.Candidates[ImplFactorized] = simulate("factorized", scaleCost(fact.Cost()), fact.StreamSymbols()*2)
-	}
-	if wants(opts.Force, ImplIPE) {
+		return simulate("factorized", fact.Cost(), fact.StreamSymbols()*2), true, nil
+	case ImplIPE:
 		ipeL, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
 		if err != nil {
-			return op, err
+			return accel.Result{}, false, err
 		}
-		ipeL.Program = opts.DictStore.Intern(ipeL.Program)
-		ipeL.Program.Compiled() // lower the serving form at plan time
 		op.ipeDense = ipeL
 		ic := ipeL.Program.Cost()
-		op.Candidates[ImplIPE] = simulate("ipe", scaleCost(ic), ic.StreamSymbols*2+int64(ipeL.Program.DictSize())*4)
+		return simulate("ipe", ic, ic.StreamSymbols*2+int64(ipeL.Program.DictSize())*4), true, nil
 	}
-	op.shapeKey = fmt.Sprintf("dense-m%d-k%d-b%d", m, k, batch)
-	op.Impl = chooseImpl(op.Candidates, opts.Force)
-	seedFromStore(&op, opts)
-	op.Sim = op.Candidates[op.Impl]
-	return op, nil
+	return accel.Result{}, false, nil // Winograd has no fully connected form
+}
+
+// keepOnly drops every implementation structure but im's.
+func (op *CompiledOp) keepOnly(im Impl) {
+	if im != ImplDense {
+		op.denseWeight = nil
+	}
+	if im != ImplWinograd {
+		op.winConv = nil
+	}
+	if im != ImplCSR {
+		op.csrConv, op.csrDense = nil, nil
+	}
+	if im != ImplFactorized {
+		op.factConv, op.factDense = nil, nil
+	}
+	if im != ImplIPE {
+		op.ipeConv, op.ipeDense = nil, nil
+	}
+}
+
+// built reports whether implementation im's serving structure is on the op.
+func (op *CompiledOp) built(im Impl) bool {
+	switch im {
+	case ImplDense:
+		return op.denseWeight != nil
+	case ImplWinograd:
+		return op.winConv != nil
+	case ImplCSR:
+		return op.csrConv != nil || op.csrDense != nil
+	case ImplFactorized:
+		return op.factConv != nil || op.factDense != nil
+	case ImplIPE:
+		return op.ipeConv != nil || op.ipeDense != nil
+	}
+	return false
+}
+
+// internIPE interns the op's IPE programs through the dictionary store (a
+// hit swaps in the canonical program, whose lowered form is shared), then
+// lowers each to its compiled serving form now, so the first Run never pays
+// the lazy compilation inside the hot path. Every program acquired here is
+// given back once, by Plan.ReleasePool.
+func (op *CompiledOp) internIPE(store *ipe.DictStore) {
+	if op.ipeConv != nil {
+		for i, prog := range op.ipeConv.Programs {
+			op.ipeConv.Programs[i] = store.Intern(prog)
+			op.ipeConv.Programs[i].Compiled()
+		}
+	}
+	if op.ipeDense != nil {
+		op.ipeDense.Program = store.Intern(op.ipeDense.Program)
+		op.ipeDense.Program.Compiled()
+	}
 }
 
 // compileGeneric models every other operator as elementwise/windowed work.
@@ -520,7 +609,7 @@ func chooseImpl(cands map[Impl]accel.Result, force Impl) Impl {
 		// candidate was built.
 	}
 	best, bestCycles := ImplDense, int64(1)<<62
-	for _, im := range []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE} {
+	for _, im := range implOrder {
 		if r, ok := cands[im]; ok && r.Cycles < bestCycles {
 			best, bestCycles = im, r.Cycles
 		}
@@ -528,15 +617,15 @@ func chooseImpl(cands map[Impl]accel.Result, force Impl) Impl {
 	return best
 }
 
-// tunableArms returns the operator's built candidate implementations in a
-// stable order — the arm set the online tuner explores. Only conv and dense
-// operators are tunable; everything else returns nil.
+// tunableArms returns the operator's evaluated candidate implementations in
+// a stable order — the arm set the online tuner explores. Only conv and
+// dense operators are tunable; everything else returns nil.
 func (op *CompiledOp) tunableArms() []Impl {
 	if op.Node.Kind != graph.OpConv && op.Node.Kind != graph.OpDense {
 		return nil
 	}
 	var arms []Impl
-	for _, im := range []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE} {
+	for _, im := range implOrder {
 		if _, ok := op.Candidates[im]; ok {
 			arms = append(arms, im)
 		}
@@ -546,7 +635,7 @@ func (op *CompiledOp) tunableArms() []Impl {
 
 // seedFromStore overrides the simulator's implementation choice with a
 // persisted measured winner when one exists for this operator's (shape,
-// parallelism) and was built as a candidate. Only under auto selection:
+// parallelism) and was evaluated as a candidate. Only under auto selection:
 // a forced plan always serves its forced implementation.
 func seedFromStore(op *CompiledOp, opts Options) {
 	if opts.Force != ImplAuto || opts.TuningStore == nil {

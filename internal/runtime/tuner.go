@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/metrics"
+	"repro/internal/quant"
 )
 
 // This file connects a compiled Plan to the online bandit in
@@ -21,9 +22,10 @@ import (
 //
 // Routing is lock-free on the serving path: Plan.live is an atomic pointer
 // resolved once per Executor.Run, and each tuned step costs one atomic
-// counter increment (LayerTuner.Choose). Only implementations that were
-// built as candidates — and proven bit-compatible by the conformance
-// harness — are ever explored.
+// counter increment (LayerTuner.Choose). Only implementations Compile
+// evaluated as candidates — and proven bit-compatible by the conformance
+// harness — are ever explored; Compile keeps only the selected one's
+// structure, so StartTuner rebuilds the others once, at attach time.
 
 // TunerConfig configures Plan.StartTuner.
 type TunerConfig struct {
@@ -117,8 +119,9 @@ type PlanTuner struct {
 }
 
 // StartTuner begins online autotuning on the plan: every tunable operator
-// (conv/dense with at least two built candidates) becomes a bandit layer
-// whose incumbent is the planned implementation. Returns an error if the
+// (conv/dense with at least two evaluated candidates) gets its dropped arms
+// rebuilt and becomes a bandit layer whose incumbent is the planned
+// implementation. Call it before the plan serves. Returns an error if the
 // plan was compiled with a forced implementation (there is nothing to
 // tune — and a forced plan promises its forced kernels) or if a tuning
 // session is already active on this plan.
@@ -144,6 +147,9 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 		impls := op.tunableArms()
 		if len(impls) < 2 || op.shapeKey == "" {
 			continue
+		}
+		if err := op.buildArms(impls, p.Opts); err != nil {
+			return nil, fmt.Errorf("runtime: building tuner arms for %s: %w", op.Node, err)
 		}
 		name := p.MetricsPrefix + op.Node.Name
 		var (
@@ -205,6 +211,28 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 		go pt.loop()
 	}
 	return pt, nil
+}
+
+// buildArms rebuilds the arms Compile dropped after selection, through the
+// same per-implementation builder and with the node's own weights, so
+// routed executions are bit-identical to a plan forced to the arm. The
+// structures are written before StartTuner publishes Plan.live, whose
+// atomic store orders them before any routed read. A rebuilt IPE arm is
+// interned like a selected one and released with it by ReleasePool.
+func (op *CompiledOp) buildArms(arms []Impl, opts Options) error {
+	q := quant.Quantize(op.Node.Param("weight"), opts.Bits, opts.Scheme)
+	for _, im := range arms {
+		if op.built(im) {
+			continue
+		}
+		if _, _, err := op.build(im, q, opts); err != nil {
+			return err
+		}
+		if im == ImplIPE {
+			op.internIPE(opts.DictStore)
+		}
+	}
+	return nil
 }
 
 // loop is the background polling goroutine.

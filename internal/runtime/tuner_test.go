@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/autotune"
 	"repro/internal/graph"
+	"repro/internal/ipe"
 	"repro/internal/tensor"
 )
 
@@ -119,6 +120,55 @@ func TestTuningStoreSeedsPlan(t *testing.T) {
 	}
 	if got := convOp(t, forced).Impl; got != ImplDense {
 		t.Fatalf("store overrode a forced plan: got %s", got)
+	}
+}
+
+// TestTunerRebuildsDroppedArms: an auto plan keeps only each operator's
+// selected structure, so nothing it will never dispatch stays resident;
+// StartTuner rebuilds every other arm before routing to it, interning a
+// rebuilt IPE arm, and retiring the plan gives every interned program back.
+func TestTunerRebuildsDroppedArms(t *testing.T) {
+	store := ipe.NewDictStore()
+	plan, err := Compile(denseGraph(t, 5), Options{Bits: 8, DictStore: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuned := 0
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
+		for _, im := range op.tunableArms() {
+			if op.built(im) != (im == op.Impl) {
+				t.Errorf("%s after Compile: %s built = %v, selected %s", op.Node.Name, im, op.built(im), op.Impl)
+			}
+		}
+		if len(op.tunableArms()) >= 2 {
+			tuned++
+		}
+	}
+	if tuned != 2 {
+		t.Fatalf("%d tunable operators, want conv and dense", tuned)
+	}
+	pt, err := plan.StartTuner(TunerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range plan.Ops {
+		op := &plan.Ops[i]
+		for _, im := range op.tunableArms() {
+			if !op.built(im) {
+				t.Errorf("%s after StartTuner: arm %s not built", op.Node.Name, im)
+			}
+		}
+	}
+	if store.Len() != len(plan.IPEPrograms()) || store.Len() == 0 {
+		t.Fatalf("store holds %d programs, plan references %d", store.Len(), len(plan.IPEPrograms()))
+	}
+	if err := pt.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	plan.ReleasePool()
+	if store.Len() != 0 {
+		t.Fatalf("retired plan left %d programs interned", store.Len())
 	}
 }
 
