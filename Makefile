@@ -116,10 +116,14 @@ autotune-sim:
 
 # End-to-end serving smoke: boot inspire-serve on an ephemeral port, fire a
 # short concurrent load at both models, and fail on any dropped (429) or
-# failed request; then SIGTERM the server and fail unless it exits 0 with
-# "drained, bye" as its last log line. Exercises the full path (HTTP ->
-# batcher -> RunBatch -> metrics -> drain) in a few seconds; heavier runs are
-# manual (see README). The second half boots a lenet5-only server 20 times
+# failed request, or unless each endpoint's mean coalesced batch is above
+# 1.5 (the batcher has no coalescing timer: 16 clients per model keep every
+# flight slot busy, and that is what grows batches; a batcher that always
+# flushed singletons would read 1.0). Then SIGTERM the server and fail
+# unless it exits 0 with "drained, bye" as its last log line. Exercises the
+# full path (HTTP -> batcher -> RunBatch -> metrics -> drain) in a few
+# seconds; heavier runs are manual (see README). Needs jq. The second half
+# boots a lenet5-only server 20 times
 # and SIGTERMs it the instant the address file appears (boot spins on the
 # file without sleeping, so the signal lands within microseconds of the
 # bind), asserting the same drained exit: a signal arriving right after the
@@ -146,7 +150,10 @@ serve-smoke:
 	}; \
 	boot; \
 	$$dir/inspire-load -url http://$$(cat $$dir/addr) -models lenet5,squeezenet \
-		-clients 32 -duration 3s -fail; \
+		-clients 32 -duration 3s -fail -json > $$dir/load.json; \
+	jq -r '.[] | "serve-smoke: \(.model): \(.ok) ok, mean batch \(.endpoint.mean_batch)"' $$dir/load.json; \
+	jq -e 'all(.[]; .endpoint.mean_batch > 1.5)' $$dir/load.json > /dev/null || \
+		{ echo "serve-smoke: an endpoint's mean batch is not above 1.5: coalescing lost"; exit 1; }; \
 	drain "SIGTERM after load"; \
 	n=0; while [ $$n -lt 20 ]; do \
 		n=$$((n+1)); boot -models lenet5; drain "boot $$n then immediate SIGTERM"; \

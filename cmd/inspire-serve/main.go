@@ -5,9 +5,13 @@
 //	inspire-serve                          # lenet5 + squeezenet on :8080
 //	inspire-serve -addr 127.0.0.1:0        # ephemeral port (printed on stdout)
 //	inspire-serve -models lenet5 -force ipe
-//	inspire-serve -max-batch 64 -slo 2ms -queue 4096
+//	inspire-serve -max-batch 64 -inflight 2 -queue 4096
 //	inspire-serve -autotune -tune-cache tuning.json
 //	inspire-serve -share-dict=false        # disable shared-dictionary interning
+//
+// Batching never waits on a timer: a request that finds one of the
+// -inflight flush slots free runs at once, and batches grow (up to
+// -max-batch chunks) only while every slot is busy.
 //
 // Every model compiles through obs.CompilePlan, so a served plan and a
 // benchmarked plan (benchmark/) differ only in the explicit options
@@ -79,8 +83,7 @@ func main() {
 	bits := flag.Int("bits", 4, "weight quantization bit-width for encoded implementations")
 	shareDict := flag.Bool("share-dict", true,
 		"intern index-pair programs through one shared dictionary store across models and versions")
-	maxBatch := flag.Int("max-batch", 32, "flush a batch at this many compiled-batch chunks")
-	slo := flag.Duration("slo", 2*time.Millisecond, "max coalescing wait per request (0 = immediate flush)")
+	maxBatch := flag.Int("max-batch", 32, "stop growing a batch at this many compiled-batch chunks")
 	queue := flag.Int("queue", 4096, "admission queue depth per model (full queue = 429)")
 	workers := flag.Int("workers", 0, "RunBatch workers per flush (0 = GOMAXPROCS)")
 	inflight := flag.Int("inflight", 2, "concurrent RunBatch flushes per model")
@@ -181,7 +184,6 @@ func main() {
 		Compile: compile,
 		Serve: serve.Config{
 			MaxBatch:    *maxBatch,
-			SLO:         *slo,
 			QueueDepth:  *queue,
 			Workers:     *workers,
 			MaxInFlight: *inflight,

@@ -272,10 +272,10 @@ func (s *AutotuneStats) Publish(current string, execs, explores, promotions int6
 
 // EndpointStats aggregates one serving endpoint's traffic: completed and
 // rejected requests, dispatched batches and the chunk counts they coalesced,
-// queue-depth extents, and the end-to-end request latency histogram. The
-// QPS window runs from the first to the last completed request. All methods
-// are atomic and nil-safe, so the serving path holds a possibly-nil handle
-// and records unconditionally.
+// queue-depth extents, and the end-to-end latency and queue-wait histograms.
+// The QPS window runs from the first to the last completed request. All
+// methods are atomic and nil-safe, so the serving path holds a possibly-nil
+// handle and records unconditionally.
 type EndpointStats struct {
 	name string
 
@@ -301,6 +301,9 @@ type EndpointStats struct {
 	// Lat is the end-to-end request latency (submit to result, including
 	// queueing and coalescing wait).
 	Lat Hist
+	// QueueWait is each request's wait from admission to the start of the
+	// flush that carries it: queueing plus coalescing, before any kernel.
+	QueueWait Hist
 }
 
 // Name returns the endpoint's registration name.
@@ -332,6 +335,14 @@ func (s *EndpointStats) RecordFlush(items int) {
 	s.Flushes.Add(1)
 	s.Items.Add(int64(items))
 	atomicMax(&s.batchMax, int64(items))
+}
+
+// RecordQueueWait logs one request's wait from admission to flush start.
+func (s *EndpointStats) RecordQueueWait(waitNs int64) {
+	if s == nil {
+		return
+	}
+	s.QueueWait.Observe(waitNs)
 }
 
 // ObserveQueueDepth raises the queue-depth high-water mark.

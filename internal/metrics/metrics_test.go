@@ -277,6 +277,8 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	ep.RecordRequest(2000, base+4e9)
 	ep.RecordFlush(1)
 	ep.RecordFlush(2)
+	ep.RecordQueueWait(40)
+	ep.RecordQueueWait(900)
 	ep.ObserveQueueDepth(3)
 	ep.ObserveQueueDepth(1)
 	ep.RejectedOverload.Add(2)
@@ -303,6 +305,9 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	if e.Latency.Count != 3 || e.Latency.MaxNs != 3000 {
 		t.Errorf("latency = %+v", e.Latency)
 	}
+	if e.QueueWait.Count != 2 || e.QueueWait.SumNs != 940 || e.QueueWait.MaxNs != 900 {
+		t.Errorf("queue wait = %+v", e.QueueWait)
+	}
 	if e.QPS < 0.49 || e.QPS > 0.51 {
 		t.Errorf("qps = %v, want 0.5", e.QPS)
 	}
@@ -316,7 +321,7 @@ func TestEndpointRecordSnapshot(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Endpoints) != 1 || back.Endpoints[0].MeanBatch != 1.5 {
+	if len(back.Endpoints) != 1 || back.Endpoints[0].MeanBatch != 1.5 || back.Endpoints[0].QueueWait.Count != 2 {
 		t.Errorf("round-trip endpoints = %+v", back.Endpoints)
 	}
 }
@@ -331,6 +336,7 @@ func TestEndpointNilSafety(t *testing.T) {
 	var ep *EndpointStats
 	ep.RecordRequest(10, 20)
 	ep.RecordFlush(4)
+	ep.RecordQueueWait(5)
 	ep.ObserveQueueDepth(9)
 	if ep.Name() != "" {
 		t.Error("nil EndpointStats name")

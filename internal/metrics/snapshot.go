@@ -42,8 +42,8 @@ type AutotuneSnapshot struct {
 // EndpointSnapshot is the point-in-time view of one serving endpoint: the
 // admission counters, batch-coalescing evidence (MeanBatch > 1 means the
 // dynamic batcher merged concurrent requests), queue extents, the
-// end-to-end latency distribution, and the mean QPS over the window from
-// the first to the last completed request.
+// end-to-end latency and admission-to-flush wait distributions, and the
+// mean QPS over the window from the first to the last completed request.
 type EndpointSnapshot struct {
 	Name             string       `json:"name"`
 	Requests         int64        `json:"requests"`
@@ -57,6 +57,7 @@ type EndpointSnapshot struct {
 	QueueMax         int64        `json:"queue_max"`
 	QPS              float64      `json:"qps"`
 	Latency          HistSnapshot `json:"latency"`
+	QueueWait        HistSnapshot `json:"queue_wait"`
 }
 
 // PoolSnapshot is the point-in-time view of the worker-pool telemetry.
@@ -232,6 +233,7 @@ func (s *EndpointStats) Snapshot() EndpointSnapshot {
 	snap.MaxBatch = s.batchMax.Load()
 	snap.QueueMax = s.queueMax.Load()
 	snap.Latency = s.Lat.Snapshot()
+	snap.QueueWait = s.QueueWait.Snapshot()
 	if first, last := s.firstNs.Load(), s.lastNs.Load(); snap.Requests > 1 && last > first {
 		snap.QPS = float64(snap.Requests-1) / (float64(last-first) / 1e9)
 	}

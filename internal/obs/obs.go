@@ -210,14 +210,15 @@ func PoolTable(s metrics.Snapshot) *report.Table {
 
 // EndpointTable renders the serving-endpoint telemetry: request admission
 // outcomes, batch coalescing evidence (flush count and mean/max coalesced
-// batch), admission-queue high water, sustained request rate, and the
-// request latency distribution. Snapshots from processes that never served
-// (no endpoints registered) render a header-only table.
+// batch), admission-queue high water, sustained request rate, the median
+// admission-to-flush wait, and the request latency distribution. Snapshots
+// from processes that never served (no endpoints registered) render a
+// header-only table.
 func EndpointTable(title string, s metrics.Snapshot) *report.Table {
 	t := report.NewTable(title,
 		"endpoint", "requests", "errors", "429", "closed", "flushes",
 		"mean batch", "max batch", "queue max", "qps",
-		"p50 ns", "p99 ns", "max ns")
+		"wait p50 ns", "p50 ns", "p99 ns", "max ns")
 	for _, ep := range s.Endpoints {
 		t.AddRow(
 			ep.Name,
@@ -230,6 +231,7 @@ func EndpointTable(title string, s metrics.Snapshot) *report.Table {
 			report.Count(ep.MaxBatch),
 			report.Count(ep.QueueMax),
 			report.Num(ep.QPS),
+			report.Count(ep.QueueWait.P50Ns),
 			report.Count(ep.Latency.P50Ns),
 			report.Count(ep.Latency.P99Ns),
 			report.Count(ep.Latency.MaxNs),

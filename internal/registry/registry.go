@@ -260,7 +260,6 @@ func (r *Registry) Info(name string) (serve.ModelInfo, bool) {
 		InputShape:  v.Plan.Graph.In.OutShape,
 		OutputShape: v.Plan.Graph.Out.OutShape,
 		MaxBatch:    cfg.MaxBatch,
-		SLONs:       cfg.SLO.Nanoseconds(),
 	}, true
 }
 

@@ -52,7 +52,7 @@ func testRegistry(tb testing.TB, store *ipe.DictStore) *Registry {
 	tb.Helper()
 	r, err := New(Options{
 		Compile:   testCompile(tb, store),
-		Serve:     serve.Config{MaxBatch: 8, SLO: 100 * time.Microsecond},
+		Serve:     serve.Config{MaxBatch: 8},
 		DictStore: store,
 	})
 	if err != nil {

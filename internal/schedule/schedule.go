@@ -177,25 +177,21 @@ func (s ConvSchedule) Tiles(w Workload) []accel.Tile {
 	if total > maxTiles {
 		group = (total + maxTiles - 1) / maxTiles
 	}
+	// Tile steps [lo, hi) form one coalesced tile. Every step loads and
+	// computes the same amount; outputs are stored once per (oc, oh, ow)
+	// tile, on its last reduction step, i.e. at each step i with
+	// (i+1) % nIC == 0 — hi/nIC - lo/nIC of them in the range.
 	tiles := make([]accel.Tile, 0, (total+group-1)/group)
-	var cur accel.Tile
-	inGroup := 0
-	for i := 0; i < total; i++ {
-		cur.LoadBytes += weightBytes + inBytes
-		cur.Adds += macsPerTile
-		cur.Muls += macsPerTile
-		cur.SRAMAccesses += 2 * macsPerTile
-		// Outputs are stored once per (oc, oh, ow) tile, on its last
-		// reduction step.
-		if (i+1)%nIC == 0 {
-			cur.StoreBytes += outBytes
-		}
-		inGroup++
-		if inGroup == group || i == total-1 {
-			tiles = append(tiles, cur)
-			cur = accel.Tile{}
-			inGroup = 0
-		}
+	for lo := 0; lo < total; lo += group {
+		hi := min(lo+group, total)
+		n := int64(hi - lo)
+		tiles = append(tiles, accel.Tile{
+			LoadBytes:    n * (weightBytes + inBytes),
+			StoreBytes:   int64(hi/nIC-lo/nIC) * outBytes,
+			Adds:         n * macsPerTile,
+			Muls:         n * macsPerTile,
+			SRAMAccesses: n * 2 * macsPerTile,
+		})
 	}
 	return tiles
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -78,6 +79,81 @@ func TestTilesCoverAllMACs(t *testing.T) {
 		// tiles are modeled full-size) but never undercount.
 		if got < total {
 			t.Errorf("schedule %v loses MACs: %d < %d", s, got, total)
+		}
+	}
+}
+
+// stepTiles is the step-by-step lowering Tiles computes in closed form:
+// walk every tile step, accumulate it into the current coalesced tile, and
+// store outputs on each (oc, oh, ow) tile's last reduction step.
+func stepTiles(s ConvSchedule, w Workload) []accel.Tile {
+	spec := w.Spec.Normalize()
+	oh, ow := w.OutDims()
+	icg := spec.InC / spec.Groups
+	ocg := spec.OutC / spec.Groups
+	nOC, nOH, nOW := ceil(ocg, s.TileOC), ceil(oh, s.TileOH), ceil(ow, s.TileOW)
+	tic := min(s.TileIC, icg)
+	nIC := ceil(icg, tic)
+	inH := (s.TileOH-1)*spec.StrideH + spec.KH
+	inW := (s.TileOW-1)*spec.StrideW + spec.KW
+	weightBytes := int64(s.TileOC) * int64(tic) * int64(spec.KH) * int64(spec.KW) * 4
+	inBytes := int64(tic) * int64(inH) * int64(inW) * 4
+	outBytes := int64(s.TileOC) * int64(s.TileOH) * int64(s.TileOW) * 4
+	switch s.Dataflow {
+	case WeightStationary:
+		weightBytes = ceil64(weightBytes, int64(nOH*nOW))
+	case InputStationary:
+		inBytes = ceil64(inBytes, int64(nOC))
+	}
+	macs := int64(s.TileOC) * int64(s.TileOH) * int64(s.TileOW) * int64(tic) * int64(spec.KH) * int64(spec.KW)
+	total := w.N * spec.Groups * nOC * nOH * nOW * nIC
+	group := 1
+	if total > maxTiles {
+		group = (total + maxTiles - 1) / maxTiles
+	}
+	var tiles []accel.Tile
+	var cur accel.Tile
+	inGroup := 0
+	for i := 0; i < total; i++ {
+		cur.LoadBytes += weightBytes + inBytes
+		cur.Adds += macs
+		cur.Muls += macs
+		cur.SRAMAccesses += 2 * macs
+		if (i+1)%nIC == 0 {
+			cur.StoreBytes += outBytes
+		}
+		inGroup++
+		if inGroup == group || i == total-1 {
+			tiles = append(tiles, cur)
+			cur = accel.Tile{}
+			inGroup = 0
+		}
+	}
+	return tiles
+}
+
+// TestTilesMatchStepwiseLowering pins the closed-form tile sequence to the
+// step-by-step walk, tile for tile, across dataflows, partial edge tiles,
+// grouped convolutions and sequences long enough to coalesce.
+func TestTilesMatchStepwiseLowering(t *testing.T) {
+	workloads := []Workload{
+		testWorkload(),
+		{N: 2, H: 33, W: 17, Spec: tensor.ConvSpec{InC: 48, OutC: 96, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}},
+		{N: 1, H: 16, W: 16, Spec: tensor.ConvSpec{InC: 32, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 32}},
+	}
+	for _, w := range workloads {
+		for _, s := range []ConvSchedule{
+			{TileOC: 1, TileOH: 1, TileOW: 1, TileIC: 1},
+			{TileOC: 1, TileOH: 1, TileOW: 1, TileIC: 3, Dataflow: WeightStationary},
+			{TileOC: 5, TileOH: 3, TileOW: 7, TileIC: 7, Dataflow: InputStationary},
+			{TileOC: 8, TileOH: 4, TileOW: 4, TileIC: 8},
+			{TileOC: 32, TileOH: 16, TileOW: 16, TileIC: 16, Dataflow: WeightStationary},
+		} {
+			got, want := s.Tiles(w), stepTiles(s, w)
+			if !slices.Equal(got, want) {
+				t.Errorf("workload %+v schedule %v: %d closed-form tiles differ from %d stepwise tiles",
+					w, s, len(got), len(want))
+			}
 		}
 	}
 }

@@ -1,14 +1,17 @@
 // Package serve is the network serving front end: a model registry over
 // compiled runtime plans, a dynamic batcher that coalesces concurrent
-// requests into Plan.RunBatch calls under a latency SLO, and the HTTP
-// handler plus load-generator harness built on top of them.
+// requests into Plan.RunBatch calls, and the HTTP handler plus
+// load-generator harness built on top of them.
 //
 // The batcher is the heart of the package. Each model gets one batcher
-// goroutine that pulls requests off a bounded admission queue and flushes a
-// coalesced batch when either the pending chunk count reaches MaxBatch or
-// the oldest request has waited SLO, whichever comes first. Flushes run on
-// a bounded number of in-flight RunBatch calls; when all are busy the
-// batcher stalls, the queue fills, and new submissions are rejected with
+// goroutine that pulls requests off a bounded admission queue and runs them
+// on at most MaxInFlight concurrent RunBatch flushes. The gather is
+// work-conserving: a request that finds a flight slot free flushes at once
+// with whatever the burst already queued, so an idle server never waits.
+// While every slot is busy the batcher keeps taking requests into the next
+// batch (up to MaxBatch chunks), so batches grow exactly when the server is
+// loaded. When the batch is full and every slot is still busy the batcher
+// stalls, the queue fills, and new submissions are rejected with
 // ErrOverloaded (HTTP 429) — admission control instead of unbounded
 // buffering.
 package serve
@@ -34,25 +37,32 @@ var ErrOverloaded = errors.New("serve: overloaded: admission queue full")
 // HTTP maps it to 503 Service Unavailable.
 var ErrClosed = errors.New("serve: closed")
 
+// ErrInvalidInput wraps every shape-validation failure of Submit: the
+// caller's fault, which HTTP maps to 400 Bad Request.
+var ErrInvalidInput = errors.New("serve: invalid input")
+
 // Config tunes one model's dynamic batcher. The zero value serves with the
 // documented defaults.
 type Config struct {
-	// MaxBatch flushes a batch once the pending compiled-batch chunk count
-	// reaches it (default 32). A single request larger than MaxBatch is
-	// admitted and flushed alone, never split.
+	// MaxBatch stops a batch growing once its pending compiled-batch chunk
+	// count reaches it (default 32). A single request larger than MaxBatch
+	// is admitted and flushed alone, never split.
 	MaxBatch int
-	// SLO is the longest a request may wait for coalescing before its
-	// batch flushes (deadline trigger). 0 means flush immediately with
-	// whatever is instantaneously queued (bursts still coalesce).
+	// Deprecated: SLO is ignored. The batcher never waits on a timer: it
+	// flushes as soon as a flight slot is free (see MaxInFlight). The field
+	// is removed once benchmark/trace.go stops setting it (ROADMAP item
+	// 1(a)).
 	SLO time.Duration
 	// QueueDepth bounds the admission queue in requests (default 1024);
 	// submissions beyond it fail with ErrOverloaded.
 	QueueDepth int
 	// Workers is the RunBatch worker count per flush (default GOMAXPROCS).
 	Workers int
-	// MaxInFlight bounds concurrent RunBatch flushes (default 2): one
-	// filling while one drains keeps the executor pool busy without
-	// unbounded checkout growth.
+	// MaxInFlight bounds concurrent RunBatch flushes (default 2), and it is
+	// the batcher's only load signal: a gathered batch flushes the moment
+	// one of these slots is free, and it grows only while all of them are
+	// busy. One flush filling while one drains keeps the executor pool
+	// busy without unbounded checkout growth.
 	MaxInFlight int
 }
 
@@ -73,12 +83,14 @@ func (c Config) withDefaults() Config {
 }
 
 // request is one submitted inference: its input (batch dim = chunks ×
-// compiled batch), the chunk count, and the channel its result comes back
-// on (buffered so the flusher never blocks on delivery).
+// compiled batch), the chunk count, when it was admitted, and the channel
+// its result comes back on (buffered so the flusher never blocks on
+// delivery).
 type request struct {
-	input  *tensor.Tensor
-	chunks int
-	resp   chan result
+	input    *tensor.Tensor
+	chunks   int
+	admitted time.Time
+	resp     chan result
 }
 
 type result struct {
@@ -138,17 +150,36 @@ func (b *Batcher) Plan() *runtime.Plan { return b.plan }
 // more than one request, in which case it aliases the batch result — either
 // way it is the caller's to read and never recycled by the batcher.
 //
-// Errors: a shape mismatch returns the validation error; a full queue
-// returns ErrOverloaded; submission after Close returns ErrClosed; an
-// execution failure returns RunBatch's error (every request of the failed
-// batch gets it).
+// Errors: a shape mismatch returns an error wrapping ErrInvalidInput; a
+// full queue returns ErrOverloaded; submission after Close returns
+// ErrClosed; an execution failure returns RunBatch's error (every request
+// of the failed batch gets it).
 func (b *Batcher) Submit(input *tensor.Tensor) (*tensor.Tensor, error) {
+	req, err := b.admit(input)
+	if err != nil {
+		return nil, err
+	}
+	res := <-req.resp
+	if res.err != nil {
+		if b.eps != nil {
+			b.eps.Errors.Add(1)
+		}
+		return nil, res.err
+	}
+	now := time.Now()
+	b.eps.RecordRequest(now.Sub(req.admitted).Nanoseconds(), now.UnixNano())
+	return res.out, nil
+}
+
+// admit validates input and enqueues it, returning the queued request whose
+// resp channel will carry the result. On return the request is in the
+// queue (or already taken by the gather loop).
+func (b *Batcher) admit(input *tensor.Tensor) (*request, error) {
 	chunks, err := b.validate(input)
 	if err != nil {
 		return nil, err
 	}
-	req := &request{input: input, chunks: chunks, resp: make(chan result, 1)}
-	start := time.Now()
+	req := &request{input: input, chunks: chunks, admitted: time.Now(), resp: make(chan result, 1)}
 
 	// The read lock pairs with Close's write lock: any Submit that sees
 	// closed == false finishes its enqueue before Close proceeds to stop
@@ -175,35 +206,25 @@ func (b *Batcher) Submit(input *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	b.eps.ObserveQueueDepth(len(b.queue))
 	b.mu.RUnlock()
-
-	res := <-req.resp
-	if res.err != nil {
-		if b.eps != nil {
-			b.eps.Errors.Add(1)
-		}
-		return nil, res.err
-	}
-	now := time.Now()
-	b.eps.RecordRequest(now.Sub(start).Nanoseconds(), now.UnixNano())
-	return res.out, nil
+	return req, nil
 }
 
 // validate checks input against the plan's compiled input shape and
-// returns its chunk count.
+// returns its chunk count. Every failure wraps ErrInvalidInput.
 func (b *Batcher) validate(input *tensor.Tensor) (int, error) {
 	inShape := b.plan.Graph.In.OutShape
 	if input.Shape().Rank() != inShape.Rank() {
-		return 0, fmt.Errorf("serve: input rank %d != compiled input %v", input.Shape().Rank(), inShape)
+		return 0, fmt.Errorf("%w: rank %d != compiled input %v", ErrInvalidInput, input.Shape().Rank(), inShape)
 	}
 	for d := 1; d < inShape.Rank(); d++ {
 		if input.Dim(d) != inShape[d] {
-			return 0, fmt.Errorf("serve: input shape %v does not match compiled input %v in dim %d",
-				input.Shape(), inShape, d)
+			return 0, fmt.Errorf("%w: shape %v does not match compiled input %v in dim %d",
+				ErrInvalidInput, input.Shape(), inShape, d)
 		}
 	}
 	if input.Dim(0)%inShape[0] != 0 {
-		return 0, fmt.Errorf("serve: batch %d is not a multiple of the compiled batch %d",
-			input.Dim(0), inShape[0])
+		return 0, fmt.Errorf("%w: batch %d is not a multiple of the compiled batch %d",
+			ErrInvalidInput, input.Dim(0), inShape[0])
 	}
 	return input.Dim(0) / inShape[0], nil
 }
@@ -256,48 +277,49 @@ func (b *Batcher) drain() {
 	}
 }
 
-// gatherAndFlush coalesces requests behind first until the batch is full,
-// the SLO deadline passes, or shutdown begins, then dispatches the batch.
+// gatherAndFlush coalesces requests behind first and launches the batch the
+// moment a flight slot is free. It never waits on a clock: the in-flight
+// cap is the only load signal.
+//
+//  1. What the burst already queued rides along at no wait.
+//  2. Then the batch grows only while every flight slot is busy: whichever
+//     comes first, a free slot (flush now) or another request (append).
+//  3. Once the batch reaches MaxBatch it waits for a slot alone.
+//
+// So an idle server flushes a lone request at once, and a busy one builds
+// its next batch from what arrives while the running flushes hold every
+// slot. Waiting for a slot in 2 and 3 is the backpressure that fills the
+// queue and trips ErrOverloaded.
 func (b *Batcher) gatherAndFlush(first *request) {
 	batch := []*request{first}
 	pending := first.chunks
-	if pending < b.cfg.MaxBatch && b.cfg.SLO > 0 {
-		timer := time.NewTimer(b.cfg.SLO)
-	gather:
-		for pending < b.cfg.MaxBatch {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-				pending += r.chunks
-			case <-timer.C:
-				break gather
-			case <-b.done:
-				break gather
-			}
-		}
-		timer.Stop()
-	} else if pending < b.cfg.MaxBatch {
-		// SLO 0: no deadline to wait out — flush immediately with whatever
-		// the burst already queued.
-	greedy:
-		for pending < b.cfg.MaxBatch {
-			select {
-			case r := <-b.queue:
-				batch = append(batch, r)
-				pending += r.chunks
-			default:
-				break greedy
-			}
+burst:
+	for pending < b.cfg.MaxBatch {
+		select {
+		case r := <-b.queue:
+			batch = append(batch, r)
+			pending += r.chunks
+		default:
+			break burst
 		}
 	}
-	b.dispatch(batch, pending)
+	for pending < b.cfg.MaxBatch {
+		select {
+		case b.flight <- struct{}{}:
+			b.launch(batch, pending)
+			return
+		case r := <-b.queue:
+			batch = append(batch, r)
+			pending += r.chunks
+		}
+	}
+	b.flight <- struct{}{}
+	b.launch(batch, pending)
 }
 
-// dispatch launches one gathered batch on a flush slot. Acquiring the slot
-// blocks the batcher loop while MaxInFlight flushes are running — that
-// stall is the backpressure that fills the queue and trips ErrOverloaded.
-func (b *Batcher) dispatch(batch []*request, chunks int) {
-	b.flight <- struct{}{}
+// launch runs one gathered batch on the flight slot its caller acquired;
+// the flush goroutine gives the slot back when the batch is delivered.
+func (b *Batcher) launch(batch []*request, chunks int) {
 	b.flushes.Add(1)
 	go func() {
 		defer func() {
@@ -308,9 +330,15 @@ func (b *Batcher) dispatch(batch []*request, chunks int) {
 	}()
 }
 
-// flush joins the batch's inputs, runs them as one RunBatch call, and
-// scatters the output back to each request.
+// flush records each request's queue wait, joins the batch's inputs, runs
+// them as one RunBatch call, and scatters the output back to each request.
 func (b *Batcher) flush(batch []*request, chunks int) {
+	if b.eps != nil {
+		start := time.Now()
+		for _, r := range batch {
+			b.eps.RecordQueueWait(start.Sub(r.admitted).Nanoseconds())
+		}
+	}
 	if b.flushHook != nil {
 		b.flushHook()
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -38,7 +37,6 @@ type ModelInfo struct {
 	InputShape  []int  `json:"input_shape"`
 	OutputShape []int  `json:"output_shape"`
 	MaxBatch    int    `json:"max_batch"`
-	SLONs       int64  `json:"slo_ns"`
 }
 
 // errorBody is the JSON error envelope every non-2xx response carries.
@@ -161,7 +159,7 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 		case errors.Is(err, ErrClosed):
 			status = http.StatusServiceUnavailable
-		case isValidationError(err):
+		case errors.Is(err, ErrInvalidInput):
 			status = http.StatusBadRequest
 		}
 		writeJSON(w, status, errorBody{Error: err.Error()})
@@ -174,15 +172,6 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 		Data:      out.Data(),
 		LatencyNs: time.Since(start).Nanoseconds(),
 	})
-}
-
-// isValidationError distinguishes Submit's shape-validation failures (the
-// caller's fault: 400) from execution failures (ours: 500).
-func isValidationError(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "does not match compiled input") ||
-		strings.Contains(s, "not a multiple") ||
-		strings.Contains(s, "input rank")
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

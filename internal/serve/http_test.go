@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -26,14 +28,12 @@ func (p *tinyProvider) Info(name string) (ModelInfo, bool) {
 	if name != "tiny" {
 		return ModelInfo{}, false
 	}
-	cfg := p.batcher.cfg
 	return ModelInfo{
 		Name:        name,
 		Version:     1,
 		InputShape:  p.plan.Graph.In.OutShape,
 		OutputShape: p.plan.Graph.Out.OutShape,
-		MaxBatch:    cfg.MaxBatch,
-		SLONs:       cfg.SLO.Nanoseconds(),
+		MaxBatch:    p.batcher.cfg.MaxBatch,
 	}, true
 }
 
@@ -43,6 +43,17 @@ func (p *tinyProvider) Predict(name string, input *tensor.Tensor) (*tensor.Tenso
 	}
 	out, err := p.batcher.Submit(input)
 	return out, 1, err
+}
+
+// failingProvider serves the tiny model's shapes but fails every predict
+// with err, as an execution failure below the batcher would.
+type failingProvider struct {
+	tinyProvider
+	err error
+}
+
+func (p *failingProvider) Predict(string, *tensor.Tensor) (*tensor.Tensor, int64, error) {
+	return nil, 0, p.err
 }
 
 // newTestServer spins the tiny provider behind an httptest server.
@@ -61,7 +72,7 @@ func newTestServer(t *testing.T, cfg Config) (*httptest.Server, *tinyProvider) {
 func TestHTTPPredict(t *testing.T) {
 	runtime.EnableMetrics()
 	defer runtime.DisableMetrics()
-	srv, _ := newTestServer(t, Config{SLO: time.Millisecond})
+	srv, _ := newTestServer(t, Config{})
 
 	in := testInput(51, 2)
 	body, _ := json.Marshal(PredictRequest{Shape: in.Shape(), Data: in.Data()})
@@ -143,6 +154,36 @@ func TestHTTPErrors(t *testing.T) {
 	p.batcher.Close()
 	if got := post("/v1/models/tiny/predict", good); got != http.StatusServiceUnavailable {
 		t.Errorf("closed -> %d, want 503", got)
+	}
+}
+
+// TestHTTPErrorStatusIsTyped maps predict errors to statuses by type, never
+// by text: an execution failure whose message happens to read like a shape
+// complaint is still ours (500), and only ErrInvalidInput is the caller's
+// (400).
+func TestHTTPErrorStatusIsTyped(t *testing.T) {
+	plan := testPlan(t)
+	b := NewBatcher("tiny", plan, Config{})
+	defer b.Close()
+	good, _ := json.Marshal(PredictRequest{Data: testInput(55, 1).Data()})
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{errors.New("runtime: batch chunk 0: input rank 3 != compiled input [1 1 4 4]"), http.StatusInternalServerError},
+		{fmt.Errorf("%w: rank 3 != compiled input [1 1 4 4]", ErrInvalidInput), http.StatusBadRequest},
+	} {
+		srv := httptest.NewServer(NewHandler(&failingProvider{tinyProvider: tinyProvider{plan: plan, batcher: b}, err: tc.err}))
+		resp, err := http.Post(srv.URL+"/v1/models/tiny/predict", "application/json", bytes.NewReader(good))
+		if err != nil {
+			srv.Close()
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%q -> %d, want %d", tc.err, resp.StatusCode, tc.want)
+		}
 	}
 }
 
