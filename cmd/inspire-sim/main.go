@@ -26,7 +26,6 @@ func main() {
 	hw := flag.Int("hw", 64, "input spatial size (multiple of 32)")
 	bits := flag.Int("bits", 4, "weight quantization bit-width")
 	force := flag.String("force", "auto", "implementation: auto | dense | csr | factorized | ipe | winograd")
-	tune := flag.Bool("tune", false, "auto-tune dense schedules")
 	run := flag.Bool("run", false, "execute one inference on the CPU")
 	seed := flag.Uint64("seed", 1, "weight RNG seed")
 	save := flag.String("save", "", "write the model (graph + weights) to this file and exit")
@@ -127,9 +126,7 @@ func main() {
 	}
 
 	hwCfg := accel.Default()
-	plan, err := runtime.Compile(g, runtime.Options{
-		Bits: *bits, Force: forceImpl, TuneDense: *tune, HW: hwCfg, Seed: *seed,
-	})
+	plan, err := runtime.Compile(g, runtime.Options{Bits: *bits, Force: forceImpl, HW: hwCfg})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "inspire-sim: %v\n", err)
 		os.Exit(1)

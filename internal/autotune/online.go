@@ -323,14 +323,10 @@ func (t *Bandit) State() []LayerTunerState {
 }
 
 // WinnersTo writes each layer's serving arm into the persistent store under
-// (shape, arm, par), carrying the arm's cumulative sample count and EWMA
+// (shape, arm, par 0), carrying the arm's cumulative sample count and EWMA
 // latency. Layers whose serving arm has no observed samples are skipped —
 // an unmeasured incumbent is a default, not a winner worth persisting.
-// Parallelism-qualified arm names ("impl@pN", see ArmName) are decomposed:
-// the store key carries the arm's own parallelism instead of the session
-// default, so a winner measured at N shards seeds future compiles at N
-// shards only.
-func (t *Bandit) WinnersTo(store *Store, par int, nowUnixNs int64) {
+func (t *Bandit) WinnersTo(store *Store, nowUnixNs int64) {
 	if store == nil {
 		return
 	}
@@ -341,12 +337,8 @@ func (t *Bandit) WinnersTo(store *Store, par int, nowUnixNs int64) {
 		if !lt.seen[cur] || lt.prev[cur].Count <= 0 {
 			continue
 		}
-		impl, armPar := ParseArmName(lt.arms[cur])
-		if armPar == 0 {
-			armPar = par
-		}
 		store.Put(
-			Key{Shape: lt.shape, Impl: impl, Par: armPar},
+			Key{Shape: lt.shape, Impl: lt.arms[cur]},
 			Entry{MeanNs: lt.ewma[cur], Samples: lt.prev[cur].Count, UpdatedUnixNs: nowUnixNs},
 		)
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/autotune"
 	"repro/internal/baseline"
+	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/quant"
 	"repro/internal/report"
@@ -126,8 +127,6 @@ func Fig5EndToEnd(cfg Config) error {
 	for _, m := range models {
 		variants := []variant{
 			{"dense", runtime.Options{Force: runtime.ImplDense, Bits: cfg.Bits, HW: cfg.Accel, IPE: cfg.IPE}},
-			{"dense-tuned", runtime.Options{Force: runtime.ImplDense, Bits: cfg.Bits, HW: cfg.Accel, IPE: cfg.IPE,
-				TuneDense: true, TuneBudget: budget, Seed: cfg.Seed}},
 			{"winograd", runtime.Options{Force: runtime.ImplWinograd, Bits: cfg.Bits, HW: cfg.Accel, IPE: cfg.IPE}},
 			{"csr", runtime.Options{Force: runtime.ImplCSR, Bits: cfg.Bits, HW: cfg.Accel, IPE: cfg.IPE}},
 			{"ucnn", runtime.Options{Force: runtime.ImplFactorized, Bits: cfg.Bits, HW: cfg.Accel, IPE: cfg.IPE}},
@@ -143,6 +142,9 @@ func Fig5EndToEnd(cfg Config) error {
 				return fmt.Errorf("%s/%s: %w", m.Name, v.name, err)
 			}
 			row = append(row, report.Num(plan.Total.Microseconds(cfg.Accel)))
+			if v.name == "dense" {
+				row = append(row, report.Num(tunedDenseTotal(plan, cfg, budget).Microseconds(cfg.Accel)))
+			}
 			if v.name == "auto" {
 				counts := plan.ImplCounts()
 				autoImpls = fmt.Sprintf("d:%d c:%d u:%d i:%d",
@@ -155,6 +157,34 @@ func Fig5EndToEnd(cfg Config) error {
 	}
 	emit(cfg, t)
 	return nil
+}
+
+// tunedDenseTotal re-models a dense-forced plan with every conv on an
+// auto-tuned schedule in place of the heuristic one, accumulated in op
+// order like Plan.Total.
+func tunedDenseTotal(plan *runtime.Plan, cfg Config, budget int) accel.Result {
+	var total accel.Result
+	for _, op := range plan.Ops {
+		sim := op.Sim
+		if n := op.Node; n.Kind == graph.OpConv {
+			in := n.Inputs[0].OutShape
+			sim = tunedDenseConv(schedule.Workload{Spec: n.Attrs.Conv, N: in[0], H: in[2], W: in[3]}, cfg, budget)
+		}
+		total.Accumulate(sim)
+	}
+	return total
+}
+
+// tunedDenseConv models a dense conv on the genetic tuner's best schedule,
+// or on the roofline profile when the search finds no legal point.
+func tunedDenseConv(wl schedule.Workload, cfg Config, budget int) accel.Result {
+	sp := schedule.NewSpace(wl, cfg.Accel)
+	if r := (autotune.Genetic{}).Tune(sp, budget, cfg.Seed); r.BestIdx != nil {
+		if res, err := sp.At(r.BestIdx).Simulate(wl, cfg.Accel); err == nil {
+			return res
+		}
+	}
+	return cfg.Accel.Simulate(accel.DenseConvProfile(wl.Spec, wl.N, wl.H, wl.W))
 }
 
 // Fig6aBits prints the bit-width sensitivity: IPE and UCNN speedup over

@@ -61,6 +61,11 @@ func FuzzGraphDeserialize(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("IGM1"))
+	var bad bytes.Buffer
+	if err := badParamGraphs()["conv bias too short"].Save(&bad); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bad.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadGraph(bytes.NewReader(data))
 		if err != nil {

@@ -308,6 +308,12 @@ func inferShape(n *Node) (tensor.Shape, error) {
 		if s[1] != spec.InC {
 			return nil, fmt.Errorf("conv input channels %d != spec.InC %d", s[1], spec.InC)
 		}
+		if w := n.Param("weight"); w == nil || !w.Shape().Equal(spec.WeightShape()) {
+			return nil, fmt.Errorf("conv needs a %v weight", spec.WeightShape())
+		}
+		if err := checkBias(n, spec.OutC); err != nil {
+			return nil, err
+		}
 		oh, ow := spec.OutDims(s[2], s[3])
 		if oh <= 0 || ow <= 0 {
 			return nil, fmt.Errorf("conv output is empty (%dx%d)", oh, ow)
@@ -324,6 +330,9 @@ func inferShape(n *Node) (tensor.Shape, error) {
 		}
 		if w.Dim(1) != s[1] {
 			return nil, fmt.Errorf("dense weight k %d != input width %d", w.Dim(1), s[1])
+		}
+		if err := checkBias(n, w.Dim(0)); err != nil {
+			return nil, err
 		}
 		return tensor.Shape{s[0], w.Dim(0)}, nil
 	case OpBatchNorm, OpReLU:
@@ -384,6 +393,15 @@ func inferShape(n *Node) (tensor.Shape, error) {
 	default:
 		return nil, fmt.Errorf("unknown op kind %d", n.Kind)
 	}
+}
+
+// checkBias rejects a bias whose length is not the node's output count
+// (channels for a conv, units for a dense layer).
+func checkBias(n *Node, outputs int) error {
+	if b := n.Param("bias"); b != nil && b.NumElements() != outputs {
+		return fmt.Errorf("bias has %d elements, want %d", b.NumElements(), outputs)
+	}
+	return nil
 }
 
 // NumParams returns the total learned parameter count of the graph.

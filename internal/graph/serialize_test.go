@@ -96,6 +96,44 @@ func TestReadGraphRejectsCorruption(t *testing.T) {
 	}
 }
 
+// badParamGraphs builds one-layer models whose parameters do not fit the
+// layer: Save writes them as-is, and ReadGraph must refuse them.
+func badParamGraphs() map[string]*Graph {
+	spec := tensor.ConvSpec{InC: 3, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
+	conv := func(w, b *tensor.Tensor) *Graph {
+		g := New("in", 1, 3, 5, 5)
+		g.SetOutput(g.Conv(g.In, "c1", spec, w, b))
+		return g
+	}
+	g := New("in", 1, 3)
+	g.SetOutput(g.Dense(g.In, "fc1", tensor.New(4, 3), tensor.New(2)))
+	return map[string]*Graph{
+		"conv bias too short":  conv(tensor.New(spec.WeightShape()...), tensor.New(1)),
+		"conv weight wrong":    conv(tensor.New(2, 3, 3, 3), nil),
+		"conv weight missing":  conv(nil, tensor.New(4)),
+		"dense bias too short": g,
+	}
+}
+
+// TestReadGraphRejectsMismatchedParams: a model file whose conv weight is not
+// [OutC, InC/Groups, KH, KW], or whose conv/dense bias length differs from
+// the layer's outputs, fails to load with an error naming the node instead
+// of panicking inside a kernel on the first run.
+func TestReadGraphRejectsMismatchedParams(t *testing.T) {
+	for name, g := range badParamGraphs() {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := g.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadGraph(&buf)
+			if err == nil || !strings.Contains(err.Error(), g.Out.String()) {
+				t.Fatalf("ReadGraph error = %v, want one naming %s", err, g.Out)
+			}
+		})
+	}
+}
+
 func TestGraphRoundTripResidualTopology(t *testing.T) {
 	// Shared nodes (residual pattern) must deduplicate properly: the add's
 	// two paths must converge to the same node instance after loading.

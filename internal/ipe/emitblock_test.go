@@ -76,8 +76,8 @@ func TestEmitBlockedBitIdentical(t *testing.T) {
 }
 
 // BenchmarkEmitBlocked times the register-blocked compiled matrix executor
-// on the serving shapes (the bench-micro CI job runs this with
-// -benchtime=1x as a build-and-run smoke check).
+// on the serving shapes (make bench-smoke runs it with -benchtime=1x as a
+// build-and-run smoke check).
 func BenchmarkEmitBlocked(b *testing.B) {
 	for _, sh := range emitShapes {
 		c := emitProg(b, sh.m, sh.k)

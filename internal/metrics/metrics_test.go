@@ -349,7 +349,7 @@ func TestEndpointNilSafety(t *testing.T) {
 func TestDropPrefixRemovesOneVersionsSeries(t *testing.T) {
 	r := New()
 	old := r.Layer("m@v1/conv1")
-	r.Layer("m@v1/conv1@p2")
+	r.Layer("m@v1/fc1")
 	r.Layer("m@v2/conv1")
 	r.Layer("n@v1/conv1")
 	r.Autotune("m@v1/conv1")

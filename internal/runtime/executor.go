@@ -200,37 +200,19 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 		for j, id := range st.insIDs {
 			st.ins[j] = e.slots[id]
 		}
-		impl, kernel, stats := st.op.Impl, st.kernel, st.stats
-		armPar := 0
+		impl, kernel := st.op.Impl, st.kernel
 		if lt != nil && lt.perStep[i] != nil {
-			arm := lt.arms[i][lt.perStep[i].Choose()]
-			impl, armPar = arm.impl, arm.par
-			if stats != nil {
-				kernel = stepKernelFor(st.op.Node.Kind, impl)
-				if armPar > 0 && e.rec != nil {
-					// Parallelism-qualified arms record into their own
-					// series ("layer@pN") so the bandit can separate
-					// same-impl latencies across shard counts.
-					stats = e.rec.Layer(arm.series)
-				}
-			}
-		}
-		prevPar := 0
-		if armPar > 0 {
-			prevPar = e.par.Shards()
-			e.par.SetShards(armPar)
+			impl = lt.arms[i][lt.perStep[i].Choose()]
+			kernel = stepKernelFor(st.op.Node.Kind, impl)
 		}
 		e.par.Reset()
 		var err error
-		if stats != nil {
+		if st.stats != nil {
 			t0 := time.Now()
 			err = e.runStep(st, impl)
-			stats.Record(kernel, time.Since(t0).Nanoseconds(), batch)
+			st.stats.Record(kernel, time.Since(t0).Nanoseconds(), batch)
 		} else {
 			err = e.runStep(st, impl)
-		}
-		if prevPar > 0 {
-			e.par.SetShards(prevPar)
 		}
 		if err != nil {
 			e.dropInputRefs()
@@ -286,13 +268,9 @@ func (e *Executor) runStep(st *execStep, impl Impl) error {
 		denseFactorizedInto(dst, st.ins[0], op.factDense, op.denseBias)
 	case n.Kind == graph.OpDense && impl == ImplIPE:
 		op.ipeDense.ForwardInto(dst, st.ins[0], e.par.Scratch(0))
-	case n.Kind == graph.OpDense && impl == ImplDense:
-		// Packed register-microkernel GEMM; bit-identical to DenseIntoPar
-		// (same per-element products in the same ascending-k order), so
-		// switching the serving path is numerically invisible.
-		tensor.DenseGemmIntoPar(dst, st.ins[0], op.denseWeight, op.denseBias, e.par)
 	default:
-		// EvalNodeIntoPar already applies FusedReLU.
+		// Dense convs and FC layers run the node's float weights through
+		// the reference kernels; EvalNodeIntoPar already applies FusedReLU.
 		return graph.EvalNodeIntoPar(dst, n, st.ins, e.par)
 	}
 	if n.Attrs.FusedReLU {

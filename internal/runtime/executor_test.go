@@ -167,8 +167,8 @@ func TestExecutorBitIdenticalMobileNet(t *testing.T) {
 // execution allocates the closures its parallel regions need; the
 // zero-alloc guarantee is documented for the serial setting.)
 func TestExecutorSteadyStateZeroAllocs(t *testing.T) {
-	// ImplDense covers the packed-GEMM serving path (DenseGemmIntoPar):
-	// its panel buffers must come from the per-shard scratch, not the heap.
+	// ImplDense covers the FC layers' DenseIntoPar path through
+	// graph.EvalNodeIntoPar.
 	for _, force := range []Impl{ImplAuto, ImplDense, ImplIPE, ImplCSR, ImplFactorized} {
 		t.Run(force.String(), func(t *testing.T) {
 			g := nn.LeNet5(1, 13)

@@ -90,28 +90,14 @@ type Options struct {
 	// Force pins every conv/dense operator to one implementation;
 	// ImplAuto (zero value) selects per operator by simulated cycles.
 	Force Impl
-	// TuneDense auto-tunes the dense schedule per conv layer instead of
-	// using the default heuristic schedule.
-	TuneDense bool
-	// Tuner and TuneBudget control dense-schedule search (default
-	// genetic, 64 trials).
-	Tuner      autotune.Tuner
-	TuneBudget int
-	// Cache reuses tuning results across identically-shaped layers.
-	Cache *autotune.Cache
 	// TuningStore seeds each conv/dense operator's implementation choice
 	// from persisted online-tuning measurements (see Plan.StartTuner):
 	// when the store holds a sufficiently-sampled winner for the layer's
-	// (shape, parallelism) the measured winner overrides the simulator's
-	// pick, so a restarted server — or a sibling model with identical layer
-	// shapes — plans the tuned implementation on the first request. Only
-	// consulted under ImplAuto; nil disables seeding.
+	// shape the measured winner overrides the simulator's pick, so a
+	// restarted server — or a sibling model with identical layer shapes —
+	// plans the tuned implementation on the first request. Only consulted
+	// under ImplAuto; nil disables seeding.
 	TuningStore *autotune.Store
-	// TunePar is the parallelism component of tuning-store keys, for both
-	// seeding and write-back (0 = the default serving configuration).
-	TunePar int
-	// Seed drives the tuner.
-	Seed uint64
 	// Workers bounds the compilation parallelism (per-operator encoding
 	// and candidate simulation are independent). 0 means GOMAXPROCS.
 	Workers int
@@ -129,15 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HW.PEs == 0 {
 		o.HW = accel.Default()
-	}
-	if o.Tuner == nil {
-		o.Tuner = autotune.Genetic{}
-	}
-	if o.TuneBudget == 0 {
-		o.TuneBudget = 64
-	}
-	if o.Cache == nil {
-		o.Cache = autotune.NewCache()
 	}
 	return o
 }
@@ -162,8 +139,8 @@ type CompiledOp struct {
 
 	// One serving structure per implementation; after Compile only Impl's
 	// is non-nil, and StartTuner rebuilds the other arms it explores.
-	// denseWeight is the float weight tensor the dense kernel reads (for a
-	// conv, the node parameter EvalNodeIntoPar reads through the node).
+	// denseWeight marks the dense kernel as built: it is the node's float
+	// weight, which EvalNodeIntoPar reads through the node.
 	ipeConv     *ipe.ConvLayer
 	ipeDense    *ipe.DenseLayer
 	csrConv     *baseline.ConvCSR
@@ -229,7 +206,7 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 			nodes = append(nodes, n)
 		}
 	}
-	// Per-operator compilation (encoding, candidate simulation, tuning) is
+	// Per-operator compilation (encoding, candidate simulation) is
 	// independent across nodes; fan it out over a bounded worker pool and
 	// keep the result order deterministic.
 	workers := opts.Workers
@@ -290,56 +267,33 @@ func compileNode(n *graph.Node, opts Options) (CompiledOp, error) {
 // (a cycle tie goes to the earlier one) and offered to the online tuner in.
 var implOrder = []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE}
 
-// denseConvSim simulates the dense conv either with the default heuristic
-// schedule or an auto-tuned one.
+// denseConvSim simulates the dense conv under the heuristic default
+// schedule: the best legal point among the largest power-of-two-ish tiles
+// from the top of each option list.
 func denseConvSim(w schedule.Workload, opts Options) accel.Result {
 	sp := schedule.NewSpace(w, opts.HW)
-	if !opts.TuneDense {
-		// Heuristic default: largest legal power-of-two-ish tile from the
-		// top of each option list.
-		best := accel.Result{Cycles: 1 << 62}
-		found := false
-		for _, idx := range [][]int{
-			{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 0},
-			{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 1},
-			{len(sp.OCOpts) / 2, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) / 2, 0, 0},
-			{0, 0, len(sp.OWOpts) - 1, 0, 0, 0},
-			{0, 0, 0, 0, 0, 0},
-		} {
-			if res, err := sp.At(idx).Simulate(w, opts.HW); err == nil {
-				found = true
-				if res.Cycles < best.Cycles {
-					best = res
-				}
+	best := accel.Result{Cycles: 1 << 62}
+	found := false
+	for _, idx := range [][]int{
+		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 0},
+		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 1},
+		{len(sp.OCOpts) / 2, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) / 2, 0, 0},
+		{0, 0, len(sp.OWOpts) - 1, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0},
+	} {
+		if res, err := sp.At(idx).Simulate(w, opts.HW); err == nil {
+			found = true
+			if res.Cycles < best.Cycles {
+				best = res
 			}
 		}
-		if found {
-			return best
-		}
 	}
-	run := func() autotune.Result {
-		return opts.Tuner.Tune(sp, opts.TuneBudget, opts.Seed)
-	}
-	var r autotune.Result
-	if opts.TuneDense {
-		// The cache key carries impl and parallelism alongside the shape:
-		// shape-only keys let a schedule tuned for one configuration leak
-		// into another.
-		key := autotune.Key{Shape: w.Key(), Impl: "dense", Par: opts.TunePar}
-		r = opts.Cache.GetOrTune(key.String(), run)
-	} else {
-		r = run()
-	}
-	if r.BestIdx == nil {
-		// No legal schedule (pathological SRAM config): fall back to the
-		// roofline profile.
+	if !found {
+		// No legal heuristic point (pathological SRAM config): fall back to
+		// the roofline profile.
 		return opts.HW.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W))
 	}
-	res, err := sp.At(r.BestIdx).Simulate(w, opts.HW)
-	if err != nil {
-		return opts.HW.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W))
-	}
-	return res
+	return best
 }
 
 // wants reports whether implementation im must be built given the Force
@@ -634,9 +588,10 @@ func (op *CompiledOp) tunableArms() []Impl {
 }
 
 // seedFromStore overrides the simulator's implementation choice with a
-// persisted measured winner when one exists for this operator's (shape,
-// parallelism) and was evaluated as a candidate. Only under auto selection:
-// a forced plan always serves its forced implementation.
+// persisted measured winner when one exists for this operator's shape (at
+// the serving parallelism, store par 0) and was evaluated as a candidate.
+// Only under auto selection: a forced plan always serves its forced
+// implementation.
 func seedFromStore(op *CompiledOp, opts Options) {
 	if opts.Force != ImplAuto || opts.TuningStore == nil {
 		return
@@ -649,7 +604,7 @@ func seedFromStore(op *CompiledOp, opts Options) {
 	for i, im := range arms {
 		names[i] = im.String()
 	}
-	name, _, ok := opts.TuningStore.Best(op.shapeKey, opts.TunePar, names, autotune.DefaultPolicy().MinSamples)
+	name, _, ok := opts.TuningStore.Best(op.shapeKey, 0, names, autotune.DefaultPolicy().MinSamples)
 	if !ok {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -242,23 +243,6 @@ func TestCompileResNetAutoHasIPEWins(t *testing.T) {
 	}
 }
 
-func TestTunedDenseNotWorseThanHeuristic(t *testing.T) {
-	gH := nn.LeNet5(1, 3)
-	planH, err := Compile(gH, Options{Force: ImplDense})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gT := nn.LeNet5(1, 3)
-	planT, err := Compile(gT, Options{Force: ImplDense, TuneDense: true, TuneBudget: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if planT.Total.Cycles > planH.Total.Cycles {
-		t.Fatalf("tuned dense (%d cycles) worse than heuristic (%d)",
-			planT.Total.Cycles, planH.Total.Cycles)
-	}
-}
-
 func TestImplString(t *testing.T) {
 	if ImplIPE.String() != "ipe" || Impl(42).String() != "Impl(42)" {
 		t.Fatal("impl names wrong")
@@ -267,7 +251,7 @@ func TestImplString(t *testing.T) {
 
 func TestCompileDefaultsApplied(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Bits != 4 || o.HW.PEs == 0 || o.Tuner == nil || o.Cache == nil {
+	if o.Bits != 4 || o.Scheme != quant.PerChannel || o.HW.PEs == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 	if o.IPE != ipe.DefaultConfig() {

@@ -42,28 +42,6 @@ type TunerConfig struct {
 	// StorePath, when non-empty, is where Stop persists the store
 	// (atomic rename, merging with concurrent writers).
 	StorePath string
-	// Par is the parallelism component of write-back keys; it should match
-	// the Options.TunePar the plan compiles with (0 = default serving
-	// configuration).
-	Par int
-	// ParArms lists additional intra-op parallelism levels the bandit
-	// explores: every implementation arm is crossed with every listed level
-	// (arm "impl@pN"), alongside the plain arms at the serving parallelism.
-	// Explored executions temporarily reshards the executor and record into
-	// a distinct "layer@pN" metrics series so per-arm latency stays
-	// separable; promoted parallelism-qualified winners keep routing at
-	// their parallelism and are written back under it. Empty means impls
-	// only (the previous behavior).
-	ParArms []int
-}
-
-// tunedArm is one routable bandit arm: an implementation plus an optional
-// parallelism override (0 = the executor's serving parallelism), with the
-// metrics series its executions are recorded under precomputed.
-type tunedArm struct {
-	impl   Impl
-	par    int
-	series string
 }
 
 // liveTuner is the routing state installed on Plan.live while tuning is
@@ -72,7 +50,7 @@ type tunedArm struct {
 type liveTuner struct {
 	tuner   *autotune.Bandit
 	perStep []*autotune.LayerTuner
-	arms    [][]tunedArm
+	arms    [][]Impl
 }
 
 // metricsArmReader adapts the metrics recorder's per-kernel layer series to
@@ -81,17 +59,9 @@ type liveTuner struct {
 // samples this poll" (the bandit's delta logic tolerates series resets)
 // instead of pinning a dead recorder.
 type metricsArmReader struct {
-	// series maps "layer|arm" to the metrics series and kernel tag that
-	// arm's executions are recorded under. Parallelism-qualified arms get
-	// their own "layer@pN" series so same-impl arms at different shard
-	// counts never pool their latencies.
-	series map[string]armSeries
-}
-
-// armSeries locates one arm's latency series in the metrics recorder.
-type armSeries struct {
-	layer  string
-	kernel metrics.Kernel
+	// kernels maps "layer|arm" to the kernel tag that arm's executions are
+	// recorded under in the layer's series.
+	kernels map[string]metrics.Kernel
 }
 
 func (r *metricsArmReader) Sample(layer, arm string) autotune.ArmSample {
@@ -99,11 +69,11 @@ func (r *metricsArmReader) Sample(layer, arm string) autotune.ArmSample {
 	if rec == nil {
 		return autotune.ArmSample{}
 	}
-	s, ok := r.series[layer+"|"+arm]
+	kernel, ok := r.kernels[layer+"|"+arm]
 	if !ok {
 		return autotune.ArmSample{}
 	}
-	count, sum := rec.Layer(s.layer).KernelSample(s.kernel)
+	count, sum := rec.Layer(layer).KernelSample(kernel)
 	return autotune.ArmSample{Count: count, SumNs: sum}
 }
 
@@ -136,11 +106,11 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 		cfg.Store = autotune.NewStore()
 	}
 
-	reader := &metricsArmReader{series: make(map[string]armSeries)}
+	reader := &metricsArmReader{kernels: make(map[string]metrics.Kernel)}
 	var (
 		decls   []autotune.TunedLayer
 		stepIdx []int // plan step index of each declared layer
-		armSets [][]tunedArm
+		armSets [][]Impl
 	)
 	for i := range p.Ops {
 		op := &p.Ops[i]
@@ -152,29 +122,14 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 			return nil, fmt.Errorf("runtime: building tuner arms for %s: %w", op.Node, err)
 		}
 		name := p.MetricsPrefix + op.Node.Name
-		var (
-			names   []string
-			arms    []tunedArm
-			initial = -1
-		)
-		for _, im := range impls {
-			kernel := stepKernelFor(op.Node.Kind, im)
+		names := make([]string, len(impls))
+		initial := -1
+		for j, im := range impls {
 			if im == op.Impl {
-				initial = len(arms)
+				initial = j
 			}
-			names = append(names, autotune.ArmName(im.String(), 0))
-			arms = append(arms, tunedArm{impl: im, series: name})
-			reader.series[name+"|"+names[len(names)-1]] = armSeries{layer: name, kernel: kernel}
-			for _, pa := range cfg.ParArms {
-				if pa <= 0 {
-					continue
-				}
-				an := autotune.ArmName(im.String(), pa)
-				series := fmt.Sprintf("%s@p%d", name, pa)
-				names = append(names, an)
-				arms = append(arms, tunedArm{impl: im, par: pa, series: series})
-				reader.series[name+"|"+an] = armSeries{layer: series, kernel: kernel}
-			}
+			names[j] = im.String()
+			reader.kernels[name+"|"+names[j]] = stepKernelFor(op.Node.Kind, im)
 		}
 		if initial < 0 {
 			continue // planned impl not among the candidates (cannot happen for Compile-built plans)
@@ -183,7 +138,7 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 			Name: name, Shape: op.shapeKey, Arms: names, Initial: initial,
 		})
 		stepIdx = append(stepIdx, i)
-		armSets = append(armSets, arms)
+		armSets = append(armSets, impls)
 	}
 
 	tuner, err := autotune.NewBandit(cfg.Policy, reader, decls)
@@ -193,7 +148,7 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 	lt := &liveTuner{
 		tuner:   tuner,
 		perStep: make([]*autotune.LayerTuner, len(p.Ops)),
-		arms:    make([][]tunedArm, len(p.Ops)),
+		arms:    make([][]Impl, len(p.Ops)),
 	}
 	// NewBandit keeps >=2-arm layers in declaration order, and every decl
 	// has >=2 arms, so tuner.Layers() aligns 1:1 with decls.
@@ -290,7 +245,7 @@ func (pt *PlanTuner) Stop() error {
 		pt.stop = nil
 	}
 	pt.tuner.Freeze()
-	pt.tuner.WinnersTo(pt.cfg.Store, pt.cfg.Par, time.Now().UnixNano())
+	pt.tuner.WinnersTo(pt.cfg.Store, time.Now().UnixNano())
 	pt.publish()
 	if pt.cfg.StorePath == "" {
 		return nil

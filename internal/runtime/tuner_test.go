@@ -491,97 +491,3 @@ func TestTunerLiveRoutingBitCompatible(t *testing.T) {
 func rowKey(b int, row []float32) string {
 	return string(rune('0'+b)) + string(f32bytes(row))
 }
-
-// TestTunerParArms: with ParArms set, every implementation arm is crossed
-// with the extra parallelism levels; a parallelism-qualified arm can win
-// (its latency series is separate from the same impl at serving
-// parallelism), routing then executes it resharded with bit-identical
-// output, and Stop writes the winner back under the arm's own parallelism.
-func TestTunerParArms(t *testing.T) {
-	rec := EnableMetrics()
-	defer DisableMetrics()
-
-	plan, err := Compile(convGraph(t, 1), Options{Bits: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := convOp(t, plan)
-	incumbent, alt := op.Impl, altImpl(t, op)
-
-	store := autotune.NewStore()
-	pt, err := plan.StartTuner(TunerConfig{Store: store, ParArms: []int{2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Arm sets must cross impls with parallelism: impl and impl@p2 per
-	// candidate.
-	st := pt.State()
-	if len(st) != 1 {
-		t.Fatalf("tuned layers = %d, want 1", len(st))
-	}
-	armNames := pt.tuner.Layers()[0].Arms()
-	wantArms := 2 * len(op.tunableArms())
-	if len(armNames) != wantArms {
-		t.Fatalf("arms = %v, want %d (impls x {p-default, p2})", armNames, wantArms)
-	}
-	target := alt.String() + "@p2"
-	found := false
-	for _, a := range armNames {
-		if a == target {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("arms %v missing %s", armNames, target)
-	}
-
-	// Script rewards: the alternate at 2 shards is 10x faster than the
-	// incumbent; everything else is slow. The @p2 series is distinct from
-	// the serving-parallelism series of the same impl.
-	layer := rec.Layer(op.Node.Name)
-	layerP2 := rec.Layer(op.Node.Name + "@p2")
-	incK := stepKernelFor(graph.OpConv, incumbent)
-	altK := stepKernelFor(graph.OpConv, alt)
-	promoted := false
-	for i := 0; i < 50 && !promoted; i++ {
-		for j := 0; j < 20; j++ {
-			layer.Record(incK, 1_000_000, 1)
-			layer.Record(altK, 900_000, 1)
-		}
-		for j := 0; j < 5; j++ {
-			layerP2.Record(altK, 100_000, 1)
-		}
-		promoted = pt.Poll() > 0
-	}
-	if !promoted {
-		t.Fatal("tuner never promoted the 10x faster parallelism-qualified arm")
-	}
-	if cur := pt.State()[0].Current; cur != target {
-		t.Fatalf("promoted arm = %s, want %s", cur, target)
-	}
-
-	// Routed execution (resharded to 2) must stay bit-identical to the
-	// forced-alt plan.
-	in := tensor.New(1, 1, 8, 8)
-	tensor.FillGaussian(in, tensor.NewRNG(3), 1)
-	want := forcedOutput(t, alt, in)
-	got, err := plan.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f32bytes(got.Data()), f32bytes(want.Data())) {
-		t.Fatalf("routed @p2 output differs from forced %s output", alt)
-	}
-
-	// Write-back decomposes the arm: key parallelism is the arm's own.
-	if err := pt.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := store.Get(autotune.Key{Shape: op.shapeKey, Impl: alt.String(), Par: 2}); !ok {
-		t.Fatalf("winner not stored under its own parallelism: %v", store.Snapshot())
-	}
-	if _, ok := store.Get(autotune.Key{Shape: op.shapeKey, Impl: alt.String(), Par: 0}); ok {
-		t.Fatal("parallelism-qualified winner leaked into the default-par key")
-	}
-}

@@ -8,8 +8,8 @@ import (
 
 // Gemm computes C = A·B for row-major matrices, where A is m×k, B is k×n and
 // C is m×n. C is overwritten. It is the reference (naive, cache-blocked)
-// matrix multiply: the oracle the packed GemmBlocked kernels are held
-// bit-identical to, and the GEMM of the Conv2DIm2col reference lowering.
+// matrix multiply: the GEMM of the Conv2DIm2col reference lowering and of
+// the tensor-gemm conformance family.
 func Gemm(a, b, c []float32, m, k, n int) {
 	metrics.Count(metrics.KernelGEMM)
 	if len(a) < m*k || len(b) < k*n || len(c) < m*n {

@@ -50,9 +50,6 @@ func ConvImpls() []ConvImpl {
 				{Name: "alloc", F: func(dst, in, w, b *Tensor, spec ConvSpec, par *Par) {
 					copy(dst.Data(), Conv2DIm2col(in, w, b, spec).Data())
 				}},
-				{Name: "blocked", F: func(dst, in, w, b *Tensor, spec ConvSpec, par *Par) {
-					copy(dst.Data(), Conv2DIm2colBlocked(in, w, b, spec, par.Scratch(0)).Data())
-				}},
 			},
 		},
 	}
@@ -75,9 +72,8 @@ type DenseVariant struct {
 
 // DenseImpls enumerates the dense families: the per-output dot-product
 // kernel (allocating reference and sharded entry point, one family) and the
-// GEMM lowerings (its own family: the naive cache-blocked Gemm on the
-// materialized transpose as the anchor, then the packed register-microkernel
-// path, bit-identical to it).
+// GEMM lowering (its own family: the cache-blocked Gemm on the materialized
+// transpose).
 func DenseImpls() []DenseImpl {
 	return []DenseImpl{
 		{
@@ -96,9 +92,6 @@ func DenseImpls() []DenseImpl {
 			Variants: []DenseVariant{
 				{Name: "naive", F: func(dst, in, w, b *Tensor, par *Par) {
 					denseViaGemm(dst, in, w, b)
-				}},
-				{Name: "blocked-par", UsesPar: true, F: func(dst, in, w, b *Tensor, par *Par) {
-					DenseGemmIntoPar(dst, in, w, b, par)
 				}},
 			},
 		},
