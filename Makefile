@@ -14,7 +14,8 @@ FUZZ_TARGETS := \
 	./internal/conformance:FuzzConformanceGraph \
 	./internal/conformance:FuzzConformanceSharedDict \
 	./internal/registry:FuzzRegistrySwap \
-	./internal/autotune:FuzzStoreDecode
+	./internal/autotune:FuzzStoreDecode \
+	./internal/serve:FuzzDecodePredict
 
 # Serving-path coverage gate: the packages behind the HTTP front end, their
 # committed floor, and where the profile lands. 80.3% measured when the

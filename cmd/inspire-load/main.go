@@ -11,8 +11,9 @@
 //
 // With several -models the client count is split evenly across them and
 // the endpoints run concurrently (one report per endpoint). Every 200
-// response body is verified: it must name the requested model (mis-routes
-// are counted) and each closed-loop client's observed version sequence must
+// response body is verified: one that does not decode, names no model or
+// has the wrong output length counts as failed, one naming another model as
+// mis-routed, and each closed-loop client's observed version sequence must
 // be non-decreasing across hot swaps. With -swap-model the driver POSTs a
 // version load for that model halfway through the run (or at -swap-after),
 // so a single invocation proves drain-without-drops under swap; -fail then

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -59,7 +60,9 @@ type Provider interface {
 	Info(name string) (ModelInfo, bool)
 	// Predict runs one request through the named model, returning the
 	// output and the model version that served it. Unknown names return
-	// ErrUnknownModel.
+	// ErrUnknownModel. The input's data is borrowed: the caller reuses it
+	// once Predict returns, so Predict must not retain it, and the output
+	// must not alias it.
 	Predict(name string, input *tensor.Tensor) (*tensor.Tensor, int64, error)
 }
 
@@ -115,9 +118,22 @@ func handlePredict(p Provider, w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown model"})
 		return
 	}
+	// The decoded input lives in pb until release. Predict does not retain
+	// it (see Provider), and the response below never aliases it.
+	pb := getPredictBuf()
+	defer pb.release()
 	var req PredictRequest
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(&req); err != nil {
+	var tooLarge *http.MaxBytesError
+	err := pb.readBody(w, r, maxBodyBytes)
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorBody{Error: fmt.Sprintf("request body over %d bytes", tooLarge.Limit)})
+		return
+	}
+	if err == nil {
+		req, err = pb.decode()
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -228,6 +231,60 @@ func TestHTTPShapeProductOverflow(t *testing.T) {
 	}
 	if len(pr.Data) != 3 {
 		t.Fatalf("output length %d, want 3", len(pr.Data))
+	}
+}
+
+// TestHTTPPooledBuffersConcurrentClients runs 16 closed-loop clients with
+// distinct inputs through the handler and a real batcher whose single flight
+// slot is slowed by the flush hook, so flushes coalesce while the handler
+// reuses pooled request buffers: every client must get the output of its own
+// input, bit for bit.
+func TestHTTPPooledBuffersConcurrentClients(t *testing.T) {
+	rec := runtime.EnableMetrics()
+	defer runtime.DisableMetrics()
+	plan := testPlan(t)
+	p := &tinyProvider{plan: plan, batcher: NewBatcher("tiny", plan, Config{MaxInFlight: 1})}
+	p.batcher.flushHook = func() { time.Sleep(200 * time.Microsecond) }
+	srv := httptest.NewServer(NewHandler(p))
+	defer p.batcher.Close()
+	defer srv.Close()
+
+	const clients, rounds = 16, 8
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				in := testInput(uint64(1000+c*rounds+k), 1)
+				body, _ := json.Marshal(PredictRequest{Shape: in.Shape(), Data: in.Data()})
+				resp, err := http.Post(srv.URL+"/v1/models/tiny/predict", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var pr PredictResponse
+				err = json.NewDecoder(resp.Body).Decode(&pr)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("client %d round %d: status %d, %v", c, k, resp.StatusCode, err)
+					return
+				}
+				want, err := plan.RunBatch(in, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.EqualFunc(pr.Data, want.Data(), func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+					t.Errorf("client %d round %d: got %v, want %v", c, k, pr.Data, want.Data())
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ep := rec.Snapshot().Endpoints[0]; ep.MaxBatch < 2 {
+		t.Errorf("no flush coalesced two requests (max batch %d)", ep.MaxBatch)
 	}
 }
 

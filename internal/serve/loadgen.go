@@ -54,7 +54,7 @@ type LoadReport struct {
 	Requests int64         `json:"requests"`
 	OK       int64         `json:"ok"`
 	Dropped  int64         `json:"dropped_429"`
-	Failed   int64         `json:"failed"` // non-2xx other than 429, plus transport errors
+	Failed   int64         `json:"failed"` // non-2xx other than 429, transport errors, broken 2xx bodies
 	QPS      float64       `json:"qps"`
 	MeanLat  time.Duration `json:"mean_latency_ns"`
 	P50      time.Duration `json:"p50_ns"`
@@ -87,8 +87,10 @@ type LoadReport struct {
 // RunLoad executes the load run: it discovers the model's input shape from
 // /v1/models, builds one deterministic payload, fires Clients closed-loop
 // workers for Duration, and aggregates exact percentiles over every
-// completed request. Every 200 body is parsed and verified: it must name
-// the requested model, and each client's observed version sequence must be
+// completed request. Every 2xx body is parsed and verified: one that does
+// not decode, names no model or carries other than Items × the model's
+// output volume values counts as failed; one naming another model counts as
+// mis-routed; and each client's observed version sequence must be
 // non-decreasing.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Clients <= 0 {
@@ -116,6 +118,10 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		return nil, err
 	}
 	url := fmt.Sprintf("%s/v1/models/%s/predict", cfg.URL, cfg.Model)
+	wantOut := cfg.Items
+	for _, d := range info.OutputShape {
+		wantOut *= d
+	}
 
 	client := &http.Client{
 		Timeout: cfg.Timeout,
@@ -165,10 +171,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 					failed.Add(1)
 				case status == http.StatusTooManyRequests:
 					dropped.Add(1)
+				case status >= 200 && status < 300 && (resp.Model == "" || len(resp.Data) != wantOut):
+					failed.Add(1) // a 2xx that does not carry a whole answer
 				case status >= 200 && status < 300:
 					ok.Add(1)
 					lats[c] = append(lats[c], lat)
-					if resp.Model != "" && resp.Model != cfg.Model {
+					if resp.Model != cfg.Model {
 						misrouted.Add(1)
 					}
 					if resp.Version > 0 {
@@ -227,8 +235,8 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	return rep, nil
 }
 
-// postOnce fires one predict and parses the response body on 2xx (partial
-// bodies are tolerated: a zero PredictResponse skips the routing checks).
+// postOnce fires one predict and parses the response body on 2xx. A 2xx
+// body that does not decode is an error, so the caller counts it failed.
 func postOnce(client *http.Client, url string, body []byte) (int, PredictResponse, error) {
 	var pr PredictResponse
 	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
@@ -237,11 +245,13 @@ func postOnce(client *http.Client, url string, body []byte) (int, PredictRespons
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		// Decode (and thereby fully drain) the body so the connection goes
-		// back to the keep-alive pool.
-		json.NewDecoder(resp.Body).Decode(&pr)
+		err = json.NewDecoder(resp.Body).Decode(&pr)
 	}
+	// Drain the body so the connection goes back to the keep-alive pool.
 	io.Copy(io.Discard, resp.Body)
+	if err != nil {
+		return resp.StatusCode, pr, fmt.Errorf("decoding predict response: %w", err)
+	}
 	return resp.StatusCode, pr, nil
 }
 
