@@ -48,15 +48,17 @@ func (pb *predictBuf) release() {
 }
 
 // readBody reads r's body into pb.body, at most limit bytes. The buffer is
-// sized from Content-Length when the client sent one; a declared length over
-// the limit is refused before anything is read. Over the limit the error is
-// an *http.MaxBytesError.
+// sized from Content-Length when the client sent one, but never past
+// maxPooledBytes up front: beyond that it grows only as bytes arrive, so a
+// client that declares a large body and sends little costs little. A
+// declared length over the limit is refused before anything is read. Over
+// the limit the error is an *http.MaxBytesError.
 func (pb *predictBuf) readBody(w http.ResponseWriter, r *http.Request, limit int64) error {
 	if r.ContentLength > limit {
 		return &http.MaxBytesError{Limit: limit}
 	}
 	buf := pb.body[:0]
-	if n := int(r.ContentLength) + 1; cap(buf) < n { // +1: the read that sees EOF needs no growth
+	if n := int(min(r.ContentLength, maxPooledBytes)) + 1; cap(buf) < n { // +1: the read that sees EOF needs no growth
 		buf = make([]byte, 0, n)
 	}
 	body := http.MaxBytesReader(w, r.Body, limit)
@@ -196,26 +198,22 @@ func (s *scanner) ints(dst []int) ([]int, bool) {
 	}
 }
 
-// int scans -?(0|[1-9][0-9]*) of at most 18 digits, which every int holds
-// exactly as strconv.ParseInt gives it; longer literals are left to the
-// reference. A literal that goes on with a fraction or an exponent fails on
-// the delimiter its caller expects next.
+// int scans -?(0|[1-9][0-9]*) and converts it with strconv.Atoi, reporting
+// false where that fails (overflow). A literal that goes on with a fraction
+// or an exponent fails on the delimiter its caller expects next.
 func (s *scanner) int() (int, bool) {
-	neg := s.i < len(s.b) && s.b[s.i] == '-'
-	if neg {
+	start := s.i
+	if s.i < len(s.b) && s.b[s.i] == '-' {
 		s.i++
 	}
-	start, v := s.i, 0
+	digits := s.i
 	for ; s.i < len(s.b) && isDigit(s.b[s.i]); s.i++ {
-		v = v*10 + int(s.b[s.i]-'0')
 	}
-	if n := s.i - start; n == 0 || n > 18 || (n > 1 && s.b[start] == '0') {
+	if n := s.i - digits; n == 0 || (n > 1 && s.b[digits] == '0') {
 		return 0, false
 	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	v, err := strconv.Atoi(string(s.b[start:s.i]))
+	return v, err == nil
 }
 
 // floats appends a JSON array of numbers to dst, each converted as
@@ -258,7 +256,10 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 // float32 midpoint is a float64, so any midpoint separating x from d would be
 // d itself. |d| sits in [1e-22, 9.1e37], inside float32's normal range,
 // where that bit test finds every midpoint. Midpoints and everything outside
-// the fast path go to strconv.
+// the fast path go to strconv. The fast path earns its keep: the float32
+// shortest forms clients send mostly carry mantissas past 2^24, which strconv
+// takes through Eisel-Lemire, and BenchmarkDecodePredict's strconv arm takes
+// over twice as long as the whole scanner on the benchmark's bodies.
 func (s *scanner) float() (float32, bool) {
 	b, i := s.b, s.i
 	start := i

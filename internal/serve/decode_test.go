@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -198,6 +199,25 @@ func TestReadBodyLimits(t *testing.T) {
 	}
 }
 
+// TestReadBodyDeclaredLengthNotPreallocated sends a few bytes under a
+// Content-Length of maxBodyBytes: readBody must not allocate the declared
+// length up front, only what the pool's cap allows plus what arrives.
+func TestReadBodyDeclaredLengthNotPreallocated(t *testing.T) {
+	r := httptest.NewRequest("POST", "/", &spaces{n: 100})
+	r.ContentLength = maxBodyBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pb := &predictBuf{}
+	err := pb.readBody(httptest.NewRecorder(), r, maxBodyBytes)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(pb.body) != 100 {
+		t.Fatalf("read %d bytes, err %v", len(pb.body), err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*maxPooledBytes {
+		t.Fatalf("a 100-byte body declared %d bytes long allocated %d bytes", maxBodyBytes, got)
+	}
+}
+
 // spaces reads as n JSON whitespace bytes.
 type spaces struct{ n int }
 
@@ -225,9 +245,35 @@ func FuzzDecodePredict(f *testing.F) {
 
 // BenchmarkDecodePredict decodes the benchmark's three body sizes with
 // encoding/json (what the handler ran before) and with the pooled scanner.
+// The strconv arm converts each data literal with strconv.ParseFloat alone,
+// split on commas without any grammar check: a lower bound on a scanner
+// without the float fast path.
 func BenchmarkDecodePredict(b *testing.B) {
 	for _, wb := range workloadBodies {
 		body := workloadBody(b, wb.items, wb.in...)
+		b.Run(wb.name+"/strconv", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			// json.Marshal puts data last: {"shape":[…],"data":[…]}.
+			lits := body[bytes.Index(body, []byte(`"data":[`))+len(`"data":[`) : len(body)-len(`]}`)]
+			dst := make([]float32, 0, bytes.Count(lits, []byte{','})+1)
+			for i := 0; i < b.N; i++ {
+				dst = dst[:0]
+				for rest := lits; len(rest) > 0; {
+					lit := rest
+					if k := bytes.IndexByte(rest, ','); k >= 0 {
+						lit, rest = rest[:k], rest[k+1:]
+					} else {
+						rest = nil
+					}
+					v, err := strconv.ParseFloat(string(lit), 32)
+					if err != nil {
+						b.Fatal(err)
+					}
+					dst = append(dst, float32(v))
+				}
+			}
+		})
 		b.Run(wb.name+"/encoding_json", func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(body)))
