@@ -6,6 +6,7 @@ FUZZTIME ?= 30s
 FUZZ_TARGETS := \
 	./internal/ipe:FuzzUnmarshalBinary \
 	./internal/ipe:FuzzEncodeRoundTrip \
+	./internal/ipe:FuzzCompiledMatrix \
 	./internal/graph:FuzzGraphDeserialize \
 	./internal/runtime:FuzzPlanner \
 	./internal/conformance:FuzzConformanceConv \
@@ -23,7 +24,7 @@ FUZZ_TARGETS := \
 COVER_PKGS := ./internal/serve ./internal/runtime ./internal/registry
 COVER_FLOOR := 75.0
 
-.PHONY: verify build test race vet staticcheck fuzz cover cover-floor loc bench bench-smoke benchmark-smoke serve-smoke multi-model-smoke autotune-sim
+.PHONY: verify build test race vet staticcheck purego fuzz cover cover-floor loc bench bench-smoke benchmark-smoke serve-smoke multi-model-smoke autotune-sim
 
 verify: build test race vet
 
@@ -54,6 +55,17 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
+
+# The Go twins of the amd64 assembly kernels in internal/ipe (build tag
+# purego): the packages whose bits they decide, plainly and under the race
+# detector (which cannot see memory accesses made inside assembly), plus
+# the architectures that never assemble them. go vet's asmdecl check over
+# the assembly itself runs in `make vet`.
+purego:
+	$(GO) test -tags purego ./internal/ipe ./internal/conformance ./internal/runtime ./internal/obs
+	$(GO) test -race -tags purego ./internal/ipe ./internal/runtime
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # Run every fuzz target for FUZZTIME each (override: make fuzz FUZZTIME=5s).
 fuzz:

@@ -220,8 +220,8 @@ func (l *ConvFactorized) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par)
 	res := s0.Take(ocg * oh * ow)
 	for b := 0; b < n; b++ {
 		for g := 0; g < spec.Groups; g++ {
-			tensor.Im2colGroupIntoPar(col, in, b, g, spec, par)
-			l.Mats[g].MatMatIntoPar(res, col, oh*ow, par)
+			cols := tensor.Im2colGroupColumns(col, in, b, g, spec, par)
+			l.Mats[g].MatMatIntoPar(res, cols, oh*ow, par)
 			addConvBias(od, res, l.Bias, spec.OutC, b, g, ocg, oh*ow)
 		}
 	}

@@ -109,9 +109,14 @@ func (p *Program) Compiled() *Compiled {
 	return p.compiled
 }
 
-// compile lowers p. It trusts only Pairs/Rows/K/M (Depth is recomputed, so
-// hand-built test programs compile too).
+// compile lowers p. It reads only Pairs/Rows/K/M (Depth is not consulted,
+// so hand-built test programs compile too), and it panics naming the defect
+// when those could send the unchecked matrix kernels outside the
+// scratchpad (checkStreams).
 func compile(p *Program) *Compiled {
+	if err := p.checkStreams(); err != nil {
+		panic("ipe: cannot lower program: " + err.Error())
+	}
 	d := len(p.Pairs)
 
 	// Liveness: an entry is live iff some emit term reaches it, directly
@@ -402,8 +407,8 @@ func (c *Compiled) ExecuteIntScratch(x []int32, y, vals []int64) {
 // serially on shard 0's scratch). Aligned shard boundaries put every column
 // in the same block position with the same arithmetic as the one-shard
 // walk, so results are bit-identical for any shard count, and bit-identical
-// to Program.ExecuteMatrixInto; see emitblock.go for the register-blocked
-// column walk.
+// to Program.ExecuteMatrixInto; see emitblock.go for the column walk and
+// its SSE2 kernels.
 func (c *Compiled) ExecuteMatrixIntoPar(dst, cols []float32, pTotal int, par *tensor.Par) {
 	metrics.Count(metrics.KernelIPECompiled)
 	checkMatrixBuffers("compiled ExecuteMatrixIntoPar", c.K, c.M, len(dst), len(cols), pTotal)

@@ -2,6 +2,7 @@ package ipe
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -238,6 +239,48 @@ func TestCompiledSymbolWidthBoundary(t *testing.T) {
 			t.Fatalf("total %d: round trip changed symbol count to %d", tc.total, rt.NumSymbols())
 		}
 		assertCompiledMatches(t, &rt)
+	}
+}
+
+// TestCompileRejectsMalformed: the SSE2 kernels index without bounds
+// checks, so lowering must refuse every program whose streams could leave
+// the scratchpad — at Compiled(), not later inside execution.
+func TestCompileRejectsMalformed(t *testing.T) {
+	valid := func() *Program {
+		return &Program{
+			K: 3, M: 2,
+			Pairs: []Pair{{A: 0, B: 1}, {A: 3, B: 2}},
+			Rows: []Row{
+				{Terms: []Term{{Value: 1, Code: 1, Syms: []int32{4}}}},
+				{Terms: []Term{{Value: 2, Code: 2, Syms: []int32{3, 2}}}},
+			},
+		}
+	}
+	cases := []struct {
+		name, want string
+		corrupt    func(p *Program)
+	}{
+		{"rows short of M", "row count", func(p *Program) { p.M = 3 }},
+		{"rows beyond M", "row count", func(p *Program) { p.M = 1 }},
+		{"negative row symbol", "symbol -1", func(p *Program) { p.Rows[0].Terms[0].Syms[0] = -1 }},
+		{"row symbol past the dictionary", "symbol 5", func(p *Program) { p.Rows[1].Terms[0].Syms[1] = 5 }},
+		{"negative pair operand", "pair 0", func(p *Program) { p.Pairs[0].B = -2 }},
+		{"pair reads itself", "pair 1", func(p *Program) { p.Pairs[1].A = 4 }},
+		{"pair reads a later entry", "pair 0", func(p *Program) { p.Pairs[0].A = 4 }},
+	}
+	valid().Compiled() // the unbroken program lowers
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := valid()
+			tc.corrupt(p)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("Compiled() panic %q, want one naming %q", msg, tc.want)
+				}
+			}()
+			p.Compiled()
+		})
 	}
 }
 

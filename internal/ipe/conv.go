@@ -91,8 +91,8 @@ func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	res := s0.Take(ocg * oh * ow)
 	for b := 0; b < n; b++ {
 		for g := 0; g < spec.Groups; g++ {
-			tensor.Im2colGroupIntoPar(col, in, b, g, spec, par)
-			l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, col, oh*ow, par) // [ocg, oh*ow]
+			cols := tensor.Im2colGroupColumns(col, in, b, g, spec, par)
+			l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, cols, oh*ow, par) // [ocg, oh*ow]
 			l.addBias(od, res, b, g, ocg, oh*ow)
 		}
 	}

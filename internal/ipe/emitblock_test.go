@@ -1,18 +1,15 @@
 package ipe
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
-// emitShapes are the LeNet-5 / SqueezeNet layer shapes the serving
-// benchmarks exercise (m outputs, k inputs, p im2col columns), spanning
-// both emit regimes: wide column counts (>= emitWideCutoff, fused-slab
-// streaming passes) and narrow ones (register-chunked emit, including the
-// fully specialized 4-column block).
+// emitShapes are LeNet-5 / SqueezeNet layer shapes (m outputs, k inputs, p
+// im2col columns): full 64-column blocks, ragged final blocks, and narrow
+// 16- and 4-column executions.
 var emitShapes = []struct {
 	m, k, p int
 }{
@@ -26,26 +23,25 @@ var emitShapes = []struct {
 	{64, 512, 4},   // fire9 squeeze
 }
 
-func emitProg(tb testing.TB, m, k int) *Compiled {
+func emitProg(tb testing.TB, m, k int, scheme quant.Scheme) *Compiled {
 	tb.Helper()
 	w := tensor.New(m, k)
 	tensor.FillGaussian(w, tensor.NewRNG(uint64(m+k)), 1)
-	prog, _, err := Encode(quant.Quantize(w, 4, quant.PerTensor), DefaultConfig())
+	prog, _, err := Encode(quant.Quantize(w, 4, scheme), DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return prog.Compiled()
 }
 
-// TestEmitBlockedBitIdentical checks the register-blocked matrix executor
+// TestEmitBlockedBitIdentical checks the column-blocked matrix executor
 // against the single-vector tape executor column by column: every output
 // column must be bit-identical to ExecuteScratch on that input column (the
 // contract that keeps the compiled matrix path in the IPE conformance
-// family). Shapes cover both emit regimes and non-multiple-of-colBlock
-// column counts.
+// family), at the served column count and at a 3-column tail-only block.
 func TestEmitBlockedBitIdentical(t *testing.T) {
 	for _, sh := range emitShapes {
-		c := emitProg(t, sh.m, sh.k)
+		c := emitProg(t, sh.m, sh.k, quant.PerTensor)
 		for _, p := range []int{sh.p, 3} {
 			cols := make([]float32, sh.k*p)
 			r := tensor.NewRNG(uint64(p))
@@ -75,12 +71,23 @@ func TestEmitBlockedBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitBlocked times the register-blocked compiled matrix executor
-// on the serving shapes (make bench-smoke runs it with -benchtime=1x as a
-// build-and-run smoke check).
+// BenchmarkEmitBlocked times the column-blocked compiled matrix executor on
+// four SqueezeNet layers at the shapes the served model runs them (4-bit
+// per-channel codes, the default encoder): one full-block, one 64-, one 16-
+// and one 4-column execution. Run it with and without -tags purego to
+// compare the SSE2 kernels with their Go twins; make bench-smoke runs it
+// with -benchtime=1x as a build-and-run smoke check.
 func BenchmarkEmitBlocked(b *testing.B) {
-	for _, sh := range emitShapes {
-		c := emitProg(b, sh.m, sh.k)
+	for _, sh := range []struct {
+		name    string
+		m, k, p int
+	}{
+		{"conv1_p256", 64, 27, 256},
+		{"fire2.expand3x3_p64", 64, 144, 64},
+		{"fire4.expand3x3_p16", 128, 288, 16},
+		{"fire8.expand3x3_p4", 256, 576, 4},
+	} {
+		c := emitProg(b, sh.m, sh.k, quant.PerChannel)
 		cols := make([]float32, sh.k*sh.p)
 		r := tensor.NewRNG(6)
 		for i := range cols {
@@ -88,7 +95,7 @@ func BenchmarkEmitBlocked(b *testing.B) {
 		}
 		dst := make([]float32, sh.m*sh.p)
 		var s tensor.Scratch
-		b.Run(fmt.Sprintf("m%d_k%d_p%d", sh.m, sh.k, sh.p), func(b *testing.B) {
+		b.Run(sh.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c.executeMatrixColsBlocked(dst, cols, sh.p, 0, sh.p, &s)
 			}

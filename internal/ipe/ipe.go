@@ -170,12 +170,8 @@ func (p *Program) MaxDepthUsed() int {
 // order of the dictionary, symbol ids in range, and — when the program was
 // built with bounds — that the bounds hold.
 func (p *Program) Validate() error {
-	for j, pr := range p.Pairs {
-		lim := int32(p.K + j)
-		if pr.A < 0 || pr.B < 0 || pr.A >= lim || pr.B >= lim {
-			return fmt.Errorf("ipe: pair %d references symbol out of dependency order (A=%d B=%d limit=%d)",
-				j, pr.A, pr.B, lim)
-		}
+	if err := p.checkStreams(); err != nil {
+		return fmt.Errorf("ipe: %w", err)
 	}
 	if len(p.Depth) != len(p.Pairs) {
 		return fmt.Errorf("ipe: depth table length %d != dictionary size %d", len(p.Depth), len(p.Pairs))
@@ -186,10 +182,6 @@ func (p *Program) Validate() error {
 	if p.Config.MaxDepth > 0 && p.MaxDepthUsed() > p.Config.MaxDepth {
 		return fmt.Errorf("ipe: depth %d exceeds MaxDepth %d", p.MaxDepthUsed(), p.Config.MaxDepth)
 	}
-	if len(p.Rows) != p.M {
-		return fmt.Errorf("ipe: row count %d != M %d", len(p.Rows), p.M)
-	}
-	n := int32(p.NumSymbols())
 	for r, row := range p.Rows {
 		for _, t := range row.Terms {
 			if t.Code == 0 {
@@ -198,9 +190,33 @@ func (p *Program) Validate() error {
 			if len(t.Syms) == 0 {
 				return fmt.Errorf("ipe: row %d has an empty term", r)
 			}
+		}
+	}
+	return nil
+}
+
+// checkStreams reports the first defect that would let a symbol index leave
+// the program's scratchpad: a pair operand out of dependency order, a row
+// count other than M, or a term symbol outside [0, NumSymbols()). Validate
+// rejects such programs, and compile refuses to lower them, because the
+// compiled matrix kernels index without bounds checks.
+func (p *Program) checkStreams() error {
+	for j, pr := range p.Pairs {
+		lim := int32(p.K + j)
+		if pr.A < 0 || pr.B < 0 || pr.A >= lim || pr.B >= lim {
+			return fmt.Errorf("pair %d references symbol out of dependency order (A=%d B=%d limit=%d)",
+				j, pr.A, pr.B, lim)
+		}
+	}
+	if len(p.Rows) != p.M {
+		return fmt.Errorf("row count %d != M %d", len(p.Rows), p.M)
+	}
+	n := int32(p.NumSymbols())
+	for r, row := range p.Rows {
+		for _, t := range row.Terms {
 			for _, s := range t.Syms {
 				if s < 0 || s >= n {
-					return fmt.Errorf("ipe: row %d references invalid symbol %d", r, s)
+					return fmt.Errorf("row %d references invalid symbol %d", r, s)
 				}
 			}
 		}

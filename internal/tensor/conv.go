@@ -210,6 +210,26 @@ func Im2colGroupIntoPar(dst []float32, in *Tensor, b, g int, spec ConvSpec, par 
 	im2colRows(dst, in, b, g, spec, oh, ow, 0, rows)
 }
 
+// Im2colGroupColumns returns group g of batch element b as the
+// [icg*kH*kW, oh*ow] im2col matrix. For a 1×1 kernel with unit strides and
+// no padding that matrix is already laid out in the input — the group's
+// icg channel planes, one row per channel — so it returns that slice of
+// in's data in place and leaves col untouched. Otherwise it lowers into
+// col (Im2colGroupIntoPar) and returns col's prefix. Either way the result
+// holds the same values; callers must not write to it.
+func Im2colGroupColumns(col []float32, in *Tensor, b, g int, spec ConvSpec, par *Par) []float32 {
+	spec = spec.Normalize()
+	c, h, w := in.Dim(1), in.Dim(2), in.Dim(3)
+	icg := spec.InC / spec.Groups
+	if spec.KH == 1 && spec.KW == 1 && spec.StrideH == 1 && spec.StrideW == 1 && spec.PadH == 0 && spec.PadW == 0 {
+		o := (b*c + g*icg) * h * w
+		return in.Data()[o : o+icg*h*w]
+	}
+	Im2colGroupIntoPar(col, in, b, g, spec, par)
+	oh, ow := spec.OutDims(h, w)
+	return col[:icg*spec.KH*spec.KW*oh*ow]
+}
+
 // im2colRows lowers im2col matrix rows [lo, hi), where row r unpacks to
 // (ic, ky, kx) = (r/(KH·KW), (r/KW)%KH, r%KW).
 func im2colRows(dst []float32, in *Tensor, b, g int, spec ConvSpec, oh, ow, lo, hi int) {

@@ -105,6 +105,31 @@ func TestIm2colGroupIntoParBitIdentical(t *testing.T) {
 	}
 }
 
+// TestIm2colGroupColumns checks that the helper returns the im2col matrix
+// for 1×1 and general specs, and that the 1×1 unit-stride unpadded case
+// reads the input in place without touching col.
+func TestIm2colGroupColumns(t *testing.T) {
+	in := randTensor(12, 2, 6, 5, 7)
+	for _, spec := range []ConvSpec{
+		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
+		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1, Groups: 3},
+		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 2, StrideW: 1},
+		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1, PadW: 1},
+		{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2},
+	} {
+		direct := spec.KH == 1 && spec.StrideH == 1 && spec.PadW == 0
+		for g := 0; g < spec.Normalize().Groups; g++ {
+			want := Im2colGroup(in, 1, g, spec).Data()
+			col := make([]float32, len(want))
+			got := Im2colGroupColumns(col, in, 1, g, spec, forcedPar(2))
+			expectBitIdentical(t, "Im2colGroupColumns", got, want)
+			if inPlace := &got[0] != &col[0]; inPlace != direct {
+				t.Fatalf("%+v group %d: in place = %v, want %v", spec, g, inPlace, direct)
+			}
+		}
+	}
+}
+
 // TestParSerialFallbacks pins the serial conventions: a nil Par and a
 // one-shard Par both take the closure-free serial path.
 func TestParSerialFallbacks(t *testing.T) {
