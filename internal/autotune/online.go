@@ -80,8 +80,10 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// ArmSample is one arm's cumulative latency series: how many executions
-// have been recorded for it and their total nanoseconds.
+// ArmSample is one arm's cumulative latency series: how many units of work
+// have been recorded for it and their total nanoseconds. The bandit ranks
+// arms by SumNs/Count, so a reader whose executions vary in size counts
+// items, not executions (the runtime's reader does).
 type ArmSample struct {
 	Count int64
 	SumNs int64

@@ -185,8 +185,9 @@ func (l *ConvCSR) Forward(in *tensor.Tensor) *tensor.Tensor {
 // destination (dst must not alias in), sharded on the given parallelism
 // context: im2col over matrix rows, the sparse matmul over output channels.
 // The shared col/res staging buffers come from shard 0's scratch, taken
-// before each parallel region and released after it joins. Results are
-// bit-identical for any shard count.
+// before each parallel region and released after it joins. All n batch
+// elements run as the columns of one matrix (tensor.Im2colGroupColumns).
+// Results are bit-identical for any shard count.
 func (l *ConvCSR) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	metrics.Count(metrics.KernelCSR)
 	spec := l.Spec
@@ -197,35 +198,17 @@ func (l *ConvCSR) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
+	cols := n * oh * ow
 	s0 := par.Scratch(0)
 	mark := s0.Mark()
-	col := s0.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s0.Take(ocg * oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			cols := tensor.Im2colGroupColumns(col, in, b, g, spec, par)
-			l.Mats[g].MatMatIntoPar(res, cols, oh*ow, par)
-			addConvBias(od, res, l.Bias, spec.OutC, b, g, ocg, oh*ow)
-		}
+	col := s0.Take(icg * spec.KH * spec.KW * cols)
+	res := s0.Take(ocg * cols)
+	for g := 0; g < spec.Groups; g++ {
+		x := tensor.Im2colGroupColumns(col, in, g, spec, par)
+		l.Mats[g].MatMatIntoPar(res, x, cols, par)
+		tensor.ScatterGroupColumns(dst, res, l.Bias, g, ocg)
 	}
 	s0.Release(mark)
-}
-
-// addConvBias copies group g's [ocg, hw] result block into the output of
-// batch element b, adding the per-channel bias.
-func addConvBias(od, res []float32, bias *tensor.Tensor, outC, b, g, ocg, hw int) {
-	for oc := 0; oc < ocg; oc++ {
-		dst := od[(b*outC+g*ocg+oc)*hw : (b*outC+g*ocg+oc)*hw+hw]
-		var bv float32
-		if bias != nil {
-			bv = bias.Data()[g*ocg+oc]
-		}
-		src := res[oc*hw : (oc+1)*hw]
-		for i, v := range src {
-			dst[i] = v + bv
-		}
-	}
 }
 
 // NNZ returns the total stored nonzeros across groups.

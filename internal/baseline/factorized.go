@@ -202,7 +202,9 @@ func (l *ConvFactorized) Forward(in *tensor.Tensor) *tensor.Tensor {
 // context: im2col over matrix rows, the factorized matmul over output
 // channels with per-shard group buffers. The shared col/res staging buffers
 // come from shard 0's scratch, taken before each parallel region and
-// released after it joins. Results are bit-identical for any shard count.
+// released after it joins. All n batch elements run as the columns of one
+// matrix (tensor.Im2colGroupColumns). Results are bit-identical for any
+// shard count.
 func (l *ConvFactorized) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	metrics.Count(metrics.KernelFactorized)
 	spec := l.Spec
@@ -213,17 +215,15 @@ func (l *ConvFactorized) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par)
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
+	cols := n * oh * ow
 	s0 := par.Scratch(0)
 	mark := s0.Mark()
-	col := s0.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s0.Take(ocg * oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			cols := tensor.Im2colGroupColumns(col, in, b, g, spec, par)
-			l.Mats[g].MatMatIntoPar(res, cols, oh*ow, par)
-			addConvBias(od, res, l.Bias, spec.OutC, b, g, ocg, oh*ow)
-		}
+	col := s0.Take(icg * spec.KH * spec.KW * cols)
+	res := s0.Take(ocg * cols)
+	for g := 0; g < spec.Groups; g++ {
+		x := tensor.Im2colGroupColumns(col, in, g, spec, par)
+		l.Mats[g].MatMatIntoPar(res, x, cols, par)
+		tensor.ScatterGroupColumns(dst, res, l.Bias, g, ocg)
 	}
 	s0.Release(mark)
 }

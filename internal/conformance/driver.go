@@ -444,8 +444,9 @@ func CheckProgram(seed uint64) error {
 // reference), then for every forceable runtime implementation plus
 // auto-selection, a freshly compiled plan's Executor at several
 // parallelism settings (bitwise family, close to an oracle evaluated on
-// the plan's effective weights), Plan.Run, and chunked RunBatch at one and
-// two workers (bitwise against the single runs).
+// the plan's effective weights), Plan.Run, one three-item Executor.Run at
+// one and three shards, and chunked RunBatch at one and two workers (each
+// item bitwise against its single run).
 func CheckGraph(seed uint64) error {
 	gc := GenGraph(seed)
 	ref, err := RefGraph(gc.Graph, gc.Input, nil)
@@ -520,6 +521,31 @@ func CheckGraph(seed uint64) error {
 			return fmt.Errorf("conformance: seed %d: %s: Run(extra): %w", seed, tag, err)
 		}
 		extraOut := append([]float32(nil), out2.Data()...)
+
+		// Three items (case input, extra input, case input again) in one
+		// Executor.Run: every kernel runs the items as the columns of one
+		// pass, and each item must reproduce its single run. Forcing three
+		// shards makes column blocks straddle item boundaries even on a
+		// one-CPU machine.
+		inShape := plan.Graph.In.OutShape
+		batched := tensor.New(append([]int{3 * inShape[0]}, inShape[1:]...)...)
+		per := gc.Input.NumElements()
+		copy(batched.Data()[0:per], gc.Input.Data())
+		copy(batched.Data()[per:2*per], extra.Data())
+		copy(batched.Data()[2*per:3*per], gc.Input.Data())
+		for _, shards := range []int{1, 3} {
+			e.SetParallelism(shards)
+			mout, err := e.Run(batched)
+			if err != nil {
+				plan.ReleaseExecutor(e)
+				return fmt.Errorf("conformance: seed %d: %s: Run(3 items): %w", seed, tag, err)
+			}
+			name := fmt.Sprintf("%s/executor-3items[shards=%d]", tag, shards)
+			if err := checkItems(seed, name, baseName, mout.Data(), base, extraOut); err != nil {
+				plan.ReleaseExecutor(e)
+				return err
+			}
+		}
 		plan.ReleaseExecutor(e)
 
 		out, err := plan.Run(gc.Input)
@@ -530,35 +556,33 @@ func CheckGraph(seed uint64) error {
 			return err
 		}
 
-		// RunBatch with three chunks (case input, extra input, case input
-		// again) must reproduce the single runs chunk for chunk at any
-		// worker count.
-		inShape := plan.Graph.In.OutShape
-		batched := tensor.New(append([]int{3 * inShape[0]}, inShape[1:]...)...)
-		per := gc.Input.NumElements()
-		copy(batched.Data()[0:per], gc.Input.Data())
-		copy(batched.Data()[per:2*per], extra.Data())
-		copy(batched.Data()[2*per:3*per], gc.Input.Data())
+		// RunBatch of the same three chunks must reproduce the single runs
+		// chunk for chunk at any worker count.
 		for _, workers := range []int{1, 2} {
 			bout, err := plan.RunBatch(batched, workers)
 			if err != nil {
 				return fmt.Errorf("conformance: seed %d: %s: RunBatch(workers=%d): %w", seed, tag, workers, err)
 			}
-			perOut := bout.NumElements() / 3
-			bd := bout.Data()
 			name := fmt.Sprintf("%s/run-batch[workers=%d]", tag, workers)
-			if err := checkExact(seed, name+"/chunk0", baseName, bd[0:perOut], base); err != nil {
-				return err
-			}
-			if err := checkExact(seed, name+"/chunk1", "single run on extra input", bd[perOut:2*perOut], extraOut); err != nil {
-				return err
-			}
-			if err := checkExact(seed, name+"/chunk2", baseName, bd[2*perOut:3*perOut], base); err != nil {
+			if err := checkItems(seed, name, baseName, bout.Data(), base, extraOut); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// checkItems checks a three-item output — case input, extra input, case
+// input — item by item against the single runs, bitwise.
+func checkItems(seed uint64, name, baseName string, got, base, extraOut []float32) error {
+	per := len(got) / 3
+	if err := checkExact(seed, name+"/chunk0", baseName, got[0:per], base); err != nil {
+		return err
+	}
+	if err := checkExact(seed, name+"/chunk1", "single run on extra input", got[per:2*per], extraOut); err != nil {
+		return err
+	}
+	return checkExact(seed, name+"/chunk2", baseName, got[2*per:3*per], base)
 }
 
 // CheckSharedDict rebuilds the model-graph case for seed and enforces the

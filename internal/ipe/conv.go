@@ -68,13 +68,15 @@ func (l *ConvLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 // ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
 // destination (dst must not alias in), sharded on the given parallelism
 // context: the im2col lowering shards over matrix rows and the program
-// execution over column blocks, with per-shard scratch arenas. The shared
-// col/res staging buffers come from shard 0's scratch — taken before each
-// parallel region starts and released after it joins, so no two goroutines
-// ever use one Scratch concurrently; once the scratches are warm, execution
-// performs no heap allocations at one shard. Programs run in their compiled
-// form (compile.go), which is bit-identical to the interpreter, and results
-// are bit-identical for any shard count.
+// execution over column blocks, with per-shard scratch arenas. All n batch
+// elements run as the columns of one matrix (tensor.Im2colGroupColumns),
+// so each group's program is walked once per call, not once per element.
+// The shared col/res staging buffers come from shard 0's scratch — taken
+// before each parallel region starts and released after it joins, so no
+// two goroutines ever use one Scratch concurrently; once the scratches are
+// warm, execution performs no heap allocations at one shard. Programs run
+// in their compiled form (compile.go), which is bit-identical to the
+// interpreter, and results are bit-identical for any shard count.
 func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	spec := l.Spec
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
@@ -84,36 +86,17 @@ func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
 	}
 	icg := spec.InC / spec.Groups
 	ocg := spec.OutC / spec.Groups
-	od := dst.Data()
+	cols := n * oh * ow
 	s0 := par.Scratch(0)
 	mark := s0.Mark()
-	col := s0.Take(icg * spec.KH * spec.KW * oh * ow)
-	res := s0.Take(ocg * oh * ow)
-	for b := 0; b < n; b++ {
-		for g := 0; g < spec.Groups; g++ {
-			cols := tensor.Im2colGroupColumns(col, in, b, g, spec, par)
-			l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, cols, oh*ow, par) // [ocg, oh*ow]
-			l.addBias(od, res, b, g, ocg, oh*ow)
-		}
+	col := s0.Take(icg * spec.KH * spec.KW * cols)
+	res := s0.Take(ocg * cols)
+	for g := 0; g < spec.Groups; g++ {
+		x := tensor.Im2colGroupColumns(col, in, g, spec, par)
+		l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, x, cols, par) // [ocg, n*oh*ow]
+		tensor.ScatterGroupColumns(dst, res, l.Bias, g, ocg)
 	}
 	s0.Release(mark)
-}
-
-// addBias copies group g's [ocg, hw] result block into the output tensor
-// of batch element b, adding the per-channel bias.
-func (l *ConvLayer) addBias(od, res []float32, b, g, ocg, hw int) {
-	spec := l.Spec
-	for oc := 0; oc < ocg; oc++ {
-		dst := od[(b*spec.OutC+g*ocg+oc)*hw : (b*spec.OutC+g*ocg+oc)*hw+hw]
-		src := res[oc*hw : (oc+1)*hw]
-		var bv float32
-		if l.Bias != nil {
-			bv = l.Bias.Data()[g*ocg+oc]
-		}
-		for i, v := range src {
-			dst[i] = v + bv
-		}
-	}
 }
 
 // Cost returns the total arithmetic cost of one forward pass over an input

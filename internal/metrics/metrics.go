@@ -363,9 +363,12 @@ type LayerStats struct {
 	name     string
 	kernels  [KernelCount]atomic.Int64
 	kernelNs [KernelCount]atomic.Int64
-	lat      Hist
-	batchSum atomic.Int64
-	batchMax atomic.Int64
+	// kernelItems sums the batch sizes of each kernel's executions, so
+	// its cost can be compared per item across runs of different sizes.
+	kernelItems [KernelCount]atomic.Int64
+	lat         Hist
+	batchSum    atomic.Int64
+	batchMax    atomic.Int64
 }
 
 // Name returns the layer's registration name.
@@ -384,20 +387,23 @@ func (l *LayerStats) Record(k Kernel, ns int64, batch int) {
 	}
 	l.kernels[k].Add(1)
 	l.kernelNs[k].Add(ns)
+	l.kernelItems[k].Add(int64(batch))
 	l.lat.Observe(ns)
 	l.batchSum.Add(int64(batch))
 	atomicMax(&l.batchMax, int64(batch))
 }
 
-// KernelSample returns kernel k's cumulative latency series for this layer:
-// how many executions it ran and their total nanoseconds. This is the
-// autotuner's reward signal — polled as a cumulative series and differenced
-// by the bandit, so concurrent recording never skews it.
-func (l *LayerStats) KernelSample(k Kernel) (count, sumNs int64) {
+// KernelSample returns kernel k's cumulative per-item latency series for
+// this layer: how many items its executions processed (the sum of their
+// batch sizes) and their total nanoseconds. This is the autotuner's reward
+// signal — polled as a cumulative series and differenced by the bandit, so
+// concurrent recording never skews it, and counted in items, so a kernel
+// sampled on 4-item runs and one sampled on 1-item runs compare per item.
+func (l *LayerStats) KernelSample(k Kernel) (items, sumNs int64) {
 	if l == nil {
 		return 0, 0
 	}
-	return l.kernels[k].Load(), l.kernelNs[k].Load()
+	return l.kernelItems[k].Load(), l.kernelNs[k].Load()
 }
 
 // PoolStats is the worker-pool telemetry: how many shard blocks were
@@ -432,16 +438,16 @@ type ExecStats struct {
 	PoolReuses atomic.Int64 // acquires served by a pooled (warm) executor
 	Builds     atomic.Int64 // executors constructed (arena allocations)
 	Releases   atomic.Int64 // Plan.ReleaseExecutor calls
-	Runs       atomic.Int64 // Executor.Run calls
+	Runs       atomic.Int64 // Executor.Run calls (one per run, whatever its item count)
 	RunErrors  atomic.Int64 // Runs that returned an error
 	Batches    atomic.Int64 // Plan.RunBatch calls
-	BatchItems atomic.Int64 // chunks dispatched across all RunBatch calls
+	BatchItems atomic.Int64 // compiled-batch chunks across all RunBatch calls
 
-	ArenaBytesResident atomic.Int64 // bytes of activation arenas built (resident in the pool)
-	ArenaBytesPeak     atomic.Int64 // largest single plan arena built
+	ArenaBytesResident atomic.Int64 // bytes of activation arenas executors hold (grown by multi-item runs)
+	ArenaBytesPeak     atomic.Int64 // largest single executor arena
 	ScratchHighWater   atomic.Int64 // max per-shard scratch floats observed
 
-	RunNs Hist // end-to-end Run latency
+	RunNs Hist // end-to-end Run latency, per run
 }
 
 // UpdateArenaPeak raises the single-plan arena high-water mark to bytes if

@@ -20,6 +20,15 @@ import (
 // so after the first warm-up run an Executor at parallelism 1 performs zero
 // heap allocations per inference.
 //
+// Run accepts any positive multiple m of the compiled batch and runs all
+// m items through each operator in one call ("batch as columns"). The
+// views are then bound at m× the planned offsets and sizes over an arena
+// grown to m× the plan's: PlanMemory is first-fit over sizes that all
+// scale with dimension 0 (Compile checks that every node keeps the input's
+// batch), so the scaled layout is exactly the batch-m plan. The arena only
+// grows, and views are rebound only when m changes, so runs at a repeated
+// m stay allocation-free.
+//
 // An Executor is not safe for concurrent use; run one per goroutine
 // (Plan.AcquireExecutor hands out pooled instances). The tensor returned by
 // Run aliases the arena and is valid until the next Run on the same
@@ -27,6 +36,7 @@ import (
 type Executor struct {
 	plan  *Plan
 	arena []float32
+	items int              // multiple of the compiled batch the views are bound for
 	slots []*tensor.Tensor // node ID -> value (arena view, const, or input)
 	steps []execStep
 	par   *tensor.Par
@@ -66,15 +76,12 @@ func (p *Plan) NewExecutor() *Executor {
 // pool-miss build inside acquireExecutor stays on the request's recorder.
 func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 	e := &Executor{
-		plan:  p,
-		arena: make([]float32, p.ArenaBytes/4),
-		par:   tensor.NewPar(parallel.Shared(), 0), // default GOMAXPROCS shards
-		rec:   rec,
+		plan: p,
+		par:  tensor.NewPar(parallel.Shared(), 0), // default GOMAXPROCS shards
+		rec:  rec,
 	}
 	if e.rec != nil {
 		e.rec.Exec.Builds.Add(1)
-		e.rec.Exec.ArenaBytesResident.Add(p.ArenaBytes)
-		e.rec.Exec.UpdateArenaPeak(p.ArenaBytes)
 	}
 	maxID := 0
 	order := p.Graph.Topo()
@@ -93,14 +100,11 @@ func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 	for i := range p.Ops {
 		op := &p.Ops[i]
 		n := op.Node
-		al, ok := p.Alloc[n.ID]
-		if !ok {
+		if _, ok := p.Alloc[n.ID]; !ok {
 			panic(fmt.Sprintf("runtime: no allocation for %s", n))
 		}
-		out := tensor.From(e.arena[al.Offset/4:al.End()/4], n.OutShape...)
-		e.slots[n.ID] = out
 		st := execStep{
-			op: op, out: out,
+			op:     op,
 			insIDs: make([]int, len(n.Inputs)),
 			ins:    make([]*tensor.Tensor, len(n.Inputs)),
 		}
@@ -113,7 +117,38 @@ func (p *Plan) newExecutor(rec *metrics.Recorder) *Executor {
 		}
 		e.steps[i] = st
 	}
+	e.bind(1)
 	return e
+}
+
+// bind lays the step views out for runs of m times the compiled batch:
+// each buffer at m× its planned offset and size, shaped with dimension 0
+// scaled by m. The arena grows to m× the plan's when it is smaller (never
+// shrinks), and the resident/peak arena gauges follow what the executor
+// actually holds. A no-op when the views are already bound for m.
+func (e *Executor) bind(m int) {
+	if m == e.items {
+		return
+	}
+	p := e.plan
+	if need := int64(m) * p.ArenaBytes / 4; int64(len(e.arena)) < need {
+		if e.rec != nil {
+			e.rec.Exec.ArenaBytesResident.Add(4 * (need - int64(len(e.arena))))
+			e.rec.Exec.UpdateArenaPeak(4 * need)
+		}
+		e.arena = make([]float32, need)
+	}
+	mm := int64(m)
+	for i := range e.steps {
+		st := &e.steps[i]
+		n := st.op.Node
+		al := p.Alloc[n.ID]
+		shape := n.OutShape.Clone()
+		shape[0] *= m
+		st.out = tensor.From(e.arena[mm*al.Offset/4:mm*al.End()/4], shape...)
+		e.slots[n.ID] = st.out
+	}
+	e.items = m
 }
 
 // stepKernel maps a compiled operator to the kernel-family tag its
@@ -177,18 +212,25 @@ func (e *Executor) Parallelism() int { return e.par.Shards() }
 // Run executes the plan on the CPU, writing every activation directly into
 // its planned arena slot. The chosen implementation computes each
 // conv/dense operator, so the numerical output reflects the selected
-// (possibly quantized) kernels. The returned tensor aliases the executor's
-// arena: it is overwritten by the next Run, so callers that keep it must
-// Clone it (Plan.Run does).
+// (possibly quantized) kernels. The input's dimension 0 may be any positive
+// multiple m of the compiled batch (every other dimension must match): all
+// m items then run through each operator in one call, and the result holds
+// item i's output at index i along dimension 0, bit-identical to running
+// each item alone (every kernel computes an output column from its own
+// input only). The returned tensor aliases the executor's arena: it is
+// overwritten by the next Run, so callers that keep it must Clone it
+// (Plan.Run does).
 func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 	g := e.plan.Graph
-	if !input.Shape().Equal(g.In.OutShape) {
-		return nil, fmt.Errorf("runtime: input shape %v != declared %v", input.Shape(), g.In.OutShape)
+	m, err := e.plan.itemsOf(input.Shape())
+	if err != nil {
+		return nil, err
 	}
 	var runStart time.Time
 	if e.rec != nil {
 		runStart = time.Now()
 	}
+	e.bind(m)
 	batch := input.Dim(0)
 	e.slots[g.In.ID] = input
 	// Resolve the online tuner once per run (one atomic load): pooled
@@ -206,7 +248,6 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 			kernel = stepKernelFor(st.op.Node.Kind, impl)
 		}
 		e.par.Reset()
-		var err error
 		if st.stats != nil {
 			t0 := time.Now()
 			err = e.runStep(st, impl)
@@ -431,10 +472,11 @@ func (p *Plan) ReleasePool() int {
 	return len(dead)
 }
 
-// discard retires an executor for good, subtracting its arena from the
-// resident gauge on the recorder that counted it at construction.
+// discard retires an executor for good, subtracting the arena it holds
+// (grown by multi-item runs) from the resident gauge on the recorder that
+// counted it.
 func (e *Executor) discard() {
 	if e.rec != nil {
-		e.rec.Exec.ArenaBytesResident.Add(-e.plan.ArenaBytes)
+		e.rec.Exec.ArenaBytesResident.Add(-4 * int64(len(e.arena)))
 	}
 }

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -190,7 +192,108 @@ func TestExecutorSteadyStateZeroAllocs(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("steady-state Run allocates %.1f times per call, want 0", allocs)
 			}
+
+			// A 4-item run rebinds the views and grows the arena and
+			// scratch once; after that warm-up it is allocation-free too.
+			in4 := gaussianInput(tensor.Shape{4, 1, 28, 28}, 15)
+			if _, err := e.Run(in4); err != nil {
+				t.Fatal(err)
+			}
+			allocs = testing.AllocsPerRun(10, func() {
+				if _, err := e.Run(in4); err != nil {
+					t.Error(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state 4-item Run allocates %.1f times per call, want 0", allocs)
+			}
 		})
+	}
+}
+
+// TestExecutorMultiItemRunBitIdentical runs m-item inputs through one
+// executor under every forced implementation and several shard counts, and
+// requires each item's output to equal its own single-item run bit for bit;
+// rebinding between sizes (m = 3, 1, 5, 3) must not disturb the arena.
+func TestExecutorMultiItemRunBitIdentical(t *testing.T) {
+	for _, force := range []Impl{ImplAuto, ImplDense, ImplIPE, ImplCSR, ImplFactorized, ImplWinograd} {
+		t.Run(force.String(), func(t *testing.T) {
+			g := nn.LeNet5(1, 16)
+			p, err := Compile(g, Options{Force: force})
+			if err != nil {
+				t.Fatal(err)
+			}
+			items := gaussianInput(tensor.Shape{5, 1, 28, 28}, 17)
+			per := items.NumElements() / 5
+			single := make([][]float32, 5)
+			for i := range single {
+				out, err := p.Run(tensor.From(items.Data()[i*per:(i+1)*per], 1, 1, 28, 28))
+				if err != nil {
+					t.Fatal(err)
+				}
+				single[i] = out.Data()
+			}
+			e := p.NewExecutor()
+			for _, shards := range []int{1, 3} {
+				e.SetParallelism(shards)
+				for _, m := range []int{3, 1, 5, 3} {
+					out, err := e.Run(tensor.From(items.Data()[:m*per], m, 1, 28, 28))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if out.Dim(0) != m {
+						t.Fatalf("m=%d: output shape %v", m, out.Shape())
+					}
+					perOut := out.NumElements() / m
+					for i := 0; i < m; i++ {
+						expectBitsEqual(t, fmt.Sprintf("shards=%d m=%d item %d", shards, m, i),
+							out.Data()[i*perOut:(i+1)*perOut], single[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestCompileChecksBatchDim checks the invariant multi-item runs rest on:
+// a node whose output does not keep the input batch as dimension 0, and a
+// graph whose output folds to a constant, are rejected by name. Shape
+// inference gives no operator a way to change the batch, so the first case
+// edits a shape by hand and calls the check Compile runs.
+func TestCompileChecksBatchDim(t *testing.T) {
+	g := graph.New("in", 2, 3)
+	r := g.ReLU(g.In, "odd-batch")
+	g.SetOutput(g.ReLU(r, "out"))
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkBatchDim(g); err != nil {
+		t.Fatalf("well-formed graph rejected: %v", err)
+	}
+	r.OutShape = tensor.Shape{5, 3}
+	if err := checkBatchDim(g); err == nil || !strings.Contains(err.Error(), "odd-batch") {
+		t.Fatalf("checkBatchDim = %v, want an error naming odd-batch", err)
+	}
+
+	g = graph.New("in", 2, 3)
+	g.SetOutput(g.ReLU(g.Const("table", tensor.New(5, 3)), "folded"))
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(g, Options{}); err == nil || !strings.Contains(err.Error(), "constant") {
+		t.Fatalf("Compile of a constant-output graph = %v, want a rejection", err)
+	}
+}
+
+func expectBitsEqual(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", name, i, got[i], want[i])
+		}
 	}
 }
 

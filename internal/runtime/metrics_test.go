@@ -52,8 +52,10 @@ func TestExecutorMetrics(t *testing.T) {
 	if len(s.Layers) == 0 {
 		t.Fatal("no layer series recorded")
 	}
-	// 3 Plan.Run + 1 sharded Run + 4 RunBatch chunks = 8 executions/layer.
-	const wantPerLayer = runs + 1 + 4
+	// 3 Plan.Run + 1 sharded Run + 2 RunBatch runs (4 items over 2
+	// workers, 2 items per run) = 6 executions/layer: a layer sample, like
+	// Exec.Runs, counts runs, and mean_batch carries the items.
+	const wantPerLayer = runs + 1 + 2
 	byName := make(map[string]metrics.LayerSnapshot)
 	for _, l := range s.Layers {
 		byName[l.Name] = l
@@ -67,6 +69,9 @@ func TestExecutorMetrics(t *testing.T) {
 	}
 	if conv1.Latency.Count != wantPerLayer {
 		t.Errorf("conv1 executions = %d, want %d", conv1.Latency.Count, wantPerLayer)
+	}
+	if want := float64(runs+1+2*2) / wantPerLayer; conv1.MeanBatch != want || conv1.MaxBatch != 2 {
+		t.Errorf("conv1 mean/max batch = %v/%d, want %v/2", conv1.MeanBatch, conv1.MaxBatch, want)
 	}
 	if conv1.Latency.MeanNs <= 0 || conv1.Latency.MaxNs < conv1.Latency.MinNs {
 		t.Errorf("conv1 latency malformed: %+v", conv1.Latency)
@@ -95,8 +100,13 @@ func TestExecutorMetrics(t *testing.T) {
 	if ex.Builds == 0 || ex.Builds+ex.PoolReuses != ex.Acquires {
 		t.Errorf("builds %d + reuses %d != acquires %d", ex.Builds, ex.PoolReuses, ex.Acquires)
 	}
-	if ex.ArenaBytesResident != ex.Builds*plan.ArenaBytes {
-		t.Errorf("arena bytes = %d, want builds %d x %d", ex.ArenaBytesResident, ex.Builds, plan.ArenaBytes)
+	// Every executor built here ran a 2-item RunBatch run last, which grew
+	// its arena to twice the plan's; the gauges track what executors hold.
+	if ex.ArenaBytesResident != ex.Builds*2*plan.ArenaBytes {
+		t.Errorf("arena bytes = %d, want builds %d x 2 x %d", ex.ArenaBytesResident, ex.Builds, plan.ArenaBytes)
+	}
+	if ex.ArenaBytesPeak != 2*plan.ArenaBytes {
+		t.Errorf("arena peak = %d, want 2 x %d", ex.ArenaBytesPeak, plan.ArenaBytes)
 	}
 	if ex.ScratchHighWater <= 0 {
 		t.Errorf("scratch high water = %d, want > 0", ex.ScratchHighWater)

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -215,5 +217,58 @@ func TestConcurrentExecutorsShareThePool(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestRunBatchConcurrentSizesSharePool runs RunBatch calls of 1, 3 and 8
+// items concurrently on one plan, so pooled executors are handed between
+// calls of different sizes and rebind (and grow) their arenas between
+// runs. Every result must equal the items' single runs bit for bit. Under
+// -race this is the data-race gate for rebinding on hand-off.
+func TestRunBatchConcurrentSizesSharePool(t *testing.T) {
+	g := nn.LeNet5(1, 51)
+	p, err := Compile(g, Options{Force: ImplIPE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetPoolCap(2) // fewer executors than callers: every one changes hands
+	items := gaussianInput(tensor.Shape{8, 1, 28, 28}, 52)
+	per := items.NumElements() / 8
+	single := make([]*tensor.Tensor, 8)
+	for i := range single {
+		if single[i], err = p.Run(tensor.From(items.Data()[i*per:(i+1)*per], 1, 1, 28, 28)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, 6)
+	for c := 0; c < 6; c++ {
+		m := []int{1, 3, 8}[c%3]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 5; r++ {
+				out, err := p.RunBatch(tensor.From(items.Data()[:m*per], m, 1, 28, 28), 2)
+				if err != nil {
+					errc <- err
+					return
+				}
+				perOut := out.NumElements() / m
+				for i := 0; i < m; i++ {
+					got, want := out.Data()[i*perOut:(i+1)*perOut], single[i].Data()
+					for j := range want {
+						if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+							errc <- fmt.Errorf("%d items: item %d [%d] = %v, want %v", m, i, j, got[j], want[j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
 	}
 }

@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"errors"
+	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -31,26 +33,32 @@ func errPlan(t *testing.T) *Plan {
 	return plan
 }
 
-// setChunkHook installs a per-chunk failure injector for the duration of
-// the test (the hook is the only way to make a post-validation chunk fail).
-func setChunkHook(t *testing.T, h func(int) error, dispatched *int) {
+// setChunkHook installs a per-run failure injector for the duration of the
+// test (the hook is the only way to make a post-validation run fail). When
+// starts is non-nil it collects the first chunk index of every run the
+// hook saw.
+func setChunkHook(t *testing.T, h func(int) error, starts *[]int) {
 	t.Helper()
-	runBatchChunkHook = h
-	testRunBatchDispatched = dispatched
-	t.Cleanup(func() {
-		runBatchChunkHook = nil
-		testRunBatchDispatched = nil
-	})
+	var mu sync.Mutex
+	runBatchChunkHook = func(chunk int) error {
+		if starts != nil {
+			mu.Lock()
+			*starts = append(*starts, chunk)
+			mu.Unlock()
+		}
+		if h == nil {
+			return nil
+		}
+		return h(chunk)
+	}
+	t.Cleanup(func() { runBatchChunkHook = nil })
 }
 
-// TestRunBatchReturnsLowestIndexError fails two chunks that are certainly
-// both executing — each failing hook waits until the other has been entered,
-// so neither can trip the cancel flag before the other's worker is past its
-// cancellation check — and checks the returned error is the lowest-index
-// failure, wrapped with its chunk index. (Without the rendezvous chunk 5
-// could fail and cancel the batch before chunk 2's worker looked at the
-// flag; chunk 2 was then legitimately skipped, and the test failed about
-// one run in 130.)
+// TestRunBatchReturnsLowestIndexError fails two runs that are certainly
+// both executing — with 8 items on 8 workers every run is one chunk, and
+// each failing hook waits until the other has been entered — and checks the
+// returned error is the lowest-index failure, wrapped with its chunk index,
+// however the two workers are scheduled.
 func TestRunBatchReturnsLowestIndexError(t *testing.T) {
 	plan := errPlan(t)
 	errLow := errors.New("low boom")
@@ -71,8 +79,8 @@ func TestRunBatchReturnsLowestIndexError(t *testing.T) {
 	}, nil)
 	in := tensor.New(8, 1, 4, 4)
 	tensor.FillGaussian(in, tensor.NewRNG(31), 1)
-	// workers=8: a worker is free for every chunk, so the feeder reaches
-	// chunk 5 while chunk 2's hook waits; the lowest index must still win.
+	// workers=8: every chunk is its own run, so chunk 5's run starts while
+	// chunk 2's hook waits; the lowest index must still win.
 	_, err := plan.RunBatch(in, 8)
 	if err == nil {
 		t.Fatal("expected error")
@@ -85,59 +93,86 @@ func TestRunBatchReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// TestRunBatchCancelsFeederOnFailure fails the first chunk with a single
-// worker and checks the feeder stopped dispatching instead of feeding all
-// remaining chunks through the dead batch.
-func TestRunBatchCancelsFeederOnFailure(t *testing.T) {
+// TestRunBatchFailedRunReleasesExecutors fails one of two runs and checks
+// the failure is whole: the error names the run's first chunk, no partial
+// result comes back, every executor checked out goes back to the pool, and
+// the next batch on the same pool is bit-identical to single runs.
+func TestRunBatchFailedRunReleasesExecutors(t *testing.T) {
+	rec := EnableMetrics()
+	defer DisableMetrics()
 	plan := errPlan(t)
 	boom := errors.New("boom")
-	var dispatched int
+	var starts []int
 	setChunkHook(t, func(chunk int) error {
-		if chunk == 0 {
+		if chunk == 4 {
 			return boom
 		}
 		return nil
-	}, &dispatched)
-	in := tensor.New(64, 1, 4, 4)
+	}, &starts)
+	in := tensor.New(8, 1, 4, 4)
 	tensor.FillGaussian(in, tensor.NewRNG(32), 1)
-	_, err := plan.RunBatch(in, 1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("error = %v, want %v", err, boom)
+	out, err := plan.RunBatch(in, 2)
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "chunk 4") {
+		t.Fatalf("error = %v, want %v naming chunk 4", err, boom)
 	}
-	// The single worker fails chunk 0 and sets the flag; the feeder may
-	// already have handed over a couple more chunks (they drain without
-	// executing) but must stop far short of the full batch.
-	if dispatched >= 64 {
-		t.Fatalf("feeder dispatched all %d chunks after the first failure", dispatched)
+	if out != nil {
+		t.Fatal("a failed batch returned a partial result")
 	}
+	sort.Ints(starts)
+	if len(starts) != 2 || starts[0] != 0 || starts[1] != 4 {
+		t.Fatalf("runs started at chunks %v, want [0 4]", starts)
+	}
+	if s := rec.Snapshot().Exec; s.Acquires != 2 || s.Releases != 2 {
+		t.Fatalf("acquires/releases = %d/%d, want 2/2", s.Acquires, s.Releases)
+	}
+	if got := plan.PooledExecutors(); got == 0 {
+		t.Fatal("no executor went back to the pool")
+	}
+
+	runBatchChunkHook = nil
+	out, err = plan.RunBatch(in, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectChunksMatchRuns(t, plan, in, out, 8)
 }
 
-// TestRunBatchSuccessDispatchesAll is the control: without failures the
-// feeder hands every chunk out and the result matches chunk-by-chunk Run.
+// TestRunBatchSuccessDispatchesAll is the control: without failures every
+// worker runs its contiguous chunk range once and the result matches
+// chunk-by-chunk Run.
 func TestRunBatchSuccessDispatchesAll(t *testing.T) {
 	plan := errPlan(t)
-	var dispatched int
-	setChunkHook(t, nil, &dispatched)
+	var starts []int
+	setChunkHook(t, nil, &starts)
 	in := tensor.New(6, 1, 4, 4)
 	tensor.FillGaussian(in, tensor.NewRNG(33), 1)
 	out, err := plan.RunBatch(in, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dispatched != 6 {
-		t.Fatalf("dispatched %d chunks, want 6", dispatched)
+	sort.Ints(starts)
+	if len(starts) != 3 || starts[0] != 0 || starts[1] != 2 || starts[2] != 4 {
+		t.Fatalf("runs started at chunks %v, want [0 2 4]", starts)
 	}
-	per := in.NumElements() / 6
-	outPer := out.NumElements() / 6
-	for i := 0; i < 6; i++ {
-		chunk := tensor.From(in.Data()[i*per:(i+1)*per], 1, 1, 4, 4)
+	expectChunksMatchRuns(t, plan, in, out, 6)
+}
+
+// expectChunksMatchRuns checks that each of a batch's chunks equals a
+// single Plan.Run of that chunk, bit for bit.
+func expectChunksMatchRuns(t *testing.T, plan *Plan, in, out *tensor.Tensor, chunks int) {
+	t.Helper()
+	per := in.NumElements() / chunks
+	outPer := out.NumElements() / chunks
+	shape := plan.Graph.In.OutShape
+	for i := 0; i < chunks; i++ {
+		chunk := tensor.From(in.Data()[i*per:(i+1)*per], shape...)
 		want, err := plan.Run(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := out.Data()[i*outPer : (i+1)*outPer]
 		for j, w := range want.Data() {
-			if got[j] != w {
+			if math.Float32bits(got[j]) != math.Float32bits(w) {
 				t.Fatalf("chunk %d element %d: got %v want %v", i, j, got[j], w)
 			}
 		}

@@ -199,6 +199,9 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	if err := graph.Optimize(g); err != nil {
 		return nil, err
 	}
+	if err := checkBatchDim(g); err != nil {
+		return nil, err
+	}
 	p := &Plan{Graph: g, Opts: opts}
 	var nodes []*graph.Node
 	for _, n := range g.Topo() {
@@ -254,6 +257,26 @@ func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 		p.Total.Accumulate(p.Ops[i].Sim)
 	}
 	return p, nil
+}
+
+// checkBatchDim rejects a graph in which some operator's output does not
+// keep the input's batch as dimension 0, or whose output is a constant.
+// Executors run multi-item inputs by scaling the planned arena layout by
+// the item count, which is the batch-m layout only when every planned size
+// scales with dimension 0, and a constant output could not follow the
+// input's item count at all.
+func checkBatchDim(g *graph.Graph) error {
+	batch := g.In.OutShape[0]
+	for _, n := range g.Topo() {
+		switch {
+		case n == g.Out && n.Kind == graph.OpConst:
+			return fmt.Errorf("runtime: graph output %s is a constant, not computed from the input", n)
+		case n.Kind == graph.OpInput || n.Kind == graph.OpConst:
+		case n.OutShape.Rank() == 0 || n.OutShape[0] != batch:
+			return fmt.Errorf("runtime: %s output %v does not keep the input batch %d as dimension 0", n, n.OutShape, batch)
+		}
+	}
+	return nil
 }
 
 func compileNode(n *graph.Node, opts Options) (CompiledOp, error) {
@@ -644,50 +667,58 @@ func (p *Plan) ImplCounts() map[Impl]int {
 	return counts
 }
 
-// RunBatch executes the plan over a batch larger than the graph's compiled
-// batch by slicing the input along dimension 0 into compiled-batch chunks
-// and running them on parallel workers. Each worker checks one Executor out
-// of the plan's pool for its whole chunk stream — private arena, zero
-// steady-state allocations — and copies each chunk's output into its
-// disjoint region of the preallocated result, so execution is safe and
-// deterministic. The input batch must be a non-empty multiple of the
-// compiled batch and every non-batch dimension must match the compiled
-// input shape.
-//
-// Intra-op parallelism composes with the chunk workers: each worker's
-// executor gets GOMAXPROCS/workers shards (at least 1), and all helpers
-// come from one process-wide bounded pool, so the two levels never
-// oversubscribe the machine.
-//
-// Error semantics: the first chunk failure cancels the batch — the feeder
-// stops dispatching, already-queued chunks are drained without executing,
-// and after every in-flight chunk settles the error of the lowest-index
-// failed chunk is returned, wrapped with that chunk's index. The partial
-// result is discarded. Metrics accounting (batch counters and the
-// executor checkout pairs) goes through one recorder captured at entry, so
-// a concurrent metrics.Disable/Enable swap can never split one request's
-// series across two recorders.
-func (p *Plan) RunBatch(input *tensor.Tensor, workers int) (*tensor.Tensor, error) {
-	rec := metrics.Get() // captured once: all accounting for this request lands on one recorder
+// itemsOf validates an input shape against the compiled input and returns
+// how many compiled batches it holds: every dimension but the first must
+// match, and the first must be a positive multiple of the compiled batch.
+func (p *Plan) itemsOf(shape tensor.Shape) (int, error) {
 	inShape := p.Graph.In.OutShape
-	if input.Shape().Rank() != inShape.Rank() {
-		return nil, fmt.Errorf("runtime: input rank %d != compiled input %v", input.Shape().Rank(), inShape)
+	if shape.Rank() != inShape.Rank() {
+		return 0, fmt.Errorf("runtime: input rank %d != compiled input %v", shape.Rank(), inShape)
 	}
 	for d := 1; d < inShape.Rank(); d++ {
-		if input.Dim(d) != inShape[d] {
-			return nil, fmt.Errorf("runtime: input shape %v does not match compiled input %v in dim %d",
-				input.Shape(), inShape, d)
+		if shape[d] != inShape[d] {
+			return 0, fmt.Errorf("runtime: input shape %v does not match compiled input %v in dim %d",
+				shape, inShape, d)
 		}
 	}
-	compiled := inShape[0]
-	total := input.Dim(0)
-	if total == 0 {
-		return nil, fmt.Errorf("runtime: empty batch")
+	if shape[0] <= 0 {
+		return 0, fmt.Errorf("runtime: empty batch")
 	}
-	if total%compiled != 0 {
-		return nil, fmt.Errorf("runtime: batch %d is not a multiple of the compiled batch %d", total, compiled)
+	if shape[0]%inShape[0] != 0 {
+		return 0, fmt.Errorf("runtime: batch %d is not a multiple of the compiled batch %d", shape[0], inShape[0])
 	}
-	chunks := total / compiled
+	return shape[0] / inShape[0], nil
+}
+
+// RunBatch executes the plan over a batch larger than the graph's compiled
+// batch. The input's compiled-batch chunks are split into workers
+// contiguous ranges — worker w takes chunks [w·chunks/workers,
+// (w+1)·chunks/workers) — and each worker checks one Executor out of the
+// plan's pool and runs its whole range in one Executor.Run, so every
+// operator's weights are walked once per worker rather than once per chunk.
+// Each worker copies its output into its disjoint region of the
+// preallocated result, so execution is safe and deterministic, and the
+// result is bit-identical to running the chunks one by one. The input
+// batch must be a non-empty multiple of the compiled batch and every
+// non-batch dimension must match the compiled input shape.
+//
+// Intra-op parallelism composes with the workers: each worker's executor
+// gets GOMAXPROCS/workers shards (at least 1), and all helpers come from
+// one process-wide bounded pool, so the two levels never oversubscribe the
+// machine.
+//
+// Error semantics: a failed run discards the partial result; after every
+// worker settles, the error of the failed run with the lowest first chunk
+// is returned, wrapped with that chunk's index. Metrics accounting (batch
+// counters and the executor checkout pairs) goes through one recorder
+// captured at entry, so a concurrent metrics.Disable/Enable swap can never
+// split one request's series across two recorders.
+func (p *Plan) RunBatch(input *tensor.Tensor, workers int) (*tensor.Tensor, error) {
+	rec := metrics.Get() // captured once: all accounting for this request lands on one recorder
+	chunks, err := p.itemsOf(input.Shape())
+	if err != nil {
+		return nil, err
+	}
 	perChunk := input.NumElements() / chunks
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
@@ -709,69 +740,49 @@ func (p *Plan) RunBatch(input *tensor.Tensor, workers int) (*tensor.Tensor, erro
 	outShape[0] *= chunks
 	result := tensor.New(outShape...)
 	perOut := result.NumElements() / chunks
-	errs := make([]error, chunks)
-	var failed atomic.Bool
-	next := make(chan int)
+	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		lo, hi := w*chunks/workers, (w+1)*chunks/workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			e := p.acquireExecutor(rec)
 			defer p.releaseExecutor(e, rec)
-			e.SetParallelism(intraShards)
-			for i := range next {
-				if failed.Load() {
-					continue // cancelled: drain without executing
+			if h := runBatchChunkHook; h != nil {
+				if errs[w] = h(lo); errs[w] != nil {
+					return
 				}
-				if h := runBatchChunkHook; h != nil {
-					if err := h(i); err != nil {
-						errs[i] = err
-						failed.Store(true)
-						continue
-					}
-				}
-				chunk := tensor.From(input.Data()[i*perChunk:(i+1)*perChunk], inShape...)
-				out, err := e.Run(chunk)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				copy(result.Data()[i*perOut:(i+1)*perOut], out.Data())
 			}
+			e.SetParallelism(intraShards)
+			shape := input.Shape().Clone()
+			shape[0] = (hi - lo) * p.Graph.In.OutShape[0]
+			out, err := e.Run(tensor.From(input.Data()[lo*perChunk:hi*perChunk], shape...))
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			copy(result.Data()[lo*perOut:hi*perOut], out.Data())
 		}()
 	}
-	dispatched := 0
-	for i := 0; i < chunks && !failed.Load(); i++ {
-		next <- i
-		dispatched++
-	}
-	close(next)
 	wg.Wait()
-	if testRunBatchDispatched != nil {
-		*testRunBatchDispatched = dispatched
-	}
-	// Chunks execute concurrently, so several may have failed; report the
-	// lowest-index failure so the error is deterministic for a given set of
-	// failing chunks, not an artifact of worker timing.
-	for i, err := range errs {
+	// Workers fail independently, so several may have; report the one
+	// with the lowest first chunk so the error is deterministic for a given
+	// set of failing runs, not an artifact of worker timing.
+	for w, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("runtime: batch chunk %d: %w", i, err)
+			return nil, fmt.Errorf("runtime: batch chunk %d: %w", w*chunks/workers, err)
 		}
 	}
 	return result, nil
 }
 
-// runBatchChunkHook, when non-nil, runs before each chunk executes and can
-// inject a per-chunk failure. Test-only (executor runs cannot be made to
-// fail from outside once validation passed); nil in production, costing one
-// predictable branch per chunk.
+// runBatchChunkHook, when non-nil, runs before each RunBatch worker's run
+// with the run's first chunk index and can inject a failure for the run.
+// Test-only (executor runs cannot be made to fail from outside once
+// validation passed); nil in production, costing one predictable branch
+// per run.
 var runBatchChunkHook func(chunk int) error
-
-// testRunBatchDispatched, when non-nil, receives the number of chunks the
-// feeder dispatched before stopping. Test-only.
-var testRunBatchDispatched *int
 
 // Describe renders the plan as a report table: one row per conv/dense
 // operator with its chosen implementation and modeled execution, plus a

@@ -54,10 +54,13 @@ type liveTuner struct {
 }
 
 // metricsArmReader adapts the metrics recorder's per-kernel layer series to
-// the bandit's ArmReader. It re-resolves the process recorder on every
-// Sample, so metrics Enable/Disable swaps mid-tuning degrade to "no new
-// samples this poll" (the bandit's delta logic tolerates series resets)
-// instead of pinning a dead recorder.
+// the bandit's ArmReader. A sample counts items, not runs (an Executor.Run
+// of m items records one execution of m items), so the bandit compares
+// arms per item: an arm explored on a 4-item run does not look 4× slower
+// than one explored on a 1-item run. It re-resolves the process recorder
+// on every Sample, so metrics Enable/Disable swaps mid-tuning degrade to
+// "no new samples this poll" (the bandit's delta logic tolerates series
+// resets) instead of pinning a dead recorder.
 type metricsArmReader struct {
 	// kernels maps "layer|arm" to the kernel tag that arm's executions are
 	// recorded under in the layer's series.
@@ -73,8 +76,8 @@ func (r *metricsArmReader) Sample(layer, arm string) autotune.ArmSample {
 	if !ok {
 		return autotune.ArmSample{}
 	}
-	count, sum := rec.Layer(layer).KernelSample(kernel)
-	return autotune.ArmSample{Count: count, SumNs: sum}
+	items, sum := rec.Layer(layer).KernelSample(kernel)
+	return autotune.ArmSample{Count: items, SumNs: sum}
 }
 
 // PlanTuner is a running online-tuning session on one plan. Stop it before

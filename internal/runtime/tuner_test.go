@@ -12,6 +12,7 @@ import (
 	"repro/internal/autotune"
 	"repro/internal/graph"
 	"repro/internal/ipe"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 )
 
@@ -490,4 +491,45 @@ func TestTunerLiveRoutingBitCompatible(t *testing.T) {
 
 func rowKey(b int, row []float32) string {
 	return string(rune('0'+b)) + string(f32bytes(row))
+}
+
+// TestMetricsArmReaderComparesPerItem pins the per-item reward: the
+// incumbent arm is sampled only on 4-item runs and the alternate only on
+// 1-item runs, with the alternate 20% slower per item. Counted per run the
+// incumbent would look 3.3× slower and lose; counted per item it must
+// keep serving, and each sample's mean must be the per-item latency.
+func TestMetricsArmReaderComparesPerItem(t *testing.T) {
+	rec := EnableMetrics()
+	defer DisableMetrics()
+	const layer = "per-item/c1"
+	reader := &metricsArmReader{kernels: map[string]metrics.Kernel{
+		layer + "|ipe": metrics.KernelIPECompiled,
+		layer + "|csr": metrics.KernelCSR,
+	}}
+	pol := autotune.Policy{MinSamples: 4, Hysteresis: 1}
+	b, err := autotune.NewBandit(pol, reader, []autotune.TunedLayer{
+		{Name: layer, Shape: "s", Arms: []string{"ipe", "csr"}, Initial: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := rec.Layer(layer)
+	for poll := 0; poll < 5; poll++ {
+		for i := 0; i < 10; i++ {
+			stats.Record(metrics.KernelIPECompiled, 4*1000, 4)
+			stats.Record(metrics.KernelCSR, 1200, 1)
+		}
+		if promoted := b.Poll(); promoted != 0 {
+			t.Fatalf("poll %d promoted the per-item slower arm", poll)
+		}
+	}
+	if got := b.Layers()[0].CurrentArm(); got != "ipe" {
+		t.Fatalf("serving arm = %q, want ipe", got)
+	}
+	for arm, want := range map[string]int64{"ipe": 1000, "csr": 1200} {
+		s := reader.Sample(layer, arm)
+		if s.Count == 0 || s.SumNs/s.Count != want {
+			t.Errorf("%s sample %+v: per-item mean %d, want %d", arm, s, s.SumNs/max(s.Count, 1), want)
+		}
+	}
 }

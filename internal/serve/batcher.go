@@ -332,7 +332,17 @@ func (b *Batcher) launch(batch []*request, chunks int) {
 
 // flush records each request's queue wait, joins the batch's inputs, runs
 // them as one RunBatch call, and scatters the output back to each request.
+//
+// It first yields the processor once, holding its flight slot. A flush
+// goroutine is the tail of a chain the submitting handler started (handler,
+// gather loop, flush, RunBatch workers), and Go runs such a chain back to
+// back on one time slice. Under CPU saturation it would otherwise run ahead
+// of every HTTP handler already runnable: the flight slots free up before
+// those requests are admitted, so they wait in the scheduler, unbatched and
+// unordered, instead of in the queue the next flush drains. With nothing
+// else runnable the yield returns at once.
 func (b *Batcher) flush(batch []*request, chunks int) {
+	goruntime.Gosched()
 	if b.eps != nil {
 		start := time.Now()
 		for _, r := range batch {

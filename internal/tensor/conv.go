@@ -192,65 +192,114 @@ func Im2colGroup(in *Tensor, b, g int, spec ConvSpec) *Tensor {
 // serially). Rows are pure disjoint copies, so the lowering is identical for
 // any shard count.
 func Im2colGroupIntoPar(dst []float32, in *Tensor, b, g int, spec ConvSpec, par *Par) {
-	metrics.Count(metrics.KernelIm2col)
 	spec = spec.Normalize()
 	h, w := in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
-	icg := spec.InC / spec.Groups
-	rows := icg * spec.KH * spec.KW
-	if len(dst) < rows*oh*ow {
-		panic(fmt.Sprintf("tensor: Im2colGroupIntoPar dst %d < %d", len(dst), rows*oh*ow))
+	im2colItemsIntoPar(dst, in, b, b+1, g, spec, oh, ow, par)
+}
+
+// im2colItemsIntoPar lowers group g of batch elements [b0, b1) into dst as
+// one [icg*kH*kW, (b1-b0)*oh*ow] matrix, item b's columns at
+// [(b-b0)*oh*ow, (b-b0+1)*oh*ow), sharded over matrix rows.
+func im2colItemsIntoPar(dst []float32, in *Tensor, b0, b1, g int, spec ConvSpec, oh, ow int, par *Par) {
+	metrics.Count(metrics.KernelIm2col)
+	rows := spec.InC / spec.Groups * spec.KH * spec.KW
+	if need := rows * (b1 - b0) * oh * ow; len(dst) < need {
+		panic(fmt.Sprintf("tensor: im2col dst %d < %d", len(dst), need))
 	}
 	if par.Parallel() {
 		par.For(rows, func(shard, lo, hi int) {
-			im2colRows(dst, in, b, g, spec, oh, ow, lo, hi)
+			im2colRows(dst, in, b0, b1, g, spec, oh, ow, lo, hi)
 		})
 		return
 	}
-	im2colRows(dst, in, b, g, spec, oh, ow, 0, rows)
+	im2colRows(dst, in, b0, b1, g, spec, oh, ow, 0, rows)
 }
 
-// Im2colGroupColumns returns group g of batch element b as the
-// [icg*kH*kW, oh*ow] im2col matrix. For a 1×1 kernel with unit strides and
-// no padding that matrix is already laid out in the input — the group's
-// icg channel planes, one row per channel — so it returns that slice of
-// in's data in place and leaves col untouched. Otherwise it lowers into
-// col (Im2colGroupIntoPar) and returns col's prefix. Either way the result
-// holds the same values; callers must not write to it.
-func Im2colGroupColumns(col []float32, in *Tensor, b, g int, spec ConvSpec, par *Par) []float32 {
+// Im2colGroupColumns returns group g of every batch element of in as one
+// [icg*kH*kW, n*oh*ow] im2col matrix: batch element b's columns are
+// [b*oh*ow, (b+1)*oh*ow), so a convolution kernel runs all n elements in
+// one pass over its weights. Every output column depends only on its own
+// input window, so each element's columns hold exactly the values a
+// one-element lowering would. For a 1×1 kernel with unit strides and no
+// padding the matrix rows are the group's channel planes: at n == 1 they
+// are already laid out in the input, so the input's slice is returned in
+// place and col is untouched; at n > 1 each element's plane is copied into
+// its columns. Otherwise it lowers into col, sharded over matrix rows. col
+// must hold at least icg*kH*kW*n*oh*ow floats; callers must not write to
+// the result.
+func Im2colGroupColumns(col []float32, in *Tensor, g int, spec ConvSpec, par *Par) []float32 {
 	spec = spec.Normalize()
-	c, h, w := in.Dim(1), in.Dim(2), in.Dim(3)
+	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	icg := spec.InC / spec.Groups
-	if spec.KH == 1 && spec.KW == 1 && spec.StrideH == 1 && spec.StrideW == 1 && spec.PadH == 0 && spec.PadW == 0 {
-		o := (b*c + g*icg) * h * w
-		return in.Data()[o : o+icg*h*w]
-	}
-	Im2colGroupIntoPar(col, in, b, g, spec, par)
 	oh, ow := spec.OutDims(h, w)
-	return col[:icg*spec.KH*spec.KW*oh*ow]
+	p := oh * ow
+	size := icg * spec.KH * spec.KW * n * p
+	if spec.KH == 1 && spec.KW == 1 && spec.StrideH == 1 && spec.StrideW == 1 && spec.PadH == 0 && spec.PadW == 0 {
+		ind := in.Data()
+		if n == 1 {
+			return ind[g*icg*p : (g+1)*icg*p]
+		}
+		for ic := 0; ic < icg; ic++ {
+			for b := 0; b < n; b++ {
+				o := (b*c + g*icg + ic) * p
+				copy(col[(ic*n+b)*p:(ic*n+b+1)*p], ind[o:o+p])
+			}
+		}
+		return col[:size]
+	}
+	im2colItemsIntoPar(col, in, 0, n, g, spec, oh, ow, par)
+	return col[:size]
 }
 
-// im2colRows lowers im2col matrix rows [lo, hi), where row r unpacks to
-// (ic, ky, kx) = (r/(KH·KW), (r/KW)%KH, r%KW).
-func im2colRows(dst []float32, in *Tensor, b, g int, spec ConvSpec, oh, ow, lo, hi int) {
+// ScatterGroupColumns writes group g's [ocg, n*oh*ow] result matrix, laid
+// out as Im2colGroupColumns lays out its input (batch element b in columns
+// [b*oh*ow, (b+1)*oh*ow)), into output channels [g*ocg, (g+1)*ocg) of the
+// NCHW dst, adding the per-channel bias (a nil bias adds +0).
+func ScatterGroupColumns(dst *Tensor, res []float32, bias *Tensor, g, ocg int) {
+	n, outC, hw := dst.Dim(0), dst.Dim(1), dst.Dim(2)*dst.Dim(3)
+	od := dst.Data()
+	for oc := 0; oc < ocg; oc++ {
+		var bv float32
+		if bias != nil {
+			bv = bias.Data()[g*ocg+oc]
+		}
+		for b := 0; b < n; b++ {
+			src := res[(oc*n+b)*hw : (oc*n+b+1)*hw]
+			o := (b*outC + g*ocg + oc) * hw
+			d := od[o : o+hw]
+			for i, v := range src {
+				d[i] = v + bv
+			}
+		}
+	}
+}
+
+// im2colRows lowers im2col matrix rows [lo, hi) for batch elements
+// [b0, b1), where row r unpacks to (ic, ky, kx) = (r/(KH·KW), (r/KW)%KH,
+// r%KW) and holds each element's oh*ow columns side by side.
+func im2colRows(dst []float32, in *Tensor, b0, b1, g int, spec ConvSpec, oh, ow, lo, hi int) {
 	c, h, w := in.Dim(1), in.Dim(2), in.Dim(3)
 	icg := spec.InC / spec.Groups
+	p := oh * ow
 	ind, od := in.Data(), dst
 	for row := lo; row < hi; row++ {
 		kx := row % spec.KW
 		ky := (row / spec.KW) % spec.KH
 		ic := row / (spec.KW * spec.KH)
 		cIn := g*icg + ic
-		dst := od[row*oh*ow:]
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*spec.StrideH - spec.PadH + ky
-			for ox := 0; ox < ow; ox++ {
-				ix := ox*spec.StrideW - spec.PadW + kx
-				var v float32
-				if iy >= 0 && iy < h && ix >= 0 && ix < w {
-					v = ind[((b*c+cIn)*h+iy)*w+ix]
+		for b := b0; b < b1; b++ {
+			dst := od[(row*(b1-b0)+b-b0)*p:]
+			for oy := 0; oy < oh; oy++ {
+				iy := oy*spec.StrideH - spec.PadH + ky
+				for ox := 0; ox < ow; ox++ {
+					ix := ox*spec.StrideW - spec.PadW + kx
+					var v float32
+					if iy >= 0 && iy < h && ix >= 0 && ix < w {
+						v = ind[((b*c+cIn)*h+iy)*w+ix]
+					}
+					dst[oy*ow+ox] = v
 				}
-				dst[oy*ow+ox] = v
 			}
 		}
 	}

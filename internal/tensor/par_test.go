@@ -106,10 +106,14 @@ func TestIm2colGroupIntoParBitIdentical(t *testing.T) {
 }
 
 // TestIm2colGroupColumns checks that the helper returns the im2col matrix
-// for 1×1 and general specs, and that the 1×1 unit-stride unpadded case
-// reads the input in place without touching col.
+// of every batch element side by side — element b's columns equal its own
+// one-element lowering — for 1×1 and general specs at one and two elements,
+// that the 1×1 unit-stride unpadded case reads a one-element input in
+// place without touching col, and that ScatterGroupColumns puts a result
+// laid out that way back into NCHW with the bias added.
 func TestIm2colGroupColumns(t *testing.T) {
-	in := randTensor(12, 2, 6, 5, 7)
+	two := randTensor(12, 2, 6, 5, 7)
+	one := From(two.Data()[6*5*7:], 1, 6, 5, 7) // element 1 alone
 	for _, spec := range []ConvSpec{
 		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1},
 		{InC: 6, OutC: 4, KH: 1, KW: 1, StrideH: 1, StrideW: 1, Groups: 3},
@@ -118,13 +122,51 @@ func TestIm2colGroupColumns(t *testing.T) {
 		{InC: 6, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 2},
 	} {
 		direct := spec.KH == 1 && spec.StrideH == 1 && spec.PadW == 0
+		oh, ow := spec.OutDims(5, 7)
+		p := oh * ow
 		for g := 0; g < spec.Normalize().Groups; g++ {
-			want := Im2colGroup(in, 1, g, spec).Data()
+			want := Im2colGroup(two, 1, g, spec).Data()
 			col := make([]float32, len(want))
-			got := Im2colGroupColumns(col, in, 1, g, spec, forcedPar(2))
+			got := Im2colGroupColumns(col, one, g, spec, forcedPar(2))
 			expectBitIdentical(t, "Im2colGroupColumns", got, want)
 			if inPlace := &got[0] != &col[0]; inPlace != direct {
 				t.Fatalf("%+v group %d: in place = %v, want %v", spec, g, inPlace, direct)
+			}
+
+			rows := len(want) / p
+			col = make([]float32, 2*len(want))
+			got = Im2colGroupColumns(col, two, g, spec, forcedPar(2))
+			if len(got) != 2*rows*p || &got[0] != &col[0] {
+				t.Fatalf("%+v group %d: two elements not lowered into col", spec, g)
+			}
+			for b := 0; b < 2; b++ {
+				item := Im2colGroup(two, b, g, spec).Data()
+				for r := 0; r < rows; r++ {
+					expectBitIdentical(t, "Im2colGroupColumns rows", got[(r*2+b)*p:(r*2+b+1)*p], item[r*p:(r+1)*p])
+				}
+			}
+		}
+
+		// Scatter a result matrix whose entry for (element b, channel oc,
+		// pixel i) is known, and check it lands at dst[b, g*ocg+oc, i].
+		ocg := spec.OutC / spec.Normalize().Groups
+		bias := From([]float32{0.5, -1, 2, 4}, 4)
+		dst := New(2, spec.OutC, oh, ow)
+		for g := 0; g < spec.Normalize().Groups; g++ {
+			res := make([]float32, ocg*2*p)
+			for i := range res {
+				res[i] = float32(i)
+			}
+			ScatterGroupColumns(dst, res, bias, g, ocg)
+			for oc := 0; oc < ocg; oc++ {
+				for b := 0; b < 2; b++ {
+					for i := 0; i < p; i++ {
+						want := res[(oc*2+b)*p+i] + bias.Data()[g*ocg+oc]
+						if got := dst.At(b, g*ocg+oc, i/ow, i%ow); got != want {
+							t.Fatalf("%+v scatter g%d oc%d b%d px%d: %v, want %v", spec, g, oc, b, i, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
