@@ -88,10 +88,10 @@ cover-floor:
 	awk -v t="$$total" -v f="$(COVER_FLOOR)" 'BEGIN { exit (t+0 < f+0) ? 1 : 0 }' || \
 		{ echo "cover-floor: coverage $$total% is below the committed $(COVER_FLOOR)% floor"; exit 1; }
 
-# Non-test Go lines under cmd/ and internal/: the one number deletion PRs
-# quote, always counted the same way.
+# Non-test source lines under cmd/ and internal/, Go and assembly: the one
+# number deletion PRs quote, always counted the same way.
 loc:
-	@find cmd internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@find cmd internal \( -name '*.go' ! -name '*_test.go' \) -o -name '*.s' | xargs cat | wc -l
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

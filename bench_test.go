@@ -116,14 +116,16 @@ func BenchmarkExecCSRMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkExecFactorizedMatVec measures the UCNN-style executor.
+// BenchmarkExecFactorizedMatVec measures the UCNN-style form: the
+// empty-dictionary program on the compiled single-vector executor.
 func BenchmarkExecFactorizedMatVec(b *testing.B) {
 	q, x := benchLayer(b)
-	f := baseline.NewFactorized(q)
+	c := ipe.Factorize(q).Compiled()
 	y := make([]float32, 64)
+	scratch := make([]float32, c.ScratchLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.MatVec(x, y)
+		c.ExecuteScratch(x, y, scratch)
 	}
 }
 

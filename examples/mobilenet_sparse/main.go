@@ -10,7 +10,6 @@ import (
 	"os"
 
 	"repro/internal/accel"
-	"repro/internal/baseline"
 	"repro/internal/ipe"
 	"repro/internal/quant"
 	"repro/internal/report"
@@ -47,15 +46,11 @@ func main() {
 		dense := hwCfg.Simulate(accel.DenseConvProfile(spec, 1, h, w))
 		csr := hwCfg.Simulate(accel.SparseConvProfile(spec, 1, h, w, nnz))
 
-		fl, err := baseline.NewConvFactorized(wc, nil, spec, bits, quant.PerTensor)
+		fl, err := ipe.FactorizeConv(q, nil, spec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		var syms int
-		for _, m := range fl.Mats {
-			syms += m.K
-		}
-		ucnn := hwCfg.Simulate(accel.FactorizedConvProfile(spec, 1, h, w, fl.Cost(), syms))
+		ucnn := hwCfg.Simulate(accel.FactorizedConvProfile(fl, 1, h, w))
 
 		il, _, err := ipe.EncodeConv(wc, nil, spec, bits, quant.PerTensor, ipe.DefaultConfig())
 		if err != nil {

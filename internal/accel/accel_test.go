@@ -335,10 +335,19 @@ func TestPrintTimeline(t *testing.T) {
 
 func TestFactorizedAndWinogradProfiles(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	fc := ipe.Cost{Adds: 500, Muls: 60, StreamSymbols: 500}
-	fp := FactorizedConvProfile(spec, 1, 8, 8, fc, 72)
-	if fp.Adds != 500*64 || fp.Muls != 60*64 {
-		t.Fatalf("factorized profile ops wrong: %+v", fp)
+	w := tensor.New(spec.WeightShape()...)
+	tensor.FillGaussian(w, tensor.NewRNG(3), 1)
+	fl, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerTensor), nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fl.Programs[0].Cost()
+	fp := FactorizedConvProfile(fl, 1, 8, 8)
+	if fp.Adds != fc.Adds*64 || fp.Muls != fc.Muls*64 {
+		t.Fatalf("factorized profile ops wrong: %+v for per-pixel %+v", fp, fc)
+	}
+	if want := fc.StreamSymbols*2 + fc.Muls*6; fp.StationaryBytes != want {
+		t.Fatalf("factorized stream bytes %d, want %d (2-byte symbols, 6-byte headers)", fp.StationaryBytes, want)
 	}
 	if fp.StationaryBytes == 0 || fp.DRAMBytes <= fp.StationaryBytes {
 		t.Fatalf("factorized profile traffic wrong: %+v", fp)

@@ -61,22 +61,31 @@ func SparseConvProfile(spec tensor.ConvSpec, n, h, w int, nnz int64) KernelProfi
 }
 
 // FactorizedConvProfile models UCNN-style value-factorized execution (no
-// pair merging): per pixel the per-row index sets are summed raw, then one
-// multiply per distinct value. cost is the per-pixel ipe.FactorizedCost;
-// streamSymbols the total index-stream length.
-func FactorizedConvProfile(spec tensor.ConvSpec, n, h, w int, cost ipe.Cost, numSymbols int) KernelProfile {
-	spec = spec.Normalize()
+// pair merging) of a layer built by ipe.FactorizeConv: per pixel the
+// per-row index sets are summed raw, then one multiply per distinct value.
+// Symbol ids are sized for the groups' summed reduction lengths.
+func FactorizedConvProfile(layer *ipe.ConvLayer, n, h, w int) KernelProfile {
+	spec := layer.Spec
 	oh, ow := spec.OutDims(h, w)
 	pixels := int64(n) * int64(oh) * int64(ow)
+	var perPixel ipe.Cost
+	var numSymbols int
+	for _, prog := range layer.Programs {
+		c := prog.Cost()
+		perPixel.Adds += c.Adds
+		perPixel.Muls += c.Muls
+		perPixel.StreamSymbols += c.StreamSymbols
+		numSymbols += prog.K
+	}
 	symB := symbolBytes(numSymbols)
-	streamBytes := cost.StreamSymbols*symB + cost.Muls*(wordBytes+2) // per-term value+len headers
+	streamBytes := perPixel.StreamSymbols*symB + perPixel.Muls*(wordBytes+2) // per-term value+len headers
 	inBytes := int64(n*spec.InC*h*w) * wordBytes
 	outBytes := int64(n*spec.OutC*oh*ow) * wordBytes
 	return KernelProfile{
 		Name:            "factorized",
-		Adds:            cost.Adds * pixels,
-		Muls:            cost.Muls * pixels,
-		SRAMAccesses:    (2*cost.Adds + 2*cost.Muls) * pixels,
+		Adds:            perPixel.Adds * pixels,
+		Muls:            perPixel.Muls * pixels,
+		SRAMAccesses:    (2*perPixel.Adds + 2*perPixel.Muls) * pixels,
 		DRAMBytes:       streamBytes + inBytes + outBytes,
 		StationaryBytes: streamBytes,
 		WorkingSetBytes: streamBytes + int64(spec.InC*spec.KH)*int64(w)*wordBytes,

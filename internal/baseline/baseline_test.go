@@ -125,14 +125,14 @@ func TestFactorizedMatchesDenseProperty(t *testing.T) {
 		w := tensor.New(m, k)
 		tensor.FillGaussian(w, r, 1)
 		q := quant.Quantize(w, 1+r.Intn(6), quant.PerTensor)
-		fa := NewFactorized(q)
+		fa := ipe.Factorize(q)
 		deq := q.Dequantize()
 		x := make([]float32, k)
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
 		got := make([]float32, m)
-		fa.MatVec(x, got)
+		fa.Execute(x, got)
 		want := make([]float32, m)
 		tensor.MatVec(deq.Data(), x, want, m, k)
 		for i := range got {
@@ -156,16 +156,15 @@ func TestFactorizedCostMatchesStructure(t *testing.T) {
 		Scheme: quant.PerTensor,
 		Params: []quant.Params{{Scale: 1}},
 	}
-	f := NewFactorized(q)
-	c := f.Cost()
+	c := ipe.Factorize(q).Cost()
 	// Row 0: values {1:[0,1], 2:[2]} → nnz 3, terms 2.
 	// Row 1: values {3:[0,1,2]} → nnz 3, terms 1.
 	// Adds = nnz total = 6, Muls = 3 terms.
 	if c.Adds != 6 || c.Muls != 3 {
 		t.Fatalf("Cost = %+v, want Adds=6 Muls=3", c)
 	}
-	if f.StreamSymbols() != 6 {
-		t.Fatalf("StreamSymbols = %d, want 6", f.StreamSymbols())
+	if c.StreamSymbols != 6 {
+		t.Fatalf("StreamSymbols = %d, want 6", c.StreamSymbols)
 	}
 }
 
@@ -174,7 +173,7 @@ func TestConvFactorizedMatchesReference(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 4, OutC: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
 	w := tensor.New(spec.WeightShape()...)
 	tensor.FillGaussian(w, r, 0.3)
-	l, err := NewConvFactorized(w, nil, spec, 4, quant.PerTensor)
+	l, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerTensor), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestConvFactorizedMatchesReference(t *testing.T) {
 	got := l.Forward(in)
 	want := tensor.Conv2D(in, l.Quant.Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
-		t.Fatalf("ConvFactorized diverges: %v", tensor.MaxAbsDiff(got, want))
+		t.Fatalf("factorized conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
 }
 
@@ -192,7 +191,7 @@ func TestConvFactorizedGrouped(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 8}
 	w := tensor.New(spec.WeightShape()...)
 	tensor.FillGaussian(w, r, 0.3)
-	l, err := NewConvFactorized(w, nil, spec, 4, quant.PerChannel)
+	l, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerChannel), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +200,7 @@ func TestConvFactorizedGrouped(t *testing.T) {
 	got := l.Forward(in)
 	want := tensor.Conv2D(in, l.Quant.Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
-		t.Fatalf("grouped ConvFactorized diverges: %v", tensor.MaxAbsDiff(got, want))
+		t.Fatalf("grouped factorized conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
 }
 
@@ -212,7 +211,7 @@ func TestIPEBeatsFactorizedWhichBeatsDense(t *testing.T) {
 	w := tensor.New(32, 128)
 	tensor.FillGaussian(w, r, 1)
 	q := quant.Quantize(w, 4, quant.PerTensor)
-	fact := NewFactorized(q).Cost()
+	fact := ipe.Factorize(q).Cost()
 	prog, _, err := ipe.Encode(q, ipe.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,10 @@
-// Package baseline implements the comparison points of the evaluation:
-// CSR sparse execution (wins only on zero weights) and UCNN-style
-// value-factorized execution (one multiply per distinct weight value, but
-// no index-pair merging). The delta between the factorized baseline and
-// internal/ipe is the paper's contribution.
+// Package baseline implements the comparison points of the evaluation that
+// are not index-pair programs: CSR sparse execution (wins only on zero
+// weights) and Winograd F(2x2,3x3) dense convolution. The UCNN-style
+// value-factorized baseline (one multiply per distinct weight value, but no
+// index-pair merging) is an IPE program with an empty dictionary, built by
+// ipe.Factorize and run on the IPE executors; the delta between it and an
+// encoded program is the paper's contribution.
 package baseline
 
 import (

@@ -9,16 +9,18 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/ipe"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
 // goldenDigests pins the factorized and CSR forms built from seeded
-// synthetic weights: SHA-256 over every Factorized term (Code, Value bits,
-// Idx) and every CSR array (RowPtr, Col, Val bits). They were generated
-// before the row grouping moved to the shared counting sort and NewCSR to
-// exact-size allocation; a constructor change that keeps the kernels'
-// inputs identical keeps these digests.
+// synthetic weights: SHA-256 over every factorized term (Code, Value bits,
+// index set; the terms of an ipe.Factorize program) and every CSR array
+// (RowPtr, Col, Val bits). They were generated before the row grouping
+// moved to the shared counting sort, NewCSR to exact-size allocation and
+// the factorized form to empty-dictionary IPE programs; a constructor
+// change that keeps the kernels' inputs identical keeps these digests.
 var goldenDigests = map[string]string{
 	"dense/bits2/per-tensor":  "8ac160709bcc760e2fbf058e41eefb1bf5740e5b7e64805ffde48769cc15d185",
 	"dense/bits2/per-channel": "0ef10091b58a6f744ed9f4111015e7284f3493fcefad85729e426ed27f067255",
@@ -37,13 +39,13 @@ func hashInts(h hash.Hash, vs ...int32) {
 	}
 }
 
-func hashFactorized(h hash.Hash, f *Factorized) {
-	hashInts(h, int32(f.M), int32(f.K))
-	for _, row := range f.Rows {
+func hashFactorized(h hash.Hash, p *ipe.Program) {
+	hashInts(h, int32(p.M), int32(p.K))
+	for _, row := range p.Rows {
 		hashInts(h, int32(len(row.Terms)))
 		for _, t := range row.Terms {
-			hashInts(h, t.Code, int32(math.Float32bits(t.Value)), int32(len(t.Idx)))
-			hashInts(h, t.Idx...)
+			hashInts(h, t.Code, int32(math.Float32bits(t.Value)), int32(len(t.Syms)))
+			hashInts(h, t.Syms...)
 		}
 	}
 }
@@ -75,7 +77,7 @@ func TestGoldenFactorizedAndCSR(t *testing.T) {
 			}
 			q := quant.Quantize(w, bits, scheme)
 			h := sha256.New()
-			hashFactorized(h, NewFactorized(q))
+			hashFactorized(h, ipe.Factorize(q))
 			hashCSR(h, NewCSRFromQuantized(q))
 			check(fmt.Sprintf("dense/bits%d/%s", bits, scheme), h)
 		}
@@ -86,7 +88,7 @@ func TestGoldenFactorizedAndCSR(t *testing.T) {
 	w := tensor.New(spec.WeightShape()...)
 	tensor.FillGaussian(w, r, 0.5)
 	quant.PruneMagnitude(w, 0.4)
-	fact, err := NewConvFactorized(w, nil, spec, 4, quant.PerChannel)
+	fact, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerChannel), nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +96,12 @@ func TestGoldenFactorizedAndCSR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fact.Mats) != 4 || len(csr.Mats) != 4 {
-		t.Fatalf("grouped conv built %d factorized / %d CSR matrices, want 4 each", len(fact.Mats), len(csr.Mats))
+	if len(fact.Programs) != 4 || len(csr.Mats) != 4 {
+		t.Fatalf("grouped conv built %d factorized / %d CSR matrices, want 4 each", len(fact.Programs), len(csr.Mats))
 	}
 	h := sha256.New()
-	for g := range fact.Mats {
-		hashFactorized(h, fact.Mats[g])
+	for g := range fact.Programs {
+		hashFactorized(h, fact.Programs[g])
 		hashCSR(h, csr.Mats[g])
 	}
 	check("conv/groups4", h)

@@ -23,21 +23,6 @@ func (c *CSR) Dense() *tensor.Tensor {
 	return out
 }
 
-// Dense reconstructs the dense [M, K] dequantized matrix of the factorized
-// form (value groups scatter their Value back to their indices).
-func (f *Factorized) Dense() *tensor.Tensor {
-	out := tensor.New(f.M, f.K)
-	d := out.Data()
-	for r := range f.Rows {
-		for _, t := range f.Rows[r].Terms {
-			for _, i := range t.Idx {
-				d[r*f.K+int(i)] = t.Value
-			}
-		}
-	}
-	return out
-}
-
 // CSRConvVariant is one execution path of the CSR convolution layer.
 type CSRConvVariant struct {
 	Name    string
@@ -53,27 +38,6 @@ func CSRConvVariants() []CSRConvVariant {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvCSR, dst, in *tensor.Tensor, par *tensor.Par) {
-			l.ForwardIntoPar(dst, in, par)
-		}},
-	}
-}
-
-// FactConvVariant is one execution path of the factorized convolution
-// layer.
-type FactConvVariant struct {
-	Name    string
-	UsesPar bool
-	F       func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par)
-}
-
-// FactConvVariants enumerates ConvFactorized's float paths (bit-identical
-// for any shard count, documented on ForwardIntoPar).
-func FactConvVariants() []FactConvVariant {
-	return []FactConvVariant{
-		{Name: "forward", F: func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par) {
-			copy(dst.Data(), l.Forward(in).Data())
-		}},
-		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvFactorized, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, par)
 		}},
 	}
@@ -99,8 +63,8 @@ func WinogradVariants() []WinogradVariant {
 	}
 }
 
-// MatVariant is one execution path of a sparse/factorized [M, K]·[K, P]
-// matrix product writing into a raw [M, P] buffer.
+// MatVariant is one execution path of a sparse [M, K]·[K, P] matrix
+// product writing into a raw [M, P] buffer.
 type MatVariant struct {
 	Name    string
 	UsesPar bool
@@ -117,19 +81,6 @@ func CSRMatVariants(c *CSR) []MatVariant {
 		}},
 		{Name: "matmat-into-par", UsesPar: true, F: func(dst, b []float32, p int, par *tensor.Par) {
 			c.MatMatIntoPar(dst, b, p, par)
-		}},
-	}
-}
-
-// FactMatVariants enumerates the matrix-product paths of one Factorized
-// instance.
-func FactMatVariants(f *Factorized) []MatVariant {
-	return []MatVariant{
-		{Name: "matmat", F: func(dst, b []float32, p int, par *tensor.Par) {
-			copy(dst, f.MatMat(tensor.From(b, f.K, p)).Data())
-		}},
-		{Name: "matmat-into-par", UsesPar: true, F: func(dst, b []float32, p int, par *tensor.Par) {
-			f.MatMatIntoPar(dst, b, p, par)
 		}},
 	}
 }

@@ -3,6 +3,7 @@ package baseline
 import (
 	"testing"
 
+	"repro/internal/ipe"
 	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -54,13 +55,13 @@ func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConvFactorizedForwardIntoParBitIdentical checks the channel-sharded
-// value-factorized convolution (per-shard group buffers) against its
-// one-shard run.
+// TestConvFactorizedForwardIntoParBitIdentical checks the value-factorized
+// convolution (ipe.FactorizeConv: empty-dictionary programs on the
+// column-sharded IPE executor) against its one-shard run.
 func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
-	l, err := NewConvFactorized(w, bias, spec, 4, quant.PerChannel)
+	l, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerChannel), bias, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 	for _, shards := range []int{2, 5, 16} {
 		got := tensor.New(2, spec.OutC, oh, ow)
 		l.ForwardIntoPar(got, in, forcedPar(shards))
-		expectSame(t, "ConvFactorized", shards, got.Data(), want.Data())
+		expectSame(t, "FactorizeConv", shards, got.Data(), want.Data())
 	}
 }
 

@@ -141,12 +141,14 @@ func CheckConv(seed uint64) error {
 		return err
 	}
 
-	fact, err := baseline.NewConvFactorized(cs.Weight, cs.Bias, spec, cs.Bits, cs.Scheme)
+	// The factorized baseline is the same quantized weights as
+	// empty-dictionary programs on the IPE conv paths.
+	fact, err := ipe.FactorizeConv(csr.Quant, cs.Bias, spec)
 	if err != nil {
-		return fmt.Errorf("conformance: seed %d: NewConvFactorized: %w", seed, err)
+		return fmt.Errorf("conformance: seed %d: FactorizeConv: %w", seed, err)
 	}
 	runs = nil
-	for _, v := range baseline.FactConvVariants() {
+	for _, v := range ipe.ConvVariants() {
 		v := v
 		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
 			f: func(dst []float32, par *tensor.Par) {
@@ -406,8 +408,12 @@ func CheckProgram(seed uint64) error {
 	if err := checkExact(seed, "csr-dense-reconstruction", "quantizer dequantize", csr.Dense().Data(), deq.Data()); err != nil {
 		return err
 	}
-	fact := baseline.NewFactorized(q)
-	if err := checkExact(seed, "factorized-dense-reconstruction", "quantizer dequantize", fact.Dense().Data(), deq.Data()); err != nil {
+	fact := ipe.Factorize(q)
+	fw, err := RefProgramWeights(fact)
+	if err != nil {
+		return fmt.Errorf("conformance: seed %d: factorized: %w", seed, err)
+	}
+	if err := checkExact(seed, "factorized-dense-reconstruction", "quantizer dequantize", fw, deq.Data()); err != nil {
 		return err
 	}
 
@@ -416,8 +422,13 @@ func CheckProgram(seed uint64) error {
 	if err := checkClose(seed, "csr-matvec", y, vOut, vMag); err != nil {
 		return err
 	}
-	fact.MatVec(cs.X, y)
-	if err := checkClose(seed, "factorized-matvec", y, vOut, vMag); err != nil {
+	runs = nil
+	for _, v := range ipe.VectorVariants() {
+		v := v
+		runs = append(runs, familyRun{name: v.Name,
+			f: func(dst []float32, par *tensor.Par) { v.F(fact, cs.X, dst) }})
+	}
+	if err := driveFamily(seed, "factorized-matvec", m, vOut, vMag, runs); err != nil {
 		return err
 	}
 
@@ -431,10 +442,10 @@ func CheckProgram(seed uint64) error {
 		return err
 	}
 	runs = nil
-	for _, v := range baseline.FactMatVariants(fact) {
+	for _, v := range ipe.MatrixVariants() {
 		v := v
 		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) { v.F(dst, cs.Cols, p, par) }})
+			f: func(dst []float32, par *tensor.Par) { v.F(fact, dst, cs.Cols, p, par) }})
 	}
 	return driveFamily(seed, "factorized-matmat", m*p, mOut, mMag, runs)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/autotune"
-	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/quant"
@@ -50,15 +49,11 @@ func convImplResults(spec tensor.ConvSpec, w *tensor.Tensor, n, h, wd int, cfg C
 	}
 	out["csr"] = cfg.Accel.Simulate(accel.SparseConvProfile(spec, n, h, wd, nnz))
 
-	fl, err := baseline.NewConvFactorized(wc, nil, spec, cfg.Bits, quant.PerTensor)
+	fl, err := ipe.FactorizeConv(q, nil, spec)
 	if err != nil {
 		return nil, err
 	}
-	var factSyms int
-	for _, m := range fl.Mats {
-		factSyms += m.K
-	}
-	out["ucnn"] = cfg.Accel.Simulate(accel.FactorizedConvProfile(spec, n, h, wd, fl.Cost(), factSyms))
+	out["ucnn"] = cfg.Accel.Simulate(accel.FactorizedConvProfile(fl, n, h, wd))
 
 	il, _, err := ipe.EncodeConv(wc, nil, spec, cfg.Bits, quant.PerTensor, cfg.IPE)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/accel"
-	"repro/internal/baseline"
 	"repro/internal/ipe"
 	"repro/internal/nn"
 	"repro/internal/quant"
@@ -71,7 +70,7 @@ func costsFor(q *quant.Quantized, cfg Config) (layerCosts, error) {
 		}
 	}
 	lc.csr = ipe.SparseCost(nnz)
-	lc.fact = baseline.NewFactorized(q).Cost()
+	lc.fact = ipe.Factorize(q).Cost()
 	prog, stats, err := ipe.Encode(q, cfg.IPE)
 	if err != nil {
 		return lc, err
@@ -179,15 +178,11 @@ func resnetLayerProfiles(cfg Config) (map[string]accel.KernelProfile, error) {
 		}
 		sparse := accel.SparseConvProfile(c.Spec, c.Batch, c.InH, c.InW, nnz)
 
-		fl, err := baseline.NewConvFactorized(c.Weight, c.Bias, c.Spec, cfg.Bits, quant.PerTensor)
+		fl, err := ipe.FactorizeConv(q, c.Bias, c.Spec)
 		if err != nil {
 			return nil, err
 		}
-		var factSyms int
-		for _, m := range fl.Mats {
-			factSyms += m.K
-		}
-		fact := accel.FactorizedConvProfile(c.Spec, c.Batch, c.InH, c.InW, fl.Cost(), factSyms)
+		fact := accel.FactorizedConvProfile(fl, c.Batch, c.InH, c.InW)
 
 		il, _, err := ipe.EncodeConv(c.Weight, c.Bias, c.Spec, cfg.Bits, quant.PerTensor, cfg.IPE)
 		if err != nil {

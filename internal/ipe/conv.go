@@ -27,6 +27,26 @@ func EncodeConv(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme q
 // EncodeConvQuantized index-pair encodes already quantized OIHW weights
 // (per group); the layer keeps q, which it does not modify.
 func EncodeConvQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec, cfg Config) (*ConvLayer, Stats, error) {
+	return convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
+		return Encode(gq, cfg)
+	})
+}
+
+// FactorizeConv builds the value-factorized form of already quantized OIHW
+// weights: one empty-dictionary program per group (Factorize), run by the
+// same ForwardIntoPar as an encoded layer. The layer keeps q, which it does
+// not modify.
+func FactorizeConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvLayer, error) {
+	l, _, err := convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
+		return Factorize(gq), Stats{}, nil
+	})
+	return l, err
+}
+
+// convLayer checks q against spec and builds one program per group from
+// that group's [outC/groups, inC/groups·kH·kW] weight slice, summing the
+// groups' statistics.
+func convLayer(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec, build func(*quant.Quantized) (*Program, Stats, error)) (*ConvLayer, Stats, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
 		return nil, Stats{}, err
@@ -39,7 +59,7 @@ func EncodeConvQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.Co
 	ocg := spec.OutC / spec.Groups
 	var total Stats
 	for g := 0; g < spec.Groups; g++ {
-		prog, st, err := Encode(q.Rows(g*ocg, (g+1)*ocg), cfg)
+		prog, st, err := build(q.Rows(g*ocg, (g+1)*ocg))
 		if err != nil {
 			return nil, Stats{}, fmt.Errorf("ipe: encoding group %d: %w", g, err)
 		}

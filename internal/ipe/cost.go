@@ -56,26 +56,6 @@ func DenseCost(m, k int) Cost {
 	}
 }
 
-// FactorizedCost returns the cost of value-factorized execution *without*
-// pair merging (the UCNN-style baseline): every (row, value) group sums its
-// raw indices directly. nnzPerRow[i] is the nonzero count of row i and
-// termsPerRow[i] its distinct nonzero value count.
-func FactorizedCost(nnzPerRow, termsPerRow []int) Cost {
-	var c Cost
-	for i := range nnzPerRow {
-		n, v := int64(nnzPerRow[i]), int64(termsPerRow[i])
-		if n == 0 {
-			continue
-		}
-		// Per value group of size g: g-1 adds + 1 mul + 1 accumulate add.
-		// Summed over groups: (n - v) + v adds and v muls.
-		c.Adds += n
-		c.Muls += v
-		c.StreamSymbols += n
-	}
-	return c
-}
-
 // SparseCost returns the cost of CSR sparse execution: one multiply and one
 // add per stored nonzero.
 func SparseCost(nnz int64) Cost {

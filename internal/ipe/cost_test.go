@@ -25,15 +25,18 @@ func TestSparseCost(t *testing.T) {
 }
 
 func TestFactorizedCost(t *testing.T) {
-	// One row: 10 nonzeros over 3 values → 10 adds, 3 muls.
-	c := FactorizedCost([]int{10}, []int{3})
-	if c.Adds != 10 || c.Muls != 3 {
-		t.Fatalf("FactorizedCost = %+v", c)
+	// Row 0: 10 nonzeros over 3 values → 10 adds, 3 muls; row 1 is all
+	// zero and contributes nothing.
+	q := &quant.Quantized{
+		Codes:  []int32{1, 1, 2, 2, 2, 3, 3, 3, 3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		Shape:  tensor.Shape{2, 10},
+		Bits:   4,
+		Scheme: quant.PerTensor,
+		Params: []quant.Params{{Scale: 1}},
 	}
-	// Zero rows contribute nothing.
-	c = FactorizedCost([]int{0, 5}, []int{0, 1})
-	if c.Adds != 5 || c.Muls != 1 {
-		t.Fatalf("FactorizedCost with zero row = %+v", c)
+	c := Factorize(q).Cost()
+	if c.Adds != 10 || c.Muls != 3 || c.StreamSymbols != 10 || c.DictEntries != 0 {
+		t.Fatalf("Factorize cost = %+v", c)
 	}
 }
 

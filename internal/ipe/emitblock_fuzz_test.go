@@ -1,6 +1,7 @@
 package ipe
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -28,24 +29,40 @@ var specialFloats = []float32{
 	-3e38,
 }
 
-// matrixCase builds an encoder-made program and a [K, pTotal] input from
-// seed: the shape, bit width and encoder limits vary with the seed, and
-// about one input in eight is drawn from specialFloats.
+// matrixCase builds a program and a [K, pTotal] input from seed: the
+// shape, bit width and encoder limits vary with the seed, about one program
+// in four is the empty-dictionary form (Factorize) and about one input in
+// eight is drawn from specialFloats.
 func matrixCase(seed uint64, pTotal int) (*Program, []float32) {
 	r := tensor.NewRNG(seed)
+	q := matrixQuant(r)
+	prog := Factorize(q)
+	if dict := []int{-1, 0, 8, 4096}[r.Intn(4)]; dict >= 0 {
+		var err error
+		prog, _, err = Encode(q, Config{MaxDict: dict, MaxDepth: []int{0, 2, 8}[r.Intn(3)]})
+		if err != nil {
+			panic(err)
+		}
+	}
+	return prog, lacedInputs(r, prog.K*pTotal)
+}
+
+// matrixQuant draws a per-channel quantized matrix of up to 24 rows, 2..61
+// columns and 2..8 bits, pruned to half its weights one time in two.
+func matrixQuant(r *tensor.RNG) *quant.Quantized {
 	m, k := 1+r.Intn(24), 2+r.Intn(60)
 	w := tensor.New(m, k)
 	tensor.FillGaussian(w, r, 1)
 	if r.Intn(2) == 0 {
 		quant.PruneMagnitude(w, 0.5)
 	}
-	q := quant.Quantize(w, 2+r.Intn(7), quant.PerChannel)
-	cfg := Config{MaxDict: []int{0, 8, 4096}[r.Intn(3)], MaxDepth: []int{0, 2, 8}[r.Intn(3)]}
-	prog, _, err := Encode(q, cfg)
-	if err != nil {
-		panic(err)
-	}
-	cols := make([]float32, k*pTotal)
+	return quant.Quantize(w, 2+r.Intn(7), quant.PerChannel)
+}
+
+// lacedInputs returns n inputs in [-4, 4), about one in eight replaced by a
+// specialFloats value.
+func lacedInputs(r *tensor.RNG, n int) []float32 {
+	cols := make([]float32, n)
 	for i := range cols {
 		if r.Intn(8) == 0 {
 			cols[i] = specialFloats[r.Intn(len(specialFloats))]
@@ -53,13 +70,12 @@ func matrixCase(seed uint64, pTotal int) (*Program, []float32) {
 			cols[i] = r.Float32()*8 - 4
 		}
 	}
-	return prog, cols
+	return cols
 }
 
 // checkCompiledMatrix requires the compiled column-blocked executor on
-// shards shards to equal the interpreter bit for bit; NaN payloads are
-// compared too where the kernels pin them (pinsNaNPayloads), and NaN must
-// meet NaN everywhere.
+// shards shards to equal the interpreter bit for bit, NaN payloads included
+// where the kernels pin them (pinsNaNPayloads).
 func checkCompiledMatrix(t *testing.T, prog *Program, cols []float32, pTotal, shards int) {
 	t.Helper()
 	want := make([]float32, prog.M*pTotal)
@@ -67,13 +83,20 @@ func checkCompiledMatrix(t *testing.T, prog *Program, cols []float32, pTotal, sh
 	prog.ExecuteMatrixInto(want, cols, pTotal, &s)
 	got := make([]float32, prog.M*pTotal)
 	prog.Compiled().ExecuteMatrixIntoPar(got, cols, pTotal, forcedPar(shards))
+	checkBits(t, fmt.Sprintf("M=%d K=%d D=%d pTotal=%d shards=%d", prog.M, prog.K, prog.DictSize(), pTotal, shards),
+		got, want, "interpreter", pinsNaNPayloads)
+}
+
+// checkBits requires got to equal want bit for bit; NaN payloads are
+// compared too when pinNaN, and NaN must meet NaN everywhere.
+func checkBits(t *testing.T, label string, got, want []float32, wantName string, pinNaN bool) {
+	t.Helper()
 	for i := range want {
-		if bothNaN := got[i] != got[i] && want[i] != want[i]; bothNaN && !pinsNaNPayloads {
+		if bothNaN := got[i] != got[i] && want[i] != want[i]; bothNaN && !pinNaN {
 			continue
 		}
 		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("M=%d K=%d pTotal=%d shards=%d: [%d] = %#08x, interpreter %#08x",
-				prog.M, prog.K, pTotal, shards, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			t.Fatalf("%s: [%d] = %#08x, %s %#08x", label, i, math.Float32bits(got[i]), wantName, math.Float32bits(want[i]))
 		}
 	}
 }

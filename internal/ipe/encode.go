@@ -80,6 +80,27 @@ func Encode(q *quant.Quantized, cfg Config) (*Program, Stats, error) {
 	return prog, stats, nil
 }
 
+// Factorize builds the value-factorized form of a quantized weight tensor
+// (dimension 0 = rows, the rest flattened): the Program Encode starts from,
+// before any pair is merged. Its dictionary is empty, and each row holds one
+// term per distinct non-zero code whose Syms are the raw input indices
+// carrying that code, ascending (quant.GroupRows). This is the UCNN-style
+// baseline of the evaluation, and it runs on the same executors as an
+// encoded program.
+func Factorize(q *quant.Quantized) *Program {
+	m := q.Shape[0]
+	p := &Program{K: q.NumElements() / m, M: m, Bits: q.Bits, Rows: make([]Row, m)}
+	q.GroupRows(nil, func(r int, groups []quant.RowGroup) {
+		scale := q.RowScale(r)
+		terms := make([]Term, len(groups))
+		for i, g := range groups {
+			terms[i] = Term{Code: g.Code, Value: float32(g.Code) * scale, Syms: g.Idx}
+		}
+		p.Rows[r].Terms = terms
+	})
+	return p
+}
+
 // appendSequences adds the (row, value) index sets of one quantized matrix,
 // with its rows mapped to the global row space starting at rowOffset. Rows
 // and, within a row, codes arrive in ascending order (quant.GroupRows).

@@ -189,21 +189,7 @@ func TestEncodeMonotoneCostProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		m := q.Shape[0]
-		k := q.NumElements() / m
-		nnz := make([]int, m)
-		terms := make([]int, m)
-		for row := 0; row < m; row++ {
-			vals := map[int32]bool{}
-			for i := 0; i < k; i++ {
-				if c := q.Codes[row*k+i]; c != 0 {
-					nnz[row]++
-					vals[c] = true
-				}
-			}
-			terms[row] = len(vals)
-		}
-		return prog.Cost().Total() <= FactorizedCost(nnz, terms).Total()
+		return prog.Cost().Total() <= Factorize(q).Cost().Total()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,0 +1,82 @@
+package ipe
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/tensor"
+)
+
+// factorizedMatVec and factorizedMatMat are the loops of the scalar
+// value-factorized executor that empty-dictionary programs replaced: per
+// output an accumulator from +0, per term a group sum from +0 over the
+// term's indices in order, then accumulator += Value·group. They are the
+// oracle Factorize programs must reproduce on the IPE executors.
+func factorizedMatVec(p *Program, x, y []float32) {
+	for r := range p.Rows {
+		var acc float32
+		for _, t := range p.Rows[r].Terms {
+			var g float32
+			for _, i := range t.Syms {
+				g += x[i]
+			}
+			acc += t.Value * g
+		}
+		y[r] = acc
+	}
+}
+
+func factorizedMatMat(p *Program, dst, b []float32, cols int) {
+	group := make([]float32, cols)
+	for r := range p.Rows {
+		out := dst[r*cols : (r+1)*cols]
+		clear(out)
+		for _, t := range p.Rows[r].Terms {
+			clear(group)
+			for _, i := range t.Syms {
+				src := b[int(i)*cols : int(i)*cols+cols]
+				for j := range src {
+					group[j] += src[j]
+				}
+			}
+			for j := range out {
+				out[j] += t.Value * group[j]
+			}
+		}
+	}
+}
+
+// TestFactorizeMatchesFactorizedLoops checks Factorize programs against the
+// scalar factorized loops bit for bit, on inputs laced with special values:
+// the compiled matrix executor at every column count 1..130 on one to three
+// shards, NaN payloads included where its kernels pin them, and the
+// compiled single-vector executor the dense layers run. That executor is Go
+// on every build, as is the oracle, and Go leaves to the compiler which NaN
+// operand an addition returns (it differs under -race), so only its NaN
+// payloads go unchecked.
+func TestFactorizeMatchesFactorizedLoops(t *testing.T) {
+	for pTotal := 1; pTotal <= 130; pTotal++ {
+		r := tensor.NewRNG(uint64(7000 + pTotal))
+		prog := Factorize(matrixQuant(r))
+		cols := lacedInputs(r, prog.K*pTotal)
+		if err := prog.Validate(); err != nil || prog.DictSize() != 0 {
+			t.Fatalf("Factorize: dictionary %d, Validate %v", prog.DictSize(), err)
+		}
+		c := prog.Compiled()
+
+		want := make([]float32, prog.M*pTotal)
+		factorizedMatMat(prog, want, cols, pTotal)
+		got := make([]float32, prog.M*pTotal)
+		shards := 1 + pTotal%3
+		c.ExecuteMatrixIntoPar(got, cols, pTotal, forcedPar(shards))
+		checkBits(t, fmt.Sprintf("M=%d K=%d pTotal=%d shards=%d: ExecuteMatrixIntoPar", prog.M, prog.K, pTotal, shards),
+			got, want, "factorized loop", pinsNaNPayloads)
+
+		x := cols[:prog.K]
+		wantV := make([]float32, prog.M)
+		factorizedMatVec(prog, x, wantV)
+		gotV := make([]float32, prog.M)
+		c.ExecuteScratch(x, gotV, make([]float32, c.ScratchLen()))
+		checkBits(t, fmt.Sprintf("M=%d K=%d: ExecuteScratch", prog.M, prog.K), gotV, wantV, "factorized loop", false)
+	}
+}

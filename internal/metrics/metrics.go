@@ -40,7 +40,9 @@ const (
 	KernelWinograd
 	// KernelCSR is compressed-sparse-row execution over quantized weights.
 	KernelCSR
-	// KernelFactorized is UCNN-style value-factorized execution.
+	// KernelFactorized tags the layers that run UCNN-style value-factorized
+	// execution. Their programs have an empty pair dictionary and run on the
+	// compiled IPE executor, so their dispatches count as KernelIPECompiled.
 	KernelFactorized
 	// KernelIPEInterp is the interpreted index-pair-encoded executor.
 	KernelIPEInterp

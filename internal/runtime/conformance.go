@@ -43,9 +43,9 @@ func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 		case op.Node.Kind == graph.OpDense && op.Impl == ImplCSR:
 			w = op.csrDense.Dense()
 		case op.Node.Kind == graph.OpDense && op.Impl == ImplFactorized:
-			w = op.factDense.Dense()
+			w = op.factDense.Quant.Dequantize()
 		case op.Node.Kind == graph.OpDense && op.Impl == ImplIPE:
-			w = op.ipeDense.Quant.Dequantize().Reshape(op.ipeDense.Program.M, op.ipeDense.Program.K)
+			w = op.ipeDense.Quant.Dequantize()
 		default:
 			continue
 		}

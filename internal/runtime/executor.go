@@ -306,7 +306,7 @@ func (e *Executor) runStep(st *execStep, impl Impl) error {
 	case n.Kind == graph.OpDense && impl == ImplCSR:
 		denseCSRInto(dst, st.ins[0], op.csrDense, op.denseBias)
 	case n.Kind == graph.OpDense && impl == ImplFactorized:
-		denseFactorizedInto(dst, st.ins[0], op.factDense, op.denseBias)
+		op.factDense.ForwardInto(dst, st.ins[0], e.par.Scratch(0))
 	case n.Kind == graph.OpDense && impl == ImplIPE:
 		op.ipeDense.ForwardInto(dst, st.ins[0], e.par.Scratch(0))
 	default:
@@ -331,18 +331,6 @@ func denseCSRInto(dst, in *tensor.Tensor, c *baseline.CSR, bias *tensor.Tensor) 
 		c.MatVec(in.Data()[b*k:(b+1)*k], od[b*c.M:(b+1)*c.M])
 	}
 	addBiasRows(od, bias, n, c.M)
-}
-
-// denseFactorizedInto computes the value-factorized dense layer row by row
-// into dst.
-func denseFactorizedInto(dst, in *tensor.Tensor, f *baseline.Factorized, bias *tensor.Tensor) {
-	metrics.Count(metrics.KernelFactorized)
-	n, k := in.Dim(0), in.Dim(1)
-	od := dst.Data()
-	for b := 0; b < n; b++ {
-		f.MatVec(in.Data()[b*k:(b+1)*k], od[b*f.M:(b+1)*f.M])
-	}
-	addBiasRows(od, bias, n, f.M)
 }
 
 func addBiasRows(od []float32, bias *tensor.Tensor, n, m int) {

@@ -69,7 +69,7 @@ func referenceOp(op *CompiledOp, n *graph.Node, vals map[*graph.Node]*tensor.Ten
 	case n.Kind == graph.OpDense && op.Impl == ImplCSR:
 		out = referenceDense(ins[0], op.csrDense.MatVec, op.csrDense.M, op.denseBias)
 	case n.Kind == graph.OpDense && op.Impl == ImplFactorized:
-		out = referenceDense(ins[0], op.factDense.MatVec, op.factDense.M, op.denseBias)
+		out = op.factDense.Forward(ins[0])
 	case n.Kind == graph.OpDense && op.Impl == ImplIPE:
 		out = op.ipeDense.Forward(ins[0])
 	default:

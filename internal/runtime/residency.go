@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"repro/internal/baseline"
+	"repro/internal/graph"
 	"repro/internal/ipe"
+	"repro/internal/tensor"
 )
 
 // ResidentBytes estimates the heap bytes this plan's serving structures keep
@@ -30,11 +32,9 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 		seen[prog] = true
 		owned += prog.MemoryBytes()
 	}
-	tensorBytes := func(ts ...interface{ NumElements() int }) {
-		for _, t := range ts {
-			if t != nil {
-				owned += int64(t.NumElements()) * 4
-			}
+	tensorBytes := func(t *tensor.Tensor) {
+		if t != nil {
+			owned += int64(t.NumElements()) * 4
 		}
 	}
 	csrBytes := func(c *baseline.CSR) {
@@ -42,30 +42,18 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 			owned += int64(len(c.RowPtr))*4 + int64(len(c.Col))*4 + int64(len(c.Val))*4
 		}
 	}
-	factBytes := func(f *baseline.Factorized) {
-		if f != nil {
-			for _, row := range f.Rows {
-				owned += 24
-				for _, t := range row.Terms {
-					owned += 32 + int64(len(t.Idx))*4
+	for i := range p.Ops {
+		op := &p.Ops[i]
+		for _, l := range []*ipe.ConvLayer{op.ipeConv, op.factConv} {
+			if l != nil {
+				for _, prog := range l.Programs {
+					addProg(prog)
 				}
 			}
 		}
-	}
-	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.ipeConv != nil {
-			for _, prog := range op.ipeConv.Programs {
-				addProg(prog)
-			}
-			if op.ipeConv.Bias != nil {
-				owned += int64(op.ipeConv.Bias.NumElements()) * 4
-			}
-		}
-		if op.ipeDense != nil {
-			addProg(op.ipeDense.Program)
-			if op.ipeDense.Bias != nil {
-				owned += int64(op.ipeDense.Bias.NumElements()) * 4
+		for _, l := range []*ipe.DenseLayer{op.ipeDense, op.factDense} {
+			if l != nil {
+				addProg(l.Program)
 			}
 		}
 		if op.csrConv != nil {
@@ -74,22 +62,16 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 			}
 		}
 		csrBytes(op.csrDense)
-		if op.factConv != nil {
-			for _, m := range op.factConv.Mats {
-				factBytes(m)
-			}
-		}
-		factBytes(op.factDense)
 		if op.winConv != nil {
 			for _, oc := range op.winConv.U {
 				owned += int64(len(oc)) * 16 * 4
 			}
 		}
-		if op.denseWeight != nil {
-			tensorBytes(op.denseWeight)
-		}
-		if op.denseBias != nil {
-			tensorBytes(op.denseBias)
+		tensorBytes(op.denseWeight)
+		if k := op.Node.Kind; k == graph.OpConv || k == graph.OpDense {
+			// Every structure an op keeps (and denseBias) reads the node's
+			// one bias tensor: count it once per op.
+			tensorBytes(op.Node.Param("bias"))
 		}
 	}
 	return owned, shared

@@ -145,8 +145,8 @@ type CompiledOp struct {
 	ipeDense    *ipe.DenseLayer
 	csrConv     *baseline.ConvCSR
 	csrDense    *baseline.CSR
-	factConv    *baseline.ConvFactorized
-	factDense   *baseline.Factorized
+	factConv    *ipe.ConvLayer
+	factDense   *ipe.DenseLayer
 	winConv     *baseline.ConvWinograd
 	denseWeight *tensor.Tensor
 	denseBias   *tensor.Tensor
@@ -338,9 +338,9 @@ func quantizeOnce(w *tensor.Tensor, opts Options) *quant.Quantized {
 // operator, simulates each on the accelerator model and selects the winner
 // (or the tuning store's measured winner). Only the winner's structure stays
 // on the op — the losers were built to be ranked, not served, and
-// Plan.StartTuner rebuilds the ones it explores — and only a winning IPE
-// encoding is interned and lowered, so losing programs are never pinned by
-// the dictionary store.
+// Plan.StartTuner rebuilds the ones it explores — and only the winner's
+// programs are lowered (and, for IPE, interned), so losing programs are
+// never pinned by the dictionary store.
 func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{
 		Node:       n,
@@ -374,7 +374,7 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	seedFromStore(&op, opts)
 	op.Sim = op.Candidates[op.Impl]
 	op.keepOnly(op.Impl)
-	op.internIPE(opts.DictStore)
+	op.lower(op.Impl, opts.DictStore)
 	return op, nil
 }
 
@@ -395,8 +395,8 @@ func convWorkload(n *graph.Node) schedule.Workload {
 // build constructs implementation im's serving structure on op and returns
 // its modeled execution; ok is false when im does not apply to the operator
 // (Winograd off 3x3 stride-1 convs and on dense layers). q is the operator's
-// quantized weights, shared by the CSR, factorized and IPE structures. IPE
-// programs come out raw; internIPE interns and lowers the ones that are
+// quantized weights, shared by the CSR, factorized and IPE structures.
+// Factorized and IPE programs come out raw; lower readies the ones that are
 // kept. This is the one per-implementation builder: Compile runs it for
 // every candidate, StartTuner for the arms Compile dropped.
 func (op *CompiledOp) build(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
@@ -423,16 +423,12 @@ func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options) (acce
 		op.csrConv = csr
 		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ())), true, nil
 	case ImplFactorized:
-		fact, err := baseline.NewConvFactorizedFromQuantized(q, bias, spec)
+		fact, err := ipe.FactorizeConv(q, bias, spec)
 		if err != nil {
 			return accel.Result{}, false, err
 		}
 		op.factConv = fact
-		var factSyms int
-		for _, m := range fact.Mats {
-			factSyms += m.K
-		}
-		return opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, fact.Cost(), factSyms)), true, nil
+		return opts.HW.Simulate(accel.FactorizedConvProfile(fact, wl.N, wl.H, wl.W)), true, nil
 	case ImplIPE:
 		ipeL, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
 		if err != nil {
@@ -475,9 +471,9 @@ func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options) (acc
 		op.csrDense = csr
 		return simulate("csr", csr.Cost(), int64(csr.NNZ())*6), true, nil
 	case ImplFactorized:
-		fact := baseline.NewFactorized(q)
-		op.factDense = fact
-		return simulate("factorized", fact.Cost(), fact.StreamSymbols()*2), true, nil
+		op.factDense = &ipe.DenseLayer{Program: ipe.Factorize(q), Bias: bias, Quant: q}
+		fc := op.factDense.Program.Cost()
+		return simulate("factorized", fc, fc.StreamSymbols*2), true, nil
 	case ImplIPE:
 		ipeL, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
 		if err != nil {
@@ -526,21 +522,35 @@ func (op *CompiledOp) built(im Impl) bool {
 	return false
 }
 
-// internIPE interns the op's IPE programs through the dictionary store (a
-// hit swaps in the canonical program, whose lowered form is shared), then
-// lowers each to its compiled serving form now, so the first Run never pays
-// the lazy compilation inside the hot path. Every program acquired here is
-// given back once, by Plan.ReleasePool.
-func (op *CompiledOp) internIPE(store *ipe.DictStore) {
-	if op.ipeConv != nil {
-		for i, prog := range op.ipeConv.Programs {
-			op.ipeConv.Programs[i] = store.Intern(prog)
-			op.ipeConv.Programs[i].Compiled()
+// lower readies implementation im's programs for serving by lowering each
+// to its compiled form now, so the first Run never pays the lazy
+// compilation inside the hot path. IPE programs are first interned through
+// the dictionary store (a hit swaps in the canonical program, whose lowered
+// form is shared); every program acquired there is given back once, by
+// Plan.ReleasePool. Factorized programs, the empty-dictionary form, are
+// not interned: they stay owned by the op.
+func (op *CompiledOp) lower(im Impl, store *ipe.DictStore) {
+	switch im {
+	case ImplIPE:
+		if op.ipeConv != nil {
+			for i, prog := range op.ipeConv.Programs {
+				op.ipeConv.Programs[i] = store.Intern(prog)
+				op.ipeConv.Programs[i].Compiled()
+			}
 		}
-	}
-	if op.ipeDense != nil {
-		op.ipeDense.Program = store.Intern(op.ipeDense.Program)
-		op.ipeDense.Program.Compiled()
+		if op.ipeDense != nil {
+			op.ipeDense.Program = store.Intern(op.ipeDense.Program)
+			op.ipeDense.Program.Compiled()
+		}
+	case ImplFactorized:
+		if op.factConv != nil {
+			for _, prog := range op.factConv.Programs {
+				prog.Compiled()
+			}
+		}
+		if op.factDense != nil {
+			op.factDense.Program.Compiled()
+		}
 	}
 }
 

@@ -175,8 +175,9 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 // same per-implementation builder and with the node's own weights, so
 // routed executions are bit-identical to a plan forced to the arm. The
 // structures are written before StartTuner publishes Plan.live, whose
-// atomic store orders them before any routed read. A rebuilt IPE arm is
-// interned like a selected one and released with it by ReleasePool.
+// atomic store orders them before any routed read. A rebuilt arm is
+// lowered like a selected one; an IPE arm is interned and released with it
+// by ReleasePool.
 func (op *CompiledOp) buildArms(arms []Impl, opts Options) error {
 	q := quant.Quantize(op.Node.Param("weight"), opts.Bits, opts.Scheme)
 	for _, im := range arms {
@@ -186,9 +187,7 @@ func (op *CompiledOp) buildArms(arms []Impl, opts Options) error {
 		if _, _, err := op.build(im, q, opts); err != nil {
 			return err
 		}
-		if im == ImplIPE {
-			op.internIPE(opts.DictStore)
-		}
+		op.lower(im, opts.DictStore)
 	}
 	return nil
 }
