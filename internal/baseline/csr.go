@@ -179,38 +179,25 @@ func (l *ConvCSR) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
+	l.ForwardIntoPar(out, in, false, tensor.NewPar(nil, 1))
 	return out
 }
 
 // ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
-// destination (dst must not alias in), sharded on the given parallelism
-// context: im2col over matrix rows, the sparse matmul over output channels.
-// The shared col/res staging buffers come from shard 0's scratch, taken
-// before each parallel region and released after it joins. All n batch
-// elements run as the columns of one matrix (tensor.Im2colGroupColumns).
-// Results are bit-identical for any shard count.
-func (l *ConvCSR) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
+// destination (dst must not alias in), applying tensor.ReLU32 to every
+// output when relu is set, on the shared conv driver tensor.ConvColumns:
+// im2col shards over matrix rows, the sparse matmul over output channels,
+// and all n batch elements run as the columns of one matrix. Results are
+// bit-identical for any shard count.
+func (l *ConvCSR) ForwardIntoPar(dst, in *tensor.Tensor, relu bool, par *tensor.Par) {
 	metrics.Count(metrics.KernelCSR)
-	spec := l.Spec
-	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("baseline: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	cols := n * oh * ow
-	s0 := par.Scratch(0)
-	mark := s0.Mark()
-	col := s0.Take(icg * spec.KH * spec.KW * cols)
-	res := s0.Take(ocg * cols)
-	for g := 0; g < spec.Groups; g++ {
-		x := tensor.Im2colGroupColumns(col, in, g, spec, par)
-		l.Mats[g].MatMatIntoPar(res, x, cols, par)
-		tensor.ScatterGroupColumns(dst, res, l.Bias, g, ocg)
-	}
-	s0.Release(mark)
+	tensor.ConvColumns(dst, in, l.Spec, l.Bias, relu, par, l)
+}
+
+// GroupMatMulIntoPar multiplies group g's CSR matrix into a column matrix
+// (tensor.ColumnKernel).
+func (l *ConvCSR) GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *tensor.Par) {
+	l.Mats[g].MatMatIntoPar(dst, cols, p, par)
 }
 
 // NNZ returns the total stored nonzeros across groups.

@@ -38,7 +38,7 @@ func CSRConvVariants() []CSRConvVariant {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvCSR, dst, in *tensor.Tensor, par *tensor.Par) {
-			l.ForwardIntoPar(dst, in, par)
+			l.ForwardIntoPar(dst, in, false, par)
 		}},
 	}
 }

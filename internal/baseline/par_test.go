@@ -37,7 +37,7 @@ func expectSame(t *testing.T, name string, shards int, got, want []float32) {
 }
 
 // TestConvCSRForwardIntoParBitIdentical checks the channel-sharded sparse
-// convolution against its one-shard run.
+// convolution against its one-shard run, with and without the fused ReLU.
 func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
@@ -46,18 +46,21 @@ func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	oh, ow := spec.OutDims(10, 10)
-	want := tensor.New(2, spec.OutC, oh, ow)
-	l.ForwardIntoPar(want, in, forcedPar(1))
-	for _, shards := range []int{2, 5, 16} {
-		got := tensor.New(2, spec.OutC, oh, ow)
-		l.ForwardIntoPar(got, in, forcedPar(shards))
-		expectSame(t, "ConvCSR", shards, got.Data(), want.Data())
+	for _, relu := range []bool{false, true} {
+		want := tensor.New(2, spec.OutC, oh, ow)
+		l.ForwardIntoPar(want, in, relu, forcedPar(1))
+		for _, shards := range []int{2, 5, 16} {
+			got := tensor.New(2, spec.OutC, oh, ow)
+			l.ForwardIntoPar(got, in, relu, forcedPar(shards))
+			expectSame(t, "ConvCSR", shards, got.Data(), want.Data())
+		}
 	}
 }
 
 // TestConvFactorizedForwardIntoParBitIdentical checks the value-factorized
 // convolution (ipe.FactorizeConv: empty-dictionary programs on the
-// column-sharded IPE executor) against its one-shard run.
+// column-sharded IPE executor) against its one-shard run, with and without
+// the fused ReLU.
 func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
@@ -66,12 +69,14 @@ func TestConvFactorizedForwardIntoParBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	oh, ow := spec.OutDims(10, 10)
-	want := tensor.New(2, spec.OutC, oh, ow)
-	l.ForwardIntoPar(want, in, forcedPar(1))
-	for _, shards := range []int{2, 5, 16} {
-		got := tensor.New(2, spec.OutC, oh, ow)
-		l.ForwardIntoPar(got, in, forcedPar(shards))
-		expectSame(t, "FactorizeConv", shards, got.Data(), want.Data())
+	for _, relu := range []bool{false, true} {
+		want := tensor.New(2, spec.OutC, oh, ow)
+		l.ForwardIntoPar(want, in, relu, forcedPar(1))
+		for _, shards := range []int{2, 5, 16} {
+			got := tensor.New(2, spec.OutC, oh, ow)
+			l.ForwardIntoPar(got, in, relu, forcedPar(shards))
+			expectSame(t, "FactorizeConv", shards, got.Data(), want.Data())
+		}
 	}
 }
 

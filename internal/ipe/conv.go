@@ -81,42 +81,28 @@ func (l *ConvLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	out := tensor.New(n, spec.OutC, oh, ow)
-	l.ForwardIntoPar(out, in, tensor.NewPar(nil, 1))
+	l.ForwardIntoPar(out, in, false, tensor.NewPar(nil, 1))
 	return out
 }
 
 // ForwardIntoPar is Forward writing into a preallocated [n, outC, oh, ow]
-// destination (dst must not alias in), sharded on the given parallelism
-// context: the im2col lowering shards over matrix rows and the program
-// execution over column blocks, with per-shard scratch arenas. All n batch
-// elements run as the columns of one matrix (tensor.Im2colGroupColumns),
-// so each group's program is walked once per call, not once per element.
-// The shared col/res staging buffers come from shard 0's scratch — taken
-// before each parallel region starts and released after it joins, so no
-// two goroutines ever use one Scratch concurrently; once the scratches are
-// warm, execution performs no heap allocations at one shard. Programs run
-// in their compiled form (compile.go), which is bit-identical to the
-// interpreter, and results are bit-identical for any shard count.
-func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, par *tensor.Par) {
-	spec := l.Spec
-	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
-	oh, ow := spec.OutDims(h, w)
-	if dst.NumElements() != n*spec.OutC*oh*ow {
-		panic(fmt.Sprintf("ipe: ForwardIntoPar dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
-	}
-	icg := spec.InC / spec.Groups
-	ocg := spec.OutC / spec.Groups
-	cols := n * oh * ow
-	s0 := par.Scratch(0)
-	mark := s0.Mark()
-	col := s0.Take(icg * spec.KH * spec.KW * cols)
-	res := s0.Take(ocg * cols)
-	for g := 0; g < spec.Groups; g++ {
-		x := tensor.Im2colGroupColumns(col, in, g, spec, par)
-		l.Programs[g].Compiled().ExecuteMatrixIntoPar(res, x, cols, par) // [ocg, n*oh*ow]
-		tensor.ScatterGroupColumns(dst, res, l.Bias, g, ocg)
-	}
-	s0.Release(mark)
+// destination (dst must not alias in), applying tensor.ReLU32 to every
+// output when relu is set, on the shared conv driver tensor.ConvColumns:
+// all n batch elements run as the columns of one matrix, so each group's
+// program is walked once per call. The im2col lowering shards over matrix
+// rows and the program execution over column blocks, with per-shard
+// scratch arenas; once the scratches are warm, execution performs no heap
+// allocations at one shard. Programs run in their compiled form
+// (compile.go), which is bit-identical to the interpreter, and results are
+// bit-identical for any shard count.
+func (l *ConvLayer) ForwardIntoPar(dst, in *tensor.Tensor, relu bool, par *tensor.Par) {
+	tensor.ConvColumns(dst, in, l.Spec, l.Bias, relu, par, l)
+}
+
+// GroupMatMulIntoPar runs group g's compiled program over a column matrix
+// (tensor.ColumnKernel).
+func (l *ConvLayer) GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *tensor.Par) {
+	l.Programs[g].Compiled().ExecuteMatrixIntoPar(dst, cols, p, par)
 }
 
 // Cost returns the total arithmetic cost of one forward pass over an input
@@ -168,39 +154,34 @@ func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (
 func (l *DenseLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(in.Dim(0), l.Program.M)
 	var s tensor.Scratch
-	l.ForwardInto(out, in, &s)
+	l.ForwardInto(out, in, false, &s)
 	return out
 }
 
 // ForwardInto is Forward writing into a preallocated [n, m] destination,
 // drawing the (slot-compacted, compiled-form) partial-sum scratchpad from
-// the caller's Scratch. dst must not alias in.
-func (l *DenseLayer) ForwardInto(dst, in *tensor.Tensor, s *tensor.Scratch) {
+// the caller's Scratch. When relu is set, the bias pass applies
+// tensor.ReLU32 to every output (after its bias add), so no second pass
+// runs. dst must not alias in.
+func (l *DenseLayer) ForwardInto(dst, in *tensor.Tensor, relu bool, s *tensor.Scratch) {
 	n, k := in.Dim(0), in.Dim(1)
 	if k != l.Program.K {
 		panic(fmt.Sprintf("ipe: DenseLayer input width %d != K %d", k, l.Program.K))
 	}
-	if dst.NumElements() != n*l.Program.M {
-		panic(fmt.Sprintf("ipe: ForwardInto dst %v != [%d %d]", dst.Shape(), n, l.Program.M))
+	m := l.Program.M
+	if dst.NumElements() != n*m {
+		panic(fmt.Sprintf("ipe: ForwardInto dst %v != [%d %d]", dst.Shape(), n, m))
 	}
 	c := l.Program.Compiled()
-	m := l.Program.M
 	mark := s.Mark()
-	od := dst.Data()
+	od := dst.Data()[:n*m]
 	id := in.Data()
 	scratch := s.Take(c.ScratchLen())
 	for b := 0; b < n; b++ {
 		c.ExecuteScratch(id[b*k:(b+1)*k], od[b*m:(b+1)*m], scratch)
 	}
-	if l.Bias != nil {
-		bd := l.Bias.Data()
-		for b := 0; b < n; b++ {
-			for i := 0; i < l.Program.M; i++ {
-				od[b*l.Program.M+i] += bd[i]
-			}
-		}
-	}
 	s.Release(mark)
+	tensor.AddBiasRows(od, l.Bias, relu, m)
 }
 
 // EncodeConvShared is EncodeConv with one pair dictionary shared across

@@ -260,7 +260,7 @@ func TestDenseForwardBatchRemainders(t *testing.T) {
 		tensor.FillGaussian(in, tensor.NewRNG(uint64(n)), 1)
 		out := tensor.New(n, m)
 		var s tensor.Scratch
-		layer.ForwardInto(out, in, &s)
+		layer.ForwardInto(out, in, false, &s)
 		want := make([]float32, m)
 		scratch := make([]float32, c.ScratchLen())
 		for b := 0; b < n; b++ {

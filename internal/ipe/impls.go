@@ -32,7 +32,7 @@ func ConvVariants() []ConvVariant {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
-			l.ForwardIntoPar(dst, in, par)
+			l.ForwardIntoPar(dst, in, false, par)
 		}},
 	}
 }
@@ -52,7 +52,7 @@ func DenseVariants() []DenseVariant {
 			copy(dst.Data(), l.Forward(in).Data())
 		}},
 		{Name: "forward-into", F: func(l *DenseLayer, dst, in *tensor.Tensor) {
-			l.ForwardInto(dst, in, &s)
+			l.ForwardInto(dst, in, false, &s)
 		}},
 	}
 }

@@ -51,7 +51,8 @@ func TestExecuteMatrixIntoParBitIdentical(t *testing.T) {
 
 // TestConvLayerForwardIntoParBitIdentical checks the fully sharded encoded
 // convolution (parallel im2col + parallel program execution) against its
-// one-shard run, including a grouped layer.
+// one-shard run, including a grouped layer, with and without the fused
+// ReLU.
 func TestConvLayerForwardIntoParBitIdentical(t *testing.T) {
 	specs := []tensor.ConvSpec{
 		{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1},
@@ -69,15 +70,17 @@ func TestConvLayerForwardIntoParBitIdentical(t *testing.T) {
 		in := tensor.New(2, spec.InC, 11, 11)
 		tensor.FillGaussian(in, tensor.NewRNG(45), 1)
 		oh, ow := spec.Normalize().OutDims(11, 11)
-		want := tensor.New(2, spec.OutC, oh, ow)
-		layer.ForwardIntoPar(want, in, forcedPar(1))
-		for _, shards := range []int{2, 4, 9} {
-			got := tensor.New(2, spec.OutC, oh, ow)
-			layer.ForwardIntoPar(got, in, forcedPar(shards))
-			for i := range want.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("groups=%d shards=%d: [%d] = %v != serial %v",
-						spec.Groups, shards, i, got.Data()[i], want.Data()[i])
+		for _, relu := range []bool{false, true} {
+			want := tensor.New(2, spec.OutC, oh, ow)
+			layer.ForwardIntoPar(want, in, relu, forcedPar(1))
+			for _, shards := range []int{2, 4, 9} {
+				got := tensor.New(2, spec.OutC, oh, ow)
+				layer.ForwardIntoPar(got, in, relu, forcedPar(shards))
+				for i := range want.Data() {
+					if got.Data()[i] != want.Data()[i] {
+						t.Fatalf("groups=%d relu=%v shards=%d: [%d] = %v != serial %v",
+							spec.Groups, relu, shards, i, got.Data()[i], want.Data()[i])
+					}
 				}
 			}
 		}

@@ -288,61 +288,53 @@ func (e *Executor) dropInputRefs() {
 
 // runStep dispatches one operator to its selected destination-passing
 // kernel. impl is the implementation to execute — st.op.Impl unless the
-// online tuner routed this execution to an alternate arm. Conv/dense
-// implementations apply their fused ReLU after the kernel; the generic graph
-// path handles it inside EvalNodeIntoPar.
+// online tuner routed this execution to an alternate arm. A FusedReLU node
+// gets its ReLU in the kernel's own epilogue on the IPE, factorized and CSR
+// paths (the bias pass of a dense layer, the output scatter of a conv) and
+// inside EvalNodeIntoPar on the generic path; only Winograd applies it as a
+// second pass over the output.
 func (e *Executor) runStep(st *execStep, impl Impl) error {
 	op, dst := st.op, st.out
 	n := op.Node
+	relu := n.Attrs.FusedReLU
 	switch {
 	case n.Kind == graph.OpConv && impl == ImplCSR:
-		op.csrConv.ForwardIntoPar(dst, st.ins[0], e.par)
+		op.csrConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
 	case n.Kind == graph.OpConv && impl == ImplFactorized:
-		op.factConv.ForwardIntoPar(dst, st.ins[0], e.par)
+		op.factConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
 	case n.Kind == graph.OpConv && impl == ImplIPE:
-		op.ipeConv.ForwardIntoPar(dst, st.ins[0], e.par)
+		op.ipeConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
 	case n.Kind == graph.OpConv && impl == ImplWinograd:
 		op.winConv.ForwardIntoPar(dst, st.ins[0], e.par)
+		if relu {
+			tensor.ReLUInto(dst, dst)
+		}
 	case n.Kind == graph.OpDense && impl == ImplCSR:
-		denseCSRInto(dst, st.ins[0], op.csrDense, op.denseBias)
+		denseCSRInto(dst, st.ins[0], op.csrDense, op.denseBias, relu)
 	case n.Kind == graph.OpDense && impl == ImplFactorized:
-		op.factDense.ForwardInto(dst, st.ins[0], e.par.Scratch(0))
+		op.factDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
 	case n.Kind == graph.OpDense && impl == ImplIPE:
-		op.ipeDense.ForwardInto(dst, st.ins[0], e.par.Scratch(0))
+		op.ipeDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
 	default:
 		// Dense convs and FC layers run the node's float weights through
 		// the reference kernels; EvalNodeIntoPar already applies FusedReLU.
 		return graph.EvalNodeIntoPar(dst, n, st.ins, e.par)
 	}
-	if n.Attrs.FusedReLU {
-		tensor.ReLUInto(dst, dst)
-	}
 	return nil
 }
 
-// denseCSRInto computes the CSR dense layer row by row into dst. The
-// matvec is dispatched on the concrete type (no method values) to keep the
-// steady state allocation-free.
-func denseCSRInto(dst, in *tensor.Tensor, c *baseline.CSR, bias *tensor.Tensor) {
+// denseCSRInto computes the CSR dense layer row by row into dst, then its
+// bias and (when relu is set) ReLU epilogue. The matvec is dispatched on
+// the concrete type (no method values) to keep the steady state
+// allocation-free.
+func denseCSRInto(dst, in *tensor.Tensor, c *baseline.CSR, bias *tensor.Tensor, relu bool) {
 	metrics.Count(metrics.KernelCSR)
 	n, k := in.Dim(0), in.Dim(1)
-	od := dst.Data()
+	od := dst.Data()[:n*c.M]
 	for b := 0; b < n; b++ {
 		c.MatVec(in.Data()[b*k:(b+1)*k], od[b*c.M:(b+1)*c.M])
 	}
-	addBiasRows(od, bias, n, c.M)
-}
-
-func addBiasRows(od []float32, bias *tensor.Tensor, n, m int) {
-	if bias == nil {
-		return
-	}
-	bd := bias.Data()
-	for b := 0; b < n; b++ {
-		for i := 0; i < m; i++ {
-			od[b*m+i] += bd[i]
-		}
-	}
+	tensor.AddBiasRows(od, bias, relu, c.M)
 }
 
 // AcquireExecutor checks an Executor out of the plan's pool, building a new

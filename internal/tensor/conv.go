@@ -216,20 +216,60 @@ func im2colItemsIntoPar(dst []float32, in *Tensor, b0, b1, g int, spec ConvSpec,
 	im2colRows(dst, in, b0, b1, g, spec, oh, ow, 0, rows)
 }
 
-// Im2colGroupColumns returns group g of every batch element of in as one
-// [icg*kH*kW, n*oh*ow] im2col matrix: batch element b's columns are
-// [b*oh*ow, (b+1)*oh*ow), so a convolution kernel runs all n elements in
-// one pass over its weights. Every output column depends only on its own
-// input window, so each element's columns hold exactly the values a
-// one-element lowering would. For a 1×1 kernel with unit strides and no
-// padding the matrix rows are the group's channel planes: at n == 1 they
-// are already laid out in the input, so the input's slice is returned in
-// place and col is untouched; at n > 1 each element's plane is copied into
-// its columns. Otherwise it lowers into col, sharded over matrix rows. col
-// must hold at least icg*kH*kW*n*oh*ow floats; callers must not write to
-// the result.
-func Im2colGroupColumns(col []float32, in *Tensor, g int, spec ConvSpec, par *Par) []float32 {
+// ColumnKernel is the one thing ConvColumns needs from a column-kernel
+// family: its per-group weight matrices. GroupMatMulIntoPar writes group g's
+// [outC/groups, p] product with the [inC/groups·kH·kW, p] column matrix
+// cols into dst (which it need not find zeroed), sharded on par and
+// bit-identical for any shard count.
+type ColumnKernel interface {
+	GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *Par)
+}
+
+// ConvColumns is the conv driver of the column kernels (IPE, factorized,
+// CSR): per group it lowers all n items of in to one [icg·kH·kW, n·oh·ow]
+// column matrix, runs k's matrix call on it, and scatters the [ocg, n·oh·ow]
+// result into the NCHW dst (dst must not alias in) in one epilogue pass that
+// adds the per-channel bias (a nil bias adds +0) and, when relu is set,
+// applies ReLU32 to the sum. Each program or matrix therefore runs once per
+// group per call, not once per item. Every output column depends only on its
+// own input window, so an n-item call equals n one-item calls bit for bit;
+// the epilogue is the same add and the same ReLU the unfused path runs, so
+// relu = true equals the call without it followed by ReLUInto. The col/res
+// staging buffers come from shard 0's scratch, taken before each parallel
+// region starts and released after it joins; with warm scratches a
+// one-shard call performs no heap allocations.
+func ConvColumns(dst, in *Tensor, spec ConvSpec, bias *Tensor, relu bool, par *Par, k ColumnKernel) {
 	spec = spec.Normalize()
+	n, h, w := in.Dim(0), in.Dim(2), in.Dim(3)
+	oh, ow := spec.OutDims(h, w)
+	if dst.Shape().Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != spec.OutC ||
+		dst.Dim(2) != oh || dst.Dim(3) != ow {
+		panic(fmt.Sprintf("tensor: ConvColumns dst %v != [%d %d %d %d]", dst.Shape(), n, spec.OutC, oh, ow))
+	}
+	icg := spec.InC / spec.Groups
+	ocg := spec.OutC / spec.Groups
+	cols := n * oh * ow
+	s0 := par.Scratch(0)
+	mark := s0.Mark()
+	col := s0.Take(icg * spec.KH * spec.KW * cols)
+	res := s0.Take(ocg * cols)
+	for g := 0; g < spec.Groups; g++ {
+		x := im2colGroupColumns(col, in, g, spec, par)
+		k.GroupMatMulIntoPar(g, res, x, cols, par)
+		scatterGroupColumns(dst, res, bias, relu, g, ocg)
+	}
+	s0.Release(mark)
+}
+
+// im2colGroupColumns returns group g of every batch element of in as one
+// [icg*kH*kW, n*oh*ow] im2col matrix: batch element b's columns are
+// [b*oh*ow, (b+1)*oh*ow). For a 1×1 kernel with unit strides and no padding
+// the matrix rows are the group's channel planes: at n == 1 they are already
+// laid out in the input, so the input's slice is returned in place and col
+// is untouched; at n > 1 each element's plane is copied into its columns.
+// Otherwise it lowers into col, sharded over matrix rows. col must hold at
+// least icg*kH*kW*n*oh*ow floats; callers must not write to the result.
+func im2colGroupColumns(col []float32, in *Tensor, g int, spec ConvSpec, par *Par) []float32 {
 	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
 	icg := spec.InC / spec.Groups
 	oh, ow := spec.OutDims(h, w)
@@ -252,11 +292,11 @@ func Im2colGroupColumns(col []float32, in *Tensor, g int, spec ConvSpec, par *Pa
 	return col[:size]
 }
 
-// ScatterGroupColumns writes group g's [ocg, n*oh*ow] result matrix, laid
-// out as Im2colGroupColumns lays out its input (batch element b in columns
-// [b*oh*ow, (b+1)*oh*ow)), into output channels [g*ocg, (g+1)*ocg) of the
-// NCHW dst, adding the per-channel bias (a nil bias adds +0).
-func ScatterGroupColumns(dst *Tensor, res []float32, bias *Tensor, g, ocg int) {
+// scatterGroupColumns is ConvColumns' epilogue: it writes group g's
+// [ocg, n*oh*ow] result matrix, laid out as im2colGroupColumns lays out its
+// input, into output channels [g*ocg, (g+1)*ocg) of the NCHW dst as
+// v + bias[oc], or ReLU32(v + bias[oc]) when relu is set.
+func scatterGroupColumns(dst *Tensor, res []float32, bias *Tensor, relu bool, g, ocg int) {
 	n, outC, hw := dst.Dim(0), dst.Dim(1), dst.Dim(2)*dst.Dim(3)
 	od := dst.Data()
 	for oc := 0; oc < ocg; oc++ {
@@ -267,9 +307,15 @@ func ScatterGroupColumns(dst *Tensor, res []float32, bias *Tensor, g, ocg int) {
 		for b := 0; b < n; b++ {
 			src := res[(oc*n+b)*hw : (oc*n+b+1)*hw]
 			o := (b*outC + g*ocg + oc) * hw
-			d := od[o : o+hw]
-			for i, v := range src {
-				d[i] = v + bv
+			d := od[o : o+len(src)]
+			if relu {
+				for i, v := range src {
+					d[i] = ReLU32(v + bv)
+				}
+			} else {
+				for i, v := range src {
+					d[i] = v + bv
+				}
 			}
 		}
 	}
@@ -277,32 +323,68 @@ func ScatterGroupColumns(dst *Tensor, res []float32, bias *Tensor, g, ocg int) {
 
 // im2colRows lowers im2col matrix rows [lo, hi) for batch elements
 // [b0, b1), where row r unpacks to (ic, ky, kx) = (r/(KH·KW), (r/KW)%KH,
-// r%KW) and holds each element's oh*ow columns side by side.
+// r%KW) and holds each element's oh*ow columns side by side. Output pixel
+// (oy, ox) reads input pixel (oy·StrideH − PadH + ky, ox·StrideW − PadW +
+// kx), so the in-bounds outputs of a row are one rectangle [y0, y1) ×
+// [x0, x1), clipped once per row: every other output is padding and is
+// zeroed, and each output row inside it reads one input row at a fixed
+// stride, with no bounds check per tap.
 func im2colRows(dst []float32, in *Tensor, b0, b1, g int, spec ConvSpec, oh, ow, lo, hi int) {
 	c, h, w := in.Dim(1), in.Dim(2), in.Dim(3)
 	icg := spec.InC / spec.Groups
 	p := oh * ow
-	ind, od := in.Data(), dst
+	sw := spec.StrideW
+	ind := in.Data()
+	kx, ky, ic := lo%spec.KW, (lo/spec.KW)%spec.KH, lo/(spec.KW*spec.KH)
 	for row := lo; row < hi; row++ {
-		kx := row % spec.KW
-		ky := (row / spec.KW) % spec.KH
-		ic := row / (spec.KW * spec.KH)
 		cIn := g*icg + ic
+		offY, offX := ky-spec.PadH, kx-spec.PadW // input pixel of output (0, 0)
+		y1 := min(ceilDiv(h-offY, spec.StrideH), oh)
+		y0 := min(ceilDiv(-offY, spec.StrideH), y1)
+		x1 := min(ceilDiv(w-offX, sw), ow)
+		x0 := min(ceilDiv(-offX, sw), x1)
 		for b := b0; b < b1; b++ {
-			dst := od[(row*(b1-b0)+b-b0)*p:]
-			for oy := 0; oy < oh; oy++ {
-				iy := oy*spec.StrideH - spec.PadH + ky
-				for ox := 0; ox < ow; ox++ {
-					ix := ox*spec.StrideW - spec.PadW + kx
-					var v float32
-					if iy >= 0 && iy < h && ix >= 0 && ix < w {
-						v = ind[((b*c+cIn)*h+iy)*w+ix]
-					}
-					dst[oy*ow+ox] = v
+			out := dst[(row*(b1-b0)+b-b0)*p : (row*(b1-b0)+b-b0+1)*p]
+			plane := ind[(b*c+cIn)*h*w : (b*c+cIn+1)*h*w]
+			for i := 0; i < y0*ow; i++ {
+				out[i] = 0
+			}
+			for oy := y0; oy < y1; oy++ {
+				d := out[oy*ow : (oy+1)*ow]
+				src := plane[(oy*spec.StrideH+offY)*w:]
+				for ox := 0; ox < x0; ox++ {
+					d[ox] = 0
 				}
+				for ox := x0; ox < x1; ox++ {
+					d[ox] = src[ox*sw+offX]
+				}
+				for ox := x1; ox < len(d); ox++ {
+					d[ox] = 0
+				}
+			}
+			for i := y1 * ow; i < len(out); i++ {
+				out[i] = 0
+			}
+		}
+		if kx++; kx == spec.KW {
+			kx = 0
+			if ky++; ky == spec.KH {
+				ky = 0
+				ic++
 			}
 		}
 	}
+}
+
+// ceilDiv returns ⌈a/b⌉ for b > 0, clamped below at 0.
+func ceilDiv(a, b int) int {
+	switch {
+	case a <= 0:
+		return 0
+	case b == 1:
+		return a
+	}
+	return (a + b - 1) / b
 }
 
 // Conv2DIm2col computes convolution by im2col lowering followed by GEMM.
@@ -348,19 +430,29 @@ func ReLU(in *Tensor) *Tensor {
 	return out
 }
 
-// ReLUInto writes max(0, x) into dst. dst may alias in (in-place ReLU).
+// ReLUInto writes ReLU32(x) into dst. dst may alias in (in-place ReLU).
 func ReLUInto(dst, in *Tensor) {
 	if dst.NumElements() != in.NumElements() {
 		panic(fmt.Sprintf("tensor: ReLUInto dst %v != in %v", dst.Shape(), in.Shape()))
 	}
-	id, od := in.Data(), dst.Data()
+	id := in.Data()
+	od := dst.Data()[:len(id)]
 	for i, v := range id {
-		if v < 0 {
-			od[i] = 0
-		} else {
-			od[i] = v
-		}
+		od[i] = ReLU32(v)
 	}
+}
+
+// ReLU32 returns x < 0 ? +0 : x without a branch: −0 and every NaN, payload
+// included, pass through unchanged, and negative finite values and −Inf
+// become +0. Those are exactly the bit patterns 0x80000001..0xFF800000, so
+// one unsigned compare selects them and the zeroing compiles to a
+// conditional move rather than a branch on the sign of every element.
+func ReLU32(x float32) float32 {
+	b := math.Float32bits(x)
+	if b-0x80000001 < 0xFF800000-0x80000000 {
+		b = 0
+	}
+	return math.Float32frombits(b)
 }
 
 // AddTensors returns the elementwise sum of two same-shape tensors.
@@ -394,44 +486,64 @@ func MaxPool2D(in *Tensor, kh, kw, strideH, strideW, padH, padW int) *Tensor {
 	return out
 }
 
-// MaxPool2DInto is MaxPool2D writing into a preallocated destination.
+// MaxPool2DInto is MaxPool2D writing into a preallocated [n, c, oh, ow]
+// destination. Each output is the first in-bounds tap of its window folded
+// with `if v > best` over the window's in-bounds taps in row-major order, so
+// a NaN first tap holds and a later NaN never wins; a window wholly in the
+// padding yields +0. The window is clipped to the input once per output,
+// so no tap is bounds-checked, and the select runs on the bits so it
+// compiles to a conditional move rather than a branch per tap.
 func MaxPool2DInto(dst, in *Tensor, kh, kw, strideH, strideW, padH, padW int) {
-	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh := (h+2*padH-kh)/strideH + 1
-	ow := (w+2*padW-kw)/strideW + 1
-	if dst.NumElements() != n*c*oh*ow {
-		panic(fmt.Sprintf("tensor: MaxPool2DInto dst %v != [%d %d %d %d]", dst.Shape(), n, c, oh, ow))
-	}
+	n, c, h, w, oh, ow := poolDims("MaxPool2DInto", dst, in, kh, kw, strideH, strideW, padH, padW)
 	ind, od := in.Data(), dst.Data()
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			base := (b*c + ch) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					best := float32(0)
-					first := true
-					for ky := 0; ky < kh; ky++ {
-						iy := oy*strideH - padH + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < kw; kx++ {
-							ix := ox*strideW - padW + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := ind[base+iy*w+ix]
-							if first || v > best {
-								best = v
-								first = false
-							}
+	for pl := 0; pl < n*c; pl++ {
+		src := ind[pl*h*w : (pl+1)*h*w]
+		out := od[pl*oh*ow : (pl+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			y0, y1 := clipWindow(oy*strideH-padH, kh, h)
+			row := out[oy*ow : (oy+1)*ow]
+			for ox := range row {
+				x0, x1 := clipWindow(ox*strideW-padW, kw, w)
+				if y0 >= y1 || x0 >= x1 {
+					row[ox] = 0
+					continue
+				}
+				bb := math.Float32bits(src[y0*w+x0])
+				for iy := y0; iy < y1; iy++ {
+					for _, v := range src[iy*w+x0 : iy*w+x1] {
+						vb := math.Float32bits(v)
+						if v > math.Float32frombits(bb) {
+							bb = vb
 						}
 					}
-					od[((b*c+ch)*oh+oy)*ow+ox] = best
 				}
+				row[ox] = math.Float32frombits(bb)
 			}
 		}
 	}
+}
+
+// clipWindow returns the in-bounds part [lo, hi) of the k taps starting at
+// start along an axis of extent n; lo >= hi when none is in bounds.
+func clipWindow(start, k, n int) (lo, hi int) {
+	return max(start, 0), min(start+k, n)
+}
+
+// poolDims returns the extents of a rank-4 NCHW pooling input and of its
+// [n, c, oh, ow] output, panicking unless in is rank 4 and dst has exactly
+// the output's extents: a destination with the right element count but
+// another shape (say [n, c, ow, oh]) would silently take a garbage layout.
+func poolDims(op string, dst, in *Tensor, kh, kw, strideH, strideW, padH, padW int) (n, c, h, w, oh, ow int) {
+	if in.Shape().Rank() != 4 {
+		panic(fmt.Sprintf("tensor: %s input %v is not NCHW", op, in.Shape()))
+	}
+	n, c, h, w = in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
+	oh = (h+2*padH-kh)/strideH + 1
+	ow = (w+2*padW-kw)/strideW + 1
+	if dst.Shape().Rank() != 4 || dst.Dim(0) != n || dst.Dim(1) != c || dst.Dim(2) != oh || dst.Dim(3) != ow {
+		panic(fmt.Sprintf("tensor: %s dst %v != [%d %d %d %d]", op, dst.Shape(), n, c, oh, ow))
+	}
+	return n, c, h, w, oh, ow
 }
 
 // AvgPool2D computes average pooling over an NCHW tensor, dividing by the
@@ -445,14 +557,10 @@ func AvgPool2D(in *Tensor, kh, kw, strideH, strideW, padH, padW int) *Tensor {
 	return out
 }
 
-// AvgPool2DInto is AvgPool2D writing into a preallocated destination.
+// AvgPool2DInto is AvgPool2D writing into a preallocated [n, c, oh, ow]
+// destination.
 func AvgPool2DInto(dst, in *Tensor, kh, kw, strideH, strideW, padH, padW int) {
-	n, c, h, w := in.Dim(0), in.Dim(1), in.Dim(2), in.Dim(3)
-	oh := (h+2*padH-kh)/strideH + 1
-	ow := (w+2*padW-kw)/strideW + 1
-	if dst.NumElements() != n*c*oh*ow {
-		panic(fmt.Sprintf("tensor: AvgPool2DInto dst %v != [%d %d %d %d]", dst.Shape(), n, c, oh, ow))
-	}
+	n, c, h, w, oh, ow := poolDims("AvgPool2DInto", dst, in, kh, kw, strideH, strideW, padH, padW)
 	ind, od := in.Data(), dst.Data()
 	for b := 0; b < n; b++ {
 		for ch := 0; ch < c; ch++ {
@@ -609,6 +717,32 @@ func denseRange(dst, in, weight, bias *Tensor, k, m, lo, hi int) {
 			s += bias.Data()[i]
 		}
 		od[u] = s
+	}
+}
+
+// AddBiasRows is the dense layers' epilogue over the rows of a row-major
+// [n, m] buffer: od[b·m+i] += bias[i] (a nil bias adds nothing), then ReLU32
+// when relu is set, in one pass with the same arithmetic as a bias pass
+// followed by ReLUInto.
+func AddBiasRows(od []float32, bias *Tensor, relu bool, m int) {
+	if bias == nil && !relu {
+		return
+	}
+	var bd []float32
+	if bias != nil {
+		bd = bias.Data()[:m]
+	}
+	for o := 0; o < len(od); o += m {
+		row := od[o : o+m]
+		for i, v := range row {
+			if bd != nil {
+				v += bd[i]
+			}
+			if relu {
+				v = ReLU32(v)
+			}
+			row[i] = v
+		}
 	}
 }
 

@@ -109,7 +109,7 @@ func TestIm2colGroupIntoParBitIdentical(t *testing.T) {
 // of every batch element side by side — element b's columns equal its own
 // one-element lowering — for 1×1 and general specs at one and two elements,
 // that the 1×1 unit-stride unpadded case reads a one-element input in
-// place without touching col, and that ScatterGroupColumns puts a result
+// place without touching col, and that scatterGroupColumns puts a result
 // laid out that way back into NCHW with the bias added.
 func TestIm2colGroupColumns(t *testing.T) {
 	two := randTensor(12, 2, 6, 5, 7)
@@ -127,22 +127,22 @@ func TestIm2colGroupColumns(t *testing.T) {
 		for g := 0; g < spec.Normalize().Groups; g++ {
 			want := Im2colGroup(two, 1, g, spec).Data()
 			col := make([]float32, len(want))
-			got := Im2colGroupColumns(col, one, g, spec, forcedPar(2))
-			expectBitIdentical(t, "Im2colGroupColumns", got, want)
+			got := im2colGroupColumns(col, one, g, spec.Normalize(), forcedPar(2))
+			expectBitIdentical(t, "im2colGroupColumns", got, want)
 			if inPlace := &got[0] != &col[0]; inPlace != direct {
 				t.Fatalf("%+v group %d: in place = %v, want %v", spec, g, inPlace, direct)
 			}
 
 			rows := len(want) / p
 			col = make([]float32, 2*len(want))
-			got = Im2colGroupColumns(col, two, g, spec, forcedPar(2))
+			got = im2colGroupColumns(col, two, g, spec.Normalize(), forcedPar(2))
 			if len(got) != 2*rows*p || &got[0] != &col[0] {
 				t.Fatalf("%+v group %d: two elements not lowered into col", spec, g)
 			}
 			for b := 0; b < 2; b++ {
 				item := Im2colGroup(two, b, g, spec).Data()
 				for r := 0; r < rows; r++ {
-					expectBitIdentical(t, "Im2colGroupColumns rows", got[(r*2+b)*p:(r*2+b+1)*p], item[r*p:(r+1)*p])
+					expectBitIdentical(t, "im2colGroupColumns rows", got[(r*2+b)*p:(r*2+b+1)*p], item[r*p:(r+1)*p])
 				}
 			}
 		}
@@ -157,7 +157,7 @@ func TestIm2colGroupColumns(t *testing.T) {
 			for i := range res {
 				res[i] = float32(i)
 			}
-			ScatterGroupColumns(dst, res, bias, g, ocg)
+			scatterGroupColumns(dst, res, bias, false, g, ocg)
 			for oc := 0; oc < ocg; oc++ {
 				for b := 0; b < 2; b++ {
 					for i := 0; i < p; i++ {
