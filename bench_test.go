@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/autotune"
-	"repro/internal/baseline"
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/ipe"
@@ -105,14 +104,16 @@ func BenchmarkExecDenseMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkExecCSRMatVec measures the CSR executor on the same weights.
+// BenchmarkExecCSRMatVec measures the CSR form on the same weights: the
+// one-term-per-nonzero program on the compiled single-vector executor.
 func BenchmarkExecCSRMatVec(b *testing.B) {
 	q, x := benchLayer(b)
-	c := baseline.NewCSRFromQuantized(q)
+	c := ipe.Sparse(q).Compiled()
 	y := make([]float32, 64)
+	scratch := make([]float32, c.ScratchLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.MatVec(x, y)
+		c.ExecuteScratch(x, y, scratch)
 	}
 }
 

@@ -98,11 +98,7 @@ func main() {
 		"route every Nth execution of a tuned layer through an alternate implementation (0 = default 16)")
 	flag.Parse()
 
-	impl, ok := map[string]runtime.Impl{
-		"auto": runtime.ImplAuto, "dense": runtime.ImplDense,
-		"csr": runtime.ImplCSR, "factorized": runtime.ImplFactorized,
-		"ipe": runtime.ImplIPE, "winograd": runtime.ImplWinograd,
-	}[*force]
+	impl, ok := runtime.ImplByName(*force)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "inspire-serve: unknown -force %q\n", *force)
 		os.Exit(2)

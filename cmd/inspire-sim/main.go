@@ -88,21 +88,8 @@ func main() {
 		return
 	}
 
-	var forceImpl runtime.Impl
-	switch *force {
-	case "auto":
-		forceImpl = runtime.ImplAuto
-	case "dense":
-		forceImpl = runtime.ImplDense
-	case "csr":
-		forceImpl = runtime.ImplCSR
-	case "factorized":
-		forceImpl = runtime.ImplFactorized
-	case "ipe":
-		forceImpl = runtime.ImplIPE
-	case "winograd":
-		forceImpl = runtime.ImplWinograd
-	default:
+	forceImpl, ok := runtime.ImplByName(*force)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "inspire-sim: unknown implementation %q\n", *force)
 		os.Exit(1)
 	}

@@ -54,11 +54,7 @@ func main() {
 		return
 	}
 
-	impl, ok := map[string]runtime.Impl{
-		"auto": runtime.ImplAuto, "dense": runtime.ImplDense,
-		"csr": runtime.ImplCSR, "factorized": runtime.ImplFactorized,
-		"ipe": runtime.ImplIPE, "winograd": runtime.ImplWinograd,
-	}[*force]
+	impl, ok := runtime.ImplByName(*force)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "inspire-stats: unknown -force %q\n", *force)
 		os.Exit(2)

@@ -160,7 +160,7 @@ func SplitTiles(p KernelProfile, nTiles int, stationaryBytes int64) []Tile {
 
 // WinogradConvProfile models Winograd F(2x2,3x3) dense execution: the cost
 // argument carries the transform+elementwise op counts (see
-// baseline.ConvWinograd.Cost); weights cross DRAM in transformed form
+// baseline.WinogradCost); weights cross DRAM in transformed form
 // (16 coefficients per 3x3 filter).
 func WinogradConvProfile(spec tensor.ConvSpec, n, h, w int, cost ipe.Cost) KernelProfile {
 	spec = spec.Normalize()

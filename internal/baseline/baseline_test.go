@@ -9,19 +9,25 @@ import (
 	"repro/internal/tensor"
 )
 
+// The CSR baseline is an ipe.Sparse program: one single-symbol term per
+// nonzero weight, run on the IPE executors.
+
 func TestCSRKnownMatrix(t *testing.T) {
-	w := tensor.From([]float32{1, 0, 2, 0, 0, 3}, 2, 3)
-	c := NewCSR(w)
-	if c.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", c.NNZ())
+	q := &quant.Quantized{
+		Codes:  []int32{1, 0, 2, 0, 0, 3},
+		Shape:  tensor.Shape{2, 3},
+		Bits:   4,
+		Scheme: quant.PerTensor,
+		Params: []quant.Params{{Scale: 1}},
 	}
-	if c.Density() != 0.5 {
-		t.Fatalf("Density = %v, want 0.5", c.Density())
+	p := ipe.Sparse(q)
+	if n := ipe.SparseNNZ(q); n != 3 || p.Cost().Muls != 3 || p.DictSize() != 0 {
+		t.Fatalf("SparseNNZ = %d, terms %d, dictionary %d; want 3 terms, empty dictionary", n, p.Cost().Muls, p.DictSize())
 	}
 	y := make([]float32, 2)
-	c.MatVec([]float32{1, 10, 100}, y)
+	p.Compiled().Execute([]float32{1, 10, 100}, y)
 	if y[0] != 201 || y[1] != 300 {
-		t.Fatalf("MatVec = %v, want [201 300]", y)
+		t.Fatalf("Execute = %v, want [201 300]", y)
 	}
 }
 
@@ -32,15 +38,16 @@ func TestCSRMatVecMatchesDenseProperty(t *testing.T) {
 		w := tensor.New(m, k)
 		tensor.FillGaussian(w, r, 1)
 		quant.PruneMagnitude(w, 0.7)
-		c := NewCSR(w)
+		q := quant.Quantize(w, 1+r.Intn(8), quant.PerChannel)
+		p := ipe.Sparse(q)
 		x := make([]float32, k)
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
 		got := make([]float32, m)
-		c.MatVec(x, got)
+		p.Compiled().Execute(x, got)
 		want := make([]float32, m)
-		tensor.MatVec(w.Data(), x, want, m, k)
+		tensor.MatVec(q.Dequantize().Data(), x, want, m, k)
 		for i := range got {
 			d := got[i] - want[i]
 			if d > 1e-3 || d < -1e-3 {
@@ -59,21 +66,21 @@ func TestCSRMatMatMatchesMatVec(t *testing.T) {
 	w := tensor.New(8, 16)
 	tensor.FillGaussian(w, r, 1)
 	quant.PruneMagnitude(w, 0.5)
-	c := NewCSR(w)
+	c := ipe.Sparse(quant.Quantize(w, 8, quant.PerChannel)).Compiled()
 	b := tensor.New(16, 5)
 	tensor.FillGaussian(b, r, 1)
-	got := c.MatMat(b)
+	got := make([]float32, 8*5)
+	c.ExecuteMatrixIntoPar(got, b.Data(), 5, forcedPar(1))
 	x := make([]float32, 16)
 	y := make([]float32, 8)
 	for j := 0; j < 5; j++ {
 		for i := 0; i < 16; i++ {
 			x[i] = b.At(i, j)
 		}
-		c.MatVec(x, y)
+		c.Execute(x, y)
 		for i := 0; i < 8; i++ {
-			d := got.At(i, j) - y[i]
-			if d > 1e-4 || d < -1e-4 {
-				t.Fatalf("MatMat[%d,%d]=%v, MatVec=%v", i, j, got.At(i, j), y[i])
+			if got[i*5+j] != y[i] {
+				t.Fatalf("matrix[%d,%d]=%v, vector=%v", i, j, got[i*5+j], y[i])
 			}
 		}
 	}
@@ -85,15 +92,17 @@ func TestCSRFromQuantizedDropsZeroCodes(t *testing.T) {
 	tensor.FillGaussian(w, r, 1)
 	quant.PruneMagnitude(w, 0.75)
 	q := quant.Quantize(w, 4, quant.PerTensor)
-	c := NewCSRFromQuantized(q)
 	nonzero := 0
 	for _, code := range q.Codes {
 		if code != 0 {
 			nonzero++
 		}
 	}
-	if c.NNZ() != nonzero {
-		t.Fatalf("CSR NNZ %d != nonzero codes %d", c.NNZ(), nonzero)
+	if n := ipe.SparseNNZ(q); n != int64(nonzero) {
+		t.Fatalf("SparseNNZ %d != nonzero codes %d", n, nonzero)
+	}
+	if terms := ipe.Sparse(q).Cost().Muls; terms != int64(nonzero) {
+		t.Fatalf("Sparse built %d terms, want one per nonzero code (%d)", terms, nonzero)
 	}
 }
 
@@ -105,7 +114,7 @@ func TestConvCSRMatchesReference(t *testing.T) {
 	quant.PruneMagnitude(w, 0.6)
 	bias := tensor.New(spec.OutC)
 	tensor.FillGaussian(bias, r, 0.1)
-	l, err := NewConvCSR(w, bias, spec, 8, quant.PerChannel)
+	l, err := ipe.SparseConv(quant.Quantize(w, 8, quant.PerChannel), bias, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +123,7 @@ func TestConvCSRMatchesReference(t *testing.T) {
 	got := l.Forward(in)
 	want := tensor.Conv2D(in, l.Quant.Dequantize(), bias, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
-		t.Fatalf("ConvCSR diverges: %v", tensor.MaxAbsDiff(got, want))
+		t.Fatalf("CSR conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
 }
 
@@ -224,13 +233,4 @@ func TestIPEBeatsFactorizedWhichBeatsDense(t *testing.T) {
 	if ipeCost.Total() >= fact.Total() {
 		t.Fatalf("IPE (%d) should beat factorized (%d) at 4 bits", ipeCost.Total(), fact.Total())
 	}
-}
-
-func TestCSRRejectsNonMatrix(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for rank-3 input")
-		}
-	}()
-	NewCSR(tensor.New(2, 2, 2))
 }

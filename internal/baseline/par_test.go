@@ -36,12 +36,13 @@ func expectSame(t *testing.T, name string, shards int, got, want []float32) {
 	}
 }
 
-// TestConvCSRForwardIntoParBitIdentical checks the channel-sharded sparse
-// convolution against its one-shard run, with and without the fused ReLU.
+// TestConvCSRForwardIntoParBitIdentical checks the CSR convolution
+// (ipe.SparseConv: one-term-per-nonzero programs on the column-sharded IPE
+// executor) against its one-shard run, with and without the fused ReLU.
 func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in, w, bias := parTestConvInputs(t, spec)
-	l, err := NewConvCSR(w, bias, spec, 4, quant.PerChannel)
+	l, err := ipe.SparseConv(quant.Quantize(w, 4, quant.PerChannel), bias, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestConvCSRForwardIntoParBitIdentical(t *testing.T) {
 		for _, shards := range []int{2, 5, 16} {
 			got := tensor.New(2, spec.OutC, oh, ow)
 			l.ForwardIntoPar(got, in, relu, forcedPar(shards))
-			expectSame(t, "ConvCSR", shards, got.Data(), want.Data())
+			expectSame(t, "SparseConv", shards, got.Data(), want.Data())
 		}
 	}
 }
@@ -107,19 +108,21 @@ func TestConvWinogradForwardIntoParBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCSRMatMatIntoParBitIdentical exercises the row-sharded sparse matmul
-// directly on a rectangular matrix.
+// TestCSRMatMatIntoParBitIdentical exercises the column-sharded sparse
+// matmul (a Sparse program's compiled matrix executor) directly on a
+// rectangular matrix.
 func TestCSRMatMatIntoParBitIdentical(t *testing.T) {
 	w := tensor.New(33, 20)
 	tensor.FillGaussian(w, tensor.NewRNG(57), 0.2)
-	c := NewCSR(w)
+	quant.PruneMagnitude(w, 0.5)
+	c := ipe.Sparse(quant.Quantize(w, 8, quant.PerChannel)).Compiled()
 	b := tensor.New(20, 45)
 	tensor.FillGaussian(b, tensor.NewRNG(58), 1)
 	want := make([]float32, 33*45)
-	c.MatMatIntoPar(want, b.Data(), 45, forcedPar(1))
+	c.ExecuteMatrixIntoPar(want, b.Data(), 45, forcedPar(1))
 	for _, shards := range []int{2, 7, 40} {
 		got := make([]float32, 33*45)
-		c.MatMatIntoPar(got, b.Data(), 45, forcedPar(shards))
-		expectSame(t, "CSR.MatMat", shards, got, want)
+		c.ExecuteMatrixIntoPar(got, b.Data(), 45, forcedPar(shards))
+		expectSame(t, "Sparse matrix", shards, got, want)
 	}
 }

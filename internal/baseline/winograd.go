@@ -1,3 +1,11 @@
+// Package baseline implements the comparison point of the evaluation that
+// is neither an index-pair program nor a reference kernel: Winograd
+// F(2x2,3x3) dense convolution. The other baselines run on the IPE
+// executors as empty-dictionary programs: the UCNN-style value-factorized
+// form (ipe.Factorize, one multiply per distinct weight value but no
+// index-pair merging; the delta between it and an encoded program is the
+// paper's contribution) and CSR sparse execution (ipe.Sparse, one term per
+// nonzero weight, which wins only on zero weights).
 package baseline
 
 import (
@@ -27,11 +35,8 @@ type ConvWinograd struct {
 // to direct convolution otherwise.
 func NewConvWinograd(w, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvWinograd, error) {
 	spec = spec.Normalize()
-	if err := spec.Validate(); err != nil {
+	if err := SupportsWinograd(spec); err != nil {
 		return nil, err
-	}
-	if spec.KH != 3 || spec.KW != 3 || spec.StrideH != 1 || spec.StrideW != 1 || spec.Groups != 1 {
-		return nil, fmt.Errorf("baseline: Winograd F(2x2,3x3) requires dense 3x3 stride-1 conv, got %+v", spec)
 	}
 	if !w.Shape().Equal(spec.WeightShape()) {
 		return nil, fmt.Errorf("baseline: weight shape %v != expected %v", w.Shape(), spec.WeightShape())
@@ -48,6 +53,20 @@ func NewConvWinograd(w, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvWinogra
 		}
 	}
 	return l, nil
+}
+
+// SupportsWinograd reports why F(2x2,3x3) cannot run spec, or nil when it
+// can: spec must be valid and a dense (groups == 1) 3×3 stride-1
+// convolution.
+func SupportsWinograd(spec tensor.ConvSpec) error {
+	spec = spec.Normalize()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	if spec.KH != 3 || spec.KW != 3 || spec.StrideH != 1 || spec.StrideW != 1 || spec.Groups != 1 {
+		return fmt.Errorf("baseline: Winograd F(2x2,3x3) requires dense 3x3 stride-1 conv, got %+v", spec)
+	}
+	return nil
 }
 
 // filterTransform computes G·g·Gᵀ for the 3×3 filter g, with
@@ -227,14 +246,16 @@ func (l *ConvWinograd) forwardTileRows(dst, in *tensor.Tensor, oh, ow int, vTile
 	}
 }
 
-// Cost returns the per-inference arithmetic cost for an input of h×w with
-// batch n: 16 multiplies per channel per 2×2 tile, plus the input (32
-// adds/tile/ic), accumulate (16 adds/tile/ic) and output (24 adds/tile/oc)
-// transforms.
-func (l *ConvWinograd) Cost(n, h, w int) ipe.Cost {
-	oh, ow := l.Spec.OutDims(h, w)
+// WinogradCost returns the per-inference arithmetic cost of running spec
+// with F(2x2,3x3) on an input of h×w with batch n: 16 multiplies per
+// channel per 2×2 tile, plus the input (32 adds/tile/ic), accumulate (16
+// adds/tile/ic) and output (24 adds/tile/oc) transforms. It needs no filter
+// transform, so a candidate is ranked without being built.
+func WinogradCost(spec tensor.ConvSpec, n, h, w int) ipe.Cost {
+	spec = spec.Normalize()
+	oh, ow := spec.OutDims(h, w)
 	tiles := int64(n) * int64((oh+1)/2) * int64((ow+1)/2)
-	ic, oc := int64(l.Spec.InC), int64(l.Spec.OutC)
+	ic, oc := int64(spec.InC), int64(spec.OutC)
 	return ipe.Cost{
 		Muls: tiles * oc * ic * 16,
 		Adds: tiles*ic*32 + tiles*oc*ic*16 + tiles*oc*24,

@@ -71,12 +71,7 @@ func TestWinogradRejectsUnsupported(t *testing.T) {
 func TestWinogradCostBeatsDirectMuls(t *testing.T) {
 	// F(2x2,3x3) needs 16/36 ≈ 0.44x the multiplies of direct conv.
 	spec := tensor.ConvSpec{InC: 32, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	wt := tensor.New(spec.WeightShape()...)
-	l, err := NewConvWinograd(wt, nil, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := l.Cost(1, 16, 16)
+	c := WinogradCost(spec, 1, 16, 16)
 	direct := spec.MACs(1, 16, 16)
 	if c.Muls >= direct {
 		t.Fatalf("Winograd muls %d should beat direct %d", c.Muls, direct)

@@ -3,8 +3,8 @@
 // interpreter (straight-line loops, float64 accumulation, no
 // scratch/arena/pool machinery), a seeded randomized generator of layer
 // configurations and small model graphs, and a driver that runs every
-// registered implementation — ipe float/int, baseline
-// CSR/factorized/Winograd, tensor direct/im2col, and the runtime Executor's
+// registered implementation — ipe float/int (encoded, CSR and factorized
+// programs), baseline Winograd, tensor direct/im2col, and the runtime Executor's
 // Run and RunBatch, each serially and sharded — against the reference and
 // against each other.
 //
@@ -29,7 +29,7 @@
 // a complete reproduction recipe.
 //
 // To plug a new kernel in, register it in its package's enumeration shim
-// (tensor.ConvImpls / ipe.ConvVariants / baseline.CSRConvVariants /
+// (tensor.ConvImpls / ipe.ConvVariants / ipe.EmptyDictBuilders /
 // runtime.ForceableImpls and friends) — the driver
 // picks registered variants up without changes here. A kernel is considered
 // correct only once this package exercises it.

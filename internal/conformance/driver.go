@@ -77,7 +77,7 @@ func driveFamily(seed uint64, family string, size int, refOut, refMag []float64,
 
 // CheckConv rebuilds the convolution case for seed and cross-checks every
 // convolution family: tensor direct and im2col on the float weights;
-// baseline CSR, factorized, and (when the spec allows) Winograd; both IPE
+// Winograd when the spec allows; the CSR and factorized programs; both IPE
 // encoders' float paths on their dequantized weights; and the IPE integer
 // path against a bitwise replication over decoded codes.
 func CheckConv(seed uint64) error {
@@ -123,40 +123,27 @@ func CheckConv(seed uint64) error {
 	}
 
 	// Quantized families run on their dequantized weights, so each gets an
-	// oracle built from the weights it actually computes with.
-	csr, err := baseline.NewConvCSR(cs.Weight, cs.Bias, spec, cs.Bits, cs.Scheme)
-	if err != nil {
-		return fmt.Errorf("conformance: seed %d: NewConvCSR: %w", seed, err)
-	}
-	qOut, qMag := RefConv2D(cs.Input, csr.Quant.Dequantize(), cs.Bias, spec)
-	var runs []familyRun
-	for _, v := range baseline.CSRConvVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) {
-				v.F(csr, tensor.From(dst, outShape...), cs.Input, par)
-			}})
-	}
-	if err := driveFamily(seed, "csr-conv", size, qOut, qMag, runs); err != nil {
-		return err
-	}
-
-	// The factorized baseline is the same quantized weights as
+	// oracle built from the weights it actually computes with. The CSR and
+	// factorized baselines are the same quantized weights as
 	// empty-dictionary programs on the IPE conv paths.
-	fact, err := ipe.FactorizeConv(csr.Quant, cs.Bias, spec)
-	if err != nil {
-		return fmt.Errorf("conformance: seed %d: FactorizeConv: %w", seed, err)
-	}
-	runs = nil
-	for _, v := range ipe.ConvVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) {
-				v.F(fact, tensor.From(dst, outShape...), cs.Input, par)
-			}})
-	}
-	if err := driveFamily(seed, "factorized-conv", size, qOut, qMag, runs); err != nil {
-		return err
+	q := quant.Quantize(cs.Weight, cs.Bits, cs.Scheme)
+	qOut, qMag := RefConv2D(cs.Input, q.Dequantize(), cs.Bias, spec)
+	for _, b := range ipe.EmptyDictBuilders() {
+		l, err := b.Conv(q, cs.Bias, spec)
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s conv: %w", seed, b.Name, err)
+		}
+		var runs []familyRun
+		for _, v := range ipe.ConvVariants() {
+			v := v
+			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
+				f: func(dst []float32, par *tensor.Par) {
+					v.F(l, tensor.From(dst, outShape...), cs.Input, par)
+				}})
+		}
+		if err := driveFamily(seed, b.Name+"-conv", size, qOut, qMag, runs); err != nil {
+			return err
+		}
 	}
 
 	for _, enc := range ipe.ConvEncoders() {
@@ -165,7 +152,7 @@ func CheckConv(seed uint64) error {
 			return fmt.Errorf("conformance: seed %d: %s encode: %w", seed, enc.Name, err)
 		}
 		eOut, eMag := RefConv2D(cs.Input, l.Quant.Dequantize(), cs.Bias, spec)
-		runs = nil
+		var runs []familyRun
 		for _, v := range ipe.ConvVariants() {
 			v := v
 			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
@@ -401,53 +388,39 @@ func CheckProgram(seed uint64) error {
 		return err
 	}
 
-	// Baselines over the same quantized matrix. Their dense reconstructions
-	// must equal the quantizer's dequantization bitwise; their products are
-	// checked against the reference on it.
-	csr := baseline.NewCSRFromQuantized(q)
-	if err := checkExact(seed, "csr-dense-reconstruction", "quantizer dequantize", csr.Dense().Data(), deq.Data()); err != nil {
-		return err
+	// Baselines over the same quantized matrix, as empty-dictionary
+	// programs. Their dense reconstructions must equal the quantizer's
+	// dequantization bitwise; their products are checked against the
+	// reference on it.
+	for _, b := range ipe.EmptyDictBuilders() {
+		bp := b.Matrix(q)
+		bw, err := RefProgramWeights(bp)
+		if err != nil {
+			return fmt.Errorf("conformance: seed %d: %s: %w", seed, b.Name, err)
+		}
+		if err := checkExact(seed, b.Name+"-dense-reconstruction", "quantizer dequantize", bw, deq.Data()); err != nil {
+			return err
+		}
+		runs = nil
+		for _, v := range ipe.VectorVariants() {
+			v := v
+			runs = append(runs, familyRun{name: v.Name,
+				f: func(dst []float32, par *tensor.Par) { v.F(bp, cs.X, dst) }})
+		}
+		if err := driveFamily(seed, b.Name+"-matvec", m, vOut, vMag, runs); err != nil {
+			return err
+		}
+		runs = nil
+		for _, v := range ipe.MatrixVariants() {
+			v := v
+			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
+				f: func(dst []float32, par *tensor.Par) { v.F(bp, dst, cs.Cols, p, par) }})
+		}
+		if err := driveFamily(seed, b.Name+"-matmat", m*p, mOut, mMag, runs); err != nil {
+			return err
+		}
 	}
-	fact := ipe.Factorize(q)
-	fw, err := RefProgramWeights(fact)
-	if err != nil {
-		return fmt.Errorf("conformance: seed %d: factorized: %w", seed, err)
-	}
-	if err := checkExact(seed, "factorized-dense-reconstruction", "quantizer dequantize", fw, deq.Data()); err != nil {
-		return err
-	}
-
-	y := make([]float32, m)
-	csr.MatVec(cs.X, y)
-	if err := checkClose(seed, "csr-matvec", y, vOut, vMag); err != nil {
-		return err
-	}
-	runs = nil
-	for _, v := range ipe.VectorVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name,
-			f: func(dst []float32, par *tensor.Par) { v.F(fact, cs.X, dst) }})
-	}
-	if err := driveFamily(seed, "factorized-matvec", m, vOut, vMag, runs); err != nil {
-		return err
-	}
-
-	runs = nil
-	for _, v := range baseline.CSRMatVariants(csr) {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) { v.F(dst, cs.Cols, p, par) }})
-	}
-	if err := driveFamily(seed, "csr-matmat", m*p, mOut, mMag, runs); err != nil {
-		return err
-	}
-	runs = nil
-	for _, v := range ipe.MatrixVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) { v.F(fact, dst, cs.Cols, p, par) }})
-	}
-	return driveFamily(seed, "factorized-matmat", m*p, mOut, mMag, runs)
+	return nil
 }
 
 // CheckGraph rebuilds the model-graph case for seed and cross-checks the

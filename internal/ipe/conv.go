@@ -43,6 +43,16 @@ func FactorizeConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec
 	return l, err
 }
 
+// SparseConv builds the CSR form of already quantized OIHW weights: one
+// Sparse program per group, run by the same ForwardIntoPar as an encoded
+// layer. The layer keeps q, which it does not modify.
+func SparseConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvLayer, error) {
+	l, _, err := convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
+		return Sparse(gq), Stats{}, nil
+	})
+	return l, err
+}
+
 // convLayer checks q against spec and builds one program per group from
 // that group's [outC/groups, inC/groups·kH·kW] weight slice, summing the
 // groups' statistics.

@@ -31,13 +31,19 @@ var specialFloats = []float32{
 
 // matrixCase builds a program and a [K, pTotal] input from seed: the
 // shape, bit width and encoder limits vary with the seed, about one program
-// in four is the empty-dictionary form (Factorize) and about one input in
-// eight is drawn from specialFloats.
+// in five is each empty-dictionary form (Factorize; Sparse, whose rows
+// repeat a code across single-symbol terms) and about one input in eight is
+// drawn from specialFloats.
 func matrixCase(seed uint64, pTotal int) (*Program, []float32) {
 	r := tensor.NewRNG(seed)
 	q := matrixQuant(r)
-	prog := Factorize(q)
-	if dict := []int{-1, 0, 8, 4096}[r.Intn(4)]; dict >= 0 {
+	var prog *Program
+	switch dict := []int{-2, -1, 0, 8, 4096}[r.Intn(5)]; dict {
+	case -2:
+		prog = Sparse(q)
+	case -1:
+		prog = Factorize(q)
+	default:
 		var err error
 		prog, _, err = Encode(q, Config{MaxDict: dict, MaxDepth: []int{0, 2, 8}[r.Intn(3)]})
 		if err != nil {

@@ -101,6 +101,62 @@ func Factorize(q *quant.Quantized) *Program {
 	return p
 }
 
+// Sparse builds the compressed-sparse-row form of a quantized weight tensor
+// (dimension 0 = rows, the rest flattened) as a Program: the degenerate
+// value-factorized sum with no value shared. Every entry whose dequantized
+// value is non-zero becomes one term of its row, in ascending column order,
+// with that value as the coefficient and a one-symbol window of a single
+// exact-size array as Syms. Its dictionary is empty. On the IPE executors a
+// term's group sum is +0 + x[i], so each output accumulates Value·x[i] in
+// column order: the CSR loop. This is the sparse baseline of the
+// evaluation.
+func Sparse(q *quant.Quantized) *Program {
+	m := q.Shape[0]
+	p := &Program{K: q.NumElements() / m, M: m, Bits: q.Bits, Rows: make([]Row, m)}
+	nnz := SparseNNZ(q)
+	syms := make([]int32, nnz)
+	terms := make([]Term, 0, nnz)
+	nonzeros(q, func(r, i int, code int32, v float32) {
+		t := len(terms)
+		syms[t] = int32(i)
+		terms = append(terms, Term{Code: code, Value: v, Syms: syms[t : t+1 : t+1]})
+		// terms never outgrows its capacity, so each row's window grows in
+		// place over its contiguous run.
+		n := len(p.Rows[r].Terms) + 1
+		p.Rows[r].Terms = terms[t+1-n : t+1 : t+1]
+	})
+	return p
+}
+
+// SparseNNZ returns the number of terms Sparse(q) builds, the nonzero count
+// the sparse cost model ranks by, without building them.
+func SparseNNZ(q *quant.Quantized) int64 {
+	var n int64
+	nonzeros(q, func(int, int, int32, float32) { n++ })
+	return n
+}
+
+// nonzeros visits every entry of q (dimension 0 = rows) whose dequantized
+// value is non-zero, row by row in ascending column order, with its code
+// relative to the zero point and that value. The value is
+// quant.Quantized.Dequantize's expression, so the visited entries are those
+// a CSR matrix of the dequantized weights keeps.
+func nonzeros(q *quant.Quantized, visit func(r, i int, code int32, v float32)) {
+	m := q.Shape[0]
+	if m == 0 || len(q.Codes) == 0 {
+		return
+	}
+	k := len(q.Codes) / m
+	for r := 0; r < m; r++ {
+		p := q.ChannelParams(r * k)
+		for i, c := range q.Codes[r*k : (r+1)*k] {
+			if v := p.Scale * float32(c-p.ZeroPoint); v != 0 {
+				visit(r, i, c-p.ZeroPoint, v)
+			}
+		}
+	}
+}
+
 // appendSequences adds the (row, value) index sets of one quantized matrix,
 // with its rows mapped to the global row space starting at rowOffset. Rows
 // and, within a row, codes arrive in ascending order (quant.GroupRows).

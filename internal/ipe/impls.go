@@ -151,6 +151,26 @@ func IntVariants() []IntVariant {
 	}
 }
 
+// EmptyDictBuilder builds one of the evaluation's empty-dictionary
+// baselines from quantized weights, as a matrix program and as a conv
+// layer (one program per group).
+type EmptyDictBuilder struct {
+	Name   string
+	Matrix func(q *quant.Quantized) *Program
+	Conv   func(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvLayer, error)
+}
+
+// EmptyDictBuilders returns the CSR (Sparse) and value-factorized
+// (Factorize) builders. Their programs run on the IPE executors, so the
+// harness drives them through the same variant enumerations as an encoded
+// program, one family per builder.
+func EmptyDictBuilders() []EmptyDictBuilder {
+	return []EmptyDictBuilder{
+		{Name: "csr", Matrix: Sparse, Conv: SparseConv},
+		{Name: "factorized", Matrix: Factorize, Conv: FactorizeConv},
+	}
+}
+
 // ConvEncoders enumerates the ways a convolution can be encoded into a
 // ConvLayer; each encoder yields its own program (and thus its own
 // accumulation order), so the harness treats each as a separate family.

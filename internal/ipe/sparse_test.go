@@ -1,0 +1,115 @@
+package ipe
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/quant"
+	"repro/internal/tensor"
+)
+
+// csrOracle is the compressed-sparse-row matrix the CSR baseline kept
+// before it became a Sparse program: the nonzeros of q's dequantized
+// weights, row by row in column order.
+type csrOracle struct {
+	m, k   int
+	rowPtr []int32
+	col    []int32
+	val    []float32
+}
+
+func newCSROracle(q *quant.Quantized) *csrOracle {
+	m := q.Shape[0]
+	k := q.NumElements() / m
+	c := &csrOracle{m: m, k: k, rowPtr: make([]int32, m+1)}
+	d := q.Dequantize().Data()
+	for r := 0; r < m; r++ {
+		for i := 0; i < k; i++ {
+			if v := d[r*k+i]; v != 0 {
+				c.col = append(c.col, int32(i))
+				c.val = append(c.val, v)
+			}
+		}
+		c.rowPtr[r+1] = int32(len(c.col))
+	}
+	return c
+}
+
+// matVec and matMat are the loops of the scalar CSR executor that Sparse
+// programs replaced: per output an accumulator from +0, then
+// accumulator += value·x[col] per nonzero in order. They are the oracle
+// Sparse programs must reproduce on the IPE executors.
+func (c *csrOracle) matVec(x, y []float32) {
+	for r := 0; r < c.m; r++ {
+		var acc float32
+		for i := c.rowPtr[r]; i < c.rowPtr[r+1]; i++ {
+			acc += c.val[i] * x[c.col[i]]
+		}
+		y[r] = acc
+	}
+}
+
+func (c *csrOracle) matMat(dst, b []float32, p int) {
+	for r := 0; r < c.m; r++ {
+		out := dst[r*p : (r+1)*p]
+		clear(out)
+		for i := c.rowPtr[r]; i < c.rowPtr[r+1]; i++ {
+			v := c.val[i]
+			src := b[int(c.col[i])*p : int(c.col[i])*p+p]
+			for j := range src {
+				out[j] += v * src[j]
+			}
+		}
+	}
+}
+
+// TestSparseMatchesCSRLoops checks Sparse programs against the scalar CSR
+// loops bit for bit, on inputs laced with special values: one term per
+// nonzero in the CSR's order, the compiled matrix executor at every column
+// count 1..130 on one to three shards, and the compiled single-vector
+// executor the dense layers run. NaN payloads are compared on the matrix
+// path where its kernels pin them, except under the race detector, which
+// moves the oracle's own choice of NaN operand; the single-vector
+// executor's go unchecked (see TestFactorizeMatchesFactorizedLoops).
+func TestSparseMatchesCSRLoops(t *testing.T) {
+	for pTotal := 1; pTotal <= 130; pTotal++ {
+		r := tensor.NewRNG(uint64(9000 + pTotal))
+		q := matrixQuant(r)
+		prog, csr := Sparse(q), newCSROracle(q)
+		cols := lacedInputs(r, prog.K*pTotal)
+		if err := prog.Validate(); err != nil || prog.DictSize() != 0 {
+			t.Fatalf("Sparse: dictionary %d, Validate %v", prog.DictSize(), err)
+		}
+		if int(SparseNNZ(q)) != len(csr.val) {
+			t.Fatalf("SparseNNZ %d, CSR keeps %d", SparseNNZ(q), len(csr.val))
+		}
+		n := 0
+		for row, terms := range prog.Rows {
+			if len(terms.Terms) != int(csr.rowPtr[row+1]-csr.rowPtr[row]) {
+				t.Fatalf("row %d: %d terms, CSR row holds %d", row, len(terms.Terms), csr.rowPtr[row+1]-csr.rowPtr[row])
+			}
+			for _, term := range terms.Terms {
+				if len(term.Syms) != 1 || term.Syms[0] != csr.col[n] || term.Value != csr.val[n] {
+					t.Fatalf("row %d term %d: %+v, CSR entry (%d, %v)", row, n, term, csr.col[n], csr.val[n])
+				}
+				n++
+			}
+		}
+		c := prog.Compiled()
+
+		want := make([]float32, prog.M*pTotal)
+		csr.matMat(want, cols, pTotal)
+		got := make([]float32, prog.M*pTotal)
+		shards := 1 + pTotal%3
+		c.ExecuteMatrixIntoPar(got, cols, pTotal, forcedPar(shards))
+		checkBits(t, fmt.Sprintf("M=%d K=%d pTotal=%d shards=%d: ExecuteMatrixIntoPar", prog.M, prog.K, pTotal, shards),
+			got, want, "CSR loop", pinsNaNPayloads && !raceEnabled)
+
+		x := cols[:prog.K]
+		wantV := make([]float32, prog.M)
+		csr.matVec(x, wantV)
+		gotV := make([]float32, prog.M)
+		c.ExecuteScratch(x, gotV, make([]float32, c.ScratchLen()))
+		checkBits(t, fmt.Sprintf("M=%d K=%d: ExecuteScratch", prog.M, prog.K), gotV, wantV, "CSR loop", false)
+	}
+}

@@ -38,11 +38,12 @@ const (
 	KernelGEMM
 	// KernelWinograd is the Winograd F(2x2,3x3) dense convolution.
 	KernelWinograd
-	// KernelCSR is compressed-sparse-row execution over quantized weights.
+	// KernelCSR tags the layers that run compressed-sparse-row execution
+	// over quantized weights, and KernelFactorized those that run
+	// UCNN-style value-factorized execution. Both forms are programs with
+	// an empty pair dictionary on the compiled IPE executor, so their
+	// dispatches count as KernelIPECompiled.
 	KernelCSR
-	// KernelFactorized tags the layers that run UCNN-style value-factorized
-	// execution. Their programs have an empty pair dictionary and run on the
-	// compiled IPE executor, so their dispatches count as KernelIPECompiled.
 	KernelFactorized
 	// KernelIPEInterp is the interpreted index-pair-encoded executor.
 	KernelIPEInterp

@@ -3,7 +3,7 @@ package runtime
 import (
 	"fmt"
 
-	"repro/internal/graph"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -32,23 +32,16 @@ func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 	eff := make(map[int]*tensor.Tensor)
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		var w *tensor.Tensor
+		var q *quant.Quantized
 		switch {
-		case op.Node.Kind == graph.OpConv && op.Impl == ImplCSR:
-			w = op.csrConv.Quant.Dequantize()
-		case op.Node.Kind == graph.OpConv && op.Impl == ImplFactorized:
-			w = op.factConv.Quant.Dequantize()
-		case op.Node.Kind == graph.OpConv && op.Impl == ImplIPE:
-			w = op.ipeConv.Quant.Dequantize()
-		case op.Node.Kind == graph.OpDense && op.Impl == ImplCSR:
-			w = op.csrDense.Dense()
-		case op.Node.Kind == graph.OpDense && op.Impl == ImplFactorized:
-			w = op.factDense.Quant.Dequantize()
-		case op.Node.Kind == graph.OpDense && op.Impl == ImplIPE:
-			w = op.ipeDense.Quant.Dequantize()
+		case op.progConv[op.Impl] != nil:
+			q = op.progConv[op.Impl].Quant
+		case op.progDense[op.Impl] != nil:
+			q = op.progDense[op.Impl].Quant
 		default:
 			continue
 		}
+		w := q.Dequantize()
 		want := op.Node.Param("weight").Shape()
 		if w.NumElements() != want.NumElements() {
 			return nil, fmt.Errorf("runtime: effective weight of %s has %d elements, node weight %v",

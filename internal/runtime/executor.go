@@ -5,7 +5,6 @@ import (
 	goruntime "runtime"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
@@ -298,43 +297,21 @@ func (e *Executor) runStep(st *execStep, impl Impl) error {
 	n := op.Node
 	relu := n.Attrs.FusedReLU
 	switch {
-	case n.Kind == graph.OpConv && impl == ImplCSR:
-		op.csrConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
-	case n.Kind == graph.OpConv && impl == ImplFactorized:
-		op.factConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
-	case n.Kind == graph.OpConv && impl == ImplIPE:
-		op.ipeConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
+	case impl.program() && n.Kind == graph.OpConv:
+		op.progConv[impl].ForwardIntoPar(dst, st.ins[0], relu, e.par)
+	case impl.program() && n.Kind == graph.OpDense:
+		op.progDense[impl].ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
 	case n.Kind == graph.OpConv && impl == ImplWinograd:
 		op.winConv.ForwardIntoPar(dst, st.ins[0], e.par)
 		if relu {
 			tensor.ReLUInto(dst, dst)
 		}
-	case n.Kind == graph.OpDense && impl == ImplCSR:
-		denseCSRInto(dst, st.ins[0], op.csrDense, op.denseBias, relu)
-	case n.Kind == graph.OpDense && impl == ImplFactorized:
-		op.factDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
-	case n.Kind == graph.OpDense && impl == ImplIPE:
-		op.ipeDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
 	default:
 		// Dense convs and FC layers run the node's float weights through
 		// the reference kernels; EvalNodeIntoPar already applies FusedReLU.
 		return graph.EvalNodeIntoPar(dst, n, st.ins, e.par)
 	}
 	return nil
-}
-
-// denseCSRInto computes the CSR dense layer row by row into dst, then its
-// bias and (when relu is set) ReLU epilogue. The matvec is dispatched on
-// the concrete type (no method values) to keep the steady state
-// allocation-free.
-func denseCSRInto(dst, in *tensor.Tensor, c *baseline.CSR, bias *tensor.Tensor, relu bool) {
-	metrics.Count(metrics.KernelCSR)
-	n, k := in.Dim(0), in.Dim(1)
-	od := dst.Data()[:n*c.M]
-	for b := 0; b < n; b++ {
-		c.MatVec(in.Data()[b*k:(b+1)*k], od[b*c.M:(b+1)*c.M])
-	}
-	tensor.AddBiasRows(od, bias, relu, c.M)
 }
 
 // AcquireExecutor checks an Executor out of the plan's pool, building a new

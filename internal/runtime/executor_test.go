@@ -58,20 +58,16 @@ func referenceOp(op *CompiledOp, n *graph.Node, vals map[*graph.Node]*tensor.Ten
 	}
 	var out *tensor.Tensor
 	switch {
-	case n.Kind == graph.OpConv && op.Impl == ImplCSR:
-		out = op.csrConv.Forward(ins[0])
-	case n.Kind == graph.OpConv && op.Impl == ImplFactorized:
-		out = op.factConv.Forward(ins[0])
-	case n.Kind == graph.OpConv && op.Impl == ImplIPE:
-		out = op.ipeConv.Forward(ins[0])
+	case n.Kind == graph.OpConv && op.Impl.program():
+		out = op.progConv[op.Impl].Forward(ins[0])
 	case n.Kind == graph.OpConv && op.Impl == ImplWinograd:
 		out = op.winConv.Forward(ins[0])
 	case n.Kind == graph.OpDense && op.Impl == ImplCSR:
-		out = referenceDense(ins[0], op.csrDense.MatVec, op.csrDense.M, op.denseBias)
-	case n.Kind == graph.OpDense && op.Impl == ImplFactorized:
-		out = op.factDense.Forward(ins[0])
-	case n.Kind == graph.OpDense && op.Impl == ImplIPE:
-		out = op.ipeDense.Forward(ins[0])
+		// The program interpreter, not the compiled executor the plan runs.
+		prog := op.progDense[ImplCSR].Program
+		out = referenceDense(ins[0], prog.Execute, prog.M, op.denseBias)
+	case n.Kind == graph.OpDense && op.Impl.program():
+		out = op.progDense[op.Impl].Forward(ins[0])
 	default:
 		return graph.EvalNode(n, ins) // applies FusedReLU itself
 	}

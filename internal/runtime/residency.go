@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/tensor"
@@ -37,31 +36,18 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 			owned += int64(t.NumElements()) * 4
 		}
 	}
-	csrBytes := func(c *baseline.CSR) {
-		if c != nil {
-			owned += int64(len(c.RowPtr))*4 + int64(len(c.Col))*4 + int64(len(c.Val))*4
-		}
-	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		for _, l := range []*ipe.ConvLayer{op.ipeConv, op.factConv} {
-			if l != nil {
+		for im := range op.progConv {
+			if l := op.progConv[im]; l != nil {
 				for _, prog := range l.Programs {
 					addProg(prog)
 				}
 			}
-		}
-		for _, l := range []*ipe.DenseLayer{op.ipeDense, op.factDense} {
-			if l != nil {
+			if l := op.progDense[im]; l != nil {
 				addProg(l.Program)
 			}
 		}
-		if op.csrConv != nil {
-			for _, m := range op.csrConv.Mats {
-				csrBytes(m)
-			}
-		}
-		csrBytes(op.csrDense)
 		if op.winConv != nil {
 			for _, oc := range op.winConv.U {
 				owned += int64(len(oc)) * 16 * 4
@@ -85,11 +71,11 @@ func (p *Plan) IPEPrograms() []*ipe.Program {
 	var progs []*ipe.Program
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.ipeConv != nil {
-			progs = append(progs, op.ipeConv.Programs...)
+		if l := op.progConv[ImplIPE]; l != nil {
+			progs = append(progs, l.Programs...)
 		}
-		if op.ipeDense != nil {
-			progs = append(progs, op.ipeDense.Program)
+		if l := op.progDense[ImplIPE]; l != nil {
+			progs = append(progs, l.Program)
 		}
 	}
 	return progs

@@ -13,7 +13,7 @@ import (
 // dense layer's program structure and the op's denseBias hold the same
 // tensor, which must not be counted twice.
 func TestResidentBytesCountsEachBiasOnce(t *testing.T) {
-	for _, force := range []Impl{ImplIPE, ImplFactorized} {
+	for _, force := range []Impl{ImplIPE, ImplFactorized, ImplCSR} {
 		p, err := Compile(nn.LeNet5(1, 7), Options{Force: force})
 		if err != nil {
 			t.Fatal(err)
@@ -22,15 +22,10 @@ func TestResidentBytesCountsEachBiasOnce(t *testing.T) {
 		for i := range p.Ops {
 			op := &p.Ops[i]
 			var progs []*ipe.Program
-			switch {
-			case op.ipeConv != nil:
-				progs = op.ipeConv.Programs
-			case op.factConv != nil:
-				progs = op.factConv.Programs
-			case op.ipeDense != nil:
-				progs = []*ipe.Program{op.ipeDense.Program}
-			case op.factDense != nil:
-				progs = []*ipe.Program{op.factDense.Program}
+			if l := op.progConv[force]; l != nil {
+				progs = l.Programs
+			} else if l := op.progDense[force]; l != nil {
+				progs = []*ipe.Program{l.Program}
 			}
 			if k := op.Node.Kind; (k == graph.OpConv || k == graph.OpDense) && (op.Impl != force || len(progs) == 0) {
 				t.Fatalf("-force %s: %s runs %s", force, op.Node, op.Impl)

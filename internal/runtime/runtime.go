@@ -40,6 +40,11 @@ const (
 	ImplWinograd
 )
 
+// program reports whether im serves ipe programs on the IPE executors: CSR
+// (one term per nonzero), factorized (one term per distinct code) and IPE
+// (pair-merged terms).
+func (im Impl) program() bool { return im == ImplCSR || im == ImplFactorized || im == ImplIPE }
+
 var implNames = map[Impl]string{
 	ImplAuto: "auto", ImplDense: "dense", ImplCSR: "csr",
 	ImplFactorized: "factorized", ImplIPE: "ipe", ImplWinograd: "winograd",
@@ -138,15 +143,13 @@ type CompiledOp struct {
 	shapeKey string
 
 	// One serving structure per implementation; after Compile only Impl's
-	// is non-nil, and StartTuner rebuilds the other arms it explores.
+	// is non-nil, and StartTuner builds the other arms it explores. The
+	// program implementations (Impl.program) keep an ipe layer in the slot
+	// their Impl indexes: several at once while a tuner explores them.
 	// denseWeight marks the dense kernel as built: it is the node's float
 	// weight, which EvalNodeIntoPar reads through the node.
-	ipeConv     *ipe.ConvLayer
-	ipeDense    *ipe.DenseLayer
-	csrConv     *baseline.ConvCSR
-	csrDense    *baseline.CSR
-	factConv    *ipe.ConvLayer
-	factDense   *ipe.DenseLayer
+	progConv    [ImplWinograd + 1]*ipe.ConvLayer
+	progDense   [ImplWinograd + 1]*ipe.DenseLayer
 	winConv     *baseline.ConvWinograd
 	denseWeight *tensor.Tensor
 	denseBias   *tensor.Tensor
@@ -190,10 +193,10 @@ type Plan struct {
 	poolClosed bool
 }
 
-// Compile optimizes g in place, builds every candidate implementation for
-// each conv/dense operator, simulates them on the accelerator model,
-// selects per-operator winners, keeps only the winners' structures, and
-// plans memory (PlanMemory's whole-tensor interval allocation).
+// Compile optimizes g in place, ranks every candidate implementation of
+// each conv/dense operator on the accelerator model, selects per-operator
+// winners, keeps only the winners' structures, and plans memory
+// (PlanMemory's whole-tensor interval allocation).
 func Compile(g *graph.Graph, opts Options) (*Plan, error) {
 	opts = opts.withDefaults()
 	if err := graph.Optimize(g); err != nil {
@@ -286,8 +289,8 @@ func compileNode(n *graph.Node, opts Options) (CompiledOp, error) {
 	return compileGeneric(n, opts), nil
 }
 
-// implOrder is the order candidate implementations are built in, ranked in
-// (a cycle tie goes to the earlier one) and offered to the online tuner in.
+// implOrder is the order candidate implementations are ranked in (a cycle
+// tie goes to the earlier one) and offered to the online tuner in.
 var implOrder = []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE}
 
 // denseConvSim simulates the dense conv under the heuristic default
@@ -334,13 +337,14 @@ func quantizeOnce(w *tensor.Tensor, opts Options) *quant.Quantized {
 	return nil
 }
 
-// compileOp builds every wanted candidate implementation of a conv/dense
-// operator, simulates each on the accelerator model and selects the winner
-// (or the tuning store's measured winner). Only the winner's structure stays
-// on the op — the losers were built to be ranked, not served, and
-// Plan.StartTuner rebuilds the ones it explores — and only the winner's
-// programs are lowered (and, for IPE, interned), so losing programs are
-// never pinned by the dictionary store.
+// compileOp ranks every wanted candidate implementation of a conv/dense
+// operator on the accelerator model and selects the winner (or the tuning
+// store's measured winner). Only the winner's structure stays on the op:
+// CSR and Winograd are ranked from the nonzero count and the spec alone
+// and built only if they win, the others are built to be ranked and the
+// losers dropped, and Plan.StartTuner builds the arms it explores.
+// Only the winner's programs are lowered (and, for IPE, interned), so
+// losing programs are never pinned by the dictionary store.
 func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{
 		Node:       n,
@@ -355,7 +359,7 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 		if !wants(opts.Force, im) {
 			continue
 		}
-		sim, ok, err := op.build(im, q, opts)
+		sim, ok, err := op.build(im, q, opts, true)
 		if err != nil {
 			return op, err
 		}
@@ -365,7 +369,7 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 			// The forced implementation does not apply (Winograd off a 3x3
 			// stride-1 conv, or on a dense layer): fall back to dense so a
 			// forced plan stays runnable.
-			if op.Candidates[ImplDense], _, err = op.build(ImplDense, q, opts); err != nil {
+			if op.Candidates[ImplDense], _, err = op.build(ImplDense, q, opts, true); err != nil {
 				return op, err
 			}
 		}
@@ -374,6 +378,11 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	seedFromStore(&op, opts)
 	op.Sim = op.Candidates[op.Impl]
 	op.keepOnly(op.Impl)
+	if !op.built(op.Impl) {
+		if _, _, err := op.build(op.Impl, q, opts, false); err != nil {
+			return op, err
+		}
+	}
 	op.lower(op.Impl, opts.DictStore)
 	return op, nil
 }
@@ -392,21 +401,25 @@ func convWorkload(n *graph.Node) schedule.Workload {
 	return schedule.Workload{Spec: n.Attrs.Conv, N: in[0], H: in[2], W: in[3]}
 }
 
-// build constructs implementation im's serving structure on op and returns
-// its modeled execution; ok is false when im does not apply to the operator
-// (Winograd off 3x3 stride-1 convs and on dense layers). q is the operator's
-// quantized weights, shared by the CSR, factorized and IPE structures.
-// Factorized and IPE programs come out raw; lower readies the ones that are
-// kept. This is the one per-implementation builder: Compile runs it for
-// every candidate, StartTuner for the arms Compile dropped.
-func (op *CompiledOp) build(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+// build returns implementation im's modeled execution on op and, unless
+// rankOnly is set, constructs its serving structure there; ok is false
+// when im does not apply to the operator (Winograd off 3x3 stride-1 convs
+// and on dense layers). q is the operator's quantized weights, shared by
+// the CSR, factorized and IPE programs. CSR and Winograd are modeled from
+// the nonzero count and the spec, so rankOnly skips their structure;
+// factorized and IPE are modeled from their programs, which are built
+// either way, as is dense, whose structure is the node's own weight. Programs come out raw; lower readies the ones that are
+// kept. This is the one per-implementation builder: Compile runs it to rank
+// every candidate and to build the winner, StartTuner to build the arms
+// Compile dropped.
+func (op *CompiledOp) build(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
 	if op.Node.Kind == graph.OpConv {
-		return op.buildConv(im, q, opts)
+		return op.buildConv(im, q, opts, rankOnly)
 	}
-	return op.buildDense(im, q, opts)
+	return op.buildDense(im, q, opts, rankOnly)
 }
 
-func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
 	n := op.Node
 	spec, wl := n.Attrs.Conv, convWorkload(n)
 	weight, bias := n.Param("weight"), n.Param("bias")
@@ -416,38 +429,45 @@ func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options) (acce
 		op.denseWeight = weight
 		return denseConvSim(wl, opts), true, nil
 	case ImplCSR:
-		csr, err := baseline.NewConvCSRFromQuantized(q, bias, spec)
-		if err != nil {
-			return accel.Result{}, false, err
+		if !rankOnly {
+			l, err := ipe.SparseConv(q, bias, spec)
+			if err != nil {
+				return accel.Result{}, false, err
+			}
+			op.progConv[im] = l
 		}
-		op.csrConv = csr
-		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, csr.NNZ())), true, nil
+		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, ipe.SparseNNZ(q))), true, nil
 	case ImplFactorized:
-		fact, err := ipe.FactorizeConv(q, bias, spec)
+		l, err := ipe.FactorizeConv(q, bias, spec)
 		if err != nil {
 			return accel.Result{}, false, err
 		}
-		op.factConv = fact
-		return opts.HW.Simulate(accel.FactorizedConvProfile(fact, wl.N, wl.H, wl.W)), true, nil
+		op.progConv[im] = l
+		return opts.HW.Simulate(accel.FactorizedConvProfile(l, wl.N, wl.H, wl.W)), true, nil
 	case ImplIPE:
-		ipeL, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
+		l, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
 		if err != nil {
 			return accel.Result{}, false, err
 		}
-		op.ipeConv = ipeL
-		return opts.HW.Simulate(accel.IPEConvProfile(ipeL, wl.N, wl.H, wl.W)), true, nil
+		op.progConv[im] = l
+		return opts.HW.Simulate(accel.IPEConvProfile(l, wl.N, wl.H, wl.W)), true, nil
 	case ImplWinograd:
-		win, err := baseline.NewConvWinograd(weight, bias, spec)
-		if err != nil {
+		if baseline.SupportsWinograd(spec) != nil {
 			return accel.Result{}, false, nil // kernel/stride/groups rule Winograd out
 		}
-		op.winConv = win
-		return opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, win.Cost(wl.N, wl.H, wl.W))), true, nil
+		if !rankOnly {
+			win, err := baseline.NewConvWinograd(weight, bias, spec)
+			if err != nil {
+				return accel.Result{}, false, err
+			}
+			op.winConv = win
+		}
+		return opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, baseline.WinogradCost(spec, wl.N, wl.H, wl.W))), true, nil
 	}
 	return accel.Result{}, false, nil
 }
 
-func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options) (accel.Result, bool, error) {
+func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
 	weight, bias := op.Node.Param("weight"), op.Node.Param("bias")
 	m, k := weight.Dim(0), weight.Dim(1)
 	batch := int64(op.Node.Inputs[0].OutShape[0])
@@ -467,21 +487,24 @@ func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options) (acc
 		op.denseWeight = weight
 		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), true, nil
 	case ImplCSR:
-		csr := baseline.NewCSRFromQuantized(q)
-		op.csrDense = csr
-		return simulate("csr", csr.Cost(), int64(csr.NNZ())*6), true, nil
+		if !rankOnly {
+			op.progDense[im] = &ipe.DenseLayer{Program: ipe.Sparse(q), Bias: bias, Quant: q}
+		}
+		nnz := ipe.SparseNNZ(q)
+		return simulate("csr", ipe.SparseCost(nnz), nnz*6), true, nil
 	case ImplFactorized:
-		op.factDense = &ipe.DenseLayer{Program: ipe.Factorize(q), Bias: bias, Quant: q}
-		fc := op.factDense.Program.Cost()
+		l := &ipe.DenseLayer{Program: ipe.Factorize(q), Bias: bias, Quant: q}
+		op.progDense[im] = l
+		fc := l.Program.Cost()
 		return simulate("factorized", fc, fc.StreamSymbols*2), true, nil
 	case ImplIPE:
-		ipeL, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
+		l, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
 		if err != nil {
 			return accel.Result{}, false, err
 		}
-		op.ipeDense = ipeL
-		ic := ipeL.Program.Cost()
-		return simulate("ipe", ic, ic.StreamSymbols*2+int64(ipeL.Program.DictSize())*4), true, nil
+		op.progDense[im] = l
+		ic := l.Program.Cost()
+		return simulate("ipe", ic, ic.StreamSymbols*2+int64(l.Program.DictSize())*4), true, nil
 	}
 	return accel.Result{}, false, nil // Winograd has no fully connected form
 }
@@ -494,14 +517,10 @@ func (op *CompiledOp) keepOnly(im Impl) {
 	if im != ImplWinograd {
 		op.winConv = nil
 	}
-	if im != ImplCSR {
-		op.csrConv, op.csrDense = nil, nil
-	}
-	if im != ImplFactorized {
-		op.factConv, op.factDense = nil, nil
-	}
-	if im != ImplIPE {
-		op.ipeConv, op.ipeDense = nil, nil
+	for i := range op.progConv {
+		if Impl(i) != im {
+			op.progConv[i], op.progDense[i] = nil, nil
+		}
 	}
 }
 
@@ -512,14 +531,8 @@ func (op *CompiledOp) built(im Impl) bool {
 		return op.denseWeight != nil
 	case ImplWinograd:
 		return op.winConv != nil
-	case ImplCSR:
-		return op.csrConv != nil || op.csrDense != nil
-	case ImplFactorized:
-		return op.factConv != nil || op.factDense != nil
-	case ImplIPE:
-		return op.ipeConv != nil || op.ipeDense != nil
 	}
-	return false
+	return op.progConv[im] != nil || op.progDense[im] != nil
 }
 
 // lower readies implementation im's programs for serving by lowering each
@@ -527,30 +540,23 @@ func (op *CompiledOp) built(im Impl) bool {
 // compilation inside the hot path. IPE programs are first interned through
 // the dictionary store (a hit swaps in the canonical program, whose lowered
 // form is shared); every program acquired there is given back once, by
-// Plan.ReleasePool. Factorized programs, the empty-dictionary form, are
-// not interned: they stay owned by the op.
+// Plan.ReleasePool. CSR and factorized programs, the empty-dictionary
+// forms, are not interned: they stay owned by the op.
 func (op *CompiledOp) lower(im Impl, store *ipe.DictStore) {
-	switch im {
-	case ImplIPE:
-		if op.ipeConv != nil {
-			for i, prog := range op.ipeConv.Programs {
-				op.ipeConv.Programs[i] = store.Intern(prog)
-				op.ipeConv.Programs[i].Compiled()
-			}
+	ready := func(prog *ipe.Program) *ipe.Program {
+		if im == ImplIPE {
+			prog = store.Intern(prog)
 		}
-		if op.ipeDense != nil {
-			op.ipeDense.Program = store.Intern(op.ipeDense.Program)
-			op.ipeDense.Program.Compiled()
+		prog.Compiled()
+		return prog
+	}
+	if l := op.progConv[im]; l != nil {
+		for i, prog := range l.Programs {
+			l.Programs[i] = ready(prog)
 		}
-	case ImplFactorized:
-		if op.factConv != nil {
-			for _, prog := range op.factConv.Programs {
-				prog.Compiled()
-			}
-		}
-		if op.factDense != nil {
-			op.factDense.Program.Compiled()
-		}
+	}
+	if l := op.progDense[im]; l != nil {
+		l.Program = ready(l.Program)
 	}
 }
 

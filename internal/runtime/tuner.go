@@ -25,7 +25,7 @@ import (
 // counter increment (LayerTuner.Choose). Only implementations Compile
 // evaluated as candidates — and proven bit-compatible by the conformance
 // harness — are ever explored; Compile keeps only the selected one's
-// structure, so StartTuner rebuilds the others once, at attach time.
+// structure, so StartTuner builds the others once, at attach time.
 
 // TunerConfig configures Plan.StartTuner.
 type TunerConfig struct {
@@ -92,8 +92,8 @@ type PlanTuner struct {
 }
 
 // StartTuner begins online autotuning on the plan: every tunable operator
-// (conv/dense with at least two evaluated candidates) gets its dropped arms
-// rebuilt and becomes a bandit layer whose incumbent is the planned
+// (conv/dense with at least two evaluated candidates) gets its other arms
+// built and becomes a bandit layer whose incumbent is the planned
 // implementation. Call it before the plan serves. Returns an error if the
 // plan was compiled with a forced implementation (there is nothing to
 // tune — and a forced plan promises its forced kernels) or if a tuning
@@ -171,11 +171,11 @@ func (p *Plan) StartTuner(cfg TunerConfig) (*PlanTuner, error) {
 	return pt, nil
 }
 
-// buildArms rebuilds the arms Compile dropped after selection, through the
+// buildArms builds the arms Compile dropped or only ranked, through the
 // same per-implementation builder and with the node's own weights, so
 // routed executions are bit-identical to a plan forced to the arm. The
 // structures are written before StartTuner publishes Plan.live, whose
-// atomic store orders them before any routed read. A rebuilt arm is
+// atomic store orders them before any routed read. A built arm is
 // lowered like a selected one; an IPE arm is interned and released with it
 // by ReleasePool.
 func (op *CompiledOp) buildArms(arms []Impl, opts Options) error {
@@ -184,7 +184,7 @@ func (op *CompiledOp) buildArms(arms []Impl, opts Options) error {
 		if op.built(im) {
 			continue
 		}
-		if _, _, err := op.build(im, q, opts); err != nil {
+		if _, _, err := op.build(im, q, opts, false); err != nil {
 			return err
 		}
 		op.lower(im, opts.DictStore)

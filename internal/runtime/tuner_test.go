@@ -124,6 +124,75 @@ func TestTuningStoreSeedsPlan(t *testing.T) {
 	}
 }
 
+// TestTuningStoreSeedsCSR and TestTuningStoreSeedsWinograd: auto ranks
+// CSR and Winograd without building them, so a stored winner that
+// overrides the simulator's pick must be built after seeding. The seeded
+// plan must run, with output bit-identical to the plan forced to the
+// winner.
+func TestTuningStoreSeedsCSR(t *testing.T) {
+	testStoreSeedsUnbuilt(t, denseGraph(t, 5), ImplCSR)
+}
+
+func TestTuningStoreSeedsWinograd(t *testing.T) {
+	testStoreSeedsUnbuilt(t, convGraph(t, 1), ImplWinograd)
+}
+
+func testStoreSeedsUnbuilt(t *testing.T, g *graph.Graph, winner Impl) {
+	t.Helper()
+	opts := Options{Bits: 8}
+	base, err := Compile(g.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := autotune.NewStore()
+	seeds := 0
+	for i := range base.Ops {
+		op := &base.Ops[i]
+		if _, ok := op.Candidates[winner]; !ok || op.Impl == winner {
+			continue
+		}
+		if op.built(winner) {
+			t.Fatalf("%s: auto built %s, which it ranked and did not pick", op.Node.Name, winner)
+		}
+		store.Put(autotune.Key{Shape: op.shapeKey, Impl: winner.String(), Par: 0},
+			autotune.Entry{MeanNs: 1, Samples: 100, UpdatedUnixNs: 1})
+		seeds++
+	}
+	if seeds == 0 {
+		t.Fatalf("no operator ranks %s below auto's pick", winner)
+	}
+
+	opts.TuningStore = store
+	seeded, err := Compile(g.Clone(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range seeded.Ops {
+		op := &seeded.Ops[i]
+		if _, ok := op.Candidates[winner]; ok && (op.Impl != winner || !op.built(winner)) {
+			t.Fatalf("%s: seeded plan serves %s (%s built: %v), want the stored winner built", op.Node.Name, op.Impl, winner, op.built(winner))
+		}
+	}
+	forced, err := Compile(g.Clone(), Options{Bits: 8, Force: winner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := gaussianInput(g.In.OutShape, 3)
+	got, err := seeded.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := forced.Run(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.Data() {
+		if math.Float32bits(got.Data()[i]) != math.Float32bits(w) {
+			t.Fatalf("seeded %s plan output[%d] = %v, forced plan %v", winner, i, got.Data()[i], w)
+		}
+	}
+}
+
 // TestTunerRebuildsDroppedArms: an auto plan keeps only each operator's
 // selected structure, so nothing it will never dispatch stays resident;
 // StartTuner rebuilds every other arm before routing to it, interning a
