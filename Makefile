@@ -15,7 +15,6 @@ FUZZ_TARGETS := \
 	./internal/conformance:FuzzConformanceGraph \
 	./internal/conformance:FuzzConformanceSharedDict \
 	./internal/registry:FuzzRegistrySwap \
-	./internal/autotune:FuzzStoreDecode \
 	./internal/serve:FuzzDecodePredict \
 	./internal/tensor:FuzzMaxPool
 
@@ -25,7 +24,7 @@ FUZZ_TARGETS := \
 COVER_PKGS := ./internal/serve ./internal/runtime ./internal/registry
 COVER_FLOOR := 75.0
 
-.PHONY: verify build test race vet staticcheck purego fuzz cover cover-floor loc bench bench-smoke benchmark-smoke serve-smoke multi-model-smoke autotune-sim
+.PHONY: verify build test race vet staticcheck purego fuzz cover cover-floor loc bench bench-smoke benchmark-smoke serve-smoke multi-model-smoke
 
 verify: build test race vet
 
@@ -111,14 +110,6 @@ bench-smoke:
 benchmark-smoke:
 	cd benchmark && $(GO) vet . && $(GO) test -short .
 	bash benchmark/run.sh --seconds 1
-
-# Deterministic online-autotuner suite under the race detector: the bandit
-# simulations (stable winner / regime shift / noisy near-tie over the fixed
-# seed matrix), the tuning-cache robustness tests, and the live-plan routing
-# integration test. Everything is seeded, so a failure reproduces exactly.
-autotune-sim:
-	$(GO) test -race -count=1 -run 'TestSim|TestStore|FuzzStoreDecode|TestTun|TestStartTuner' \
-		./internal/autotune ./internal/runtime
 
 # End-to-end serving smoke: boot inspire-serve on an ephemeral port, fire a
 # short concurrent load at both models, and fail on any dropped (429) or

@@ -6,7 +6,6 @@
 //	inspire-serve -addr 127.0.0.1:0        # ephemeral port (printed on stdout)
 //	inspire-serve -models lenet5 -force ipe
 //	inspire-serve -max-batch 64 -inflight 2 -queue 4096
-//	inspire-serve -autotune -tune-cache tuning.json
 //	inspire-serve -share-dict=false        # disable shared-dictionary interning
 //
 // Batching never waits on a timer: a request that finds one of the
@@ -15,12 +14,13 @@
 //
 // Every model compiles through obs.CompilePlan, so a served plan and a
 // benchmarked plan (benchmark/) differ only in the explicit options
-// (-force/-autotune), never in model construction. With -share-dict
-// (the default) all models and all hot-swap versions compile through one
-// content-addressed dictionary store: identical index-pair programs across
-// models and versions are interned once and their compiled emit tables
-// reused, shrinking resident bytes per model (watch the "models" table of
-// `inspire-stats -url ...`).
+// (-force, -bits), never in model construction. Each layer serves the
+// implementation Compile selected for it; nothing is re-chosen on live
+// traffic. With -share-dict (the default) all models and all hot-swap
+// versions compile through one content-addressed dictionary store:
+// identical index-pair programs across models and versions are interned
+// once and their compiled emit tables reused, shrinking resident bytes per
+// model (watch the "models" table of `inspire-stats -url ...`).
 //
 // Hot swap: POST /v1/models/{model}/versions with {"seed":N} compiles a new
 // weight version while the old one keeps serving, atomically redirects
@@ -28,13 +28,6 @@
 // and retires the old version: its executor pool, its interned programs and
 // its metrics series go, so memory stays flat across swaps. Responses carry
 // the serving version, so clients can verify monotonicity across swaps.
-//
-// With -autotune (auto impl selection only) each version's plan is seeded
-// from the -tune-cache file, an online bandit routes a small exploration
-// fraction of live traffic through alternate kernel implementations,
-// promotes sustained winners, and writes them back to the cache on drain.
-// A model runs one tuner, its serving version's: a hot swap stops the
-// outgoing version's tuner, which writes its winners the same way.
 //
 // Endpoints:
 //
@@ -62,16 +55,21 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"repro/internal/autotune"
 	"repro/internal/ipe"
 	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/serve"
+)
+
+// Server timeouts: how long a client may take to send a request's headers,
+// and how long a keep-alive connection may sit idle between requests.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
 )
 
 func main() {
@@ -89,13 +87,6 @@ func main() {
 	inflight := flag.Int("inflight", 2, "concurrent RunBatch flushes per model")
 	poolSize := flag.Duration("pool-resize", 5*time.Second,
 		"traffic-driven executor pool resizing period (0 = off)")
-	tune := flag.Bool("autotune", false,
-		"enable the online autotuner: explore alternate kernel implementations on live traffic and promote measured winners (requires -force auto)")
-	tuneCache := flag.String("tune-cache", "",
-		"tuning-cache file: seeds plans at startup, receives promoted winners on drain (with -autotune)")
-	tuneInterval := flag.Duration("tune-interval", 5*time.Second, "autotuner promotion-poll period")
-	tuneExplore := flag.Int("tune-explore", 0,
-		"route every Nth execution of a tuned layer through an alternate implementation (0 = default 16)")
 	flag.Parse()
 
 	impl, ok := runtime.ImplByName(*force)
@@ -108,76 +99,18 @@ func main() {
 	runtime.EnableMetrics()
 
 	opts := runtime.Options{Force: impl, Bits: *bits}
-	if *tune && impl != runtime.ImplAuto {
-		fmt.Fprintf(os.Stderr, "inspire-serve: -autotune requires -force auto (got %s)\n", *force)
-		os.Exit(2)
-	}
-	var store *autotune.Store
-	if *tune || *tuneCache != "" {
-		// A corrupt, truncated, or legacy-version cache must never stop the
-		// server: it just plans from defaults and re-measures.
-		store = autotune.LoadStoreOrEmpty(*tuneCache)
-		if store.Len() > 0 {
-			fmt.Printf("inspire-serve: tuning cache %s: %d entries\n", *tuneCache, store.Len())
-		}
-		opts.TuningStore = store
-	}
 	var dict *ipe.DictStore
 	if *shareDict {
 		dict = ipe.NewDictStore()
 		opts.DictStore = dict
 	}
 
-	// Every version of every model — the startup loads below and all later
-	// hot swaps — compiles through this one function. With -autotune each
-	// model keeps one tuner, its serving version's: the registry compiles a
-	// model's versions one at a time, so tuned[model] always names the
-	// version the next compile replaces.
-	type modelTuner struct {
-		pt      *runtime.PlanTuner
-		version int64
-	}
-	var tunersMu sync.Mutex
-	tuned := make(map[string]modelTuner)
-	compile := func(model string, seed uint64) (*runtime.Plan, error) {
-		plan, err := obs.CompilePlan(model, seed, opts)
-		if err != nil {
-			return nil, err
-		}
-		if *tune {
-			tunersMu.Lock()
-			prev := tuned[model]
-			tunersMu.Unlock()
-			// The tuner names its series when it starts, so the plan needs
-			// the prefix the registry is about to give this version.
-			plan.MetricsPrefix = fmt.Sprintf("%s@v%d/", model, prev.version+1)
-			pt, err := plan.StartTuner(runtime.TunerConfig{
-				Policy:    autotune.Policy{ExplorePeriod: *tuneExplore},
-				Interval:  *tuneInterval,
-				Store:     store,
-				StorePath: *tuneCache,
-			})
-			if err != nil {
-				plan.ReleasePool() // never served: give back what it interned
-				return nil, fmt.Errorf("autotuning %s: %w", model, err)
-			}
-			tunersMu.Lock()
-			tuned[model] = modelTuner{pt: pt, version: prev.version + 1}
-			tunersMu.Unlock()
-			if prev.pt != nil {
-				// The outgoing version is about to drain: freeze its routing
-				// at its winners and write them to the cache, as shutdown
-				// does, so nothing keeps the retired plan reachable.
-				if err := prev.pt.Stop(); err != nil {
-					fmt.Fprintf(os.Stderr, "inspire-serve: saving tuning cache: %v\n", err)
-				}
-			}
-		}
-		return plan, nil
-	}
-
 	reg, err := registry.New(registry.Options{
-		Compile: compile,
+		// Every version of every model — the startup loads below and all
+		// later hot swaps — compiles through this one function.
+		Compile: func(model string, seed uint64) (*runtime.Plan, error) {
+			return obs.CompilePlan(model, seed, opts)
+		},
 		Serve: serve.Config{
 			MaxBatch:    *maxBatch,
 			QueueDepth:  *queue,
@@ -201,8 +134,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "inspire-serve: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("inspire-serve: %s v%d compiled (force=%s autotune=%v share-dict=%v, input %v)\n",
-			name, v.Version, *force, *tune, *shareDict, v.Plan.Graph.In.OutShape)
+		fmt.Printf("inspire-serve: %s v%d compiled (force=%s share-dict=%v, input %v)\n",
+			name, v.Version, *force, *shareDict, v.Plan.Graph.In.OutShape)
 		served++
 	}
 	if served == 0 {
@@ -238,7 +171,15 @@ func main() {
 		}
 	}
 
-	srv := &http.Server{Handler: serve.NewHandler(reg)}
+	// A client that stalls mid-header is cut off after readHeaderTimeout and
+	// an idle keep-alive connection after idleTimeout, so neither can pin a
+	// connection for good. No write timeout yet: a deadline must not cut a
+	// predict off mid-response while the batcher still runs it.
+	srv := &http.Server{
+		Handler:           serve.NewHandler(reg),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(ln) }()
 
@@ -261,18 +202,5 @@ func main() {
 		fmt.Fprintf(os.Stderr, "inspire-serve: shutdown: %v\n", err)
 	}
 	reg.Close()
-	// Batchers are drained: freeze routing at the promoted winners and
-	// persist them so the next start plans the tuned configuration.
-	tunersMu.Lock()
-	for _, t := range tuned {
-		if err := t.pt.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "inspire-serve: saving tuning cache: %v\n", err)
-		}
-	}
-	n := len(tuned)
-	tunersMu.Unlock()
-	if n > 0 && *tuneCache != "" {
-		fmt.Printf("inspire-serve: tuning cache saved to %s (%d entries)\n", *tuneCache, store.Len())
-	}
 	fmt.Println("inspire-serve: drained, bye")
 }

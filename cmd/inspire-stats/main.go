@@ -123,10 +123,6 @@ func renderLive(s metrics.Snapshot, jsonOut bool) {
 		obs.SharedDictTable(s).Fprint(os.Stdout)
 		fmt.Println()
 	}
-	if len(s.Autotune) > 0 {
-		obs.AutotuneTable("online autotuner", s, "").Fprint(os.Stdout)
-		fmt.Println()
-	}
 	obs.LayerTable("layers", s, "").Fprint(os.Stdout)
 	fmt.Println()
 	obs.PoolTable(s).Fprint(os.Stdout)

@@ -1,16 +1,15 @@
-// Package autotune implements the schedule search algorithms of the
-// INSPIRE stack: random search, a genetic algorithm and simulated
-// annealing, all operating over an abstract discrete search space (in
-// practice the schedule.Space tiling grid). An exhaustive searcher provides
-// ground truth on small spaces, and a tuning cache reuses results across
-// layers with identical shapes — convolutions repeat heavily within and
-// across CNNs.
+// Package autotune implements the offline schedule search algorithms of the
+// INSPIRE stack: random search, a genetic algorithm, simulated annealing and
+// a ridge-regression surrogate, all operating over an abstract discrete
+// search space (in practice the schedule.Space tiling grid). An exhaustive
+// searcher provides ground truth on small spaces. The tuners run before
+// deployment (Fig 7, cmd/inspire-tune, examples/autotune); nothing here
+// touches a served plan, which runs exactly what runtime.Compile selected.
 package autotune
 
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/tensor"
 )
@@ -294,47 +293,4 @@ func (a Annealing) Tune(s Space, budget int, seed uint64) Result {
 		temp *= a.Cooling
 	}
 	return rec.res
-}
-
-// Cache memoizes tuning results by workload key. It is safe for concurrent
-// use; Hits/Misses expose its effectiveness for the search-speed study.
-type Cache struct {
-	mu     sync.Mutex
-	m      map[string]Result
-	hits   int
-	misses int
-}
-
-// NewCache returns an empty cache.
-func NewCache() *Cache { return &Cache{m: make(map[string]Result)} }
-
-// GetOrTune returns the cached result for key, or runs tune and stores it.
-func (c *Cache) GetOrTune(key string, tune func() Result) Result {
-	c.mu.Lock()
-	if r, ok := c.m[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return r
-	}
-	c.misses++
-	c.mu.Unlock()
-	r := tune()
-	c.mu.Lock()
-	c.m[key] = r
-	c.mu.Unlock()
-	return r
-}
-
-// Stats returns the hit and miss counts so far.
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

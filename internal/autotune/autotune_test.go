@@ -141,30 +141,6 @@ func TestBestIdxMatchesBestCost(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
-	c := NewCache()
-	calls := 0
-	tune := func() Result {
-		calls++
-		return Result{BestCost: 42}
-	}
-	r1 := c.GetOrTune("k", tune)
-	r2 := c.GetOrTune("k", tune)
-	if calls != 1 {
-		t.Fatalf("tune ran %d times, want 1", calls)
-	}
-	if r1.BestCost != 42 || r2.BestCost != 42 {
-		t.Fatal("cache returned wrong result")
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits %d misses", hits, misses)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-}
-
 func TestTuneRealScheduleSpace(t *testing.T) {
 	// End-to-end: tuners on a real conv schedule space must find legal
 	// schedules, and genetic must land within 30% of exhaustive.

@@ -89,9 +89,6 @@ type Recorder struct {
 	epByName  map[string]*EndpointStats
 	epOrdered []*EndpointStats
 
-	atByName  map[string]*AutotuneStats
-	atOrdered []*AutotuneStats
-
 	mdByName  map[string]*ModelStats
 	mdOrdered []*ModelStats
 
@@ -106,7 +103,6 @@ func New() *Recorder {
 	return &Recorder{
 		byName:   make(map[string]*LayerStats),
 		epByName: make(map[string]*EndpointStats),
-		atByName: make(map[string]*AutotuneStats),
 		mdByName: make(map[string]*ModelStats),
 	}
 }
@@ -187,32 +183,13 @@ func (r *Recorder) Endpoint(name string) *EndpointStats {
 	return s
 }
 
-// Autotune returns the named online-tuner series, creating it on first
-// use. Registration is the cold path (tuner start); the plan tuner publishes
-// its bandit state through the handle on every poll, so operators can watch
-// promotions land via inspire-stats without touching the tuner itself.
-func (r *Recorder) Autotune(name string) *AutotuneStats {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s, ok := r.atByName[name]; ok {
-		return s
-	}
-	s := &AutotuneStats{name: name}
-	r.atByName[name] = s
-	r.atOrdered = append(r.atOrdered, s)
-	return s
-}
-
-// DropPrefix removes every layer and autotune series whose name starts with
-// prefix — a retired model version's "model@vN/" — and returns how many
-// went, so the series count tracks the versions alive rather than every
-// version ever loaded. Endpoint and model series are never dropped: they
-// are keyed by the bare model name and stay continuous across versions. A
-// handle resolved before the drop keeps recording into a series no
-// snapshot shows any more. An empty prefix drops nothing.
+// DropPrefix removes every layer series whose name starts with prefix — a
+// retired model version's "model@vN/" — and returns how many went, so the
+// series count tracks the versions alive rather than every version ever
+// loaded. Endpoint and model series are never dropped: they are keyed by
+// the bare model name and stay continuous across versions. A handle
+// resolved before the drop keeps recording into a series no snapshot shows
+// any more. An empty prefix drops nothing.
 func (r *Recorder) DropPrefix(prefix string) int {
 	if r == nil || prefix == "" {
 		return 0
@@ -228,49 +205,7 @@ func (r *Recorder) DropPrefix(prefix string) int {
 		n++
 		return true
 	})
-	r.atOrdered = slices.DeleteFunc(r.atOrdered, func(s *AutotuneStats) bool {
-		if !strings.HasPrefix(s.name, prefix) {
-			return false
-		}
-		delete(r.atByName, s.name)
-		n++
-		return true
-	})
 	return n
-}
-
-// AutotuneStats is one tuned layer's published bandit state: the serving
-// implementation, how many executions the bandit routed, how many of them
-// explored an alternate implementation, and how many promotions have
-// happened. The plan tuner overwrites the fields on each poll (these are
-// published gauges, not accumulated counters). All methods are atomic and
-// nil-safe.
-type AutotuneStats struct {
-	name    string
-	current atomic.Pointer[string]
-
-	Executions   atomic.Int64
-	Explorations atomic.Int64
-	Promotions   atomic.Int64
-}
-
-// Name returns the series' registration name.
-func (s *AutotuneStats) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
-// Publish overwrites the published bandit state.
-func (s *AutotuneStats) Publish(current string, execs, explores, promotions int64) {
-	if s == nil {
-		return
-	}
-	s.current.Store(&current)
-	s.Executions.Store(execs)
-	s.Explorations.Store(explores)
-	s.Promotions.Store(promotions)
 }
 
 // EndpointStats aggregates one serving endpoint's traffic: completed and
@@ -358,20 +293,16 @@ func (s *EndpointStats) ObserveQueueDepth(depth int) {
 
 // LayerStats aggregates one layer's executions: dispatch counts and total
 // latency per kernel family, a latency histogram, and batch-size extents.
-// The per-kernel (count, sum-ns) pairs form the latency series the online
-// autotuner polls — they attribute time to the implementation that actually
-// ran, which the merged histogram cannot. All methods are atomic and
-// nil-safe.
+// The per-kernel (count, sum-ns) pairs attribute time to the implementation
+// that actually ran, which the merged histogram cannot. All methods are
+// atomic and nil-safe.
 type LayerStats struct {
 	name     string
 	kernels  [KernelCount]atomic.Int64
 	kernelNs [KernelCount]atomic.Int64
-	// kernelItems sums the batch sizes of each kernel's executions, so
-	// its cost can be compared per item across runs of different sizes.
-	kernelItems [KernelCount]atomic.Int64
-	lat         Hist
-	batchSum    atomic.Int64
-	batchMax    atomic.Int64
+	lat      Hist
+	batchSum atomic.Int64
+	batchMax atomic.Int64
 }
 
 // Name returns the layer's registration name.
@@ -390,23 +321,9 @@ func (l *LayerStats) Record(k Kernel, ns int64, batch int) {
 	}
 	l.kernels[k].Add(1)
 	l.kernelNs[k].Add(ns)
-	l.kernelItems[k].Add(int64(batch))
 	l.lat.Observe(ns)
 	l.batchSum.Add(int64(batch))
 	atomicMax(&l.batchMax, int64(batch))
-}
-
-// KernelSample returns kernel k's cumulative per-item latency series for
-// this layer: how many items its executions processed (the sum of their
-// batch sizes) and their total nanoseconds. This is the autotuner's reward
-// signal — polled as a cumulative series and differenced by the bandit, so
-// concurrent recording never skews it, and counted in items, so a kernel
-// sampled on 4-item runs and one sampled on 1-item runs compare per item.
-func (l *LayerStats) KernelSample(k Kernel) (items, sumNs int64) {
-	if l == nil {
-		return 0, 0
-	}
-	return l.kernelItems[k].Load(), l.kernelNs[k].Load()
 }
 
 // PoolStats is the worker-pool telemetry: how many shard blocks were

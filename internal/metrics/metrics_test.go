@@ -352,14 +352,13 @@ func TestDropPrefixRemovesOneVersionsSeries(t *testing.T) {
 	r.Layer("m@v1/fc1")
 	r.Layer("m@v2/conv1")
 	r.Layer("n@v1/conv1")
-	r.Autotune("m@v1/conv1")
 	r.Endpoint("m")
 	r.Model("m")
 	if n := r.DropPrefix(""); n != 0 {
 		t.Fatalf("empty prefix dropped %d series", n)
 	}
-	if n := r.DropPrefix("m@v1/"); n != 3 {
-		t.Fatalf("DropPrefix dropped %d series, want 3", n)
+	if n := r.DropPrefix("m@v1/"); n != 2 {
+		t.Fatalf("DropPrefix dropped %d series, want 2", n)
 	}
 	snap := r.Snapshot()
 	var layers []string
@@ -369,9 +368,9 @@ func TestDropPrefixRemovesOneVersionsSeries(t *testing.T) {
 	if len(layers) != 2 || layers[0] != "m@v2/conv1" || layers[1] != "n@v1/conv1" {
 		t.Fatalf("layers after drop = %v", layers)
 	}
-	if len(snap.Autotune) != 0 || len(snap.Endpoints) != 1 || len(snap.Models) != 1 {
-		t.Fatalf("autotune %d / endpoints %d / models %d after drop, want 0/1/1",
-			len(snap.Autotune), len(snap.Endpoints), len(snap.Models))
+	if len(snap.Endpoints) != 1 || len(snap.Models) != 1 {
+		t.Fatalf("endpoints %d / models %d after drop, want 1/1",
+			len(snap.Endpoints), len(snap.Models))
 	}
 	if r.Layer("m@v1/conv1") == old {
 		t.Fatal("a dropped name resolved to its detached series")

@@ -122,7 +122,7 @@ type SharedDictSnapshot struct {
 
 // FilterModel returns a copy of the snapshot restricted to one model's
 // series: its endpoint and registry rows (exact name match) and its layer
-// and autotune rows (name prefixed "model/" or "model@", the two
+// rows (name prefixed "model/" or "model@", the two
 // MetricsPrefix conventions of obs.Meter and the versioned registry).
 // Process-wide series (kernels, pool, executor, shared dict) are kept as-is
 // since they cannot be attributed per model.
@@ -143,12 +143,6 @@ func (s Snapshot) FilterModel(model string) Snapshot {
 	for _, e := range s.Endpoints {
 		if owns(e.Name) {
 			out.Endpoints = append(out.Endpoints, e)
-		}
-	}
-	out.Autotune = nil
-	for _, a := range s.Autotune {
-		if owns(a.Name) {
-			out.Autotune = append(out.Autotune, a)
 		}
 	}
 	out.Models = nil

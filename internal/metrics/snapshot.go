@@ -18,25 +18,12 @@ type LayerSnapshot struct {
 	// more than one implementation.
 	Kernels map[string]int64 `json:"kernels,omitempty"`
 	// KernelMeanNs maps kernel name -> mean latency over that kernel's own
-	// executions of this layer — the per-implementation series the online
-	// autotuner judges candidates by.
+	// executions of this layer.
 	KernelMeanNs map[string]int64 `json:"kernel_mean_ns,omitempty"`
 	Latency      HistSnapshot     `json:"latency"`
 	// MeanBatch and MaxBatch summarize the batch sizes recorded.
 	MeanBatch float64 `json:"mean_batch"`
 	MaxBatch  int64   `json:"max_batch"`
-}
-
-// AutotuneSnapshot is the point-in-time view of one tuned layer's bandit:
-// the implementation currently serving it, the executions the bandit
-// routed, the exploration fraction spent on alternates, and how many
-// promotions have landed.
-type AutotuneSnapshot struct {
-	Name         string `json:"name"`
-	Current      string `json:"current"`
-	Executions   int64  `json:"executions"`
-	Explorations int64  `json:"explorations"`
-	Promotions   int64  `json:"promotions"`
 }
 
 // EndpointSnapshot is the point-in-time view of one serving endpoint: the
@@ -95,9 +82,6 @@ type Snapshot struct {
 	// Endpoints lists the serving-endpoint series (empty unless a serve
 	// batcher registered traffic).
 	Endpoints []EndpointSnapshot `json:"endpoints,omitempty"`
-	// Autotune lists the online-tuner series (empty unless a plan tuner is
-	// running).
-	Autotune []AutotuneSnapshot `json:"autotune,omitempty"`
 	// Models lists the versioned-registry series (empty unless a registry
 	// published model state).
 	Models []ModelSnapshot `json:"models,omitempty"`
@@ -121,7 +105,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	r.mu.Lock()
 	layers := append([]*LayerStats(nil), r.ordered...)
 	endpoints := append([]*EndpointStats(nil), r.epOrdered...)
-	autotune := append([]*AutotuneStats(nil), r.atOrdered...)
 	models := append([]*ModelStats(nil), r.mdOrdered...)
 	r.mu.Unlock()
 	s.Layers = make([]LayerSnapshot, 0, len(layers))
@@ -130,9 +113,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	}
 	for _, ep := range endpoints {
 		s.Endpoints = append(s.Endpoints, ep.Snapshot())
-	}
-	for _, at := range autotune {
-		s.Autotune = append(s.Autotune, at.Snapshot())
 	}
 	for _, md := range models {
 		s.Models = append(s.Models, md.Snapshot())
@@ -196,22 +176,6 @@ func (l *LayerStats) Snapshot() LayerSnapshot {
 		s.MeanBatch = float64(l.batchSum.Load()) / float64(s.Latency.Count)
 	}
 	return s
-}
-
-// Snapshot captures one autotune series.
-func (s *AutotuneStats) Snapshot() AutotuneSnapshot {
-	var snap AutotuneSnapshot
-	if s == nil {
-		return snap
-	}
-	snap.Name = s.name
-	if c := s.current.Load(); c != nil {
-		snap.Current = *c
-	}
-	snap.Executions = s.Executions.Load()
-	snap.Explorations = s.Explorations.Load()
-	snap.Promotions = s.Promotions.Load()
-	return snap
 }
 
 // Snapshot captures one endpoint series.

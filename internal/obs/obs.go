@@ -75,7 +75,7 @@ func InputFor(name string) (*tensor.Tensor, error) {
 // share: it builds the named evaluation model at the given weight seed and
 // compiles it through exactly the options the caller passes — so a plan
 // served by inspire-serve and a plan measured by benchmark/ differ in
-// nothing but the caller's explicit Options (Force/TuningStore/DictStore),
+// nothing but the caller's explicit Options (Force/Bits/DictStore),
 // never in model construction.
 func CompilePlan(name string, seed uint64, opts runtime.Options) (*runtime.Plan, error) {
 	g, err := GraphByName(name, seed)
@@ -160,29 +160,6 @@ func LayerTable(title string, s metrics.Snapshot, prefix string) *report.Table {
 			report.Count(l.Latency.MeanNs),
 			report.Count(l.Latency.MaxNs),
 			report.Num(l.MeanBatch),
-		)
-	}
-	return t
-}
-
-// AutotuneTable renders the online tuner's per-layer state whose names start
-// with prefix (all of them when prefix is empty): the implementation each
-// tuned layer currently serves, how many executions the bandit routed, how
-// many of those explored an alternate implementation, and how many
-// promotions have landed. Untuned processes render a header-only table.
-func AutotuneTable(title string, s metrics.Snapshot, prefix string) *report.Table {
-	t := report.NewTable(title,
-		"layer", "serving impl", "executions", "explorations", "promotions")
-	for _, a := range s.Autotune {
-		if prefix != "" && !strings.HasPrefix(a.Name, prefix) {
-			continue
-		}
-		t.AddRow(
-			strings.TrimPrefix(a.Name, prefix),
-			a.Current,
-			report.Count(a.Executions),
-			report.Count(a.Explorations),
-			report.Count(a.Promotions),
 		)
 	}
 	return t

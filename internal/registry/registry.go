@@ -68,10 +68,9 @@ type Options struct {
 }
 
 // Version is one immutable loaded instance of a model. It owns its plan —
-// one serving structure per operator, plus a tuner's rebuilt arms when one
-// is attached — the references those structures hold on the dictionary
-// store, its batcher, and the metrics series under Plan.MetricsPrefix;
-// retiring it after the drain gives all of them back.
+// one serving structure per operator — the references those structures
+// hold on the dictionary store, its batcher, and the metrics series under
+// Plan.MetricsPrefix; retiring it after the drain gives all of them back.
 type Version struct {
 	Model   string
 	Version int64

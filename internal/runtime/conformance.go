@@ -34,10 +34,10 @@ func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 		op := &p.Ops[i]
 		var q *quant.Quantized
 		switch {
-		case op.progConv[op.Impl] != nil:
-			q = op.progConv[op.Impl].Quant
-		case op.progDense[op.Impl] != nil:
-			q = op.progDense[op.Impl].Quant
+		case op.progConv != nil:
+			q = op.progConv.Quant
+		case op.progDense != nil:
+			q = op.progDense.Quant
 		default:
 			continue
 		}

@@ -153,16 +153,9 @@ func (e *Executor) bind(m int) {
 // stepKernel maps a compiled operator to the kernel-family tag its
 // dispatch in runStep will execute (the per-layer "kernel chosen" column).
 func stepKernel(op *CompiledOp) metrics.Kernel {
-	return stepKernelFor(op.Node.Kind, op.Impl)
-}
-
-// stepKernelFor is stepKernel for an explicit (kind, impl) pair — the online
-// tuner uses it to tag explored executions with the kernel they actually ran,
-// so per-impl latency series stay separable.
-func stepKernelFor(kind graph.OpKind, impl Impl) metrics.Kernel {
-	switch kind {
+	switch op.Node.Kind {
 	case graph.OpConv:
-		switch impl {
+		switch op.Impl {
 		case ImplDense:
 			return metrics.KernelDirect
 		case ImplWinograd:
@@ -177,7 +170,7 @@ func stepKernelFor(kind graph.OpKind, impl Impl) metrics.Kernel {
 			return metrics.KernelIPECompiled
 		}
 	case graph.OpDense:
-		switch impl {
+		switch op.Impl {
 		case ImplDense:
 			return metrics.KernelGEMM
 		case ImplCSR:
@@ -232,27 +225,18 @@ func (e *Executor) Run(input *tensor.Tensor) (*tensor.Tensor, error) {
 	e.bind(m)
 	batch := input.Dim(0)
 	e.slots[g.In.ID] = input
-	// Resolve the online tuner once per run (one atomic load): pooled
-	// executors built before StartTuner still route through it, and a Run
-	// in flight keeps a consistent view while tuning stops or starts.
-	lt := e.plan.live.Load()
 	for i := range e.steps {
 		st := &e.steps[i]
 		for j, id := range st.insIDs {
 			st.ins[j] = e.slots[id]
 		}
-		impl, kernel := st.op.Impl, st.kernel
-		if lt != nil && lt.perStep[i] != nil {
-			impl = lt.arms[i][lt.perStep[i].Choose()]
-			kernel = stepKernelFor(st.op.Node.Kind, impl)
-		}
 		e.par.Reset()
 		if st.stats != nil {
 			t0 := time.Now()
-			err = e.runStep(st, impl)
-			st.stats.Record(kernel, time.Since(t0).Nanoseconds(), batch)
+			err = e.runStep(st)
+			st.stats.Record(st.kernel, time.Since(t0).Nanoseconds(), batch)
 		} else {
-			err = e.runStep(st, impl)
+			err = e.runStep(st)
 		}
 		if err != nil {
 			e.dropInputRefs()
@@ -285,23 +269,22 @@ func (e *Executor) dropInputRefs() {
 	}
 }
 
-// runStep dispatches one operator to its selected destination-passing
-// kernel. impl is the implementation to execute — st.op.Impl unless the
-// online tuner routed this execution to an alternate arm. A FusedReLU node
-// gets its ReLU in the kernel's own epilogue on the IPE, factorized and CSR
-// paths (the bias pass of a dense layer, the output scatter of a conv) and
-// inside EvalNodeIntoPar on the generic path; only Winograd applies it as a
-// second pass over the output.
-func (e *Executor) runStep(st *execStep, impl Impl) error {
+// runStep dispatches one operator to the destination-passing kernel of the
+// structure Compile kept for it. A FusedReLU node gets its ReLU in the
+// kernel's own epilogue on the IPE, factorized and CSR paths (the bias pass
+// of a dense layer, the output scatter of a conv) and inside
+// EvalNodeIntoPar on the generic path; only Winograd applies it as a second
+// pass over the output.
+func (e *Executor) runStep(st *execStep) error {
 	op, dst := st.op, st.out
 	n := op.Node
 	relu := n.Attrs.FusedReLU
 	switch {
-	case impl.program() && n.Kind == graph.OpConv:
-		op.progConv[impl].ForwardIntoPar(dst, st.ins[0], relu, e.par)
-	case impl.program() && n.Kind == graph.OpDense:
-		op.progDense[impl].ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
-	case n.Kind == graph.OpConv && impl == ImplWinograd:
+	case op.progConv != nil:
+		op.progConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
+	case op.progDense != nil:
+		op.progDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
+	case op.winConv != nil:
 		op.winConv.ForwardIntoPar(dst, st.ins[0], e.par)
 		if relu {
 			tensor.ReLUInto(dst, dst)

@@ -58,16 +58,16 @@ func referenceOp(op *CompiledOp, n *graph.Node, vals map[*graph.Node]*tensor.Ten
 	}
 	var out *tensor.Tensor
 	switch {
-	case n.Kind == graph.OpConv && op.Impl.program():
-		out = op.progConv[op.Impl].Forward(ins[0])
-	case n.Kind == graph.OpConv && op.Impl == ImplWinograd:
+	case op.progConv != nil:
+		out = op.progConv.Forward(ins[0])
+	case op.winConv != nil:
 		out = op.winConv.Forward(ins[0])
-	case n.Kind == graph.OpDense && op.Impl == ImplCSR:
+	case op.progDense != nil && op.Impl == ImplCSR:
 		// The program interpreter, not the compiled executor the plan runs.
-		prog := op.progDense[ImplCSR].Program
+		prog := op.progDense.Program
 		out = referenceDense(ins[0], prog.Execute, prog.M, op.denseBias)
-	case n.Kind == graph.OpDense && op.Impl.program():
-		out = op.progDense[op.Impl].Forward(ins[0])
+	case op.progDense != nil:
+		out = op.progDense.Forward(ins[0])
 	default:
 		return graph.EvalNode(n, ins) // applies FusedReLU itself
 	}

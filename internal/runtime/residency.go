@@ -7,9 +7,9 @@ import (
 )
 
 // ResidentBytes estimates the heap bytes this plan's serving structures keep
-// resident — the selected implementation per operator, plus the arms a
-// tuner rebuilt — split into bytes attributable to the plan (owned) and bytes
-// aliased to IPE programs some other plan already accounted for (shared).
+// resident — the selected implementation per operator — split into bytes
+// attributable to the plan (owned) and bytes aliased to IPE programs some
+// other plan already accounted for (shared).
 // seen carries the canonical-program set across calls: pass one map over
 // every live plan to get dedup-aware totals (a program interned by the
 // shared dictionary store is counted as owned by the first plan that
@@ -38,15 +38,13 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		for im := range op.progConv {
-			if l := op.progConv[im]; l != nil {
-				for _, prog := range l.Programs {
-					addProg(prog)
-				}
+		if l := op.progConv; l != nil {
+			for _, prog := range l.Programs {
+				addProg(prog)
 			}
-			if l := op.progDense[im]; l != nil {
-				addProg(l.Program)
-			}
+		}
+		if l := op.progDense; l != nil {
+			addProg(l.Program)
 		}
 		if op.winConv != nil {
 			for _, oc := range op.winConv.U {
@@ -71,10 +69,13 @@ func (p *Plan) IPEPrograms() []*ipe.Program {
 	var progs []*ipe.Program
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if l := op.progConv[ImplIPE]; l != nil {
+		if op.Impl != ImplIPE {
+			continue
+		}
+		if l := op.progConv; l != nil {
 			progs = append(progs, l.Programs...)
 		}
-		if l := op.progDense[ImplIPE]; l != nil {
+		if l := op.progDense; l != nil {
 			progs = append(progs, l.Program)
 		}
 	}

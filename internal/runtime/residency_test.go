@@ -22,9 +22,9 @@ func TestResidentBytesCountsEachBiasOnce(t *testing.T) {
 		for i := range p.Ops {
 			op := &p.Ops[i]
 			var progs []*ipe.Program
-			if l := op.progConv[force]; l != nil {
+			if l := op.progConv; l != nil {
 				progs = l.Programs
-			} else if l := op.progDense[force]; l != nil {
+			} else if l := op.progDense; l != nil {
 				progs = []*ipe.Program{l.Program}
 			}
 			if k := op.Node.Kind; (k == graph.OpConv || k == graph.OpDense) && (op.Impl != force || len(progs) == 0) {

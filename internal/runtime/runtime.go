@@ -4,10 +4,8 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/accel"
-	"repro/internal/autotune"
 	"repro/internal/baseline"
 	"repro/internal/graph"
 	"repro/internal/ipe"
@@ -39,11 +37,6 @@ const (
 	// ImplDense elsewhere.
 	ImplWinograd
 )
-
-// program reports whether im serves ipe programs on the IPE executors: CSR
-// (one term per nonzero), factorized (one term per distinct code) and IPE
-// (pair-merged terms).
-func (im Impl) program() bool { return im == ImplCSR || im == ImplFactorized || im == ImplIPE }
 
 var implNames = map[Impl]string{
 	ImplAuto: "auto", ImplDense: "dense", ImplCSR: "csr",
@@ -95,14 +88,6 @@ type Options struct {
 	// Force pins every conv/dense operator to one implementation;
 	// ImplAuto (zero value) selects per operator by simulated cycles.
 	Force Impl
-	// TuningStore seeds each conv/dense operator's implementation choice
-	// from persisted online-tuning measurements (see Plan.StartTuner):
-	// when the store holds a sufficiently-sampled winner for the layer's
-	// shape the measured winner overrides the simulator's pick, so a
-	// restarted server — or a sibling model with identical layer shapes —
-	// plans the tuned implementation on the first request. Only consulted
-	// under ImplAuto; nil disables seeding.
-	TuningStore *autotune.Store
 	// Workers bounds the compilation parallelism (per-operator encoding
 	// and candidate simulation are independent). 0 means GOMAXPROCS.
 	Workers int
@@ -137,22 +122,23 @@ type CompiledOp struct {
 	// structures: only Impl's is kept once selection is done.
 	Candidates map[Impl]accel.Result
 
-	// shapeKey identifies the operator's workload shape for the persistent
-	// tuning cache (schedule.Workload.Key for convs, a dense key for FC
-	// layers; empty for untunable operators).
-	shapeKey string
+	// structure is Impl's serving structure, the only one Compile keeps.
+	structure
+	denseBias *tensor.Tensor
+}
 
-	// One serving structure per implementation; after Compile only Impl's
-	// is non-nil, and StartTuner builds the other arms it explores. The
-	// program implementations (Impl.program) keep an ipe layer in the slot
-	// their Impl indexes: several at once while a tuner explores them.
-	// denseWeight marks the dense kernel as built: it is the node's float
-	// weight, which EvalNodeIntoPar reads through the node.
-	progConv    [ImplWinograd + 1]*ipe.ConvLayer
-	progDense   [ImplWinograd + 1]*ipe.DenseLayer
+// structure is one implementation's serving state on an operator: the ipe
+// layer CSR (one term per nonzero), factorized (one term per distinct code)
+// and IPE (pair-merged terms) run on the IPE executors, Winograd's
+// transformed weights, or the node's float weight, which marks the dense
+// kernel as built (EvalNodeIntoPar reads it through the node). At most one
+// field is set; the zero value means the implementation was ranked without
+// being built.
+type structure struct {
+	progConv    *ipe.ConvLayer
+	progDense   *ipe.DenseLayer
 	winConv     *baseline.ConvWinograd
 	denseWeight *tensor.Tensor
-	denseBias   *tensor.Tensor
 }
 
 // Plan is a compiled, memory-planned, implementation-selected graph.
@@ -174,11 +160,6 @@ type Plan struct {
 	// don't merge same-named layers). Set it before the first
 	// NewExecutor/AcquireExecutor call; empty is fine for a single plan.
 	MetricsPrefix string
-
-	// live holds the online-tuner routing state while StartTuner is active
-	// (nil otherwise). Executors load it once per Run — one atomic pointer
-	// load — so untuned plans pay nothing on the hot path.
-	live atomic.Pointer[liveTuner]
 
 	// Executor recycling: an explicit bounded free-list instead of a
 	// sync.Pool, so releases are deterministic — ReleasePool can prove the
@@ -290,7 +271,7 @@ func compileNode(n *graph.Node, opts Options) (CompiledOp, error) {
 }
 
 // implOrder is the order candidate implementations are ranked in (a cycle
-// tie goes to the earlier one) and offered to the online tuner in.
+// tie goes to the earlier one).
 var implOrder = []Impl{ImplDense, ImplWinograd, ImplCSR, ImplFactorized, ImplIPE}
 
 // denseConvSim simulates the dense conv under the heuristic default
@@ -338,48 +319,46 @@ func quantizeOnce(w *tensor.Tensor, opts Options) *quant.Quantized {
 }
 
 // compileOp ranks every wanted candidate implementation of a conv/dense
-// operator on the accelerator model and selects the winner (or the tuning
-// store's measured winner). Only the winner's structure stays on the op:
-// CSR and Winograd are ranked from the nonzero count and the spec alone
-// and built only if they win, the others are built to be ranked and the
-// losers dropped, and Plan.StartTuner builds the arms it explores.
-// Only the winner's programs are lowered (and, for IPE, interned), so
-// losing programs are never pinned by the dictionary store.
+// operator on the accelerator model and selects the winner. Only the
+// winner's structure stays on the op: CSR and Winograd are ranked from the
+// nonzero count and the spec alone and built only if they win, the others
+// are built to be ranked and the losers dropped with the ranking. Only the
+// winner's programs are lowered (and, for IPE, interned), so losing
+// programs are never pinned by the dictionary store.
 func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
-	op := CompiledOp{
-		Node:       n,
-		Candidates: make(map[Impl]accel.Result),
-		shapeKey:   opShapeKey(n),
-	}
+	op := CompiledOp{Node: n, Candidates: make(map[Impl]accel.Result)}
 	if n.Kind == graph.OpDense {
 		op.denseBias = n.Param("bias")
 	}
 	q := quantizeOnce(n.Param("weight"), opts)
+	var ranked [ImplWinograd + 1]structure // indexed by Impl
 	for _, im := range implOrder {
 		if !wants(opts.Force, im) {
 			continue
 		}
-		sim, ok, err := op.build(im, q, opts, true)
+		sim, s, ok, err := build(n, im, q, opts, true)
 		if err != nil {
 			return op, err
 		}
-		if ok {
-			op.Candidates[im] = sim
-		} else if opts.Force == im {
+		if !ok && opts.Force == im {
 			// The forced implementation does not apply (Winograd off a 3x3
 			// stride-1 conv, or on a dense layer): fall back to dense so a
 			// forced plan stays runnable.
-			if op.Candidates[ImplDense], _, err = op.build(ImplDense, q, opts, true); err != nil {
+			im = ImplDense
+			if sim, s, ok, err = build(n, im, q, opts, true); err != nil {
 				return op, err
 			}
 		}
+		if ok {
+			op.Candidates[im], ranked[im] = sim, s
+		}
 	}
 	op.Impl = chooseImpl(op.Candidates, opts.Force)
-	seedFromStore(&op, opts)
 	op.Sim = op.Candidates[op.Impl]
-	op.keepOnly(op.Impl)
-	if !op.built(op.Impl) {
-		if _, _, err := op.build(op.Impl, q, opts, false); err != nil {
+	op.structure = ranked[op.Impl]
+	if op.structure == (structure{}) {
+		var err error
+		if _, op.structure, _, err = build(n, op.Impl, q, opts, false); err != nil {
 			return op, err
 		}
 	}
@@ -387,90 +366,79 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	return op, nil
 }
 
-// opShapeKey is a conv/dense operator's tuning-cache shape key.
-func opShapeKey(n *graph.Node) string {
-	if n.Kind == graph.OpConv {
-		return convWorkload(n).Key()
-	}
-	w := n.Param("weight")
-	return fmt.Sprintf("dense-m%d-k%d-b%d", w.Dim(0), w.Dim(1), n.Inputs[0].OutShape[0])
-}
-
 func convWorkload(n *graph.Node) schedule.Workload {
 	in := n.Inputs[0].OutShape
 	return schedule.Workload{Spec: n.Attrs.Conv, N: in[0], H: in[2], W: in[3]}
 }
 
-// build returns implementation im's modeled execution on op and, unless
-// rankOnly is set, constructs its serving structure there; ok is false
-// when im does not apply to the operator (Winograd off 3x3 stride-1 convs
-// and on dense layers). q is the operator's quantized weights, shared by
-// the CSR, factorized and IPE programs. CSR and Winograd are modeled from
-// the nonzero count and the spec, so rankOnly skips their structure;
+// build returns implementation im's modeled execution on node n and, unless
+// rankOnly is set, its serving structure; ok is false when im does not
+// apply to the operator (Winograd off 3x3 stride-1 convs and on dense
+// layers). q is the operator's quantized weights, shared by the CSR,
+// factorized and IPE programs. CSR and Winograd are modeled from the
+// nonzero count and the spec, so rankOnly skips their structure;
 // factorized and IPE are modeled from their programs, which are built
-// either way, as is dense, whose structure is the node's own weight. Programs come out raw; lower readies the ones that are
-// kept. This is the one per-implementation builder: Compile runs it to rank
-// every candidate and to build the winner, StartTuner to build the arms
-// Compile dropped.
-func (op *CompiledOp) build(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
-	if op.Node.Kind == graph.OpConv {
-		return op.buildConv(im, q, opts, rankOnly)
+// either way, as is dense, whose structure is the node's own weight.
+// Programs come out raw; lower readies the kept ones.
+func build(n *graph.Node, im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
+	if n.Kind == graph.OpConv {
+		return buildConv(n, im, q, opts, rankOnly)
 	}
-	return op.buildDense(im, q, opts, rankOnly)
+	return buildDense(n, im, q, opts, rankOnly)
 }
 
-func (op *CompiledOp) buildConv(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
-	n := op.Node
+func buildConv(n *graph.Node, im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
 	spec, wl := n.Attrs.Conv, convWorkload(n)
 	weight, bias := n.Param("weight"), n.Param("bias")
+	var s structure
 	switch im {
 	case ImplDense:
 		// Float weights, scheduled.
-		op.denseWeight = weight
-		return denseConvSim(wl, opts), true, nil
+		s.denseWeight = weight
+		return denseConvSim(wl, opts), s, true, nil
 	case ImplCSR:
 		if !rankOnly {
 			l, err := ipe.SparseConv(q, bias, spec)
 			if err != nil {
-				return accel.Result{}, false, err
+				return accel.Result{}, s, false, err
 			}
-			op.progConv[im] = l
+			s.progConv = l
 		}
-		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, ipe.SparseNNZ(q))), true, nil
+		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, ipe.SparseNNZ(q))), s, true, nil
 	case ImplFactorized:
 		l, err := ipe.FactorizeConv(q, bias, spec)
 		if err != nil {
-			return accel.Result{}, false, err
+			return accel.Result{}, s, false, err
 		}
-		op.progConv[im] = l
-		return opts.HW.Simulate(accel.FactorizedConvProfile(l, wl.N, wl.H, wl.W)), true, nil
+		s.progConv = l
+		return opts.HW.Simulate(accel.FactorizedConvProfile(l, wl.N, wl.H, wl.W)), s, true, nil
 	case ImplIPE:
 		l, _, err := ipe.EncodeConvQuantized(q, bias, spec, opts.IPE)
 		if err != nil {
-			return accel.Result{}, false, err
+			return accel.Result{}, s, false, err
 		}
-		op.progConv[im] = l
-		return opts.HW.Simulate(accel.IPEConvProfile(l, wl.N, wl.H, wl.W)), true, nil
+		s.progConv = l
+		return opts.HW.Simulate(accel.IPEConvProfile(l, wl.N, wl.H, wl.W)), s, true, nil
 	case ImplWinograd:
 		if baseline.SupportsWinograd(spec) != nil {
-			return accel.Result{}, false, nil // kernel/stride/groups rule Winograd out
+			return accel.Result{}, s, false, nil // kernel/stride/groups rule Winograd out
 		}
 		if !rankOnly {
 			win, err := baseline.NewConvWinograd(weight, bias, spec)
 			if err != nil {
-				return accel.Result{}, false, err
+				return accel.Result{}, s, false, err
 			}
-			op.winConv = win
+			s.winConv = win
 		}
-		return opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, baseline.WinogradCost(spec, wl.N, wl.H, wl.W))), true, nil
+		return opts.HW.Simulate(accel.WinogradConvProfile(spec, wl.N, wl.H, wl.W, baseline.WinogradCost(spec, wl.N, wl.H, wl.W))), s, true, nil
 	}
-	return accel.Result{}, false, nil
+	return accel.Result{}, s, false, nil
 }
 
-func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, bool, error) {
-	weight, bias := op.Node.Param("weight"), op.Node.Param("bias")
+func buildDense(n *graph.Node, im Impl, q *quant.Quantized, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
+	weight, bias := n.Param("weight"), n.Param("bias")
 	m, k := weight.Dim(0), weight.Dim(1)
-	batch := int64(op.Node.Inputs[0].OutShape[0])
+	batch := int64(n.Inputs[0].OutShape[0])
 	simulate := func(name string, c ipe.Cost, weightBytes int64) accel.Result {
 		c.Adds *= batch
 		c.Muls *= batch
@@ -482,57 +450,31 @@ func (op *CompiledOp) buildDense(im Impl, q *quant.Quantized, opts Options, rank
 			WorkingSetBytes: weightBytes,
 		})
 	}
+	var s structure
 	switch im {
 	case ImplDense:
-		op.denseWeight = weight
-		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), true, nil
+		s.denseWeight = weight
+		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), s, true, nil
 	case ImplCSR:
 		if !rankOnly {
-			op.progDense[im] = &ipe.DenseLayer{Program: ipe.Sparse(q), Bias: bias, Quant: q}
+			s.progDense = &ipe.DenseLayer{Program: ipe.Sparse(q), Bias: bias, Quant: q}
 		}
 		nnz := ipe.SparseNNZ(q)
-		return simulate("csr", ipe.SparseCost(nnz), nnz*6), true, nil
+		return simulate("csr", ipe.SparseCost(nnz), nnz*6), s, true, nil
 	case ImplFactorized:
-		l := &ipe.DenseLayer{Program: ipe.Factorize(q), Bias: bias, Quant: q}
-		op.progDense[im] = l
-		fc := l.Program.Cost()
-		return simulate("factorized", fc, fc.StreamSymbols*2), true, nil
+		s.progDense = &ipe.DenseLayer{Program: ipe.Factorize(q), Bias: bias, Quant: q}
+		fc := s.progDense.Program.Cost()
+		return simulate("factorized", fc, fc.StreamSymbols*2), s, true, nil
 	case ImplIPE:
 		l, _, err := ipe.EncodeDenseQuantized(q, bias, opts.IPE)
 		if err != nil {
-			return accel.Result{}, false, err
+			return accel.Result{}, s, false, err
 		}
-		op.progDense[im] = l
+		s.progDense = l
 		ic := l.Program.Cost()
-		return simulate("ipe", ic, ic.StreamSymbols*2+int64(l.Program.DictSize())*4), true, nil
+		return simulate("ipe", ic, ic.StreamSymbols*2+int64(l.Program.DictSize())*4), s, true, nil
 	}
-	return accel.Result{}, false, nil // Winograd has no fully connected form
-}
-
-// keepOnly drops every implementation structure but im's.
-func (op *CompiledOp) keepOnly(im Impl) {
-	if im != ImplDense {
-		op.denseWeight = nil
-	}
-	if im != ImplWinograd {
-		op.winConv = nil
-	}
-	for i := range op.progConv {
-		if Impl(i) != im {
-			op.progConv[i], op.progDense[i] = nil, nil
-		}
-	}
-}
-
-// built reports whether implementation im's serving structure is on the op.
-func (op *CompiledOp) built(im Impl) bool {
-	switch im {
-	case ImplDense:
-		return op.denseWeight != nil
-	case ImplWinograd:
-		return op.winConv != nil
-	}
-	return op.progConv[im] != nil || op.progDense[im] != nil
+	return accel.Result{}, s, false, nil // Winograd has no fully connected form
 }
 
 // lower readies implementation im's programs for serving by lowering each
@@ -542,7 +484,7 @@ func (op *CompiledOp) built(im Impl) bool {
 // form is shared); every program acquired there is given back once, by
 // Plan.ReleasePool. CSR and factorized programs, the empty-dictionary
 // forms, are not interned: they stay owned by the op.
-func (op *CompiledOp) lower(im Impl, store *ipe.DictStore) {
+func (s structure) lower(im Impl, store *ipe.DictStore) {
 	ready := func(prog *ipe.Program) *ipe.Program {
 		if im == ImplIPE {
 			prog = store.Intern(prog)
@@ -550,12 +492,12 @@ func (op *CompiledOp) lower(im Impl, store *ipe.DictStore) {
 		prog.Compiled()
 		return prog
 	}
-	if l := op.progConv[im]; l != nil {
+	if l := s.progConv; l != nil {
 		for i, prog := range l.Programs {
 			l.Programs[i] = ready(prog)
 		}
 	}
-	if l := op.progDense[im]; l != nil {
+	if l := s.progDense; l != nil {
 		l.Program = ready(l.Program)
 	}
 }
@@ -608,52 +550,6 @@ func chooseImpl(cands map[Impl]accel.Result, force Impl) Impl {
 		}
 	}
 	return best
-}
-
-// tunableArms returns the operator's evaluated candidate implementations in
-// a stable order — the arm set the online tuner explores. Only conv and
-// dense operators are tunable; everything else returns nil.
-func (op *CompiledOp) tunableArms() []Impl {
-	if op.Node.Kind != graph.OpConv && op.Node.Kind != graph.OpDense {
-		return nil
-	}
-	var arms []Impl
-	for _, im := range implOrder {
-		if _, ok := op.Candidates[im]; ok {
-			arms = append(arms, im)
-		}
-	}
-	return arms
-}
-
-// seedFromStore overrides the simulator's implementation choice with a
-// persisted measured winner when one exists for this operator's shape (at
-// the serving parallelism, store par 0) and was evaluated as a candidate.
-// Only under auto selection: a forced plan always serves its forced
-// implementation.
-func seedFromStore(op *CompiledOp, opts Options) {
-	if opts.Force != ImplAuto || opts.TuningStore == nil {
-		return
-	}
-	arms := op.tunableArms()
-	if len(arms) == 0 {
-		return
-	}
-	names := make([]string, len(arms))
-	for i, im := range arms {
-		names[i] = im.String()
-	}
-	name, _, ok := opts.TuningStore.Best(op.shapeKey, 0, names, autotune.DefaultPolicy().MinSamples)
-	if !ok {
-		return
-	}
-	im, ok := ImplByName(name)
-	if !ok {
-		return
-	}
-	if _, ok := op.Candidates[im]; ok {
-		op.Impl = im
-	}
 }
 
 // Run executes the plan on the CPU using a pooled Executor: every kernel

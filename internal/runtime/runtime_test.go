@@ -444,3 +444,128 @@ func TestCompileMobileNetForcedIPE(t *testing.T) {
 		t.Fatalf("output shape %v", out.Shape())
 	}
 }
+
+// convGraph builds a single 3x3 stride-1 conv (the shape every candidate
+// implementation supports, winograd included) over a batch-n input.
+func convGraph(t *testing.T, batch int) *graph.Graph {
+	t.Helper()
+	g := graph.New("in", batch, 1, 8, 8)
+	spec := tensor.ConvSpec{InC: 1, OutC: 4, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	r := tensor.NewRNG(17)
+	w := tensor.New(spec.WeightShape()...)
+	tensor.FillGaussian(w, r, 0.5)
+	b := tensor.New(4)
+	tensor.FillGaussian(b, r, 0.1)
+	c := g.Conv(g.In, "c1", spec, w, b)
+	g.SetOutput(c)
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// wideConvGraph is one 3x3 stride-1 conv with enough channels that
+// Winograd's multiply savings win the ranking.
+func wideConvGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("in", 1, 32, 16, 16)
+	spec := tensor.ConvSpec{InC: 32, OutC: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
+	r := tensor.NewRNG(23)
+	w := tensor.New(spec.WeightShape()...)
+	tensor.FillGaussian(w, r, 0.5)
+	b := tensor.New(spec.OutC)
+	tensor.FillGaussian(b, r, 0.1)
+	g.SetOutput(g.Conv(g.In, "c1", spec, w, b))
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// sparseConvGraph is one 1x1 conv whose weights are 95% zeros. At 8 bits
+// nearly every nonzero of an output channel has a code of its own, so the
+// factorized program saves no multiply and CSR wins the ranking on its
+// smaller stream. (On a fully connected layer the model charges factorized
+// no more operations than CSR and 2 bytes a symbol against CSR's 6 a
+// nonzero, so there CSR can at best tie it.)
+func sparseConvGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New("in", 1, 32, 8, 8)
+	spec := tensor.ConvSpec{InC: 32, OutC: 32, KH: 1, KW: 1, StrideH: 1, StrideW: 1}
+	r := tensor.NewRNG(29)
+	w := tensor.New(spec.WeightShape()...)
+	tensor.FillGaussian(w, r, 0.5)
+	for i := range w.Data() {
+		if r.Float64() < 0.95 {
+			w.Data()[i] = 0
+		}
+	}
+	b := tensor.New(spec.OutC)
+	tensor.FillGaussian(b, r, 0.1)
+	g.SetOutput(g.Conv(g.In, "c1", spec, w, b))
+	if err := g.InferShapes(); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestAutoBuildsOnlyItsPick: an auto plan keeps no structure of a ranked
+// loser, so it interns no losing IPE program and owns exactly the resident
+// bytes of the plan forced to its pick. CSR and Winograd are ranked without being built; when one of them
+// wins, Compile builds it after ranking, and the auto plan runs
+// bit-identically to the forced one.
+func TestAutoBuildsOnlyItsPick(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		g     func(*testing.T) *graph.Graph
+		want  Impl
+		built func(*CompiledOp) bool
+	}{
+		{"csr", sparseConvGraph, ImplCSR, func(op *CompiledOp) bool { return op.progConv != nil }},
+		{"winograd", wideConvGraph, ImplWinograd, func(op *CompiledOp) bool { return op.winConv != nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := ipe.NewDictStore()
+			auto, err := Compile(tc.g(t), Options{Bits: 8, DictStore: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store.Len() != 0 {
+				t.Fatalf("auto picked %s but interned %d programs of a ranked loser", tc.want, store.Len())
+			}
+			forced, err := Compile(tc.g(t), Options{Bits: 8, Force: tc.want})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range auto.Ops {
+				op := &auto.Ops[i]
+				if k := op.Node.Kind; k != graph.OpConv && k != graph.OpDense {
+					continue
+				}
+				if len(op.Candidates) < 3 || op.Impl != tc.want {
+					t.Fatalf("%s: auto ranked %d candidates and picked %s, want %s among several",
+						op.Node.Name, len(op.Candidates), op.Impl, tc.want)
+				}
+				if !tc.built(op) {
+					t.Fatalf("%s: auto picked %s but did not build it", op.Node.Name, op.Impl)
+				}
+			}
+			autoOwned, _ := auto.ResidentBytes(nil)
+			forcedOwned, _ := forced.ResidentBytes(nil)
+			if autoOwned != forcedOwned {
+				t.Fatalf("auto plan owns %d bytes, plan forced to %s owns %d: a ranked loser stayed resident",
+					autoOwned, tc.want, forcedOwned)
+			}
+			in := gaussianInput(auto.Graph.In.OutShape, 3)
+			got, err := auto.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := forced.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectBitsEqual(t, tc.name, got.Data(), want.Data())
+		})
+	}
+}

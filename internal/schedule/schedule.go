@@ -23,7 +23,8 @@ type Workload struct {
 // OutDims returns the workload's output spatial dims.
 func (w Workload) OutDims() (int, int) { return w.Spec.OutDims(w.H, w.W) }
 
-// Key returns a stable identity string for tuning-cache lookups.
+// Key returns a stable identity string for the workload, used as its name
+// in reports and simulation traces.
 func (w Workload) Key() string {
 	s := w.Spec.Normalize()
 	return fmt.Sprintf("conv-n%d-c%d-k%d-r%dx%d-s%dx%d-p%dx%d-g%d-h%d-w%d",
