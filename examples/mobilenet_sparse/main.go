@@ -35,22 +35,12 @@ func main() {
 		if sp > 0 {
 			quant.PruneMagnitude(wc, sp)
 		}
-		q := quant.Quantize(wc, bits, quant.PerTensor)
-		var nnz int64
-		for _, c := range q.Codes {
-			if c != 0 {
-				nnz++
-			}
-		}
+		counts := ipe.CountCodes(quant.Quantize(wc, bits, quant.PerTensor))
+		nnz := counts.Nonzeros
 
 		dense := hwCfg.Simulate(accel.DenseConvProfile(spec, 1, h, w))
 		csr := hwCfg.Simulate(accel.SparseConvProfile(spec, 1, h, w, nnz))
-
-		fl, err := ipe.FactorizeConv(q, nil, spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ucnn := hwCfg.Simulate(accel.FactorizedConvProfile(fl, 1, h, w))
+		ucnn := hwCfg.Simulate(accel.FactorizedConvProfile(spec, 1, h, w, counts.Factorized()))
 
 		il, _, err := ipe.EncodeConv(wc, nil, spec, bits, quant.PerTensor, ipe.DefaultConfig())
 		if err != nil {

@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -342,7 +343,7 @@ func TestFactorizedAndWinogradProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc := fl.Programs[0].Cost()
-	fp := FactorizedConvProfile(fl, 1, 8, 8)
+	fp := FactorizedConvProfile(spec, 1, 8, 8, fl.PixelCost())
 	if fp.Adds != fc.Adds*64 || fp.Muls != fc.Muls*64 {
 		t.Fatalf("factorized profile ops wrong: %+v for per-pixel %+v", fp, fc)
 	}
@@ -356,6 +357,76 @@ func TestFactorizedAndWinogradProfiles(t *testing.T) {
 	wp := WinogradConvProfile(spec, 1, 8, 8, wc)
 	if wp.Muls != 4096 || wp.StationaryBytes != int64(8*8*16*4) {
 		t.Fatalf("winograd profile wrong: %+v", wp)
+	}
+}
+
+// TestCountsMatchBuiltPrograms: the runtime ranks the factorized and CSR
+// candidates from ipe.CountCodes without building them. Over random
+// quantized weights (grouped and ungrouped convs and fully connected
+// matrices, 2, 4 and 8 bits, per-channel and per-tensor, all-zero rows and
+// an all-zero group), the counts must give the same factorized profile and
+// cost as the programs FactorizeConv and Factorize build, and the same CSR
+// term count as Sparse.
+func TestCountsMatchBuiltPrograms(t *testing.T) {
+	csrTerms := func(progs ...*ipe.Program) int64 {
+		var n int64
+		for _, p := range progs {
+			n += p.Cost().Muls
+		}
+		return n
+	}
+	for seed := uint64(1); seed <= 72; seed++ {
+		r := tensor.NewRNG(seed)
+		bits := []int{2, 4, 8}[seed%3]
+		scheme := []quant.Scheme{quant.PerChannel, quant.PerTensor}[seed/3%2]
+		groups := []int{1, 2, 4}[seed/6%3]
+		k := 1 + 2*(r.Intn(2)) // 1x1 or 3x3
+		spec := tensor.ConvSpec{
+			InC: groups * (1 + r.Intn(4)), OutC: groups * (1 + r.Intn(5)),
+			KH: k, KW: k, StrideH: 1, StrideW: 1, PadH: k / 2, PadW: k / 2, Groups: groups,
+		}
+		w := tensor.New(spec.WeightShape()...)
+		tensor.FillGaussian(w, r, 1)
+		quant.PruneMagnitude(w, r.Float64()*0.8)
+		d, rowLen := w.Data(), w.NumElements()/spec.OutC
+		clear(d[r.Intn(spec.OutC)*rowLen:][:rowLen]) // an all-zero row
+		if groups > 1 {
+			ocg := spec.OutC / groups
+			g := r.Intn(groups)
+			clear(d[g*ocg*rowLen : (g+1)*ocg*rowLen]) // an all-zero group
+		}
+		q := quant.Quantize(w, bits, scheme)
+		name := fmt.Sprintf("seed %d: %d-bit %v, %+v", seed, bits, scheme, spec)
+		counts := ipe.CountCodes(q)
+
+		fl, err := ipe.FactorizeConv(q, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counts.Factorized(), fl.PixelCost(); got != want {
+			t.Fatalf("%s: conv factorized cost from counts %+v, built %+v", name, got, want)
+		}
+		h := 2 + r.Intn(7)
+		if got, want := FactorizedConvProfile(spec, 2, h, h, counts.Factorized()), FactorizedConvProfile(spec, 2, h, h, fl.PixelCost()); got != want {
+			t.Fatalf("%s: conv factorized profile from counts %+v, built %+v", name, got, want)
+		}
+		sl, err := ipe.SparseConv(q, nil, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counts.CSR, csrTerms(sl.Programs...); got != want {
+			t.Fatalf("%s: conv CSR count %d, SparseConv built %d terms", name, got, want)
+		}
+
+		// The same codes as a fully connected [OutC, InC·KH·KW] matrix.
+		fc := *q
+		fc.Shape = tensor.Shape{spec.OutC, rowLen}
+		if got, want := ipe.CountCodes(&fc).Factorized(), ipe.Factorize(&fc).Cost(); got != want {
+			t.Fatalf("%s: FC factorized cost from counts %+v, built %+v", name, got, want)
+		}
+		if got, want := ipe.CountCodes(&fc).CSR, csrTerms(ipe.Sparse(&fc)); got != want {
+			t.Fatalf("%s: FC CSR count %d, Sparse built %d terms", name, got, want)
+		}
 	}
 }
 

@@ -61,23 +61,17 @@ func SparseConvProfile(spec tensor.ConvSpec, n, h, w int, nnz int64) KernelProfi
 }
 
 // FactorizedConvProfile models UCNN-style value-factorized execution (no
-// pair merging) of a layer built by ipe.FactorizeConv: per pixel the
-// per-row index sets are summed raw, then one multiply per distinct value.
-// Symbol ids are sized for the groups' summed reduction lengths.
-func FactorizedConvProfile(layer *ipe.ConvLayer, n, h, w int) KernelProfile {
-	spec := layer.Spec
+// pair merging): per pixel the per-row index sets are summed raw, then one
+// multiply per distinct value. perPixel is the layer's factorized cost per
+// output pixel, summed over groups: ipe.CountCodes(q).Factorized() of its
+// quantized weights, or the PixelCost of the layer ipe.FactorizeConv
+// builds from them, which is the same. Symbol ids are sized for the
+// groups' summed reduction lengths.
+func FactorizedConvProfile(spec tensor.ConvSpec, n, h, w int, perPixel ipe.Cost) KernelProfile {
+	spec = spec.Normalize()
 	oh, ow := spec.OutDims(h, w)
 	pixels := int64(n) * int64(oh) * int64(ow)
-	var perPixel ipe.Cost
-	var numSymbols int
-	for _, prog := range layer.Programs {
-		c := prog.Cost()
-		perPixel.Adds += c.Adds
-		perPixel.Muls += c.Muls
-		perPixel.StreamSymbols += c.StreamSymbols
-		numSymbols += prog.K
-	}
-	symB := symbolBytes(numSymbols)
+	symB := symbolBytes(spec.InC * spec.KH * spec.KW)
 	streamBytes := perPixel.StreamSymbols*symB + perPixel.Muls*(wordBytes+2) // per-term value+len headers
 	inBytes := int64(n*spec.InC*h*w) * wordBytes
 	outBytes := int64(n*spec.OutC*oh*ow) * wordBytes

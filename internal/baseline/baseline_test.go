@@ -21,8 +21,8 @@ func TestCSRKnownMatrix(t *testing.T) {
 		Params: []quant.Params{{Scale: 1}},
 	}
 	p := ipe.Sparse(q)
-	if n := ipe.SparseNNZ(q); n != 3 || p.Cost().Muls != 3 || p.DictSize() != 0 {
-		t.Fatalf("SparseNNZ = %d, terms %d, dictionary %d; want 3 terms, empty dictionary", n, p.Cost().Muls, p.DictSize())
+	if n := ipe.CountCodes(q).CSR; n != 3 || p.Cost().Muls != 3 || p.DictSize() != 0 {
+		t.Fatalf("CountCodes CSR = %d, terms %d, dictionary %d; want 3 terms, empty dictionary", n, p.Cost().Muls, p.DictSize())
 	}
 	y := make([]float32, 2)
 	p.Compiled().Execute([]float32{1, 10, 100}, y)
@@ -98,8 +98,8 @@ func TestCSRFromQuantizedDropsZeroCodes(t *testing.T) {
 			nonzero++
 		}
 	}
-	if n := ipe.SparseNNZ(q); n != int64(nonzero) {
-		t.Fatalf("SparseNNZ %d != nonzero codes %d", n, nonzero)
+	if n := ipe.CountCodes(q).CSR; n != int64(nonzero) {
+		t.Fatalf("CountCodes CSR %d != nonzero codes %d", n, nonzero)
 	}
 	if terms := ipe.Sparse(q).Cost().Muls; terms != int64(nonzero) {
 		t.Fatalf("Sparse built %d terms, want one per nonzero code (%d)", terms, nonzero)

@@ -40,20 +40,9 @@ func convImplResults(spec tensor.ConvSpec, w *tensor.Tensor, n, h, wd int, cfg C
 	}
 	out["dense"] = bestDense
 
-	q := quant.Quantize(wc, cfg.Bits, quant.PerTensor)
-	var nnz int64
-	for _, c := range q.Codes {
-		if c != 0 {
-			nnz++
-		}
-	}
-	out["csr"] = cfg.Accel.Simulate(accel.SparseConvProfile(spec, n, h, wd, nnz))
-
-	fl, err := ipe.FactorizeConv(q, nil, spec)
-	if err != nil {
-		return nil, err
-	}
-	out["ucnn"] = cfg.Accel.Simulate(accel.FactorizedConvProfile(fl, n, h, wd))
+	counts := ipe.CountCodes(quant.Quantize(wc, cfg.Bits, quant.PerTensor))
+	out["csr"] = cfg.Accel.Simulate(accel.SparseConvProfile(spec, n, h, wd, counts.Nonzeros))
+	out["ucnn"] = cfg.Accel.Simulate(accel.FactorizedConvProfile(spec, n, h, wd, counts.Factorized()))
 
 	il, _, err := ipe.EncodeConv(wc, nil, spec, cfg.Bits, quant.PerTensor, cfg.IPE)
 	if err != nil {

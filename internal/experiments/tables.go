@@ -169,20 +169,9 @@ func resnetLayerProfiles(cfg Config) (map[string]accel.KernelProfile, error) {
 	for _, c := range convs {
 		dense := accel.DenseConvProfile(c.Spec, c.Batch, c.InH, c.InW)
 
-		q := quant.Quantize(c.Weight, cfg.Bits, quant.PerTensor)
-		var nnz int64
-		for _, code := range q.Codes {
-			if code != 0 {
-				nnz++
-			}
-		}
-		sparse := accel.SparseConvProfile(c.Spec, c.Batch, c.InH, c.InW, nnz)
-
-		fl, err := ipe.FactorizeConv(q, c.Bias, c.Spec)
-		if err != nil {
-			return nil, err
-		}
-		fact := accel.FactorizedConvProfile(fl, c.Batch, c.InH, c.InW)
+		counts := ipe.CountCodes(quant.Quantize(c.Weight, cfg.Bits, quant.PerTensor))
+		sparse := accel.SparseConvProfile(c.Spec, c.Batch, c.InH, c.InW, counts.Nonzeros)
+		fact := accel.FactorizedConvProfile(c.Spec, c.Batch, c.InH, c.InW, counts.Factorized())
 
 		il, _, err := ipe.EncodeConv(c.Weight, c.Bias, c.Spec, cfg.Bits, quant.PerTensor, cfg.IPE)
 		if err != nil {

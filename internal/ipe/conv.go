@@ -116,21 +116,28 @@ func (l *ConvLayer) GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *t
 }
 
 // Cost returns the total arithmetic cost of one forward pass over an input
-// of spatial size h×w with batch n: the per-pixel program cost scaled by
-// the number of output pixels, summed over groups.
+// of spatial size h×w with batch n: the per-pixel cost (PixelCost) scaled
+// by the number of output pixels.
 func (l *ConvLayer) Cost(n, h, w int) Cost {
 	oh, ow := l.Spec.OutDims(h, w)
 	pixels := int64(n) * int64(oh) * int64(ow)
+	c := l.PixelCost()
+	c.Adds *= pixels
+	c.Muls *= pixels
+	return c
+}
+
+// PixelCost returns the layer's cost per output pixel: its programs' costs
+// summed over groups, with the largest group's scratch.
+func (l *ConvLayer) PixelCost() Cost {
 	var total Cost
 	for _, p := range l.Programs {
 		c := p.Cost()
-		total.Adds += c.Adds * pixels
-		total.Muls += c.Muls * pixels
+		total.Adds += c.Adds
+		total.Muls += c.Muls
 		total.StreamSymbols += c.StreamSymbols
 		total.DictEntries += c.DictEntries
-		if c.ScratchWords > total.ScratchWords {
-			total.ScratchWords = c.ScratchWords
-		}
+		total.ScratchWords = max(total.ScratchWords, c.ScratchWords)
 	}
 	return total
 }

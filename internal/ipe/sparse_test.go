@@ -2,6 +2,7 @@ package ipe
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/quant"
@@ -80,8 +81,8 @@ func TestSparseMatchesCSRLoops(t *testing.T) {
 		if err := prog.Validate(); err != nil || prog.DictSize() != 0 {
 			t.Fatalf("Sparse: dictionary %d, Validate %v", prog.DictSize(), err)
 		}
-		if int(SparseNNZ(q)) != len(csr.val) {
-			t.Fatalf("SparseNNZ %d, CSR keeps %d", SparseNNZ(q), len(csr.val))
+		if int(CountCodes(q).CSR) != len(csr.val) {
+			t.Fatalf("CountCodes CSR %d, CSR keeps %d", CountCodes(q).CSR, len(csr.val))
 		}
 		n := 0
 		for row, terms := range prog.Rows {
@@ -111,5 +112,38 @@ func TestSparseMatchesCSRLoops(t *testing.T) {
 		gotV := make([]float32, prog.M)
 		c.ExecuteScratch(x, gotV, make([]float32, c.ScratchLen()))
 		checkBits(t, fmt.Sprintf("M=%d K=%d: ExecuteScratch", prog.M, prog.K), gotV, wantV, "CSR loop", false)
+	}
+}
+
+// TestCountCodesFollowsBothRules checks CountCodes on hand-built codes the
+// symmetric quantizer never makes: non-zero zero points, and scales that
+// are zero, subnormal, infinite or NaN, per row and per tensor. CSR must
+// count what Sparse keeps (a non-zero dequantized value), and Nonzeros and
+// Groups what Factorize builds (a non-zero code), whatever the parameters.
+func TestCountCodesFollowsBothRules(t *testing.T) {
+	scales := []float32{1, -0.5, 0x1p-149, 0x1p-127, 0, float32(math.Inf(1)), float32(math.NaN()), 3e38}
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := tensor.NewRNG(seed)
+		m, k := 1+r.Intn(12), 1+r.Intn(40)
+		q := &quant.Quantized{Codes: make([]int32, m*k), Shape: tensor.Shape{m, k}, Bits: 8, Scheme: quant.PerChannel}
+		for i := range q.Codes {
+			if r.Intn(3) > 0 {
+				q.Codes[i] = int32(r.Intn(200)) - 100
+			}
+		}
+		nparams := m
+		if seed%4 == 0 {
+			q.Scheme, nparams = quant.PerTensor, 1
+		}
+		for i := 0; i < nparams; i++ {
+			q.Params = append(q.Params, quant.Params{Scale: scales[r.Intn(len(scales))], ZeroPoint: int32(r.Intn(7)) - 3})
+		}
+		c := CountCodes(q)
+		if got := Sparse(q).Cost().Muls; c.CSR != got {
+			t.Fatalf("seed %d: CSR count %d, Sparse keeps %d (params %v)", seed, c.CSR, got, q.Params)
+		}
+		if got, want := c.Factorized(), Factorize(q).Cost(); got != want {
+			t.Fatalf("seed %d: factorized cost from counts %+v, built %+v", seed, got, want)
+		}
 	}
 }
