@@ -104,45 +104,77 @@ func BenchmarkExecDenseMatVec(b *testing.B) {
 	}
 }
 
-// BenchmarkExecCSRMatVec measures the CSR form on the same weights: the
-// one-term-per-nonzero program on the compiled single-vector executor.
-func BenchmarkExecCSRMatVec(b *testing.B) {
-	q, x := benchLayer(b)
-	c := ipe.Sparse(q).Compiled()
-	y := make([]float32, 64)
-	scratch := make([]float32, c.ScratchLen())
+// benchMatVec times p's compiled matrix executor on x as one column, the
+// path a dense layer serves a single item on.
+func benchMatVec(b *testing.B, p *ipe.Program, x []float32) {
+	c := p.Compiled()
+	y := make([]float32, p.M)
+	par := tensor.NewPar(nil, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.ExecuteScratch(x, y, scratch)
+		c.ExecuteMatrixIntoPar(y, x, 1, par)
 	}
+}
+
+// BenchmarkExecCSRMatVec measures the CSR form on the same weights: the
+// one-term-per-nonzero program at one column.
+func BenchmarkExecCSRMatVec(b *testing.B) {
+	q, x := benchLayer(b)
+	benchMatVec(b, ipe.Sparse(q), x)
 }
 
 // BenchmarkExecFactorizedMatVec measures the UCNN-style form: the
-// empty-dictionary program on the compiled single-vector executor.
+// empty-dictionary program at one column.
 func BenchmarkExecFactorizedMatVec(b *testing.B) {
 	q, x := benchLayer(b)
-	c := ipe.Factorize(q).Compiled()
-	y := make([]float32, 64)
-	scratch := make([]float32, c.ScratchLen())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.ExecuteScratch(x, y, scratch)
-	}
+	benchMatVec(b, ipe.Factorize(q), x)
 }
 
-// BenchmarkExecIPEMatVec measures the index-pair encoded executor — the
-// real-CPU counterpart of the modeled speedups.
+// BenchmarkExecIPEMatVec measures the index-pair encoded program at one
+// column — the real-CPU counterpart of the modeled speedups.
 func BenchmarkExecIPEMatVec(b *testing.B) {
 	q, x := benchLayer(b)
 	prog, _, err := ipe.Encode(q, ipe.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	y := make([]float32, 64)
-	scratch := make([]float32, prog.NumSymbols())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog.ExecuteScratch(x, y, scratch)
+	benchMatVec(b, prog, x)
+}
+
+// BenchmarkDenseLayer times lenet5's served fully connected layers — fc1
+// (400 → 120) and fc2 (120 → 84), IPE programs in inspire-serve's default
+// auto plan — at 1, 2 and 8 items through DenseLayer.ForwardIntoPar with
+// the fused ReLU, on one shard, as the executor runs them.
+func BenchmarkDenseLayer(b *testing.B) {
+	plan, err := obs.CompilePlan("lenet5", 0, runtime.Options{Bits: 4, DictStore: ipe.NewDictStore()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	progs := map[int]*ipe.Program{}
+	for _, p := range plan.IPEPrograms() {
+		progs[p.K] = p
+	}
+	for _, fc := range []struct {
+		name string
+		k    int
+	}{{"fc1", 400}, {"fc2", 120}} {
+		prog := progs[fc.k]
+		if prog == nil {
+			b.Fatalf("%s: the lenet5 auto plan serves no IPE program of width %d", fc.name, fc.k)
+		}
+		l := &ipe.DenseLayer{Program: prog, Bias: tensor.New(prog.M)}
+		for _, n := range []int{1, 2, 8} {
+			in := tensor.New(n, prog.K)
+			tensor.FillGaussian(in, tensor.NewRNG(uint64(n)), 1)
+			out := tensor.New(n, prog.M)
+			par := tensor.NewPar(nil, 1)
+			b.Run(fmt.Sprintf("%s/items=%d", fc.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l.ForwardIntoPar(out, in, true, par)
+				}
+			})
+		}
 	}
 }
 

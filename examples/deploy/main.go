@@ -56,8 +56,7 @@ func main() {
 	for i := range x {
 		x[i] = float32(r.NormFloat64())
 	}
-	yFloat := make([]float32, loaded.M)
-	loaded.Execute(x, yFloat)
+	yFloat := loaded.ExecuteMatrix(tensor.From(x, loaded.K, 1)).Data() // x as one column
 
 	// Integer path: quantize activations to 8 bits, run exactly in int64,
 	// requantize.

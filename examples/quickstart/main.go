@@ -47,8 +47,7 @@ func main() {
 	for i := range x {
 		x[i] = float32(r.NormFloat64())
 	}
-	y := make([]float32, 64)
-	prog.Execute(x, y)
+	y := prog.ExecuteMatrix(tensor.From(x, 256, 1)).Data() // x as one column
 
 	deq := q.Dequantize()
 	want := make([]float32, 64)

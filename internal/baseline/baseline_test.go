@@ -12,6 +12,14 @@ import (
 // The CSR baseline is an ipe.Sparse program: one single-symbol term per
 // nonzero weight, run on the IPE executors.
 
+// matVec runs p's compiled executor on the one input vector x (a [K, 1]
+// column matrix).
+func matVec(p *ipe.Program, x []float32) []float32 {
+	y := make([]float32, p.M)
+	p.Compiled().ExecuteMatrixIntoPar(y, x, 1, forcedPar(1))
+	return y
+}
+
 func TestCSRKnownMatrix(t *testing.T) {
 	q := &quant.Quantized{
 		Codes:  []int32{1, 0, 2, 0, 0, 3},
@@ -24,10 +32,9 @@ func TestCSRKnownMatrix(t *testing.T) {
 	if n := ipe.CountCodes(q).CSR; n != 3 || p.Cost().Muls != 3 || p.DictSize() != 0 {
 		t.Fatalf("CountCodes CSR = %d, terms %d, dictionary %d; want 3 terms, empty dictionary", n, p.Cost().Muls, p.DictSize())
 	}
-	y := make([]float32, 2)
-	p.Compiled().Execute([]float32{1, 10, 100}, y)
+	y := matVec(p, []float32{1, 10, 100})
 	if y[0] != 201 || y[1] != 300 {
-		t.Fatalf("Execute = %v, want [201 300]", y)
+		t.Fatalf("matVec = %v, want [201 300]", y)
 	}
 }
 
@@ -44,8 +51,7 @@ func TestCSRMatVecMatchesDenseProperty(t *testing.T) {
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
-		got := make([]float32, m)
-		p.Compiled().Execute(x, got)
+		got := matVec(p, x)
 		want := make([]float32, m)
 		tensor.MatVec(q.Dequantize().Data(), x, want, m, k)
 		for i := range got {
@@ -77,7 +83,7 @@ func TestCSRMatMatMatchesMatVec(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			x[i] = b.At(i, j)
 		}
-		c.Execute(x, y)
+		c.ExecuteMatrixIntoPar(y, x, 1, forcedPar(1))
 		for i := 0; i < 8; i++ {
 			if got[i*5+j] != y[i] {
 				t.Fatalf("matrix[%d,%d]=%v, vector=%v", i, j, got[i*5+j], y[i])
@@ -140,8 +146,7 @@ func TestFactorizedMatchesDenseProperty(t *testing.T) {
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
-		got := make([]float32, m)
-		fa.Execute(x, got)
+		got := matVec(fa, x)
 		want := make([]float32, m)
 		tensor.MatVec(deq.Data(), x, want, m, k)
 		for i := range got {

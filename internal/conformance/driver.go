@@ -249,9 +249,9 @@ func CheckDense(seed uint64) error {
 	var runs []familyRun
 	for _, v := range ipe.DenseVariants() {
 		v := v
-		runs = append(runs, familyRun{name: v.Name,
+		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
 			f: func(dst []float32, par *tensor.Par) {
-				v.F(l, tensor.From(dst, outShape...), cs.Input)
+				v.F(l, tensor.From(dst, outShape...), cs.Input, par)
 			}})
 	}
 	if err := driveFamily(seed, "ipe-dense", size, eOut, eMag, runs); err != nil {
@@ -288,8 +288,8 @@ func CheckDense(seed uint64) error {
 
 // CheckProgram rebuilds the raw-matrix case for seed, encodes it, and
 // cross-checks: the decoded program weights against the quantizer
-// (bitwise), the vector/matrix float executors against the reference on
-// those weights, the integer executors bitwise against the straight loop,
+// (bitwise), the matrix float executors against the reference on those
+// weights, the integer executor bitwise against the straight loop,
 // the symmetric and asymmetric quantized paths bitwise against their
 // replications, and the CSR/factorized baselines built from the same
 // quantized matrix.
@@ -314,21 +314,9 @@ func CheckProgram(seed uint64) error {
 		return err
 	}
 
-	// Float vector and matrix executors (separate families: the matrix
-	// path blocks columns and could legally reassociate).
-	vOut, vMag := RefMatMul(wRef, cs.X, m, k, 1)
-	var runs []familyRun
-	for _, v := range ipe.VectorVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name,
-			f: func(dst []float32, par *tensor.Par) { v.F(prog, cs.X, dst) }})
-	}
-	if err := driveFamily(seed, "ipe-vector", m, vOut, vMag, runs); err != nil {
-		return err
-	}
-
+	// Float matrix executors (a single vector is the one-column case).
 	mOut, mMag := RefMatMul(wRef, cs.Cols, m, k, p)
-	runs = nil
+	var runs []familyRun
 	for _, v := range ipe.MatrixVariants() {
 		v := v
 		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
@@ -338,14 +326,11 @@ func CheckProgram(seed uint64) error {
 		return err
 	}
 
-	// Integer executors are exact.
-	intRef := RefProgramInt(codes, m, k, cs.XInt)
-	for _, v := range ipe.IntVariants() {
-		y := make([]int64, m)
-		v.F(prog, cs.XInt, y)
-		if err := checkExactInt(seed, "ipe-int/"+v.Name, "integer reference", y, intRef); err != nil {
-			return err
-		}
+	// The integer executor is exact.
+	intY := make([]int64, m)
+	prog.ExecuteInt(cs.XInt, intY)
+	if err := checkExactInt(seed, "ipe-int", "integer reference", intY, RefProgramInt(codes, m, k, cs.XInt)); err != nil {
+		return err
 	}
 
 	// Symmetric quantized path, replicated bitwise.
@@ -399,15 +384,6 @@ func CheckProgram(seed uint64) error {
 			return fmt.Errorf("conformance: seed %d: %s: %w", seed, b.Name, err)
 		}
 		if err := checkExact(seed, b.Name+"-dense-reconstruction", "quantizer dequantize", bw, deq.Data()); err != nil {
-			return err
-		}
-		runs = nil
-		for _, v := range ipe.VectorVariants() {
-			v := v
-			runs = append(runs, familyRun{name: v.Name,
-				f: func(dst []float32, par *tensor.Par) { v.F(bp, cs.X, dst) }})
-		}
-		if err := driveFamily(seed, b.Name+"-matvec", m, vOut, vMag, runs); err != nil {
 			return err
 		}
 		runs = nil

@@ -1,8 +1,6 @@
 package ipe
 
 import (
-	"fmt"
-	"math"
 	"sort"
 	"sync"
 
@@ -28,12 +26,13 @@ import (
 //     keep the encoder's creation order, which clusters related slabs and
 //     is what the emit phase's cache locality comes from;
 //   - the emit side becomes one CSR structure: a flat syms stream indexed
-//     by termOff, per-term values/codes, and rowOff over terms.
+//     by termOff, per-term values, and rowOff over terms.
 //
-// Every Compiled executor performs the same floating-point (and integer)
-// operations in the same order as its interpreted counterpart, so results
-// are bit-identical; the conformance harness enforces that across its full
-// seed sweep (see impls.go).
+// The one executor of this form, ExecuteMatrixIntoPar, performs the same
+// floating-point operations in the same order as the interpreter's
+// Program.ExecuteMatrixInto, so results are bit-identical; the conformance
+// harness enforces that across its full seed sweep (see impls.go). A
+// single vector is a one-column matrix.
 
 // Compiled is the flat, slot-compacted executable form of a Program.
 type Compiled struct {
@@ -62,14 +61,6 @@ type Compiled struct {
 	termOff []int32
 	values  []float32
 	rowOff  []int32
-
-	// tape is the same emit stream flattened for the single-vector
-	// executors, where per-term decode is *not* amortized: one []int32
-	// walked with one cursor — per row [nTerms], per term [valueBits,
-	// code, nSyms, sym locations...]. Keeping a single slice live in the
-	// emit loop (instead of the four CSR arrays) is what lets the
-	// compiler hold the cursor and accumulators in registers.
-	tape []int32
 
 	// gatherRows lists the raw inputs (locations < K) the emit stream
 	// reads. Only their column slabs are gathered into block scratch —
@@ -256,15 +247,7 @@ func compile(p *Program) *Compiled {
 	c.termOff = make([]int32, 1, nTerms+1)
 	c.values = make([]float32, 0, nTerms)
 	c.rowOff = make([]int32, 1, p.M+1)
-	c.tape = make([]int32, 0, p.M+3*nTerms+nSyms)
 	for _, row := range p.Rows {
-		nt := 0
-		for _, t := range row.Terms {
-			if len(t.Syms) > 0 {
-				nt++
-			}
-		}
-		c.tape = append(c.tape, int32(nt))
 		for _, t := range row.Terms {
 			// Terms without symbols are rejected by Program.Validate;
 			// skipping them here keeps the executors free of empty-group
@@ -272,11 +255,8 @@ func compile(p *Program) *Compiled {
 			if len(t.Syms) == 0 {
 				continue
 			}
-			c.tape = append(c.tape, int32(math.Float32bits(t.Value)), t.Code, int32(len(t.Syms)))
 			for _, s := range t.Syms {
-				l := loc(s)
-				c.syms = append(c.syms, l)
-				c.tape = append(c.tape, l)
+				c.syms = append(c.syms, loc(s))
 			}
 			c.termOff = append(c.termOff, int32(len(c.syms)))
 			c.values = append(c.values, t.Value)
@@ -297,114 +277,13 @@ func compile(p *Program) *Compiled {
 	return c
 }
 
-// Execute evaluates the compiled program on one input vector, allocating a
-// transient scratchpad. Results are bit-identical to Program.Execute.
-func (c *Compiled) Execute(x, y []float32) {
-	c.ExecuteScratch(x, y, make([]float32, c.ScratchLen()))
-}
-
-// ExecuteScratch is Execute with a caller-provided scratchpad of at least
-// ScratchLen() floats (NumSlots compacted words past the K inputs, vs the
-// interpreter's NumSymbols()).
-func (c *Compiled) ExecuteScratch(x, y, scratch []float32) {
-	metrics.Count(metrics.KernelIPECompiled)
-	if len(x) < c.K || len(y) < c.M {
-		panic(fmt.Sprintf("ipe: compiled ExecuteScratch buffers too small (|x|=%d K=%d |y|=%d M=%d)",
-			len(x), c.K, len(y), c.M))
-	}
-	if len(scratch) < c.ScratchLen() {
-		panic(fmt.Sprintf("ipe: compiled scratch %d < %d", len(scratch), c.ScratchLen()))
-	}
-	vals := scratch[:c.ScratchLen()]
-	copy(vals, x[:c.K])
-	pa, pb, pd := c.pairA, c.pairB, c.pairDst
-	for i := range pd {
-		vals[pd[i]] = vals[pa[i]] + vals[pb[i]]
-	}
-	tape := c.tape
-	i := 0
-	for r := 0; r < c.M; r++ {
-		nt := tape[i]
-		i++
-		var acc float32
-		for ; nt > 0; nt-- {
-			v := math.Float32frombits(uint32(tape[i]))
-			ns := int(tape[i+2])
-			i += 3
-			sub := tape[i : i+ns : i+ns]
-			i += ns
-			// Four chained adds per iteration: the identical addition
-			// sequence with a quarter of the loop control.
-			var g float32
-			for len(sub) >= 4 {
-				g = (((g + vals[sub[0]]) + vals[sub[1]]) + vals[sub[2]]) + vals[sub[3]]
-				sub = sub[4:]
-			}
-			for _, s := range sub {
-				g += vals[s]
-			}
-			acc += v * g
-		}
-		y[r] = acc
-	}
-}
-
-// ExecuteInt evaluates the compiled program exactly in integer arithmetic,
-// allocating a transient scratchpad. Equal to Program.ExecuteInt (integer
-// addition is associative, and the emit order is identical anyway).
-func (c *Compiled) ExecuteInt(x []int32, y []int64) {
-	c.ExecuteIntScratch(x, y, make([]int64, c.ScratchLen()))
-}
-
-// ExecuteIntScratch is ExecuteInt with a caller-provided scratchpad of at
-// least ScratchLen() int64 accumulators.
-func (c *Compiled) ExecuteIntScratch(x []int32, y, vals []int64) {
-	if len(x) < c.K || len(y) < c.M {
-		panic("ipe: compiled ExecuteInt buffers too small")
-	}
-	if len(vals) < c.ScratchLen() {
-		panic(fmt.Sprintf("ipe: compiled int scratch %d < %d", len(vals), c.ScratchLen()))
-	}
-	for i := 0; i < c.K; i++ {
-		vals[i] = int64(x[i])
-	}
-	pa, pb, pd := c.pairA, c.pairB, c.pairDst
-	for i := range pd {
-		vals[pd[i]] = vals[pa[i]] + vals[pb[i]]
-	}
-	tape := c.tape
-	i := 0
-	for r := 0; r < c.M; r++ {
-		nt := tape[i]
-		i++
-		var acc int64
-		for ; nt > 0; nt-- {
-			code := int64(tape[i+1])
-			ns := int(tape[i+2])
-			i += 3
-			sub := tape[i : i+ns : i+ns]
-			i += ns
-			var g int64
-			for len(sub) >= 4 {
-				g = (((g + vals[sub[0]]) + vals[sub[1]]) + vals[sub[2]]) + vals[sub[3]]
-				sub = sub[4:]
-			}
-			for _, s := range sub {
-				g += vals[s]
-			}
-			acc += code * g
-		}
-		y[r] = acc
-	}
-}
-
 // ExecuteMatrixIntoPar is the compiled column-blocked matrix executor: cols
 // holds the [K, pTotal] input, dst receives the [M, pTotal] result. It
 // shards over colBlock-aligned column ranges on the given parallelism
 // context, each shard drawing its block scratchpad — ScratchLen()·colBlock
 // words, NumSlots compacted slabs past the inputs instead of the
-// interpreter's per-entry slabs — from its private scratch (one shard runs
-// serially on shard 0's scratch). Aligned shard boundaries put every column
+// interpreter's per-entry slabs — from its private scratch (one shard, or
+// one block, runs serially on shard 0's scratch). Aligned shard boundaries put every column
 // in the same block position with the same arithmetic as the one-shard
 // walk, so results are bit-identical for any shard count, and bit-identical
 // to Program.ExecuteMatrixInto; see emitblock.go for the column walk and
@@ -412,7 +291,7 @@ func (c *Compiled) ExecuteIntScratch(x []int32, y, vals []int64) {
 func (c *Compiled) ExecuteMatrixIntoPar(dst, cols []float32, pTotal int, par *tensor.Par) {
 	metrics.Count(metrics.KernelIPECompiled)
 	checkMatrixBuffers("compiled ExecuteMatrixIntoPar", c.K, c.M, len(dst), len(cols), pTotal)
-	if par.Parallel() {
+	if par.Parallel() && pTotal > colBlock {
 		par.ForBlocks(pTotal, colBlock, func(shard, lo, hi int) {
 			c.executeMatrixColsBlocked(dst, cols, pTotal, lo, hi, par.Scratch(shard))
 		})

@@ -24,10 +24,10 @@ func fillDepth(p *Program) {
 	}
 }
 
-// assertCompiledMatches runs the interpreted and compiled executors on the
-// same deterministic inputs and requires bitwise-identical float results
-// and exactly equal integer results, over the vector, matrix (at block
-// boundary and ragged column counts), and integer paths.
+// assertCompiledMatches runs the interpreted and compiled matrix executors
+// on the same deterministic inputs and requires bitwise-identical results,
+// at one column (a single vector), a ragged width, a block boundary and a
+// ragged second block.
 func assertCompiledMatches(t *testing.T, p *Program) {
 	t.Helper()
 	if err := p.Validate(); err != nil {
@@ -39,35 +39,7 @@ func assertCompiledMatches(t *testing.T, p *Program) {
 	}
 
 	r := tensor.NewRNG(42)
-	x := make([]float32, p.K)
-	for i := range x {
-		x[i] = r.Float32() - 0.5
-	}
-	want := make([]float32, p.M)
-	got := make([]float32, p.M)
-	p.Execute(x, want)
-	c.Execute(x, got)
-	for i := range want {
-		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-			t.Fatalf("vector element %d: interpreted %v != compiled %v", i, want[i], got[i])
-		}
-	}
-
-	xi := make([]int32, p.K)
-	for i := range xi {
-		xi[i] = int32(r.Float32()*16) - 8
-	}
-	wantI := make([]int64, p.M)
-	gotI := make([]int64, p.M)
-	p.ExecuteInt(xi, wantI)
-	c.ExecuteInt(xi, gotI)
-	for i := range wantI {
-		if wantI[i] != gotI[i] {
-			t.Fatalf("int element %d: interpreted %d != compiled %d", i, wantI[i], gotI[i])
-		}
-	}
-
-	for _, pTotal := range []int{1, colBlock, colBlock + 5} {
+	for _, pTotal := range []int{1, 3, colBlock, colBlock + 5} {
 		cols := make([]float32, p.K*pTotal)
 		for i := range cols {
 			cols[i] = r.Float32() - 0.5
@@ -122,7 +94,7 @@ func TestCompiledZeroTermRows(t *testing.T) {
 	fillDepth(p)
 	assertCompiledMatches(t, p)
 	y := make([]float32, p.M)
-	p.Compiled().Execute([]float32{1, 2, 3, 4}, y)
+	p.Compiled().ExecuteMatrixIntoPar(y, []float32{1, 2, 3, 4}, 1, tensor.NewPar(nil, 1))
 	if y[0] != 0 || y[2] != 0 {
 		t.Fatalf("zero-term rows produced %v", y)
 	}
@@ -338,38 +310,6 @@ func TestCompiledEncodedPrograms(t *testing.T) {
 
 func BenchmarkInterpretedMatrix(b *testing.B) { benchMatrix(b, false) }
 func BenchmarkCompiledMatrix(b *testing.B)    { benchMatrix(b, true) }
-
-func BenchmarkInterpretedVector(b *testing.B) { benchVector(b, false) }
-func BenchmarkCompiledVector(b *testing.B)    { benchVector(b, true) }
-
-// benchVector mirrors a LeNet-5 fc1-sized dense layer (120 rows of 400
-// inputs), the single-column path the dense serving code takes.
-func benchVector(b *testing.B, compiled bool) {
-	w := tensor.New(120, 400)
-	tensor.FillGaussian(w, tensor.NewRNG(7), 1)
-	prog, _, err := Encode(quant.Quantize(w, 4, quant.PerTensor), DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, prog.K)
-	r := tensor.NewRNG(8)
-	for i := range x {
-		x[i] = r.Float32()
-	}
-	y := make([]float32, prog.M)
-	c := prog.Compiled()
-	interpScratch := make([]float32, prog.NumSymbols())
-	compiledScratch := make([]float32, c.ScratchLen())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if compiled {
-			c.ExecuteScratch(x, y, compiledScratch)
-		} else {
-			prog.ExecuteScratch(x, y, interpScratch)
-		}
-	}
-}
 
 func benchMatrix(b *testing.B, compiled bool) {
 	w := tensor.New(64, 288)

@@ -170,34 +170,50 @@ func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (
 // Forward computes y = W_q·x + b for each row of the [n, k] input.
 func (l *DenseLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(in.Dim(0), l.Program.M)
-	var s tensor.Scratch
-	l.ForwardInto(out, in, false, &s)
+	l.ForwardIntoPar(out, in, false, tensor.NewPar(nil, 1))
 	return out
 }
 
-// ForwardInto is Forward writing into a preallocated [n, m] destination,
-// drawing the (slot-compacted, compiled-form) partial-sum scratchpad from
-// the caller's Scratch. When relu is set, the bias pass applies
-// tensor.ReLU32 to every output (after its bias add), so no second pass
-// runs. dst must not alias in.
-func (l *DenseLayer) ForwardInto(dst, in *tensor.Tensor, relu bool, s *tensor.Scratch) {
+// ForwardIntoPar is Forward writing into a preallocated [n, m] destination
+// (dst must not alias in), applying tensor.ReLU32 when relu is set. The n
+// items run as the columns of one [k, n] matrix on the compiled executor,
+// and the [m, n] result returns to rows through tensor.AddBiasRows' bias
+// and ReLU rule; at n = 1 the input row is that column and the output row
+// the result, so nothing is copied. The staging buffers come from shard
+// 0's scratch, so a warm one-shard call allocates nothing. Results are
+// bit-identical for any shard count.
+func (l *DenseLayer) ForwardIntoPar(dst, in *tensor.Tensor, relu bool, par *tensor.Par) {
 	n, k := in.Dim(0), in.Dim(1)
 	if k != l.Program.K {
 		panic(fmt.Sprintf("ipe: DenseLayer input width %d != K %d", k, l.Program.K))
 	}
 	m := l.Program.M
 	if dst.NumElements() != n*m {
-		panic(fmt.Sprintf("ipe: ForwardInto dst %v != [%d %d]", dst.Shape(), n, m))
+		panic(fmt.Sprintf("ipe: ForwardIntoPar dst %v != [%d %d]", dst.Shape(), n, m))
 	}
 	c := l.Program.Compiled()
-	mark := s.Mark()
-	od := dst.Data()[:n*m]
-	id := in.Data()
-	scratch := s.Take(c.ScratchLen())
-	for b := 0; b < n; b++ {
-		c.ExecuteScratch(id[b*k:(b+1)*k], od[b*m:(b+1)*m], scratch)
+	od, id := dst.Data()[:n*m], in.Data()[:n*k]
+	if n == 1 {
+		c.ExecuteMatrixIntoPar(od, id, 1, par)
+	} else {
+		s0 := par.Scratch(0)
+		mark := s0.Mark()
+		cols := s0.Take(k * n)
+		res := s0.Take(m * n)
+		for b := 0; b < n; b++ {
+			for i, v := range id[b*k : (b+1)*k] {
+				cols[i*n+b] = v
+			}
+		}
+		c.ExecuteMatrixIntoPar(res, cols, n, par)
+		for b := 0; b < n; b++ {
+			row := od[b*m : (b+1)*m]
+			for r := range row {
+				row[r] = res[r*n+b]
+			}
+		}
+		s0.Release(mark)
 	}
-	s.Release(mark)
 	tensor.AddBiasRows(od, l.Bias, relu, m)
 }
 

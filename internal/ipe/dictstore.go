@@ -311,6 +311,6 @@ func (c *Compiled) MemoryBytes() int64 {
 	}
 	words := len(c.pairA) + len(c.pairB) + len(c.pairDst) +
 		len(c.syms) + len(c.termOff) + len(c.values) +
-		len(c.rowOff) + len(c.tape) + len(c.gatherRows)
+		len(c.rowOff) + len(c.gatherRows)
 	return int64(words)*4 + 96
 }

@@ -23,12 +23,24 @@ const pinsNaNPayloads = true
 //go:noescape
 func pairStream(scratch, cols []float32, pa, pb, pd []int32, k, pTotal, bw int)
 
+// pairStream1 is pairStream for one column whose inputs are already in
+// scratch: scratch[pd[i]] = scratch[pa[i]] + scratch[pb[i]].
+//
+//go:noescape
+func pairStream1(scratch []float32, pa, pb, pd []int32)
+
 // emitChunk4 is the emit for one 4-column chunk over all rows: for every
 // row r, dst[r*pTotal:][:4] = Σ_t values[t]·Σ_{l ∈ syms[termOff[t]:termOff[t+1]]}
 // scratch[l*bw:][:4]. Every term has at least one symbol.
 //
 //go:noescape
 func emitChunk4(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int)
+
+// emitChunk1 is emitChunk4 for the one column dst[r*pTotal], in the scalar
+// lane.
+//
+//go:noescape
+func emitChunk1(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int)
 
 // emitChunk16 is emitChunk4 over the four adjacent chunks dst[r*pTotal:][:16]
 // in one walk of the emit stream.

@@ -92,6 +92,30 @@ next:
 done:
 	RET
 
+// func pairStream1(scratch []float32, pa, pb, pd []int32)
+TEXT ·pairStream1(SB), NOSPLIT, $0-96
+	MOVQ scratch_base+0(FP), SI
+	MOVQ pa_base+24(FP), R8
+	MOVQ pb_base+48(FP), R9
+	MOVQ pd_base+72(FP), R10
+	MOVQ pd_len+80(FP), R11
+	XORQ CX, CX
+
+pair1:
+	CMPQ    CX, R11
+	JGE     done1
+	MOVLQSX (R8)(CX*4), AX
+	MOVLQSX (R9)(CX*4), DX
+	MOVLQSX (R10)(CX*4), BX
+	MOVSS   (SI)(AX*4), X0
+	ADDSS   (SI)(DX*4), X0    // a + b
+	MOVSS   X0, (SI)(BX*4)
+	INCQ    CX
+	JMP     pair1
+
+done1:
+	RET
+
 // func emitChunk4(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int)
 TEXT ·emitChunk4(SB), NOSPLIT, $0-160
 	MOVQ dst_base+0(FP), DI
@@ -144,6 +168,61 @@ store:
 	ADDQ   $4, R11
 	DECQ   R12
 	JMP    row
+
+done:
+	RET
+
+// func emitChunk1(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int)
+//
+// emitChunk4 in the scalar lane, with the same destination operands.
+TEXT ·emitChunk1(SB), NOSPLIT, $0-160
+	MOVQ dst_base+0(FP), DI
+	MOVQ scratch_base+24(FP), SI
+	MOVQ syms_base+48(FP), R8
+	MOVQ termOff_base+72(FP), R9
+	MOVQ values_base+96(FP), R10
+	MOVQ rowOff_base+120(FP), R11
+	MOVQ rowOff_len+128(FP), R12
+	DECQ R12
+	MOVQ pTotal+144(FP), R13
+	SHLQ $2, R13
+	MOVQ bw+152(FP), R14
+	SHLQ $2, R14
+
+row:
+	TESTQ R12, R12
+	JLE   done
+	MOVLQSX (R11), AX
+	MOVLQSX 4(R11), BX
+	XORPS   X0, X0            // acc = +0
+
+term:
+	CMPQ    AX, BX
+	JGE     store
+	MOVLQSX (R9)(AX*4), CX
+	MOVLQSX 4(R9)(AX*4), DX
+	XORPS   X1, X1            // g = +0
+
+sym:
+	MOVLQSX (R8)(CX*4), R15
+	IMULQ   R14, R15
+	ADDSS   (SI)(R15*1), X1   // g + slab
+	INCQ    CX
+	CMPQ    CX, DX
+	JLT     sym
+
+	MULSS  (R10)(AX*4), X1    // g * value
+	ADDSS  X0, X1             // (g * value) + acc
+	MOVAPS X1, X0
+	INCQ   AX
+	JMP    term
+
+store:
+	MOVSS X0, (DI)
+	ADDQ  R13, DI
+	ADDQ  $4, R11
+	DECQ  R12
+	JMP   row
 
 done:
 	RET

@@ -132,3 +132,21 @@ func FuzzCompiledMatrix(f *testing.F) {
 		checkCompiledMatrix(t, prog, cols, pTotal, 1+int(shards)%4)
 	})
 }
+
+// TestOneColumnNaNPayloads pins the one-column kernels' operand order where
+// random inputs rarely reach it: every pair adds two NaNs of different
+// payloads, in both operand orders, and so do the group sums and the row
+// accumulator of the emit.
+func TestOneColumnNaNPayloads(t *testing.T) {
+	p := &Program{
+		K: 3, M: 2, Bits: 4,
+		Pairs: []Pair{{A: 0, B: 1}, {A: 1, B: 0}, {A: 2, B: 3}},
+		Rows: []Row{
+			{Terms: []Term{{Code: 1, Value: 0.5, Syms: []int32{3, 4, 0}}, {Code: 2, Value: 1, Syms: []int32{5, 1}}}},
+			{Terms: []Term{{Code: -1, Value: -0.5, Syms: []int32{4, 2}}}},
+		},
+	}
+	fillDepth(p)
+	x := []float32{specialFloats[2], specialFloats[4], specialFloats[3]}
+	checkCompiledMatrix(t, p, x, 1, 1)
+}

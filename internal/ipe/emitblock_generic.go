@@ -35,6 +35,14 @@ func pairStream(scratch, cols []float32, pa, pb, pd []int32, k, pTotal, bw int) 
 	}
 }
 
+// pairStream1 is pairStream for one column whose inputs are already in
+// scratch: scratch[pd[i]] = scratch[pa[i]] + scratch[pb[i]].
+func pairStream1(scratch []float32, pa, pb, pd []int32) {
+	for i := range pd {
+		scratch[pd[i]] = scratch[pa[i]] + scratch[pb[i]]
+	}
+}
+
 // emitChunk4 is the emit for one 4-column chunk over all rows, with the
 // chunk's group sums and accumulators in locals.
 func emitChunk4(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int) {
@@ -57,6 +65,23 @@ func emitChunk4(dst, scratch []float32, syms, termOff []int32, values []float32,
 		}
 		o := dst[r*pTotal : r*pTotal+4 : r*pTotal+4]
 		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+}
+
+// emitChunk1 is emitChunk4 for the one column dst[r*pTotal], written
+// statement for statement like the interpreter's emit
+// (Program.ExecuteMatrixInto).
+func emitChunk1(dst, scratch []float32, syms, termOff []int32, values []float32, rowOff []int32, pTotal, bw int) {
+	for r := 0; r+1 < len(rowOff); r++ {
+		var acc float32
+		for t := rowOff[r]; t < rowOff[r+1]; t++ {
+			var group float32
+			for _, l := range syms[termOff[t]:termOff[t+1]] {
+				group += scratch[int(l)*bw]
+			}
+			acc += values[t] * group
+		}
+		dst[r*pTotal] = acc
 	}
 }
 

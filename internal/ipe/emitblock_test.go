@@ -1,6 +1,7 @@
 package ipe
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/quant"
@@ -23,7 +24,7 @@ var emitShapes = []struct {
 	{64, 512, 4},   // fire9 squeeze
 }
 
-func emitProg(tb testing.TB, m, k int, scheme quant.Scheme) *Compiled {
+func emitProg(tb testing.TB, m, k int, scheme quant.Scheme) *Program {
 	tb.Helper()
 	w := tensor.New(m, k)
 	tensor.FillGaussian(w, tensor.NewRNG(uint64(m+k)), 1)
@@ -31,17 +32,16 @@ func emitProg(tb testing.TB, m, k int, scheme quant.Scheme) *Compiled {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return prog.Compiled()
+	return prog
 }
 
 // TestEmitBlockedBitIdentical checks the column-blocked matrix executor
-// against the single-vector tape executor column by column: every output
-// column must be bit-identical to ExecuteScratch on that input column (the
-// contract that keeps the compiled matrix path in the IPE conformance
-// family), at the served column count and at a 3-column tail-only block.
+// against the interpreter (Program.ExecuteMatrixInto) bit for bit on
+// served layer shapes, at the served column count and at a 3-column
+// block that runs the one-column emit alone.
 func TestEmitBlockedBitIdentical(t *testing.T) {
 	for _, sh := range emitShapes {
-		c := emitProg(t, sh.m, sh.k, quant.PerTensor)
+		prog := emitProg(t, sh.m, sh.k, quant.PerTensor)
 		for _, p := range []int{sh.p, 3} {
 			cols := make([]float32, sh.k*p)
 			r := tensor.NewRNG(uint64(p))
@@ -50,23 +50,10 @@ func TestEmitBlockedBitIdentical(t *testing.T) {
 			}
 			got := make([]float32, sh.m*p)
 			var s tensor.Scratch
-			c.executeMatrixColsBlocked(got, cols, p, 0, p, &s)
-
-			x := make([]float32, sh.k)
-			want := make([]float32, sh.m)
-			scratch := make([]float32, c.ScratchLen())
-			for j := 0; j < p; j++ {
-				for i := 0; i < sh.k; i++ {
-					x[i] = cols[i*p+j]
-				}
-				c.ExecuteScratch(x, want, scratch)
-				for r := 0; r < sh.m; r++ {
-					if got[r*p+j] != want[r] {
-						t.Fatalf("m=%d k=%d p=%d col %d row %d: %x want %x",
-							sh.m, sh.k, p, j, r, got[r*p+j], want[r])
-					}
-				}
-			}
+			prog.Compiled().executeMatrixColsBlocked(got, cols, p, 0, p, &s)
+			want := make([]float32, sh.m*p)
+			prog.ExecuteMatrixInto(want, cols, p, &s)
+			checkBits(t, fmt.Sprintf("m=%d k=%d p=%d", sh.m, sh.k, p), got, want, "interpreter", pinsNaNPayloads)
 		}
 	}
 }
@@ -76,7 +63,8 @@ func TestEmitBlockedBitIdentical(t *testing.T) {
 // per-channel codes, the default encoder): full 64-column blocks (conv1 and
 // fire3 at 256 columns, fire2 at 64), 16 columns (fire4, and fire8 at four
 // items per worker) and 4 (fire8 at one item), so both emits of the
-// 16 → 4 cascade are timed at a served width. Run it with and without
+// 16 → 4 → 1 cascade are timed at a served width (BenchmarkDenseLayer
+// times the one-column emit). Run it with and without
 // -tags purego to compare the SSE2 kernels with their Go twins; make
 // bench-smoke runs it with -benchtime=1x as a build-and-run smoke check.
 func BenchmarkEmitBlocked(b *testing.B) {
@@ -91,7 +79,7 @@ func BenchmarkEmitBlocked(b *testing.B) {
 		{"fire8.expand3x3_p16", 256, 576, 16},
 		{"fire8.expand3x3_p4", 256, 576, 4},
 	} {
-		c := emitProg(b, sh.m, sh.k, quant.PerChannel)
+		c := emitProg(b, sh.m, sh.k, quant.PerChannel).Compiled()
 		cols := make([]float32, sh.k*sh.p)
 		r := tensor.NewRNG(6)
 		for i := range cols {

@@ -30,17 +30,17 @@ func ExampleEncode() {
 	// round trip ok: true
 }
 
-// ExampleProgram_Execute evaluates an encoded program on an input vector.
-func ExampleProgram_Execute() {
+// ExampleProgram_ExecuteMatrix evaluates an encoded program on an input
+// vector, the one column of a [K, 1] matrix.
+func ExampleProgram_ExecuteMatrix() {
 	w := tensor.From([]float32{
 		2, 2, 0,
 		0, 2, 2,
 	}, 2, 3)
 	q := quant.Quantize(w, 8, quant.PerTensor)
 	prog, _, _ := ipe.Encode(q, ipe.Config{})
-	y := make([]float32, 2)
-	prog.Execute([]float32{1, 10, 100}, y)
-	fmt.Println(y[0], y[1])
+	y := prog.ExecuteMatrix(tensor.From([]float32{1, 10, 100}, 3, 1))
+	fmt.Println(y.At(0, 0), y.At(1, 0))
 	// Output: 22 220
 }
 

@@ -7,52 +7,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Execute evaluates the program on one input vector x of length K, writing
-// the M outputs to y. The float path uses the dequantized term values; it
-// matches a dense float GEMV on the dequantized weights up to accumulation
-// order.
-func (p *Program) Execute(x, y []float32) {
-	p.ExecuteScratch(x, y, make([]float32, p.NumSymbols()))
-}
-
-// ExecuteScratch is Execute with a caller-provided scratch buffer of at
-// least NumSymbols() floats, for allocation-free steady-state inference.
-func (p *Program) ExecuteScratch(x, y, scratch []float32) {
-	metrics.Count(metrics.KernelIPEInterp)
-	if len(x) < p.K || len(y) < p.M {
-		panic(fmt.Sprintf("ipe: Execute buffers too small (|x|=%d K=%d |y|=%d M=%d)",
-			len(x), p.K, len(y), p.M))
-	}
-	if len(scratch) < p.NumSymbols() {
-		panic(fmt.Sprintf("ipe: scratch %d < symbols %d", len(scratch), p.NumSymbols()))
-	}
-	copy(scratch, x[:p.K])
-	p.executeInto(scratch, y)
-}
-
-// executeInto assumes vals[:K] already holds the input and uses
-// vals[K:] as the dictionary scratch.
-func (p *Program) executeInto(vals, y []float32) {
-	for j, pr := range p.Pairs {
-		vals[p.K+j] = vals[pr.A] + vals[pr.B]
-	}
-	for r := range p.Rows {
-		var acc float32
-		for _, t := range p.Rows[r].Terms {
-			var g float32
-			for _, s := range t.Syms {
-				g += vals[s]
-			}
-			acc += t.Value * g
-		}
-		y[r] = acc
-	}
-}
-
-// ExecuteInt evaluates the program exactly in integer arithmetic: x holds
-// quantized input codes and y receives the int64 accumulators
-// Σ code·Σ x[i]. This is the bit-exact path used by the equivalence
-// property tests.
+// ExecuteInt evaluates the program exactly in integer arithmetic on one
+// input vector: x holds quantized input codes and y receives the int64
+// accumulators Σ code·Σ x[i]. This is the bit-exact path of the int8
+// forward paths and of the equivalence property tests.
 func (p *Program) ExecuteInt(x []int32, y []int64) {
 	p.ExecuteIntScratch(x, y, make([]int64, p.NumSymbols()))
 }
@@ -93,8 +51,11 @@ const colBlock = 64
 
 // ExecuteMatrix evaluates the program on an input matrix of shape [K, P]
 // (e.g. an im2col lowering, one column per output pixel), producing the
-// [M, P] result. Columns are processed in blocks so each dictionary partial
-// sum is computed once per column with contiguous inner loops.
+// [M, P] result; a single input vector is the [K, 1] matrix. The float
+// path uses the dequantized term values and matches a dense float GEMM on
+// the dequantized weights up to accumulation order. Columns are processed
+// in blocks so each dictionary partial sum is computed once per column with
+// contiguous inner loops.
 func (p *Program) ExecuteMatrix(cols *tensor.Tensor) *tensor.Tensor {
 	if cols.Shape().Rank() != 2 || cols.Dim(0) != p.K {
 		panic(fmt.Sprintf("ipe: ExecuteMatrix wants [K=%d, P] input, got %v", p.K, cols.Shape()))

@@ -24,6 +24,15 @@ func denseRef(q *quant.Quantized, x []float32) []float32 {
 	return y
 }
 
+// execVector evaluates prog on the one input vector x, as the [K, 1]
+// column matrix through the interpreter.
+func execVector(prog *Program, x []float32) []float32 {
+	y := make([]float32, prog.M)
+	var s tensor.Scratch
+	prog.ExecuteMatrixInto(y, x, 1, &s)
+	return y
+}
+
 func TestExecuteMatchesDenseProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := tensor.NewRNG(seed)
@@ -37,8 +46,7 @@ func TestExecuteMatchesDenseProperty(t *testing.T) {
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
-		y := make([]float32, q.Shape[0])
-		prog.Execute(x, y)
+		y := execVector(prog, x)
 		want := denseRef(q, x)
 		for i := range y {
 			d := float64(y[i] - want[i])
@@ -112,12 +120,11 @@ func TestExecuteMatrixMatchesVectorProperty(t *testing.T) {
 		tensor.FillGaussian(cols, r, 1)
 		got := prog.ExecuteMatrix(cols)
 		x := make([]float32, k)
-		y := make([]float32, q.Shape[0])
 		for c := 0; c < p; c++ {
 			for i := 0; i < k; i++ {
 				x[i] = cols.At(i, c)
 			}
-			prog.Execute(x, y)
+			y := execVector(prog, x)
 			for row := range y {
 				d := float64(got.At(row, c) - y[row])
 				if d < 0 {
@@ -143,7 +150,8 @@ func TestExecutePanicsOnShortBuffers(t *testing.T) {
 			t.Fatal("expected panic for short input")
 		}
 	}()
-	prog.Execute([]float32{1}, []float32{0})
+	var s tensor.Scratch
+	prog.ExecuteMatrixInto([]float32{0}, []float32{1}, 1, &s)
 }
 
 func TestExecuteKnownValues(t *testing.T) {
@@ -153,10 +161,9 @@ func TestExecuteKnownValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y := make([]float32, 2)
-	prog.Execute([]float32{1, 10, 100}, y)
+	y := execVector(prog, []float32{1, 10, 100})
 	if y[0] != 22 || y[1] != 220 {
-		t.Fatalf("Execute = %v, want [22 220]", y)
+		t.Fatalf("ExecuteMatrixInto = %v, want [22 220]", y)
 	}
 }
 
@@ -244,8 +251,9 @@ func TestEncodeConvRejectsWrongWeightShape(t *testing.T) {
 	}
 }
 
-// TestDenseForwardBatchRemainders drives DenseLayer.ForwardInto across
-// batch sizes 1..9, checking every row equals the single-vector execution.
+// TestDenseForwardBatchRemainders drives DenseLayer.ForwardIntoPar across
+// batch sizes 1..9, checking every row equals that item run alone, as one
+// column through the interpreter.
 func TestDenseForwardBatchRemainders(t *testing.T) {
 	const m, k = 16, 150
 	w := tensor.New(m, k)
@@ -254,17 +262,14 @@ func TestDenseForwardBatchRemainders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := layer.Program.Compiled()
+	par := tensor.NewPar(nil, 1)
 	for n := 1; n <= 9; n++ {
 		in := tensor.New(n, k)
 		tensor.FillGaussian(in, tensor.NewRNG(uint64(n)), 1)
 		out := tensor.New(n, m)
-		var s tensor.Scratch
-		layer.ForwardInto(out, in, false, &s)
-		want := make([]float32, m)
-		scratch := make([]float32, c.ScratchLen())
+		layer.ForwardIntoPar(out, in, false, par)
 		for b := 0; b < n; b++ {
-			c.ExecuteScratch(in.Data()[b*k:(b+1)*k], want, scratch)
+			want := execVector(layer.Program, in.Data()[b*k:(b+1)*k])
 			for i := range want {
 				if out.Data()[b*m+i] != want[i] {
 					t.Fatalf("n=%d row %d out %d: %x want %x", n, b, i, out.Data()[b*m+i], want[i])

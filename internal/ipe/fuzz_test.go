@@ -41,7 +41,7 @@ func FuzzUnmarshalBinary(f *testing.F) {
 		}
 		x := make([]float32, p.K)
 		y := make([]float32, p.M)
-		p.Execute(x, y)
+		p.Compiled().ExecuteMatrixIntoPar(y, x, 1, tensor.NewPar(nil, 1))
 	})
 }
 

@@ -23,14 +23,11 @@ type ConvVariant struct {
 	F       func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par)
 }
 
-// ConvVariants enumerates the float execution paths of ConvLayer. All of
-// them are bit-identical for any shard count (documented on
-// ForwardIntoPar).
+// ConvVariants enumerates the float execution paths of ConvLayer: the
+// column driver, bit-identical for any shard count (Forward delegates to
+// it).
 func ConvVariants() []ConvVariant {
 	return []ConvVariant{
-		{Name: "forward", F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
-			copy(dst.Data(), l.Forward(in).Data())
-		}},
 		{Name: "forward-into-par", UsesPar: true, F: func(l *ConvLayer, dst, in *tensor.Tensor, par *tensor.Par) {
 			l.ForwardIntoPar(dst, in, false, par)
 		}},
@@ -39,54 +36,16 @@ func ConvVariants() []ConvVariant {
 
 // DenseVariant is one execution path of an encoded dense layer.
 type DenseVariant struct {
-	Name string
-	F    func(l *DenseLayer, dst, in *tensor.Tensor)
+	Name    string
+	UsesPar bool
+	F       func(l *DenseLayer, dst, in *tensor.Tensor, par *tensor.Par)
 }
 
-// DenseVariants enumerates the float execution paths of DenseLayer
-// (bit-identical: Forward delegates to ForwardInto).
+// DenseVariants is ConvVariants for DenseLayer.
 func DenseVariants() []DenseVariant {
-	var s tensor.Scratch
 	return []DenseVariant{
-		{Name: "forward", F: func(l *DenseLayer, dst, in *tensor.Tensor) {
-			copy(dst.Data(), l.Forward(in).Data())
-		}},
-		{Name: "forward-into", F: func(l *DenseLayer, dst, in *tensor.Tensor) {
-			l.ForwardInto(dst, in, false, &s)
-		}},
-	}
-}
-
-// VectorVariant is one execution path of Program evaluation on a single
-// input vector.
-type VectorVariant struct {
-	Name string
-	F    func(p *Program, x, y []float32)
-}
-
-// VectorVariants enumerates the single-vector float paths: the interpreter
-// (Execute delegates to ExecuteScratch) and the compiled executors, which
-// must all be bit-identical. The scratch buffers are hoisted into the
-// variant closures and grown on demand, so repeated invocations measure
-// the kernel rather than the allocator.
-func VectorVariants() []VectorVariant {
-	var scratch []float32
-	var compiledScratch []float32
-	return []VectorVariant{
-		{Name: "execute", F: func(p *Program, x, y []float32) { p.Execute(x, y) }},
-		{Name: "execute-scratch", F: func(p *Program, x, y []float32) {
-			if cap(scratch) < p.NumSymbols() {
-				scratch = make([]float32, p.NumSymbols())
-			}
-			p.ExecuteScratch(x, y, scratch[:p.NumSymbols()])
-		}},
-		{Name: "compiled", F: func(p *Program, x, y []float32) { p.Compiled().Execute(x, y) }},
-		{Name: "compiled-scratch", F: func(p *Program, x, y []float32) {
-			c := p.Compiled()
-			if cap(compiledScratch) < c.ScratchLen() {
-				compiledScratch = make([]float32, c.ScratchLen())
-			}
-			c.ExecuteScratch(x, y, compiledScratch[:c.ScratchLen()])
+		{Name: "forward-into-par", UsesPar: true, F: func(l *DenseLayer, dst, in *tensor.Tensor, par *tensor.Par) {
+			l.ForwardIntoPar(dst, in, false, par)
 		}},
 	}
 }
@@ -100,53 +59,19 @@ type MatrixVariant struct {
 }
 
 // MatrixVariants enumerates the column-blocked matrix paths: the
-// interpreter (the family's bitwise anchor) and the compiled executor,
-// which replays the interpreter's arithmetic exactly. Shard boundaries are
-// colBlock-aligned, so the compiled path is bit-identical for any shard
-// count (documented on ExecuteMatrixIntoPar).
+// interpreter (the family's bitwise anchor; ExecuteMatrix delegates to it)
+// and the compiled executor, which replays the interpreter's arithmetic
+// exactly. Shard boundaries are colBlock-aligned, so the compiled path is
+// bit-identical for any shard count (documented on ExecuteMatrixIntoPar).
+// A single vector is the one-column case.
 func MatrixVariants() []MatrixVariant {
 	var s tensor.Scratch
 	return []MatrixVariant{
-		{Name: "matrix", F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
-			copy(dst, p.ExecuteMatrix(tensor.From(cols, p.K, pTotal)).Data())
-		}},
 		{Name: "matrix-into", F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
 			p.ExecuteMatrixInto(dst, cols, pTotal, &s)
 		}},
 		{Name: "compiled-matrix-into-par", UsesPar: true, F: func(p *Program, dst, cols []float32, pTotal int, par *tensor.Par) {
 			p.Compiled().ExecuteMatrixIntoPar(dst, cols, pTotal, par)
-		}},
-	}
-}
-
-// IntVariant is one execution path of exact integer program evaluation.
-type IntVariant struct {
-	Name string
-	F    func(p *Program, x []int32, y []int64)
-}
-
-// IntVariants enumerates the integer paths, interpreted and compiled
-// (exactly equal by int associativity; the harness checks them bitwise
-// against a straight-loop reference). Scratch buffers are reused across
-// invocations.
-func IntVariants() []IntVariant {
-	var vals []int64
-	var compiledVals []int64
-	return []IntVariant{
-		{Name: "int", F: func(p *Program, x []int32, y []int64) { p.ExecuteInt(x, y) }},
-		{Name: "int-scratch", F: func(p *Program, x []int32, y []int64) {
-			if cap(vals) < p.NumSymbols() {
-				vals = make([]int64, p.NumSymbols())
-			}
-			p.ExecuteIntScratch(x, y, vals[:p.NumSymbols()])
-		}},
-		{Name: "compiled-int", F: func(p *Program, x []int32, y []int64) { p.Compiled().ExecuteInt(x, y) }},
-		{Name: "compiled-int-scratch", F: func(p *Program, x []int32, y []int64) {
-			c := p.Compiled()
-			if cap(compiledVals) < c.ScratchLen() {
-				compiledVals = make([]int64, c.ScratchLen())
-			}
-			c.ExecuteIntScratch(x, y, compiledVals[:c.ScratchLen()])
 		}},
 	}
 }

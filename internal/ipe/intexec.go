@@ -75,7 +75,7 @@ func (p *Program) ExecuteQuantized(x []float32, y []float32, xParams quant.Param
 	}
 	codes := QuantizeActivations(x[:p.K], xParams, xBits)
 	acc := make([]int64, p.M)
-	p.Compiled().ExecuteInt(codes, acc)
+	p.ExecuteInt(codes, acc)
 	for r := 0; r < p.M; r++ {
 		y[r] = float32(acc[r]) * xParams.Scale * p.rowScale(r)
 	}
@@ -96,7 +96,6 @@ func (l *ConvLayer) ForwardInt8(in *tensor.Tensor, xParams quant.Params) *tensor
 	for b := 0; b < n; b++ {
 		for g := 0; g < spec.Groups; g++ {
 			prog := l.Programs[g]
-			cp := prog.Compiled()
 			col := tensor.Im2colGroup(in, b, g, spec)
 			p := col.Dim(1)
 			cd := col.Data()
@@ -107,12 +106,12 @@ func (l *ConvLayer) ForwardInt8(in *tensor.Tensor, xParams quant.Params) *tensor
 			scales := prog.RowScales()
 			xCol := make([]int32, prog.K)
 			acc := make([]int64, prog.M)
-			vals := make([]int64, cp.ScratchLen())
+			vals := make([]int64, prog.NumSymbols())
 			for c := 0; c < p; c++ {
 				for i := 0; i < prog.K; i++ {
 					xCol[i] = codes[i*p+c]
 				}
-				cp.ExecuteIntScratch(xCol, acc, vals)
+				prog.ExecuteIntScratch(xCol, acc, vals)
 				for oc := 0; oc < ocg; oc++ {
 					v := float32(acc[oc]) * xParams.Scale * scales[oc]
 					if l.Bias != nil {
@@ -138,15 +137,7 @@ func (l *DenseLayer) ForwardInt8(in *tensor.Tensor, xParams quant.Params) *tenso
 		l.Program.ExecuteQuantized(in.Data()[b*k:(b+1)*k],
 			out.Data()[b*l.Program.M:(b+1)*l.Program.M], xParams, 8)
 	}
-	if l.Bias != nil {
-		bd := l.Bias.Data()
-		od := out.Data()
-		for b := 0; b < n; b++ {
-			for i := 0; i < l.Program.M; i++ {
-				od[b*l.Program.M+i] += bd[i]
-			}
-		}
-	}
+	tensor.AddBiasRows(out.Data(), l.Bias, false, l.Program.M)
 	return out
 }
 
@@ -186,7 +177,7 @@ func (p *Program) ExecuteQuantizedAsym(x, y []float32, xParams quant.Params, xBi
 	}
 	codes := quant.QuantizeAsym(x[:p.K], xParams, xBits)
 	acc := make([]int64, p.M)
-	p.Compiled().ExecuteInt(codes, acc)
+	p.ExecuteInt(codes, acc)
 	z := int64(xParams.ZeroPoint)
 	for r := 0; r < p.M; r++ {
 		y[r] = float32(acc[r]-z*rowSums[r]) * xParams.Scale * p.rowScale(r)

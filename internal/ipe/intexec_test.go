@@ -47,8 +47,7 @@ func TestExecuteQuantizedTracksFloatProperty(t *testing.T) {
 		xp := quant.Calibrate([]*tensor.Tensor{tensor.From(x, k)}, 8)
 		yInt := make([]float32, prog.M)
 		prog.ExecuteQuantized(x, yInt, xp, 8)
-		yFloat := make([]float32, prog.M)
-		prog.Execute(x, yFloat)
+		yFloat := execVector(prog, x)
 		// Error bound: per-element activation error ≤ scale/2, times the
 		// sum of |dequantized weights| of the row.
 		deq := q.Dequantize().Data()
@@ -152,8 +151,7 @@ func TestExecuteQuantizedAsymMatchesFloat(t *testing.T) {
 	rowSums := prog.RowCodeSums()
 	yAsym := make([]float32, prog.M)
 	prog.ExecuteQuantizedAsym(x, yAsym, xp, 8, rowSums)
-	yFloat := make([]float32, prog.M)
-	prog.Execute(x, yFloat)
+	yFloat := execVector(prog, x)
 	deq := q.Dequantize().Data()
 	for row := 0; row < prog.M; row++ {
 		var wsum float64

@@ -1,6 +1,7 @@
 package ipe
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/parallel"
@@ -83,6 +84,76 @@ func TestConvLayerForwardIntoParBitIdentical(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestDenseLayerForwardIntoParBitIdentical checks the dense column path
+// against its oracle — the interpreter on the [k, n] transpose of the input,
+// transposed back and finished by tensor.AddBiasRows — bit for bit, NaN
+// payloads included where the kernels pin them. It covers Factorize, Sparse
+// and encoded programs, item counts that cross every step of the
+// 16 → 4 → 1 cascade and the colBlock boundary, one and two shards, a nil
+// bias, and the fused ReLU, on inputs laced with NaNs and signed zeros.
+func TestDenseLayerForwardIntoParBitIdentical(t *testing.T) {
+	r := tensor.NewRNG(46)
+	encode := func(q *quant.Quantized) *Program {
+		prog, _, err := Encode(q, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	for _, b := range []struct {
+		name  string
+		build func(*quant.Quantized) *Program
+		bias  bool
+	}{{"factorized", Factorize, true}, {"csr", Sparse, false}, {"ipe", encode, true}} {
+		prog := b.build(matrixQuant(r))
+		m, k := prog.M, prog.K
+		var bias *tensor.Tensor
+		if b.bias {
+			bias = tensor.From(lacedInputs(r, m), m)
+		}
+		l := &DenseLayer{Program: prog, Bias: bias}
+		for _, n := range []int{1, 2, 3, 4, 5, 8, 17, 65, 130} {
+			in := tensor.From(lacedInputs(r, n*k), n, k)
+			cols := make([]float32, k*n)
+			for i := range cols {
+				cols[i] = in.Data()[(i%n)*k+i/n]
+			}
+			res := make([]float32, m*n)
+			var s tensor.Scratch
+			prog.ExecuteMatrixInto(res, cols, n, &s)
+			for _, relu := range []bool{false, true} {
+				want := make([]float32, n*m)
+				for i := range want {
+					want[i] = res[(i%m)*n+i/m]
+				}
+				tensor.AddBiasRows(want, bias, relu, m)
+				for _, shards := range []int{1, 2} {
+					got := tensor.New(n, m)
+					l.ForwardIntoPar(got, in, relu, forcedPar(shards))
+					checkBits(t, fmt.Sprintf("%s M=%d K=%d n=%d relu=%v shards=%d", b.name, m, k, n, relu, shards),
+						got.Data(), want, "interpreter", pinsNaNPayloads)
+				}
+			}
+		}
+	}
+}
+
+// TestDenseLayerForwardIntoParAllocs: once the scratch is warm, a one-shard
+// call allocates nothing, with the staging copies (several items) and
+// without them (one).
+func TestDenseLayerForwardIntoParAllocs(t *testing.T) {
+	prog := encodeTestProgram(t, 24, 40, 47)
+	l := &DenseLayer{Program: prog, Bias: tensor.New(prog.M)}
+	par := tensor.NewPar(nil, 1)
+	for _, n := range []int{1, 8} {
+		in := tensor.New(n, prog.K)
+		out := tensor.New(n, prog.M)
+		if allocs := testing.AllocsPerRun(20, func() { l.ForwardIntoPar(out, in, true, par) }); allocs != 0 {
+			t.Fatalf("n=%d: %v allocations per warm call, want 0", n, allocs)
 		}
 	}
 }

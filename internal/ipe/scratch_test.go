@@ -68,9 +68,8 @@ func TestExecuteSlotsMatchesExecuteProperty(t *testing.T) {
 		for i := range x {
 			x[i] = float32(r.NormFloat64())
 		}
-		y1 := make([]float32, prog.M)
+		y1 := execVector(prog, x)
 		y2 := make([]float32, prog.M)
-		prog.Execute(x, y1)
 		executeSlots(prog, x, y2, plan)
 		for i := range y1 {
 			if y1[i] != y2[i] {

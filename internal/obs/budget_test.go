@@ -25,8 +25,12 @@ import (
 // (squeezenet) and 1.1 K / 4.4 MB then 1.0 K / 4.1 MB (lenet5) at
 // GOMAXPROCS 1 to 8, the upper ends when a collection has emptied the
 // encoder workspace pool before the compile (15 MB warm when it has not);
-// the budgets leave about 25 % above those. The race detector allocates on
-// its own account, so the gate runs without it.
+// the budgets leave about 25 % above those. Dropping the compiled form's
+// second copy of the emit stream (the single-vector tape) took about 2 MB
+// off each squeezenet compile: the same runs then read up to 4.5 K / 26 MB
+// cold and 3.6 K / 18 MB warm (30.7 and 20.2 MB before, GOMAXPROCS 1 to 8),
+// and the squeezenet byte budgets came down by 2 MB. The race detector
+// allocates on its own account, so the gate runs without it.
 func TestCompileAllocationBudget(t *testing.T) {
 	type budget struct{ allocs, bytes uint64 }
 	for _, tc := range []struct {
@@ -34,7 +38,7 @@ func TestCompileAllocationBudget(t *testing.T) {
 		cold, warm budget
 	}{
 		{"lenet5", budget{1_400, 5_500 << 10}, budget{1_300, 5_200 << 10}},
-		{"squeezenet", budget{5_900, 38 << 20}, budget{4_800, 30 << 20}},
+		{"squeezenet", budget{5_900, 36 << 20}, budget{4_800, 28 << 20}},
 	} {
 		for i, b := range []budget{tc.cold, tc.warm} {
 			opts := serveDefaults()

@@ -14,11 +14,14 @@ import (
 )
 
 // TestSwapChurnKeepsLiveHeapFlat swaps lenet5, compiled with inspire-serve's
-// default options, to never-seen weights twelve times with traffic after
-// each swap, and requires the collected live heap after swap 12 to be
-// within 10 % of swap 3: a retired version must give back its plan, its
-// interned programs and its metrics series. The race detector allocates on
-// its own account, so the check runs without it.
+// default options, to never-seen weights eighteen times with traffic after
+// each swap, and requires the collected live heap after swaps 12 and 18 to
+// be within 10 % of swap 6: a retired version must give back its plan, its
+// interned programs and its metrics series. The first six swaps are warm-up,
+// so a bounded cache that fills over them (a pool of encoder workspaces
+// growing to the largest layer) is not read as a leak, while a leak, which
+// grows with every swap, still shows at both readings. The race detector
+// allocates on its own account, so the check runs without it.
 func TestSwapChurnKeepsLiveHeapFlat(t *testing.T) {
 	metrics.Enable()
 	defer metrics.Disable()
@@ -49,21 +52,23 @@ func TestSwapChurnKeepsLiveHeapFlat(t *testing.T) {
 	if _, err := r.Add("lenet5", 1000); err != nil {
 		t.Fatal(err)
 	}
-	var at3 uint64
-	for s := 1; s <= 12; s++ {
+	var at6 uint64
+	for s := 1; s <= 18; s++ {
 		if _, err := r.Swap("lenet5", uint64(1000+s)); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := r.Predict("lenet5", in); err != nil {
 			t.Fatal(err)
 		}
-		if s == 3 {
-			at3 = liveHeap()
+		switch s {
+		case 6:
+			at6 = liveHeap()
+		case 12, 18:
+			at := liveHeap()
+			t.Logf("live heap after swap 6: %d B, after swap %d: %d B", at6, s, at)
+			if float64(at) > 1.1*float64(at6) {
+				t.Fatalf("live heap grew %d → %d B between swap 6 and swap %d (> 10 %%)", at6, at, s)
+			}
 		}
-	}
-	at12 := liveHeap()
-	t.Logf("live heap after swap 3: %d B, after swap 12: %d B", at3, at12)
-	if float64(at12) > 1.1*float64(at3) {
-		t.Fatalf("live heap grew %d → %d B between swap 3 and swap 12 (> 10 %%)", at3, at12)
 	}
 }

@@ -283,7 +283,7 @@ func (e *Executor) runStep(st *execStep) error {
 	case op.progConv != nil:
 		op.progConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
 	case op.progDense != nil:
-		op.progDense.ForwardInto(dst, st.ins[0], relu, e.par.Scratch(0))
+		op.progDense.ForwardIntoPar(dst, st.ins[0], relu, e.par)
 	case op.winConv != nil:
 		op.winConv.ForwardIntoPar(dst, st.ins[0], e.par)
 		if relu {

@@ -65,7 +65,10 @@ func referenceOp(op *CompiledOp, n *graph.Node, vals map[*graph.Node]*tensor.Ten
 	case op.progDense != nil && op.Impl == ImplCSR:
 		// The program interpreter, not the compiled executor the plan runs.
 		prog := op.progDense.Program
-		out = referenceDense(ins[0], prog.Execute, prog.M, op.denseBias)
+		out = referenceDense(ins[0], func(x, y []float32) {
+			var s tensor.Scratch
+			prog.ExecuteMatrixInto(y, x, 1, &s)
+		}, prog.M, op.denseBias)
 	case op.progDense != nil:
 		out = op.progDense.Forward(ins[0])
 	default:
