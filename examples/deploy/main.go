@@ -38,7 +38,7 @@ func main() {
 		report.Bytes(int64(len(data))), prog.DictSize(), stats.CompressionRatio())
 	fmt.Printf("         wrote %s\n", path)
 	fmt.Printf("         scratch plan: %d slots for %d entries (linear-scan reuse)\n",
-		prog.AllocateScratch().NumSlots, prog.DictSize())
+		prog.Compiled().NumSlots, prog.DictSize())
 
 	// --- Online: load the stream and run. ---
 	loadedBytes, err := os.ReadFile(path)

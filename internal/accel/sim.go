@@ -68,11 +68,20 @@ func (t Tile) Ops() int64 { return t.Adds + t.Muls }
 // previous tile's compute. This is the "cycle-approximate" path used for
 // the latency figures; Simulate is its lower bound.
 func (c Config) SimulateTiles(name string, tiles []Tile) Result {
+	res, _ := c.SimulateTilesTrace(name, tiles, 0)
+	return res
+}
+
+// SimulateTilesTrace is the one tile-pipeline loop behind SimulateTiles. It
+// also records the timeline of the first maxTrace tiles, for pipeline
+// visualization (`inspire-tune -trace`); at maxTrace 0 it records nothing
+// and allocates nothing.
+func (c Config) SimulateTilesTrace(name string, tiles []Tile, maxTrace int) (Result, []TileTrace) {
 	if err := c.Validate(); err != nil {
 		panic(err)
 	}
 	if len(tiles) == 0 {
-		return Result{}
+		return Result{}, nil
 	}
 	bpc := c.BytesPerCycle()
 	xfer := func(bytes int64) int64 {
@@ -83,9 +92,10 @@ func (c Config) SimulateTiles(name string, tiles []Tile) Result {
 	}
 	var now, computeDone int64
 	var res Result
-	var totalAdds, totalMuls, totalSRAM int64
-	var totalDRAM int64
-	for _, t := range tiles {
+	var totalAdds, totalMuls, totalSRAM, totalDRAM int64
+	traces := make([]TileTrace, min(maxTrace, len(tiles)))
+	for i := range tiles {
+		t := &tiles[i]
 		// Load starts as soon as the DMA engine is free (sequential DMA),
 		// which is when the previous load finished: tracked by `now`.
 		loadDone := now + xfer(t.LoadBytes)
@@ -106,6 +116,13 @@ func (c Config) SimulateTiles(name string, tiles []Tile) Result {
 		// The store is drained by the DMA engine after the load; model it
 		// as occupying the channel after the load completes.
 		now = loadDone + xfer(t.StoreBytes)
+		if i < len(traces) {
+			traces[i] = TileTrace{LoadStart: loadDone - xfer(t.LoadBytes), LoadEnd: loadDone,
+				ComputeStart: start, ComputeEnd: computeDone, Stall: stall}
+			if t.StoreBytes > 0 {
+				traces[i].StoreEnd = now
+			}
+		}
 		totalAdds += t.Adds
 		totalMuls += t.Muls
 		if t.SRAMAccesses > 0 {
@@ -125,7 +142,7 @@ func (c Config) SimulateTiles(name string, tiles []Tile) Result {
 	}
 	res.DRAMBytes = totalDRAM
 	res.EnergyPJ = c.energy(KernelProfile{Name: name, Adds: totalAdds, Muls: totalMuls, SRAMAccesses: totalSRAM}, totalDRAM)
-	return res
+	return res, traces
 }
 
 func ceilDiv(a, b int64) int64 {

@@ -18,75 +18,6 @@ type TileTrace struct {
 	Stall int64
 }
 
-// SimulateTilesTrace is SimulateTiles with a per-tile timeline, for
-// pipeline visualization (`inspire-tune -trace`). Semantics are identical;
-// the trace is capped at maxTrace tiles to bound memory.
-func (c Config) SimulateTilesTrace(name string, tiles []Tile, maxTrace int) (Result, []TileTrace) {
-	if err := c.Validate(); err != nil {
-		panic(err)
-	}
-	if len(tiles) == 0 {
-		return Result{}, nil
-	}
-	bpc := c.BytesPerCycle()
-	xfer := func(bytes int64) int64 {
-		if bytes == 0 {
-			return 0
-		}
-		return c.DRAMLatencyCycles + int64(float64(bytes)/bpc)
-	}
-	var now, computeDone int64
-	var res Result
-	var totalAdds, totalMuls, totalSRAM, totalDRAM int64
-	var traces []TileTrace
-	for _, t := range tiles {
-		tr := TileTrace{LoadStart: now}
-		loadDone := now + xfer(t.LoadBytes)
-		tr.LoadEnd = loadDone
-		start := loadDone
-		if computeDone > start {
-			start = computeDone
-		}
-		compute := ceilDiv(t.Ops(), int64(c.PEs))
-		stall := start - computeDone
-		if computeDone == 0 {
-			stall = 0
-		}
-		tr.ComputeStart = start
-		tr.Stall = stall
-		computeDone = start + compute
-		tr.ComputeEnd = computeDone
-		res.ComputeCycles += compute
-		res.StallCycles += stall
-		now = loadDone + xfer(t.StoreBytes)
-		if t.StoreBytes > 0 {
-			tr.StoreEnd = now
-		}
-		totalAdds += t.Adds
-		totalMuls += t.Muls
-		if t.SRAMAccesses > 0 {
-			totalSRAM += t.SRAMAccesses
-		} else {
-			totalSRAM += 2 * t.Ops()
-		}
-		totalDRAM += t.LoadBytes + t.StoreBytes
-		if len(traces) < maxTrace {
-			traces = append(traces, tr)
-		}
-	}
-	res.Cycles = computeDone
-	if now > res.Cycles {
-		res.Cycles = now
-	}
-	res.MemCycles = res.Cycles - res.ComputeCycles
-	if res.MemCycles < 0 {
-		res.MemCycles = 0
-	}
-	res.DRAMBytes = totalDRAM
-	res.EnergyPJ = c.energy(KernelProfile{Name: name, Adds: totalAdds, Muls: totalMuls, SRAMAccesses: totalSRAM}, totalDRAM)
-	return res, traces
-}
-
 // PrintTimeline renders a compact text Gantt of the traced tiles: one row
 // per tile, '░' for the load phase, '█' for compute, '·' for stall,
 // scaled to width columns.

@@ -120,14 +120,15 @@ func TestConvCSRMatchesReference(t *testing.T) {
 	quant.PruneMagnitude(w, 0.6)
 	bias := tensor.New(spec.OutC)
 	tensor.FillGaussian(bias, r, 0.1)
-	l, err := ipe.SparseConv(quant.Quantize(w, 8, quant.PerChannel), bias, spec)
+	q := quant.Quantize(w, 8, quant.PerChannel)
+	l, err := ipe.SparseConv(q, bias, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := tensor.New(1, 4, 8, 8)
 	tensor.FillGaussian(in, r, 1)
 	got := l.Forward(in)
-	want := tensor.Conv2D(in, l.Quant.Dequantize(), bias, spec)
+	want := tensor.Conv2D(in, q.Dequantize(), bias, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("CSR conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
@@ -187,14 +188,15 @@ func TestConvFactorizedMatchesReference(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 4, OutC: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1}
 	w := tensor.New(spec.WeightShape()...)
 	tensor.FillGaussian(w, r, 0.3)
-	l, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerTensor), nil, spec)
+	q := quant.Quantize(w, 4, quant.PerTensor)
+	l, err := ipe.FactorizeConv(q, nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := tensor.New(2, 4, 9, 9)
 	tensor.FillGaussian(in, r, 1)
 	got := l.Forward(in)
-	want := tensor.Conv2D(in, l.Quant.Dequantize(), nil, spec)
+	want := tensor.Conv2D(in, q.Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("factorized conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
@@ -205,14 +207,15 @@ func TestConvFactorizedGrouped(t *testing.T) {
 	spec := tensor.ConvSpec{InC: 8, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1, Groups: 8}
 	w := tensor.New(spec.WeightShape()...)
 	tensor.FillGaussian(w, r, 0.3)
-	l, err := ipe.FactorizeConv(quant.Quantize(w, 4, quant.PerChannel), nil, spec)
+	q := quant.Quantize(w, 4, quant.PerChannel)
+	l, err := ipe.FactorizeConv(q, nil, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := tensor.New(1, 8, 6, 6)
 	tensor.FillGaussian(in, r, 1)
 	got := l.Forward(in)
-	want := tensor.Conv2D(in, l.Quant.Dequantize(), nil, spec)
+	want := tensor.Conv2D(in, q.Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("grouped factorized conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}

@@ -28,10 +28,9 @@
 // rebuilds the identical case from that seed alone, so a CI failure line is
 // a complete reproduction recipe.
 //
-// To plug a new kernel in, register it in its package's enumeration shim
-// (tensor.ConvImpls / ipe.ConvVariants / ipe.EmptyDictBuilders /
-// runtime.ForceableImpls and friends) — the driver
-// picks registered variants up without changes here. A kernel is considered
+// To plug a new kernel in, add a familyRun that calls it to its family in
+// driver.go (or a new family, with its own oracle), or, for a whole-plan
+// implementation, list it in runtime.ForceableImpls. A kernel is considered
 // correct only once this package exercises it.
 package conformance
 

@@ -13,11 +13,12 @@ import (
 )
 
 // The differential driver. Each Check*(seed) rebuilds the generated case
-// from its seed, runs every registered implementation family, and enforces
-// the correctness contract: first variant of a family against the float64
-// reference (tolerance), every other variant of the family against the
-// first (bitwise), integer paths against the straight-loop integer
-// reference (exact).
+// from its seed, runs every implementation family on it — each family a
+// list of runs that call the kernels directly — and enforces the
+// correctness contract: first run of a family against the float64
+// reference (tolerance), every other run of the family against the first
+// (bitwise), integer paths against the straight-loop integer reference
+// (exact).
 
 // serialPar returns the one-shard parallelism context used for variants
 // that require a non-nil *tensor.Par but should run serially.
@@ -77,8 +78,8 @@ func driveFamily(seed uint64, family string, size int, refOut, refMag []float64,
 
 // CheckConv rebuilds the convolution case for seed and cross-checks every
 // convolution family: tensor direct and im2col on the float weights;
-// Winograd when the spec allows; the CSR and factorized programs; both IPE
-// encoders' float paths on their dequantized weights; and the IPE integer
+// Winograd when the spec allows; the CSR and factorized programs and both
+// IPE encoders' float paths on the dequantized weights; and the IPE integer
 // path against a bitwise replication over decoded codes.
 func CheckConv(seed uint64) error {
 	cs := GenConv(seed)
@@ -86,91 +87,92 @@ func CheckConv(seed uint64) error {
 	n, h, w := cs.Input.Dim(0), cs.Input.Dim(2), cs.Input.Dim(3)
 	oh, ow := spec.OutDims(h, w)
 	size := n * spec.OutC * oh * ow
-	outShape := []int{n, spec.OutC, oh, ow}
+	out := func(dst []float32) *tensor.Tensor { return tensor.From(dst, n, spec.OutC, oh, ow) }
+	in, weight, bias := cs.Input, cs.Weight, cs.Bias
 
 	// Float-weight families: tensor kernels and, for 3×3 stride-1 dense
 	// specs, Winograd.
-	refOut, refMag := RefConv2D(cs.Input, cs.Weight, cs.Bias, spec)
-	for _, impl := range tensor.ConvImpls() {
-		var runs []familyRun
-		for _, v := range impl.Variants {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) {
-					v.F(tensor.From(dst, outShape...), cs.Input, cs.Weight, cs.Bias, spec, par)
-				}})
-		}
-		if err := driveFamily(seed, impl.Family, size, refOut, refMag, runs); err != nil {
-			return err
-		}
+	refOut, refMag := RefConv2D(in, weight, bias, spec)
+	if err := driveFamily(seed, "tensor-direct", size, refOut, refMag, []familyRun{
+		{name: "alloc", f: func(dst []float32, _ *tensor.Par) {
+			copy(dst, tensor.Conv2D(in, weight, bias, spec).Data())
+		}},
+		{name: "into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+			tensor.Conv2DIntoPar(out(dst), in, weight, bias, spec, par)
+		}},
+	}); err != nil {
+		return err
+	}
+	if err := driveFamily(seed, "tensor-im2col", size, refOut, refMag, []familyRun{
+		{name: "alloc", f: func(dst []float32, _ *tensor.Par) {
+			copy(dst, tensor.Conv2DIm2col(in, weight, bias, spec).Data())
+		}},
+	}); err != nil {
+		return err
 	}
 	if spec.KH == 3 && spec.KW == 3 && spec.StrideH == 1 && spec.StrideW == 1 && spec.Groups == 1 {
-		l, err := baseline.NewConvWinograd(cs.Weight, cs.Bias, spec)
+		l, err := baseline.NewConvWinograd(weight, bias, spec)
 		if err != nil {
 			return fmt.Errorf("conformance: seed %d: NewConvWinograd: %w", seed, err)
 		}
-		var runs []familyRun
-		for _, v := range baseline.WinogradVariants() {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) {
-					v.F(l, tensor.From(dst, outShape...), cs.Input, par)
-				}})
-		}
-		if err := driveFamily(seed, "winograd", size, refOut, refMag, runs); err != nil {
+		if err := driveFamily(seed, "winograd", size, refOut, refMag, []familyRun{
+			{name: "forward", f: func(dst []float32, _ *tensor.Par) {
+				copy(dst, l.Forward(in).Data())
+			}},
+			{name: "forward-into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+				l.ForwardIntoPar(out(dst), in, par)
+			}},
+		}); err != nil {
 			return err
 		}
 	}
 
-	// Quantized families run on their dequantized weights, so each gets an
-	// oracle built from the weights it actually computes with. The CSR and
-	// factorized baselines are the same quantized weights as
-	// empty-dictionary programs on the IPE conv paths.
-	q := quant.Quantize(cs.Weight, cs.Bits, cs.Scheme)
-	qOut, qMag := RefConv2D(cs.Input, q.Dequantize(), cs.Bias, spec)
-	for _, b := range ipe.EmptyDictBuilders() {
-		l, err := b.Conv(q, cs.Bias, spec)
+	// Quantized families run on the dequantized weights, so they share an
+	// oracle built from them. The CSR and factorized baselines are the
+	// quantized weights as empty-dictionary programs on the IPE conv path;
+	// every encoded layer runs that one path.
+	q := quant.Quantize(weight, cs.Bits, cs.Scheme)
+	qOut, qMag := RefConv2D(in, q.Dequantize(), bias, spec)
+	driveLayer := func(family string, l *ipe.ConvLayer) error {
+		return driveFamily(seed, family, size, qOut, qMag, []familyRun{
+			{name: "forward-into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+				l.ForwardIntoPar(out(dst), in, false, par)
+			}},
+		})
+	}
+	for _, b := range []struct {
+		name  string
+		build func(*quant.Quantized, *tensor.Tensor, tensor.ConvSpec) (*ipe.ConvLayer, error)
+	}{{"csr", ipe.SparseConv}, {"factorized", ipe.FactorizeConv}} {
+		l, err := b.build(q, bias, spec)
 		if err != nil {
-			return fmt.Errorf("conformance: seed %d: %s conv: %w", seed, b.Name, err)
+			return fmt.Errorf("conformance: seed %d: %s conv: %w", seed, b.name, err)
 		}
-		var runs []familyRun
-		for _, v := range ipe.ConvVariants() {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) {
-					v.F(l, tensor.From(dst, outShape...), cs.Input, par)
-				}})
-		}
-		if err := driveFamily(seed, b.Name+"-conv", size, qOut, qMag, runs); err != nil {
+		if err := driveLayer(b.name+"-conv", l); err != nil {
 			return err
 		}
 	}
 
-	for _, enc := range ipe.ConvEncoders() {
-		l, _, err := enc.F(cs.Weight, cs.Bias, spec, cs.Bits, cs.Scheme, cs.Cfg)
+	// Each encoder yields its own programs, and thus its own family.
+	for _, enc := range []struct {
+		name   string
+		encode func(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme quant.Scheme, cfg ipe.Config) (*ipe.ConvLayer, ipe.Stats, error)
+	}{{"ipe", ipe.EncodeConv}, {"ipe-shared", ipe.EncodeConvShared}} {
+		l, _, err := enc.encode(weight, bias, spec, cs.Bits, cs.Scheme, cs.Cfg)
 		if err != nil {
-			return fmt.Errorf("conformance: seed %d: %s encode: %w", seed, enc.Name, err)
+			return fmt.Errorf("conformance: seed %d: %s encode: %w", seed, enc.name, err)
 		}
-		eOut, eMag := RefConv2D(cs.Input, l.Quant.Dequantize(), cs.Bias, spec)
-		var runs []familyRun
-		for _, v := range ipe.ConvVariants() {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) {
-					v.F(l, tensor.From(dst, outShape...), cs.Input, par)
-				}})
-		}
-		if err := driveFamily(seed, enc.Name+"-conv", size, eOut, eMag, runs); err != nil {
+		if err := driveLayer(enc.name+"-conv", l); err != nil {
 			return err
 		}
 
-		xParams := quant.Calibrate([]*tensor.Tensor{cs.Input}, 8)
-		got := l.ForwardInt8(cs.Input, xParams)
-		want, err := refConvInt8(l, cs.Input, xParams)
+		xParams := quant.Calibrate([]*tensor.Tensor{in}, 8)
+		got := l.ForwardInt8(in, xParams)
+		want, err := refConvInt8(l, in, xParams)
 		if err != nil {
-			return fmt.Errorf("conformance: seed %d: %s int reference: %w", seed, enc.Name, err)
+			return fmt.Errorf("conformance: seed %d: %s int reference: %w", seed, enc.name, err)
 		}
-		if err := checkExact(seed, enc.Name+"-conv/forward-int8", "int replication", got.Data(), want); err != nil {
+		if err := checkExact(seed, enc.name+"-conv/forward-int8", "int replication", got.Data(), want); err != nil {
 			return err
 		}
 	}
@@ -223,38 +225,36 @@ func CheckDense(seed uint64) error {
 	cs := GenDense(seed)
 	n, m := cs.Input.Dim(0), cs.Weight.Dim(0)
 	size := n * m
-	outShape := []int{n, m}
+	in, weight, bias := cs.Input, cs.Weight, cs.Bias
 
-	refOut, refMag := RefDense(cs.Input, cs.Weight, cs.Bias)
-	for _, impl := range tensor.DenseImpls() {
-		var runs []familyRun
-		for _, v := range impl.Variants {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) {
-					v.F(tensor.From(dst, outShape...), cs.Input, cs.Weight, cs.Bias, par)
-				}})
-		}
-		if err := driveFamily(seed, impl.Family, size, refOut, refMag, runs); err != nil {
-			return err
-		}
+	refOut, refMag := RefDense(in, weight, bias)
+	if err := driveFamily(seed, "tensor-dense", size, refOut, refMag, []familyRun{
+		{name: "alloc", f: func(dst []float32, _ *tensor.Par) {
+			copy(dst, tensor.Dense(in, weight, bias).Data())
+		}},
+		{name: "into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+			tensor.DenseIntoPar(tensor.From(dst, n, m), in, weight, bias, par)
+		}},
+	}); err != nil {
+		return err
+	}
+	if err := driveFamily(seed, "tensor-gemm", size, refOut, refMag, []familyRun{
+		{name: "naive", f: func(dst []float32, _ *tensor.Par) { denseViaGemm(dst, in, weight, bias) }},
+	}); err != nil {
+		return err
 	}
 
-	l, _, err := ipe.EncodeDense(cs.Weight, cs.Bias, cs.Bits, cs.Scheme, cs.Cfg)
+	l, _, err := ipe.EncodeDense(weight, bias, cs.Bits, cs.Scheme, cs.Cfg)
 	if err != nil {
 		return fmt.Errorf("conformance: seed %d: EncodeDense: %w", seed, err)
 	}
-	deq := l.Quant.Dequantize().Reshape(m, cs.Weight.Dim(1))
-	eOut, eMag := RefDense(cs.Input, deq, cs.Bias)
-	var runs []familyRun
-	for _, v := range ipe.DenseVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) {
-				v.F(l, tensor.From(dst, outShape...), cs.Input, par)
-			}})
-	}
-	if err := driveFamily(seed, "ipe-dense", size, eOut, eMag, runs); err != nil {
+	deq := quant.Quantize(weight, cs.Bits, cs.Scheme).Dequantize()
+	eOut, eMag := RefDense(in, deq, bias)
+	if err := driveFamily(seed, "ipe-dense", size, eOut, eMag, []familyRun{
+		{name: "forward-into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+			l.ForwardIntoPar(tensor.From(dst, n, m), in, false, par)
+		}},
+	}); err != nil {
 		return err
 	}
 
@@ -286,6 +286,22 @@ func CheckDense(seed uint64) error {
 	return checkExact(seed, "ipe-dense/forward-int8", "int replication", got.Data(), want)
 }
 
+// denseViaGemm computes the dense layer as the naive Gemm x·Wᵀ on the
+// materialized transpose followed by a bias add.
+func denseViaGemm(dst []float32, in, w, b *tensor.Tensor) {
+	n, k := in.Dim(0), in.Dim(1)
+	m := w.Dim(0)
+	tensor.Gemm(in.Data(), tensor.Transpose(w).Data(), dst, n, k, m)
+	if b != nil {
+		bd := b.Data()
+		for r := 0; r < n; r++ {
+			for i := 0; i < m; i++ {
+				dst[r*m+i] += bd[i]
+			}
+		}
+	}
+}
+
 // CheckProgram rebuilds the raw-matrix case for seed, encodes it, and
 // cross-checks: the decoded program weights against the quantizer
 // (bitwise), the matrix float executors against the reference on those
@@ -314,15 +330,22 @@ func CheckProgram(seed uint64) error {
 		return err
 	}
 
-	// Float matrix executors (a single vector is the one-column case).
+	// Float matrix executors (a single vector is the one-column case): the
+	// interpreter, the family's bitwise anchor, and the compiled executor,
+	// which replays its arithmetic exactly at any shard count.
 	mOut, mMag := RefMatMul(wRef, cs.Cols, m, k, p)
-	var runs []familyRun
-	for _, v := range ipe.MatrixVariants() {
-		v := v
-		runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-			f: func(dst []float32, par *tensor.Par) { v.F(prog, dst, cs.Cols, p, par) }})
+	driveMatrix := func(family string, pr *ipe.Program) error {
+		var s tensor.Scratch
+		return driveFamily(seed, family, m*p, mOut, mMag, []familyRun{
+			{name: "matrix-into", f: func(dst []float32, _ *tensor.Par) {
+				pr.ExecuteMatrixInto(dst, cs.Cols, p, &s)
+			}},
+			{name: "compiled-matrix-into-par", usesPar: true, f: func(dst []float32, par *tensor.Par) {
+				pr.Compiled().ExecuteMatrixIntoPar(dst, cs.Cols, p, par)
+			}},
+		})
 	}
-	if err := driveFamily(seed, "ipe-matrix", m*p, mOut, mMag, runs); err != nil {
+	if err := driveMatrix("ipe-matrix", prog); err != nil {
 		return err
 	}
 
@@ -377,22 +400,19 @@ func CheckProgram(seed uint64) error {
 	// programs. Their dense reconstructions must equal the quantizer's
 	// dequantization bitwise; their products are checked against the
 	// reference on it.
-	for _, b := range ipe.EmptyDictBuilders() {
-		bp := b.Matrix(q)
+	for _, b := range []struct {
+		name  string
+		build func(*quant.Quantized) *ipe.Program
+	}{{"csr", ipe.Sparse}, {"factorized", ipe.Factorize}} {
+		bp := b.build(q)
 		bw, err := RefProgramWeights(bp)
 		if err != nil {
-			return fmt.Errorf("conformance: seed %d: %s: %w", seed, b.Name, err)
+			return fmt.Errorf("conformance: seed %d: %s: %w", seed, b.name, err)
 		}
-		if err := checkExact(seed, b.Name+"-dense-reconstruction", "quantizer dequantize", bw, deq.Data()); err != nil {
+		if err := checkExact(seed, b.name+"-dense-reconstruction", "quantizer dequantize", bw, deq.Data()); err != nil {
 			return err
 		}
-		runs = nil
-		for _, v := range ipe.MatrixVariants() {
-			v := v
-			runs = append(runs, familyRun{name: v.Name, usesPar: v.UsesPar,
-				f: func(dst []float32, par *tensor.Par) { v.F(bp, dst, cs.Cols, p, par) }})
-		}
-		if err := driveFamily(seed, b.Name+"-matmat", m*p, mOut, mMag, runs); err != nil {
+		if err := driveMatrix(b.name+"-matmat", bp); err != nil {
 			return err
 		}
 	}

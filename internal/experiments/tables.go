@@ -146,7 +146,7 @@ func Table3Encoding(cfg Config) error {
 			elapsed.Round(time.Millisecond).String(),
 			fmt.Sprint(stats.Rounds),
 			fmt.Sprint(prog.DictSize()),
-			fmt.Sprint(prog.AllocateScratch().NumSlots),
+			fmt.Sprint(prog.Compiled().NumSlots),
 			fmt.Sprint(prog.MaxDepthUsed()),
 			fmt.Sprintf("%.2fx", stats.CompressionRatio()))
 	}

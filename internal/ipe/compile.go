@@ -14,7 +14,7 @@ import (
 // slice-of-slices on every input and gives every dictionary entry its own
 // scratchpad word, so the working set scales with NumSymbols(). Compiled is
 // the one-time lowering of that structure into flat struct-of-arrays
-// streams with the scratch.go liveness plan baked in:
+// streams with a liveness-based slot plan baked in:
 //
 //   - the pair dictionary becomes three parallel []int32 arrays
 //     (source A, source B, destination), each element a *location* in a
@@ -31,8 +31,8 @@ import (
 // The one executor of this form, ExecuteMatrixIntoPar, performs the same
 // floating-point operations in the same order as the interpreter's
 // Program.ExecuteMatrixInto, so results are bit-identical; the conformance
-// harness enforces that across its full seed sweep (see impls.go). A
-// single vector is a one-column matrix.
+// harness (internal/conformance) enforces that across its full seed sweep.
+// A single vector is a one-column matrix.
 
 // Compiled is the flat, slot-compacted executable form of a Program.
 type Compiled struct {
@@ -182,10 +182,11 @@ func compile(p *Program) *Compiled {
 		}
 	}
 
-	// Linear-scan slot allocation over the scheduled pair stream — the
-	// scratch.go discipline: a slot frees one step after its owner's last
-	// pair read, entries read by the emit phase never free, and the lowest
-	// free slot wins for determinism.
+	// Linear-scan slot allocation over the scheduled pair stream (register
+	// allocation on the decode pipeline, which shrinks the scratchpad the
+	// hardware must provision): a slot frees one step after its owner's
+	// last pair read, entries read by the emit phase never free, and the
+	// lowest free slot wins for determinism.
 	slotOf := make([]int32, nLive)
 	expiring := make(map[int][]int32)
 	var free []int32

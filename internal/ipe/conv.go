@@ -14,7 +14,6 @@ type ConvLayer struct {
 	Spec     tensor.ConvSpec
 	Programs []*Program
 	Bias     *tensor.Tensor // nil or [outC]
-	Quant    *quant.Quantized
 }
 
 // EncodeConv quantizes an OIHW weight tensor to the given bit-width and
@@ -25,7 +24,7 @@ func EncodeConv(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, scheme q
 }
 
 // EncodeConvQuantized index-pair encodes already quantized OIHW weights
-// (per group); the layer keeps q, which it does not modify.
+// (per group); q is read, not kept.
 func EncodeConvQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec, cfg Config) (*ConvLayer, Stats, error) {
 	return convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
 		return Encode(gq, cfg)
@@ -34,8 +33,7 @@ func EncodeConvQuantized(q *quant.Quantized, bias *tensor.Tensor, spec tensor.Co
 
 // FactorizeConv builds the value-factorized form of already quantized OIHW
 // weights: one empty-dictionary program per group (Factorize), run by the
-// same ForwardIntoPar as an encoded layer. The layer keeps q, which it does
-// not modify.
+// same ForwardIntoPar as an encoded layer; q is read, not kept.
 func FactorizeConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvLayer, error) {
 	l, _, err := convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
 		return Factorize(gq), Stats{}, nil
@@ -45,7 +43,7 @@ func FactorizeConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec
 
 // SparseConv builds the CSR form of already quantized OIHW weights: one
 // Sparse program per group, run by the same ForwardIntoPar as an encoded
-// layer. The layer keeps q, which it does not modify.
+// layer; q is read, not kept.
 func SparseConv(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec) (*ConvLayer, error) {
 	l, _, err := convLayer(q, bias, spec, func(gq *quant.Quantized) (*Program, Stats, error) {
 		return Sparse(gq), Stats{}, nil
@@ -65,7 +63,7 @@ func convLayer(q *quant.Quantized, bias *tensor.Tensor, spec tensor.ConvSpec, bu
 		return nil, Stats{}, fmt.Errorf("ipe: weight shape %v != expected %v for spec %+v",
 			q.Shape, spec.WeightShape(), spec)
 	}
-	layer := &ConvLayer{Spec: spec, Bias: bias, Quant: q}
+	layer := &ConvLayer{Spec: spec, Bias: bias}
 	ocg := spec.OutC / spec.Groups
 	var total Stats
 	for g := 0; g < spec.Groups; g++ {
@@ -146,7 +144,6 @@ func (l *ConvLayer) PixelCost() Cost {
 type DenseLayer struct {
 	Program *Program
 	Bias    *tensor.Tensor // nil or [m]
-	Quant   *quant.Quantized
 }
 
 // EncodeDense quantizes an [m, k] weight matrix and index-pair encodes it.
@@ -155,7 +152,7 @@ func EncodeDense(w, bias *tensor.Tensor, bits int, scheme quant.Scheme, cfg Conf
 }
 
 // EncodeDenseQuantized index-pair encodes an already quantized [m, k]
-// weight matrix; the layer keeps q, which it does not modify.
+// weight matrix; q is read, not kept.
 func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (*DenseLayer, Stats, error) {
 	if q.Shape.Rank() != 2 {
 		return nil, Stats{}, fmt.Errorf("ipe: EncodeDense wants [m, k] weight, got %v", q.Shape)
@@ -164,7 +161,7 @@ func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return &DenseLayer{Program: prog, Bias: bias, Quant: q}, st, nil
+	return &DenseLayer{Program: prog, Bias: bias}, st, nil
 }
 
 // Forward computes y = W_q·x + b for each row of the [n, k] input.
@@ -246,5 +243,5 @@ func EncodeConvShared(w, bias *tensor.Tensor, spec tensor.ConvSpec, bits int, sc
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return &ConvLayer{Spec: spec, Programs: progs, Bias: bias, Quant: q}, stats, nil
+	return &ConvLayer{Spec: spec, Programs: progs, Bias: bias}, stats, nil
 }

@@ -184,7 +184,7 @@ func TestConvLayerMatchesReferenceConv(t *testing.T) {
 	in := tensor.New(2, spec.InC, 8, 8)
 	tensor.FillGaussian(in, r, 1)
 	got := layer.Forward(in)
-	want := tensor.Conv2D(in, layer.Quant.Dequantize(), bias, spec)
+	want := tensor.Conv2D(in, quant.Quantize(w, 4, quant.PerChannel).Dequantize(), bias, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("encoded conv diverges from reference: max diff %v", tensor.MaxAbsDiff(got, want))
 	}
@@ -202,7 +202,7 @@ func TestConvLayerGroupedMatchesReference(t *testing.T) {
 	in := tensor.New(1, spec.InC, 6, 6)
 	tensor.FillGaussian(in, r, 1)
 	got := layer.Forward(in)
-	want := tensor.Conv2D(in, layer.Quant.Dequantize(), nil, spec)
+	want := tensor.Conv2D(in, quant.Quantize(w, 4, quant.PerTensor).Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("grouped encoded conv diverges: max diff %v", tensor.MaxAbsDiff(got, want))
 	}
@@ -237,7 +237,7 @@ func TestDenseLayerMatchesReference(t *testing.T) {
 	in := tensor.New(3, 32)
 	tensor.FillGaussian(in, r, 1)
 	got := layer.Forward(in)
-	want := tensor.Dense(in, layer.Quant.Dequantize(), bias)
+	want := tensor.Dense(in, quant.Quantize(w, 4, quant.PerChannel).Dequantize(), bias)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("encoded dense diverges: max diff %v", tensor.MaxAbsDiff(got, want))
 	}

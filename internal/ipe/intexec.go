@@ -15,10 +15,10 @@ import (
 // accelerator would run the encoded stream; the float path exists for
 // verification and CPU deployment.
 
-// rowScale recovers the weight scale of row r from its first term
+// RowScale recovers the weight scale of row r from its first term
 // (Value = Scale·Code, so Scale = Value/Code). Rows with no terms have an
 // arbitrary scale; they always produce zero.
-func (p *Program) rowScale(r int) float32 {
+func (p *Program) RowScale(r int) float32 {
 	for _, t := range p.Rows[r].Terms {
 		if t.Code != 0 {
 			return t.Value / float32(t.Code)
@@ -27,13 +27,13 @@ func (p *Program) rowScale(r int) float32 {
 	return 0
 }
 
-// RowScales precomputes every row's weight scale (see rowScale) so the
+// RowScales precomputes every row's weight scale (see RowScale) so the
 // integer forward paths requantize with one multiply per output instead of
 // re-walking the row's terms.
 func (p *Program) RowScales() []float32 {
 	scales := make([]float32, p.M)
 	for r := range scales {
-		scales[r] = p.rowScale(r)
+		scales[r] = p.RowScale(r)
 	}
 	return scales
 }
@@ -77,7 +77,7 @@ func (p *Program) ExecuteQuantized(x []float32, y []float32, xParams quant.Param
 	acc := make([]int64, p.M)
 	p.ExecuteInt(codes, acc)
 	for r := 0; r < p.M; r++ {
-		y[r] = float32(acc[r]) * xParams.Scale * p.rowScale(r)
+		y[r] = float32(acc[r]) * xParams.Scale * p.RowScale(r)
 	}
 }
 
@@ -180,6 +180,6 @@ func (p *Program) ExecuteQuantizedAsym(x, y []float32, xParams quant.Params, xBi
 	p.ExecuteInt(codes, acc)
 	z := int64(xParams.ZeroPoint)
 	for r := 0; r < p.M; r++ {
-		y[r] = float32(acc[r]-z*rowSums[r]) * xParams.Scale * p.rowScale(r)
+		y[r] = float32(acc[r]-z*rowSums[r]) * xParams.Scale * p.RowScale(r)
 	}
 }

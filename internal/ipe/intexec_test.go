@@ -121,11 +121,11 @@ func TestRowScaleRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := prog.rowScale(0); got != 0.5 {
-		t.Fatalf("rowScale(0) = %v, want 0.5", got)
+	if got := prog.RowScale(0); got != 0.5 {
+		t.Fatalf("RowScale(0) = %v, want 0.5", got)
 	}
-	if got := prog.rowScale(1); got != 0.25 {
-		t.Fatalf("rowScale(1) = %v, want 0.25", got)
+	if got := prog.RowScale(1); got != 0.25 {
+		t.Fatalf("RowScale(1) = %v, want 0.25", got)
 	}
 }
 

@@ -169,7 +169,7 @@ func TestEncodeConvSharedMatchesReference(t *testing.T) {
 	in := tensor.New(1, 16, 8, 8)
 	tensor.FillGaussian(in, r, 1)
 	got := layer.Forward(in)
-	want := tensor.Conv2D(in, layer.Quant.Dequantize(), nil, spec)
+	want := tensor.Conv2D(in, quant.Quantize(w, 4, quant.PerTensor).Dequantize(), nil, spec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("shared depthwise conv diverges: %v", tensor.MaxAbsDiff(got, want))
 	}
@@ -245,7 +245,7 @@ func TestEncodeConvSharedReducesWork(t *testing.T) {
 	in := tensor.New(1, 32, 6, 6)
 	tensor.FillGaussian(in, r, 1)
 	got := dwShared.Forward(in)
-	want := tensor.Conv2D(in, dwShared.Quant.Dequantize(), nil, dwSpec)
+	want := tensor.Conv2D(in, quant.Quantize(dw, 2, quant.PerTensor).Dequantize(), nil, dwSpec)
 	if !tensor.AllClose(got, want, 1e-3, 1e-3) {
 		t.Fatalf("shared depthwise diverges: %v", tensor.MaxAbsDiff(got, want))
 	}

@@ -249,16 +249,12 @@ func (r *Registry) Info(name string) (serve.ModelInfo, bool) {
 	if v == nil {
 		return serve.ModelInfo{}, false
 	}
-	cfg := r.opts.Serve
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 32
-	}
 	return serve.ModelInfo{
 		Name:        name,
 		Version:     v.Version,
 		InputShape:  v.Plan.Graph.In.OutShape,
 		OutputShape: v.Plan.Graph.Out.OutShape,
-		MaxBatch:    cfg.MaxBatch,
+		MaxBatch:    v.Batcher.MaxBatch(),
 	}, true
 }
 

@@ -81,7 +81,7 @@ func TestAddSwapVersionsAndInfo(t *testing.T) {
 		t.Fatal("duplicate Add succeeded")
 	}
 	info, ok := r.Info("m")
-	if !ok || info.Version != 1 || len(info.InputShape) == 0 {
+	if !ok || info.Version != 1 || len(info.InputShape) == 0 || info.MaxBatch != 8 {
 		t.Fatalf("Info = %+v, %v", info, ok)
 	}
 
@@ -123,6 +123,24 @@ func TestAddSwapVersionsAndInfo(t *testing.T) {
 	}
 	if _, _, err := r.Predict("nope", testInput()); err != serve.ErrUnknownModel {
 		t.Fatalf("Predict unknown model: %v", err)
+	}
+}
+
+// TestInfoMaxBatchDefault checks that an unset Serve.MaxBatch reports the
+// batcher's own default, not a copy of it.
+func TestInfoMaxBatchDefault(t *testing.T) {
+	r, err := New(Options{Compile: testCompile(t, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	v, err := r.Add("m", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, ok := r.Info("m")
+	if !ok || info.MaxBatch != v.Batcher.MaxBatch() || info.MaxBatch <= 0 {
+		t.Fatalf("Info = %+v, %v; batcher MaxBatch %d", info, ok, v.Batcher.MaxBatch())
 	}
 }
 

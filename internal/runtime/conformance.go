@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -24,30 +22,20 @@ func ForceableImpls() []Impl {
 // conv/dense operator effectively computes with, for the operators whose
 // chosen implementation does not use the node's own float weights: the
 // quantized implementations (CSR, factorized, IPE) compute the convolution
-// of the *dequantized* weights. Operators running on their float weights
-// (dense, Winograd, and every non-conv/dense op) are absent from the map.
-// An oracle that evaluates Plan.Graph with these overrides predicts the
-// executor's output up to float accumulation order.
+// of the *dequantized* weights, re-quantized here with the plan's Bits and
+// Scheme exactly as compilation quantized them. Operators running on their
+// float weights (dense, Winograd, and every non-conv/dense op) are absent
+// from the map. An oracle that evaluates Plan.Graph with these overrides
+// predicts the executor's output up to float accumulation order. The error
+// is nil for every plan Compile returns.
 func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 	eff := make(map[int]*tensor.Tensor)
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		var q *quant.Quantized
-		switch {
-		case op.progConv != nil:
-			q = op.progConv.Quant
-		case op.progDense != nil:
-			q = op.progDense.Quant
-		default:
+		if op.progConv == nil && op.progDense == nil {
 			continue
 		}
-		w := q.Dequantize()
-		want := op.Node.Param("weight").Shape()
-		if w.NumElements() != want.NumElements() {
-			return nil, fmt.Errorf("runtime: effective weight of %s has %d elements, node weight %v",
-				op.Node, w.NumElements(), want)
-		}
-		eff[op.Node.ID] = w.Reshape(want...)
+		eff[op.Node.ID] = quant.Quantize(op.Node.Param("weight"), p.Opts.Bits, p.Opts.Scheme).Dequantize()
 	}
 	return eff, nil
 }

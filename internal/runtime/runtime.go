@@ -512,13 +512,13 @@ func buildDense(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (a
 		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), s, true, nil
 	case ImplCSR:
 		if !rankOnly {
-			s.progDense = &ipe.DenseLayer{Program: ipe.Sparse(q.q), Bias: bias, Quant: q.q}
+			s.progDense = &ipe.DenseLayer{Program: ipe.Sparse(q.q), Bias: bias}
 		}
 		nnz := q.counts.CSR
 		return simulate("csr", ipe.SparseCost(nnz), nnz*6), s, true, nil
 	case ImplFactorized:
 		if !rankOnly {
-			s.progDense = &ipe.DenseLayer{Program: ipe.Factorize(q.q), Bias: bias, Quant: q.q}
+			s.progDense = &ipe.DenseLayer{Program: ipe.Factorize(q.q), Bias: bias}
 		}
 		fc := q.counts.Factorized()
 		return simulate("factorized", fc, fc.StreamSymbols*2), s, true, nil

@@ -142,6 +142,10 @@ func NewBatcher(name string, plan *runtime.Plan, cfg Config) *Batcher {
 // Plan returns the compiled plan the batcher serves.
 func (b *Batcher) Plan() *runtime.Plan { return b.plan }
 
+// MaxBatch returns the chunk count at which a batch stops growing, after
+// Config defaults.
+func (b *Batcher) MaxBatch() int { return b.cfg.MaxBatch }
+
 // Submit enqueues one inference and blocks until its result is ready. The
 // input's batch dimension must be a non-zero multiple of the plan's
 // compiled batch and every other dimension must match the compiled input

@@ -36,7 +36,7 @@ func (p *tinyProvider) Info(name string) (ModelInfo, bool) {
 		Version:     1,
 		InputShape:  p.plan.Graph.In.OutShape,
 		OutputShape: p.plan.Graph.Out.OutShape,
-		MaxBatch:    p.batcher.cfg.MaxBatch,
+		MaxBatch:    p.batcher.MaxBatch(),
 	}, true
 }
 
