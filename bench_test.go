@@ -243,11 +243,15 @@ func BenchmarkConvIm2col(b *testing.B) {
 }
 
 // BenchmarkAccelSimulateTiles measures the event simulator on a 4096-tile
-// pipeline.
+// pipeline: 2^24 adds and muls, 2^25 SRAM accesses and 2^26 DRAM bytes in
+// all, of which 1 MiB of stationary weights loads with the first tile.
 func BenchmarkAccelSimulateTiles(b *testing.B) {
 	c := accel.Default()
-	p := accel.KernelProfile{Adds: 1 << 24, Muls: 1 << 24, DRAMBytes: 1 << 26, SRAMAccesses: 1 << 25}
-	tiles := accel.SplitTiles(p, 4096, 1<<20)
+	tiles := make([]accel.Tile, 4096)
+	for i := range tiles {
+		tiles[i] = accel.Tile{LoadBytes: 8064, StoreBytes: 8064, Adds: 1 << 12, Muls: 1 << 12, SRAMAccesses: 1 << 13}
+	}
+	tiles[0].LoadBytes += 1 << 20
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.SimulateTiles("bench", tiles)

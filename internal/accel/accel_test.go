@@ -12,10 +12,8 @@ import (
 )
 
 func TestDefaultConfigValid(t *testing.T) {
-	for _, c := range []Config{Default(), Small()} {
-		if err := c.Validate(); err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
+	if err := Default().Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -114,23 +112,36 @@ func TestEnergyAdditive(t *testing.T) {
 	}
 }
 
+// evenTiles spreads p's ops and DRAM traffic evenly over n pipeline tiles;
+// n must divide every total.
+func evenTiles(p KernelProfile, n int) []Tile {
+	tiles := make([]Tile, n)
+	for i := range tiles {
+		tiles[i] = Tile{
+			LoadBytes:    p.DRAMBytes / int64(2*n),
+			StoreBytes:   p.DRAMBytes / int64(2*n),
+			Adds:         p.Adds / int64(n),
+			Muls:         p.Muls / int64(n),
+			SRAMAccesses: p.SRAMAccesses / int64(n),
+		}
+	}
+	return tiles
+}
+
 func TestSimulateTilesCoversAllWork(t *testing.T) {
+	// Spread over tiles, a profile's ops and DRAM traffic must all reach the
+	// result: the same traffic, energy and compute cycles as the roofline.
 	c := Default()
 	p := KernelProfile{Adds: 1 << 18, Muls: 1 << 18, SRAMAccesses: 1 << 19, DRAMBytes: 1 << 22}
-	tiles := SplitTiles(p, 16, 1<<20)
-	var adds, muls, dram int64
-	for _, t2 := range tiles {
-		adds += t2.Adds
-		muls += t2.Muls
-		dram += t2.LoadBytes + t2.StoreBytes
+	r := c.SimulateTiles("k", evenTiles(p, 16))
+	ideal := c.Simulate(p)
+	if r.DRAMBytes != p.DRAMBytes {
+		t.Fatalf("tiles lost traffic: %d vs %d", r.DRAMBytes, p.DRAMBytes)
 	}
-	if adds != p.Adds || muls != p.Muls {
-		t.Fatalf("tiles lost ops: %d/%d vs %d/%d", adds, muls, p.Adds, p.Muls)
+	if r.EnergyPJ != ideal.EnergyPJ || r.ComputeCycles != ideal.ComputeCycles {
+		t.Fatalf("tiles lost ops: energy %v / compute %d vs %v / %d",
+			r.EnergyPJ, r.ComputeCycles, ideal.EnergyPJ, ideal.ComputeCycles)
 	}
-	if dram != p.DRAMBytes {
-		t.Fatalf("tiles lost traffic: %d vs %d", dram, p.DRAMBytes)
-	}
-	r := c.SimulateTiles("k", tiles)
 	if r.Cycles <= 0 {
 		t.Fatal("tile simulation produced no cycles")
 	}
@@ -141,7 +152,7 @@ func TestSimulateTilesAtLeastRoofline(t *testing.T) {
 	// compute bound.
 	c := Default()
 	p := KernelProfile{Adds: 1 << 20, Muls: 1 << 20, DRAMBytes: 1 << 24}
-	tiles := SplitTiles(p, 32, 1<<22)
+	tiles := evenTiles(p, 32)
 	r := c.SimulateTiles("k", tiles)
 	ideal := c.Simulate(p)
 	if r.Cycles < ideal.ComputeCycles {
@@ -300,7 +311,7 @@ func TestIPEGatherConflictsReasonable(t *testing.T) {
 func TestSimulateTilesTraceMatchesUntraced(t *testing.T) {
 	c := Default()
 	p := KernelProfile{Adds: 1 << 18, Muls: 1 << 18, DRAMBytes: 1 << 22, SRAMAccesses: 1 << 19}
-	tiles := SplitTiles(p, 64, 1<<20)
+	tiles := evenTiles(p, 64)
 	plain := c.SimulateTiles("k", tiles)
 	traced, traces := c.SimulateTilesTrace("k", tiles, 16)
 	if plain.Cycles != traced.Cycles || plain.EnergyPJ != traced.EnergyPJ ||
@@ -320,7 +331,7 @@ func TestSimulateTilesTraceMatchesUntraced(t *testing.T) {
 func TestPrintTimeline(t *testing.T) {
 	c := Default()
 	p := KernelProfile{Adds: 1 << 16, DRAMBytes: 1 << 20}
-	_, traces := c.SimulateTilesTrace("k", SplitTiles(p, 8, 1<<16), 8)
+	_, traces := c.SimulateTilesTrace("k", evenTiles(p, 8), 8)
 	var buf strings.Builder
 	PrintTimeline(&buf, traces, 60)
 	out := buf.String()

@@ -51,17 +51,6 @@ func Default() Config {
 	}
 }
 
-// Small returns a constrained configuration (64 lanes, 128 KiB SRAM,
-// 4 GB/s) used by the sensitivity studies.
-func Small() Config {
-	c := Default()
-	c.Name = "inspire-npu-small"
-	c.PEs = 64
-	c.SRAMBytes = 128 << 10
-	c.DRAMBandwidthGBs = 4
-	return c
-}
-
 // Validate rejects non-physical configurations.
 func (c Config) Validate() error {
 	switch {

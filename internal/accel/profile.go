@@ -121,37 +121,6 @@ func IPEConvProfile(layer *ipe.ConvLayer, n, h, w int) KernelProfile {
 	}
 }
 
-// SplitTiles decomposes a kernel profile into nTiles pipeline tiles for
-// SimulateTiles. stationaryBytes (weights or instruction stream) load with
-// the first tile; the remaining traffic and all ops spread evenly.
-func SplitTiles(p KernelProfile, nTiles int, stationaryBytes int64) []Tile {
-	if nTiles < 1 {
-		nTiles = 1
-	}
-	streaming := p.DRAMBytes - stationaryBytes
-	if streaming < 0 {
-		streaming = 0
-	}
-	tiles := make([]Tile, nTiles)
-	for i := range tiles {
-		tiles[i] = Tile{
-			LoadBytes:    streaming / int64(nTiles) / 2,
-			StoreBytes:   streaming / int64(nTiles) / 2,
-			Adds:         p.Adds / int64(nTiles),
-			Muls:         p.Muls / int64(nTiles),
-			SRAMAccesses: p.SRAMAccesses / int64(nTiles),
-		}
-	}
-	tiles[0].LoadBytes += stationaryBytes
-	// Put the integer-division remainders on the last tile so totals match.
-	tiles[nTiles-1].Adds += p.Adds % int64(nTiles)
-	tiles[nTiles-1].Muls += p.Muls % int64(nTiles)
-	tiles[nTiles-1].SRAMAccesses += p.SRAMAccesses % int64(nTiles)
-	rem := streaming - (streaming/int64(nTiles))/2*2*int64(nTiles)
-	tiles[nTiles-1].StoreBytes += rem
-	return tiles
-}
-
 // WinogradConvProfile models Winograd F(2x2,3x3) dense execution: the cost
 // argument carries the transform+elementwise op counts (see
 // baseline.WinogradCost); weights cross DRAM in transformed form

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/baseline"
 )
 
 // Seed counts per case kind. Together they run well over 200 generated
@@ -20,6 +22,26 @@ const (
 
 func TestConvConformance(t *testing.T) {
 	for seed := uint64(1); seed <= convSeeds; seed++ {
+		if err := CheckConv(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWinogradConformance runs CheckConv on the first winogradSeeds seeds
+// past convSeeds whose spec Winograd F(2x2,3x3) can run, so the winograd
+// family is cross-checked too: GenConv draws few dense 3×3 stride-1 specs.
+func TestWinogradConformance(t *testing.T) {
+	const winogradSeeds = 5
+	found := 0
+	for seed := uint64(convSeeds + 1); found < winogradSeeds; seed++ {
+		if seed > 100*convSeeds {
+			t.Fatalf("only %d Winograd-eligible seeds in (%d, %d]", found, convSeeds, seed-1)
+		}
+		if baseline.SupportsWinograd(GenConv(seed).Spec) != nil {
+			continue
+		}
+		found++
 		if err := CheckConv(seed); err != nil {
 			t.Fatal(err)
 		}

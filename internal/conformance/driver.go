@@ -110,7 +110,7 @@ func CheckConv(seed uint64) error {
 	}); err != nil {
 		return err
 	}
-	if spec.KH == 3 && spec.KW == 3 && spec.StrideH == 1 && spec.StrideW == 1 && spec.Groups == 1 {
+	if baseline.SupportsWinograd(spec) == nil {
 		l, err := baseline.NewConvWinograd(weight, bias, spec)
 		if err != nil {
 			return fmt.Errorf("conformance: seed %d: NewConvWinograd: %w", seed, err)

@@ -23,22 +23,9 @@ func convImplResults(spec tensor.ConvSpec, w *tensor.Tensor, n, h, wd int, cfg C
 	if sparsity > 0 {
 		quant.PruneMagnitude(wc, sparsity)
 	}
-	// Dense uses the heuristic-scheduled float kernel (the cuDNN-like
-	// baseline role).
-	wl := schedule.Workload{Spec: spec, N: n, H: h, W: wd}
-	sp := schedule.NewSpace(wl, cfg.Accel)
-	bestDense := accel.Result{Cycles: math.MaxInt64}
-	for _, idx := range [][]int{
-		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 0},
-		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 1},
-		{len(sp.OCOpts) / 2, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) / 2, 0, 0},
-		{0, 0, len(sp.OWOpts) - 1, 0, 0, 0},
-	} {
-		if r, err := sp.At(idx).Simulate(wl, cfg.Accel); err == nil && r.Cycles < bestDense.Cycles {
-			bestDense = r
-		}
-	}
-	out["dense"] = bestDense
+	// Dense uses the heuristic-scheduled float kernel Compile ranks (the
+	// cuDNN-like baseline role).
+	out["dense"] = schedule.HeuristicDense(schedule.Workload{Spec: spec, N: n, H: h, W: wd}, cfg.Accel)
 
 	counts := ipe.CountCodes(quant.Quantize(wc, cfg.Bits, quant.PerTensor))
 	out["csr"] = cfg.Accel.Simulate(accel.SparseConvProfile(spec, n, h, wd, counts.Nonzeros))

@@ -1,8 +1,6 @@
 package ipe
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/quant"
@@ -180,37 +178,5 @@ func TestEncodeTileBoundaryPairs(t *testing.T) {
 		if err := p.VerifyAgainst(q); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestDumpOutput(t *testing.T) {
-	q := qm([]int32{
-		1, 1, 0, 2,
-		1, 1, 2, 0,
-	}, 2, 4)
-	prog, _, err := Encode(q, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	prog.Dump(&buf, 0)
-	out := buf.String()
-	for _, want := range []string{"ipe.Program{K=4 M=2", "y[0] =", "y[1] =", "= x0 + x1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Dump missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestDumpTruncatesRows(t *testing.T) {
-	q := codesMatrix(20, 16, func(r, c int) int32 { return int32((r+c)%5) - 2 })
-	prog, _, err := Encode(q, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	prog.Dump(&buf, 3)
-	if !strings.Contains(buf.String(), "more rows") {
-		t.Fatalf("Dump(3) should elide rows:\n%s", buf.String())
 	}
 }

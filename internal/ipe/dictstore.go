@@ -84,29 +84,12 @@ func NewDictStore() *DictStore {
 	}
 }
 
-// DictStats is a point-in-time snapshot of what the store deduplicated.
-type DictStats struct {
-	// Lookups counts Intern calls; ProgramHits of them returned an
-	// existing canonical program and DictHits shared only the pair
-	// dictionary (emit rows differed). These three only grow.
-	Lookups     int64 `json:"lookups"`
-	ProgramHits int64 `json:"program_hits"`
-	DictHits    int64 `json:"dict_hits"`
-	// UniquePrograms/UniqueBytes measure the canonical set actually
-	// resident; SavedBytes estimates the heap the duplicates currently
-	// referencing it would have kept alive without interning. All three
-	// fall as references are released.
-	UniquePrograms int64 `json:"unique_programs"`
-	UniqueBytes    int64 `json:"unique_bytes"`
-	SavedBytes     int64 `json:"saved_bytes"`
-}
-
 // Stats returns a consistent-enough snapshot of the store's counters.
-func (s *DictStore) Stats() DictStats {
+func (s *DictStore) Stats() metrics.SharedDictSnapshot {
 	if s == nil {
-		return DictStats{}
+		return metrics.SharedDictSnapshot{}
 	}
-	return DictStats{
+	return metrics.SharedDictSnapshot{
 		Lookups:        s.lookups.Load(),
 		ProgramHits:    s.programHits.Load(),
 		DictHits:       s.dictHits.Load(),
@@ -217,14 +200,7 @@ func (s *DictStore) Release(progs ...*Program) {
 
 // publish pushes the store's counters to the process recorder (nil-safe).
 func (s *DictStore) publish() {
-	metrics.Get().SetSharedDict(metrics.SharedDictStats{
-		Lookups:        s.lookups.Load(),
-		ProgramHits:    s.programHits.Load(),
-		DictHits:       s.dictHits.Load(),
-		UniquePrograms: s.uniquePrograms.Load(),
-		UniqueBytes:    s.uniqueBytes.Load(),
-		SavedBytes:     s.savedBytes.Load(),
-	})
+	metrics.Get().SetSharedDict(s.Stats())
 }
 
 // programKey hashes the full program content — wire form (K, M, Bits, pair

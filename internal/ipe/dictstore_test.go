@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -159,7 +160,7 @@ func TestDictStoreNilSafe(t *testing.T) {
 	if got := s.Intern(p); got != p {
 		t.Fatal("nil store must pass programs through")
 	}
-	if s.Len() != 0 || s.Stats() != (DictStats{}) {
+	if s.Len() != 0 || s.Stats() != (metrics.SharedDictSnapshot{}) {
 		t.Fatal("nil store must report zero state")
 	}
 	if s.Intern(nil) != nil {

@@ -94,7 +94,7 @@ type Recorder struct {
 
 	// sharedDict holds the latest shared-dictionary gauge set published by
 	// ipe.DictStore (nil until a store publishes).
-	sharedDict atomic.Pointer[SharedDictStats]
+	sharedDict atomic.Pointer[SharedDictSnapshot]
 }
 
 // New builds an empty Recorder. Most callers use Enable instead, which

@@ -5,22 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// SharedDictStats is the shared-dictionary-store gauge set published by
-// ipe.DictStore on every intern: how many encode results were deduplicated
-// at program or dictionary level and the resident/saved byte estimates.
-// Values are overwritten wholesale (published gauges, not counters).
-type SharedDictStats struct {
-	Lookups        int64
-	ProgramHits    int64
-	DictHits       int64
-	UniquePrograms int64
-	UniqueBytes    int64
-	SavedBytes     int64
-}
-
-// SetSharedDict overwrites the recorder's shared-dictionary gauges.
-// Nil-safe like every recording method.
-func (r *Recorder) SetSharedDict(s SharedDictStats) {
+// SetSharedDict overwrites the recorder's shared-dictionary gauges, which
+// ipe.DictStore publishes on every intern and release. Nil-safe like every
+// recording method.
+func (r *Recorder) SetSharedDict(s SharedDictSnapshot) {
 	if r == nil {
 		return
 	}
@@ -109,12 +97,19 @@ func (s *ModelStats) Snapshot() ModelSnapshot {
 	return snap
 }
 
-// SharedDictSnapshot is the point-in-time view of the shared dictionary
-// store's dedup gauges.
+// SharedDictSnapshot is a point-in-time view of what the shared dictionary
+// store (ipe.DictStore) deduplicated.
 type SharedDictSnapshot struct {
-	Lookups        int64 `json:"lookups"`
-	ProgramHits    int64 `json:"program_hits"`
-	DictHits       int64 `json:"dict_hits"`
+	// Lookups counts interns; ProgramHits of them returned an existing
+	// canonical program and DictHits shared only the pair dictionary (emit
+	// rows differed). These three only grow.
+	Lookups     int64 `json:"lookups"`
+	ProgramHits int64 `json:"program_hits"`
+	DictHits    int64 `json:"dict_hits"`
+	// UniquePrograms/UniqueBytes measure the canonical set actually
+	// resident; SavedBytes estimates the heap the duplicates currently
+	// referencing it would have kept alive without interning. All three
+	// fall as references are released.
 	UniquePrograms int64 `json:"unique_programs"`
 	UniqueBytes    int64 `json:"unique_bytes"`
 	SavedBytes     int64 `json:"saved_bytes"`

@@ -118,14 +118,8 @@ func (r *Recorder) Snapshot() Snapshot {
 		s.Models = append(s.Models, md.Snapshot())
 	}
 	if d := r.sharedDict.Load(); d != nil {
-		s.SharedDict = &SharedDictSnapshot{
-			Lookups:        d.Lookups,
-			ProgramHits:    d.ProgramHits,
-			DictHits:       d.DictHits,
-			UniquePrograms: d.UniquePrograms,
-			UniqueBytes:    d.UniqueBytes,
-			SavedBytes:     d.SavedBytes,
-		}
+		c := *d
+		s.SharedDict = &c
 	}
 	s.Kernels = make(map[string]int64)
 	for k := Kernel(0); k < KernelCount; k++ {

@@ -68,12 +68,3 @@ func QuantizeAsym(x []float32, p Params, bits int) []int32 {
 	}
 	return codes
 }
-
-// DequantizeAsym reconstructs real values from affine codes.
-func DequantizeAsym(codes []int32, p Params) []float32 {
-	out := make([]float32, len(codes))
-	for i, c := range codes {
-		out[i] = p.Scale * float32(c-p.ZeroPoint)
-	}
-	return out
-}

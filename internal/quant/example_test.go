@@ -14,7 +14,7 @@ func ExampleQuantize() {
 	q := quant.Quantize(w, 4, quant.PerTensor)
 	fmt.Printf("codes in [-7,7]: %v\n", q.Codes)
 	fmt.Printf("max error <= scale/2: %v\n",
-		quant.QuantError(w, q) <= float64(q.Params[0].Scale)/2*1.001)
+		tensor.MaxAbsDiff(q.Dequantize(), w) <= float64(q.Params[0].Scale)/2*1.001)
 	// Output:
 	// codes in [-7,7]: [-7 -3 0 3 7]
 	// max error <= scale/2: true

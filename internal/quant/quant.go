@@ -82,9 +82,6 @@ func (q *Quantized) RowScale(row int) float32 {
 	return q.Params[0].Scale
 }
 
-// Levels returns the number of representable levels, 2^bits.
-func (q *Quantized) Levels() int { return 1 << q.Bits }
-
 // DistinctValues returns the number of distinct codes actually present.
 func (q *Quantized) DistinctValues() int {
 	seen := make(map[int32]struct{}, 64)
@@ -212,12 +209,6 @@ func Quantize(t *tensor.Tensor, bits int, scheme Scheme) *Quantized {
 	return q
 }
 
-// QuantError returns the maximum absolute reconstruction error of the
-// quantization, |t - dequantize(quantize(t))|_inf.
-func QuantError(t *tensor.Tensor, q *Quantized) float64 {
-	return tensor.MaxAbsDiff(q.Dequantize(), t)
-}
-
 // PruneMagnitude zeroes the fraction p of smallest-magnitude elements of t
 // in place and returns the number of elements pruned. p is clamped to [0,1].
 // Ties at the threshold are broken by index order so that the result is
@@ -251,53 +242,6 @@ func PruneMagnitude(t *tensor.Tensor, p float64) int {
 	})
 	for i := 0; i < target; i++ {
 		d[elems[i].idx] = 0
-	}
-	return target
-}
-
-// PruneStructured zeroes whole input-channel slices (dimension 1 of an OIHW
-// weight) of smallest aggregate magnitude until at least fraction p of the
-// input channels are removed. It returns the number of channels pruned.
-func PruneStructured(t *tensor.Tensor, p float64) int {
-	if t.Shape().Rank() != 4 {
-		panic("quant: PruneStructured requires an OIHW rank-4 weight")
-	}
-	if p <= 0 {
-		return 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	oc, ic, kh, kw := t.Dim(0), t.Dim(1), t.Dim(2), t.Dim(3)
-	mags := make([]float64, ic)
-	d := t.Data()
-	for o := 0; o < oc; o++ {
-		for i := 0; i < ic; i++ {
-			base := ((o*ic + i) * kh) * kw
-			for j := 0; j < kh*kw; j++ {
-				mags[i] += math.Abs(float64(d[base+j]))
-			}
-		}
-	}
-	order := make([]int, ic)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if mags[order[a]] != mags[order[b]] {
-			return mags[order[a]] < mags[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	target := int(math.Round(p * float64(ic)))
-	for k := 0; k < target; k++ {
-		i := order[k]
-		for o := 0; o < oc; o++ {
-			base := ((o*ic + i) * kh) * kw
-			for j := 0; j < kh*kw; j++ {
-				d[base+j] = 0
-			}
-		}
 	}
 	return target
 }

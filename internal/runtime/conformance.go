@@ -22,8 +22,8 @@ func ForceableImpls() []Impl {
 // conv/dense operator effectively computes with, for the operators whose
 // chosen implementation does not use the node's own float weights: the
 // quantized implementations (CSR, factorized, IPE) compute the convolution
-// of the *dequantized* weights, re-quantized here with the plan's Bits and
-// Scheme exactly as compilation quantized them. Operators running on their
+// of the *dequantized* weights, re-quantized here per channel at the plan's
+// Bits exactly as compilation quantized them. Operators running on their
 // float weights (dense, Winograd, and every non-conv/dense op) are absent
 // from the map. An oracle that evaluates Plan.Graph with these overrides
 // predicts the executor's output up to float accumulation order. The error
@@ -35,7 +35,7 @@ func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 		if op.progConv == nil && op.progDense == nil {
 			continue
 		}
-		eff[op.Node.ID] = quant.Quantize(op.Node.Param("weight"), p.Opts.Bits, p.Opts.Scheme).Dequantize()
+		eff[op.Node.ID] = quant.Quantize(op.Node.Param("weight"), p.Opts.Bits, quant.PerChannel).Dequantize()
 	}
 	return eff, nil
 }

@@ -48,7 +48,7 @@ func TestEffectiveWeightsMatchQuantizer(t *testing.T) {
 					}
 					quantized++
 					w := op.Node.Param("weight")
-					q := quant.Quantize(w, plan.Opts.Bits, plan.Opts.Scheme)
+					q := quant.Quantize(w, plan.Opts.Bits, quant.PerChannel)
 					if !got.Shape().Equal(w.Shape()) {
 						t.Fatalf("%s: effective weight shape %v, node weight %v", op.Node.Name, got.Shape(), w.Shape())
 					}

@@ -198,9 +198,6 @@ func (e *Executor) Plan() *Plan { return e.plan }
 // regions and per-output accumulation order is unchanged.
 func (e *Executor) SetParallelism(n int) { e.par.SetShards(n) }
 
-// Parallelism returns the executor's intra-op shard count.
-func (e *Executor) Parallelism() int { return e.par.Shards() }
-
 // Run executes the plan on the CPU, writing every activation directly into
 // its planned arena slot. The chosen implementation computes each
 // conv/dense operator, so the numerical output reflects the selected

@@ -62,15 +62,14 @@ func ImplByName(name string) (Impl, bool) {
 	return ImplAuto, false
 }
 
-// Options configures compilation.
+// Options configures compilation. The encoded implementations (CSR,
+// factorized, IPE) quantize each operator's weights per output channel
+// (quant.PerChannel); per-tensor codes are built outside the runtime with
+// quant.Quantize.
 type Options struct {
 	// Bits is the weight quantization bit-width for the encoded
 	// implementations (default 4).
 	Bits int
-	// Scheme is the quantization granularity. The zero value means unset
-	// and compiles as per-channel (the documented default); per-tensor
-	// plans quantize outside the runtime via quant.Quantize.
-	Scheme quant.Scheme
 	// IPE configures the index-pair encoder (default ipe.DefaultConfig).
 	IPE ipe.Config
 	// DictStore, when non-nil, interns every encoded IPE program into the
@@ -96,9 +95,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Bits == 0 {
 		o.Bits = 4
-	}
-	if o.Scheme == quant.PerTensor {
-		o.Scheme = quant.PerChannel
 	}
 	if o.IPE == (ipe.Config{}) {
 		o.IPE = ipe.DefaultConfig()
@@ -300,44 +296,17 @@ type denseSimKey struct {
 	hw accel.Config
 }
 
-// denseConvSim simulates the dense conv under the heuristic default
-// schedule: the best legal point among the largest power-of-two-ish tiles
-// from the top of each option list. The first call per workload and
-// accelerator simulates; later calls return the memoised result.
+// denseConvSim simulates the dense conv on schedule.HeuristicDense. The
+// first call per workload and accelerator simulates; later calls return the
+// memoised result.
 func denseConvSim(w schedule.Workload, opts Options) accel.Result {
 	key := denseSimKey{w, opts.HW}
 	if r, ok := denseSims.Load(key); ok {
 		return r.(accel.Result)
 	}
-	r := simulateDenseConv(w, opts.HW)
+	r := schedule.HeuristicDense(w, opts.HW)
 	denseSims.Store(key, r)
 	return r
-}
-
-func simulateDenseConv(w schedule.Workload, hw accel.Config) accel.Result {
-	sp := schedule.NewSpace(w, hw)
-	best := accel.Result{Cycles: 1 << 62}
-	found := false
-	for _, idx := range [][]int{
-		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 0},
-		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 1},
-		{len(sp.OCOpts) / 2, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) / 2, 0, 0},
-		{0, 0, len(sp.OWOpts) - 1, 0, 0, 0},
-		{0, 0, 0, 0, 0, 0},
-	} {
-		if res, err := sp.At(idx).Simulate(w, hw); err == nil {
-			found = true
-			if res.Cycles < best.Cycles {
-				best = res
-			}
-		}
-	}
-	if !found {
-		// No legal heuristic point (pathological SRAM config): fall back to
-		// the roofline profile.
-		return hw.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W))
-	}
-	return best
 }
 
 // wants reports whether implementation im must be built given the Force
@@ -361,7 +330,7 @@ func quantizeOnce(w *tensor.Tensor, opts Options) codes {
 	var c codes
 	counted := wants(opts.Force, ImplCSR) || wants(opts.Force, ImplFactorized)
 	if counted || wants(opts.Force, ImplIPE) {
-		c.q = quant.Quantize(w, opts.Bits, opts.Scheme)
+		c.q = quant.Quantize(w, opts.Bits, quant.PerChannel)
 	}
 	if counted {
 		c.counts = ipe.CountCodes(c.q)

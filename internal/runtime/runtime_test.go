@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/nn"
-	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -254,7 +253,7 @@ func TestImplString(t *testing.T) {
 
 func TestCompileDefaultsApplied(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Bits != 4 || o.Scheme != quant.PerChannel || o.HW.PEs == 0 {
+	if o.Bits != 4 || o.HW.PEs == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 	if o.IPE != ipe.DefaultConfig() {

@@ -212,6 +212,36 @@ func (s ConvSchedule) Simulate(w Workload, hw accel.Config) (accel.Result, error
 	return eff.SimulateTiles(w.Key()+"/"+s.String(), s.Tiles(w)), nil
 }
 
+// HeuristicDense models the dense convolution on the default schedule an
+// untuned compiler would pick: the fastest legal point of five fixed
+// template points, from the largest tiles down to the smallest. With no
+// legal point (a pathological scratchpad) it falls back to the roofline
+// profile. It is the dense candidate Compile ranks and the dense baseline of
+// the per-layer figures.
+func HeuristicDense(w Workload, hw accel.Config) accel.Result {
+	sp := NewSpace(w, hw)
+	best := accel.Result{Cycles: 1 << 62}
+	found := false
+	for _, idx := range [][]int{
+		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 0},
+		{len(sp.OCOpts) - 1, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) - 1, 0, 1},
+		{len(sp.OCOpts) / 2, 0, len(sp.OWOpts) - 1, len(sp.ICOpts) / 2, 0, 0},
+		{0, 0, len(sp.OWOpts) - 1, 0, 0, 0},
+		{0, 0, 0, 0, 0, 0},
+	} {
+		if res, err := sp.At(idx).Simulate(w, hw); err == nil {
+			found = true
+			if res.Cycles < best.Cycles {
+				best = res
+			}
+		}
+	}
+	if !found {
+		return hw.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W))
+	}
+	return best
+}
+
 // Options returns the power-of-two candidate values for a loop extent,
 // always including 1 and the extent itself.
 func Options(extent int) []int {

@@ -352,3 +352,23 @@ func TestDataflowFootprintPinsStationary(t *testing.T) {
 	}
 	_ = hw
 }
+
+// TestHeuristicDense checks the dense heuristic is a legal schedule no
+// tuner can beat from below the roofline, and falls back to the roofline
+// profile when no template point fits the scratchpad.
+func TestHeuristicDense(t *testing.T) {
+	w, hw := testWorkload(), accel.Default()
+	roof := hw.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W))
+	got := HeuristicDense(w, hw)
+	if got.Cycles <= 0 || got.Cycles < roof.ComputeCycles {
+		t.Fatalf("heuristic %d cycles, roofline compute bound %d", got.Cycles, roof.ComputeCycles)
+	}
+	smallest, err := ConvSchedule{TileOC: 1, TileOH: 1, TileOW: 1, TileIC: 1}.Simulate(w, hw)
+	if err != nil || got.Cycles > smallest.Cycles {
+		t.Fatalf("heuristic %d cycles is slower than its smallest-tile point %d (%v)", got.Cycles, smallest.Cycles, err)
+	}
+	hw.SRAMBytes = 1
+	if got, want := HeuristicDense(w, hw), hw.Simulate(accel.DenseConvProfile(w.Spec, w.N, w.H, w.W)); got != want {
+		t.Fatalf("no legal point: got %+v, want the roofline %+v", got, want)
+	}
+}

@@ -161,18 +161,6 @@ func conv2DUnits(dst, in, weight, bias *Tensor, spec ConvSpec, oh, ow, lo, hi in
 	}
 }
 
-// Im2col lowers an NCHW input to the im2col matrix of shape
-// [inC*kH*kW, oh*ow] for a single batch element b, so that convolution
-// becomes a GEMM with the [outC, inC*kH*kW] weight matrix. Grouped
-// convolutions lower one group at a time via Im2colGroup.
-func Im2col(in *Tensor, b int, spec ConvSpec) *Tensor {
-	spec = spec.Normalize()
-	if spec.Groups != 1 {
-		panic("tensor: Im2col requires Groups == 1; use Im2colGroup")
-	}
-	return Im2colGroup(in, b, 0, spec)
-}
-
 // Im2colGroup lowers the channels of group g of batch element b into a
 // matrix of shape [icg*kH*kW, oh*ow], where icg = inC/groups.
 func Im2colGroup(in *Tensor, b, g int, spec ConvSpec) *Tensor {

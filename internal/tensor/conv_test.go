@@ -132,7 +132,7 @@ func TestConv2DIm2colMatchesDirectProperty(t *testing.T) {
 func TestIm2colShape(t *testing.T) {
 	spec := ConvSpec{InC: 3, OutC: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	in := New(1, 3, 8, 8)
-	col := Im2col(in, 0, spec)
+	col := Im2colGroup(in, 0, 0, spec)
 	if !col.Shape().Equal(Shape{27, 64}) {
 		t.Fatalf("im2col shape = %v, want [27 64]", col.Shape())
 	}
@@ -141,7 +141,7 @@ func TestIm2colShape(t *testing.T) {
 func TestIm2colZeroPadding(t *testing.T) {
 	in := New(1, 1, 2, 2).Fill(1)
 	spec := ConvSpec{InC: 1, OutC: 1, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	col := Im2col(in, 0, spec)
+	col := Im2colGroup(in, 0, 0, spec)
 	// Top-left output (oy=0, ox=0): kernel tap (0,0) reads (-1,-1) → 0.
 	if col.At(0, 0) != 0 {
 		t.Fatal("out-of-bounds taps must read as zero")

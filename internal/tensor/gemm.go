@@ -44,30 +44,6 @@ func Gemm(a, b, c []float32, m, k, n int) {
 	}
 }
 
-// GemmTensor multiplies two rank-2 tensors and returns a new m×n tensor.
-func GemmTensor(a, b *Tensor) *Tensor {
-	c := New(a.Dim(0), b.Dim(1))
-	GemmTensorInto(c, a, b)
-	return c
-}
-
-// GemmTensorInto is GemmTensor writing into a preallocated m×n destination
-// (overwritten). dst must not alias either operand.
-func GemmTensorInto(dst, a, b *Tensor) {
-	if a.Shape().Rank() != 2 || b.Shape().Rank() != 2 {
-		panic("tensor: GemmTensor requires rank-2 operands")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: GemmTensor inner dims differ: %d vs %d", k, k2))
-	}
-	if dst.NumElements() != m*n {
-		panic(fmt.Sprintf("tensor: GemmTensorInto dst %v != [%d %d]", dst.Shape(), m, n))
-	}
-	Gemm(a.Data(), b.Data(), dst.Data(), m, k, n)
-}
-
 // MatVec computes y = A·x for a row-major m×k matrix. y is overwritten.
 func MatVec(a, x, y []float32, m, k int) {
 	if len(a) < m*k || len(x) < k || len(y) < m {

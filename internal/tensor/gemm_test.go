@@ -88,29 +88,6 @@ func TestGemmOverwritesC(t *testing.T) {
 	}
 }
 
-func TestGemmTensorShapes(t *testing.T) {
-	a := New(3, 4).Fill(1)
-	b := New(4, 2).Fill(1)
-	c := GemmTensor(a, b)
-	if !c.Shape().Equal(Shape{3, 2}) {
-		t.Fatalf("GemmTensor shape = %v", c.Shape())
-	}
-	for _, v := range c.Data() {
-		if v != 4 {
-			t.Fatalf("all-ones product should be k=4, got %v", v)
-		}
-	}
-}
-
-func TestGemmTensorInnerDimMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for inner dim mismatch")
-		}
-	}()
-	GemmTensor(New(2, 3), New(4, 2))
-}
-
 func TestMatVec(t *testing.T) {
 	a := []float32{1, 2, 3, 4, 5, 6} // 2x3
 	x := []float32{1, 1, 1}
@@ -158,9 +135,10 @@ func TestGemmAssociatesWithTransposeProperty(t *testing.T) {
 		a, b := New(m, k), New(k, n)
 		FillGaussian(a, r, 1)
 		FillGaussian(b, r, 1)
-		left := Transpose(GemmTensor(a, b))
-		right := GemmTensor(Transpose(b), Transpose(a))
-		return AllClose(left, right, 1e-4, 1e-4)
+		ab, btat := New(m, n), New(n, m)
+		Gemm(a.Data(), b.Data(), ab.Data(), m, k, n)
+		Gemm(Transpose(b).Data(), Transpose(a).Data(), btat.Data(), n, k, m)
+		return AllClose(Transpose(ab), btat, 1e-4, 1e-4)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -83,19 +83,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // FillGaussian fills t with N(0, sigma^2) deviates.
 func FillGaussian(t *Tensor, r *RNG, sigma float64) {
 	d := t.Data()

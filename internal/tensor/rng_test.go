@@ -80,18 +80,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestFillGaussianAndUniform(t *testing.T) {
 	r := NewRNG(2)
 	g := New(1000)

@@ -10,17 +10,11 @@
 // accelerator (internal/accel) turns into cycles and energy.
 package tensor
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Shape describes the extent of each tensor dimension, outermost first.
 // A nil or empty Shape denotes a scalar.
 type Shape []int
-
-// ErrShape reports an invalid shape or a shape mismatch between operands.
-var ErrShape = errors.New("tensor: shape mismatch")
 
 // NumElements returns the total number of elements implied by the shape.
 // A scalar shape has one element. Any non-positive dimension yields zero.
@@ -84,26 +78,3 @@ func (s Shape) Strides() []int {
 
 // String renders the shape as, e.g., "[1 3 224 224]".
 func (s Shape) String() string { return fmt.Sprint([]int(s)) }
-
-// Layout identifies the memory layout of a rank-4 activation tensor.
-type Layout int
-
-// Supported activation layouts. Weights are always stored OIHW.
-const (
-	// NCHW stores activations as [batch, channel, height, width].
-	NCHW Layout = iota
-	// NHWC stores activations as [batch, height, width, channel].
-	NHWC
-)
-
-// String returns the conventional name of the layout.
-func (l Layout) String() string {
-	switch l {
-	case NCHW:
-		return "NCHW"
-	case NHWC:
-		return "NHWC"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}

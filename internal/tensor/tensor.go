@@ -104,14 +104,6 @@ func (t *Tensor) Fill(v float32) *Tensor {
 	return t
 }
 
-// Apply replaces each element x with f(x) in place and returns t.
-func (t *Tensor) Apply(f func(float32) float32) *Tensor {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
-	return t
-}
-
 // Add accumulates o into t elementwise. Shapes must match exactly.
 func (t *Tensor) Add(o *Tensor) *Tensor {
 	if !t.shape.Equal(o.shape) {
@@ -151,23 +143,18 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// CountNonZero returns the number of elements that are not exactly zero.
-func (t *Tensor) CountNonZero() int {
-	n := 0
-	for _, v := range t.data {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Sparsity returns the fraction of elements that are exactly zero, in [0,1].
 func (t *Tensor) Sparsity() float64 {
 	if len(t.data) == 0 {
 		return 0
 	}
-	return 1 - float64(t.CountNonZero())/float64(len(t.data))
+	zero := 0
+	for _, v := range t.data {
+		if v == 0 {
+			zero++
+		}
+	}
+	return float64(zero) / float64(len(t.data))
 }
 
 // AllClose reports whether every pair of corresponding elements of t and o
@@ -206,44 +193,4 @@ func MaxAbsDiff(t, o *Tensor) float64 {
 // String summarizes the tensor without dumping all elements.
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor(shape=%v, elems=%d)", t.shape, len(t.data))
-}
-
-// NCHWToNHWC converts a rank-4 activation tensor from NCHW to NHWC layout,
-// returning a new tensor.
-func NCHWToNHWC(t *Tensor) *Tensor {
-	if t.shape.Rank() != 4 {
-		panic("tensor: NCHWToNHWC requires rank-4 tensor")
-	}
-	n, c, h, w := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	out := New(n, h, w, c)
-	for in := 0; in < n; in++ {
-		for ic := 0; ic < c; ic++ {
-			for ih := 0; ih < h; ih++ {
-				for iw := 0; iw < w; iw++ {
-					out.data[((in*h+ih)*w+iw)*c+ic] = t.data[((in*c+ic)*h+ih)*w+iw]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// NHWCToNCHW converts a rank-4 activation tensor from NHWC to NCHW layout,
-// returning a new tensor.
-func NHWCToNCHW(t *Tensor) *Tensor {
-	if t.shape.Rank() != 4 {
-		panic("tensor: NHWCToNCHW requires rank-4 tensor")
-	}
-	n, h, w, c := t.shape[0], t.shape[1], t.shape[2], t.shape[3]
-	out := New(n, c, h, w)
-	for in := 0; in < n; in++ {
-		for ih := 0; ih < h; ih++ {
-			for iw := 0; iw < w; iw++ {
-				for ic := 0; ic < c; ic++ {
-					out.data[((in*c+ic)*h+ih)*w+iw] = t.data[((in*h+ih)*w+iw)*c+ic]
-				}
-			}
-		}
-	}
-	return out
 }
