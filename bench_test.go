@@ -143,35 +143,36 @@ func BenchmarkExecIPEMatVec(b *testing.B) {
 
 // BenchmarkDenseLayer times lenet5's served fully connected layers — fc1
 // (400 → 120) and fc2 (120 → 84), IPE programs in inspire-serve's default
-// auto plan — at 1, 2 and 8 items through DenseLayer.ForwardIntoPar with
-// the fused ReLU, on one shard, as the executor runs them.
+// auto plan — at 1, 2 and 8 items through the executor's dense driver,
+// Compiled.DenseIntoPar, on the served streams with the fused ReLU, on one
+// shard, as the executor runs them.
 func BenchmarkDenseLayer(b *testing.B) {
 	plan, err := obs.CompilePlan("lenet5", 0, runtime.Options{Bits: 4, DictStore: ipe.NewDictStore()})
 	if err != nil {
 		b.Fatal(err)
 	}
-	progs := map[int]*ipe.Program{}
-	for _, p := range plan.IPEPrograms() {
-		progs[p.K] = p
+	streams := map[int]*ipe.Compiled{}
+	for _, c := range plan.IPEPrograms() {
+		streams[c.K] = c
 	}
 	for _, fc := range []struct {
 		name string
 		k    int
 	}{{"fc1", 400}, {"fc2", 120}} {
-		prog := progs[fc.k]
-		if prog == nil {
+		c := streams[fc.k]
+		if c == nil {
 			b.Fatalf("%s: the lenet5 auto plan serves no IPE program of width %d", fc.name, fc.k)
 		}
-		l := &ipe.DenseLayer{Program: prog, Bias: tensor.New(prog.M)}
+		bias := tensor.New(c.M)
 		for _, n := range []int{1, 2, 8} {
-			in := tensor.New(n, prog.K)
+			in := tensor.New(n, c.K)
 			tensor.FillGaussian(in, tensor.NewRNG(uint64(n)), 1)
-			out := tensor.New(n, prog.M)
+			out := tensor.New(n, c.M)
 			par := tensor.NewPar(nil, 1)
 			b.Run(fmt.Sprintf("%s/items=%d", fc.name, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					l.ForwardIntoPar(out, in, true, par)
+					c.DenseIntoPar(out, in, bias, true, par)
 				}
 			})
 		}

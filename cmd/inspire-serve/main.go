@@ -145,7 +145,7 @@ func main() {
 	if dict != nil {
 		st := dict.Stats()
 		fmt.Printf("inspire-serve: shared dict: %d unique programs, %d hits, %d bytes saved\n",
-			st.UniquePrograms, st.ProgramHits+st.DictHits, st.SavedBytes)
+			st.UniquePrograms, st.ProgramHits, st.SavedBytes)
 	}
 	if *poolSize > 0 {
 		reg.StartPoolSizer(*poolSize)

@@ -570,11 +570,11 @@ func checkItems(seed uint64, name, baseName string, got, base, extraOut []float3
 // implementation plus auto-selection, two plans compiled through one shared
 // ipe.DictStore — the multi-model serving configuration — must produce
 // outputs bit-identical to an unshared compile of the same graph, on Run
-// and on chunked RunBatch. Interning may alias dictionary tables and reuse
-// compiled emit passes across the plans, but never change a single output
-// bit. For forced IPE the store must also actually intern (the second
-// identical compile hits the program cache), so the check cannot pass
-// vacuously with the store bypassed.
+// and on chunked RunBatch. Interning shares compiled streams across the
+// plans, but never changes a single output bit. For forced IPE the store
+// must also actually intern (the second identical compile gets the first
+// plan's canonical *ipe.Compiled back), so the check cannot pass vacuously
+// with the store bypassed.
 func CheckSharedDict(seed uint64) error {
 	gc := GenGraph(seed)
 
@@ -629,8 +629,8 @@ func CheckSharedDict(seed uint64) error {
 				}
 			}
 
-			// The second identical compile must intern to the first plan's
-			// canonical programs, not re-own copies.
+			// The second identical compile must serve the first plan's
+			// canonical streams, not re-own copies.
 			if prev != nil && impl == runtime.ImplIPE {
 				p1, p2 := prev.IPEPrograms(), plan.IPEPrograms()
 				if len(p1) != len(p2) {

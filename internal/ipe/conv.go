@@ -113,6 +113,18 @@ func (l *ConvLayer) GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *t
 	l.Programs[g].Compiled().ExecuteMatrixIntoPar(dst, cols, p, par)
 }
 
+// Groups is a convolution's compiled streams, one per group, as the
+// tensor.ColumnKernel that tensor.ConvColumns drives: the serving form of
+// a CSR, factorized or IPE conv. Pass a *Groups, which converts to the
+// interface without an allocation.
+type Groups []*Compiled
+
+// GroupMatMulIntoPar runs group g's streams over a column matrix
+// (tensor.ColumnKernel).
+func (gs Groups) GroupMatMulIntoPar(g int, dst, cols []float32, p int, par *tensor.Par) {
+	gs[g].ExecuteMatrixIntoPar(dst, cols, p, par)
+}
+
 // Cost returns the total arithmetic cost of one forward pass over an input
 // of spatial size h×w with batch n: the per-pixel cost (PixelCost) scaled
 // by the number of output pixels.
@@ -148,12 +160,7 @@ type DenseLayer struct {
 
 // EncodeDense quantizes an [m, k] weight matrix and index-pair encodes it.
 func EncodeDense(w, bias *tensor.Tensor, bits int, scheme quant.Scheme, cfg Config) (*DenseLayer, Stats, error) {
-	return EncodeDenseQuantized(quant.Quantize(w, bits, scheme), bias, cfg)
-}
-
-// EncodeDenseQuantized index-pair encodes an already quantized [m, k]
-// weight matrix; q is read, not kept.
-func EncodeDenseQuantized(q *quant.Quantized, bias *tensor.Tensor, cfg Config) (*DenseLayer, Stats, error) {
+	q := quant.Quantize(w, bits, scheme)
 	if q.Shape.Rank() != 2 {
 		return nil, Stats{}, fmt.Errorf("ipe: EncodeDense wants [m, k] weight, got %v", q.Shape)
 	}
@@ -172,23 +179,30 @@ func (l *DenseLayer) Forward(in *tensor.Tensor) *tensor.Tensor {
 }
 
 // ForwardIntoPar is Forward writing into a preallocated [n, m] destination
-// (dst must not alias in), applying tensor.ReLU32 when relu is set. The n
-// items run as the columns of one [k, n] matrix on the compiled executor,
-// and the [m, n] result returns to rows through tensor.AddBiasRows' bias
-// and ReLU rule; at n = 1 the input row is that column and the output row
-// the result, so nothing is copied. The staging buffers come from shard
-// 0's scratch, so a warm one-shard call allocates nothing. Results are
-// bit-identical for any shard count.
+// (dst must not alias in), applying tensor.ReLU32 when relu is set, on the
+// program's compiled form (Compiled.DenseIntoPar).
 func (l *DenseLayer) ForwardIntoPar(dst, in *tensor.Tensor, relu bool, par *tensor.Par) {
+	l.Program.Compiled().DenseIntoPar(dst, in, l.Bias, relu, par)
+}
+
+// DenseIntoPar is the dense driver of the compiled streams: it computes
+// y = W·x + bias for each row of the [n, K] input into the [n, M] dst (dst
+// must not alias in; a nil bias adds +0), applying tensor.ReLU32 when relu
+// is set. The n items run as the columns of one [K, n] matrix, and the
+// [M, n] result returns to rows through tensor.AddBiasRows' bias and ReLU
+// rule; at n = 1 the input row is that column and the output row the
+// result, so nothing is copied. The staging buffers come from shard 0's
+// scratch, so a warm one-shard call allocates nothing. Results are
+// bit-identical for any shard count.
+func (c *Compiled) DenseIntoPar(dst, in, bias *tensor.Tensor, relu bool, par *tensor.Par) {
 	n, k := in.Dim(0), in.Dim(1)
-	if k != l.Program.K {
-		panic(fmt.Sprintf("ipe: DenseLayer input width %d != K %d", k, l.Program.K))
+	if k != c.K {
+		panic(fmt.Sprintf("ipe: dense input width %d != K %d", k, c.K))
 	}
-	m := l.Program.M
+	m := c.M
 	if dst.NumElements() != n*m {
-		panic(fmt.Sprintf("ipe: ForwardIntoPar dst %v != [%d %d]", dst.Shape(), n, m))
+		panic(fmt.Sprintf("ipe: DenseIntoPar dst %v != [%d %d]", dst.Shape(), n, m))
 	}
-	c := l.Program.Compiled()
 	od, id := dst.Data()[:n*m], in.Data()[:n*k]
 	if n == 1 {
 		c.ExecuteMatrixIntoPar(od, id, 1, par)
@@ -211,7 +225,7 @@ func (l *DenseLayer) ForwardIntoPar(dst, in *tensor.Tensor, relu bool, par *tens
 		}
 		s0.Release(mark)
 	}
-	tensor.AddBiasRows(od, l.Bias, relu, m)
+	tensor.AddBiasRows(od, bias, relu, m)
 }
 
 // EncodeConvShared is EncodeConv with one pair dictionary shared across

@@ -33,27 +33,28 @@ func TestDictStoreInternsIdenticalPrograms(t *testing.T) {
 		t.Fatal("test wants two distinct Program values")
 	}
 	ca := s.Intern(a)
-	if ca != a {
-		t.Fatalf("first intern must canonicalize the argument, got %p want %p", ca, a)
+	if ca != a.Compiled() {
+		t.Fatal("first intern must make the argument's compiled form canonical")
 	}
-	cb := s.Intern(b)
-	if cb != a {
-		t.Fatalf("duplicate content must intern to the canonical program")
+	if cb := s.Intern(b); cb != ca {
+		t.Fatal("duplicate content must intern to the canonical streams")
+	}
+	if b.compiled != nil {
+		t.Fatal("a hit must not lower the duplicate")
 	}
 	st := s.Stats()
-	if st.Lookups != 2 || st.ProgramHits != 1 || st.UniquePrograms != 1 {
-		t.Fatalf("stats = %+v, want 2 lookups / 1 program hit / 1 unique", st)
+	if st.Lookups != 2 || st.ProgramHits != 1 || st.UniquePrograms != 1 || st.DictHits != 0 {
+		t.Fatalf("stats = %+v, want 2 lookups / 1 program hit / 1 unique / 0 dict hits", st)
 	}
-	if st.SavedBytes <= 0 || st.UniqueBytes <= 0 {
-		t.Fatalf("byte accounting not populated: %+v", st)
+	if st.UniqueBytes != ca.MemoryBytes() || st.SavedBytes != ca.MemoryBytes() {
+		t.Fatalf("byte accounting %+v, want unique = saved = %d (the compiled form)", st, ca.MemoryBytes())
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len())
 	}
-	// The shared canonical program serves both call sites with one
-	// compiled form.
-	if ca.Compiled() != cb.Compiled() {
-		t.Fatal("interned programs must share the compiled form")
+	s.Release(ca, ca)
+	if st := s.Stats(); s.Len() != 0 || st.UniqueBytes != 0 || st.SavedBytes != 0 {
+		t.Fatalf("after releasing both references: Len %d, %+v", s.Len(), st)
 	}
 }
 
@@ -70,86 +71,15 @@ func TestDictStoreKeepsDistinctPrograms(t *testing.T) {
 	}
 }
 
-func TestDictStoreSharesDictionaryAcrossHeads(t *testing.T) {
-	// Two programs built by EncodeShared alias one Pairs/Depth table but
-	// have different emit rows — the "two heads over one backbone" shape.
-	// A store must dedup the dictionary even when the programs arrive
-	// through separate Intern calls after a round-trip that severed the
-	// aliasing.
-	r := tensor.NewRNG(3)
-	w0, w1 := tensor.New(8, 64), tensor.New(6, 64)
-	tensor.FillGaussian(w0, r, 1)
-	tensor.FillGaussian(w1, r, 1)
-	qs := []*quant.Quantized{
-		quant.Quantize(w0, 4, quant.PerTensor),
-		quant.Quantize(w1, 4, quant.PerTensor),
-	}
-	progs, _, err := EncodeShared(qs, DefaultConfig())
-	if err != nil {
-		t.Fatalf("EncodeShared: %v", err)
-	}
-	if len(progs[0].Pairs) == 0 {
-		t.Skip("seed produced an empty dictionary")
-	}
-	// Round-trip the second program so its Pairs slice is a fresh copy.
-	wire, err := progs[1].MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	var copy1 Program
-	if err := copy1.UnmarshalBinary(wire); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
-	}
-	copy1.Config = progs[1].Config
-	if &copy1.Pairs[0] == &progs[1].Pairs[0] {
-		t.Fatal("round-trip should have copied the dictionary")
-	}
-
-	s := NewDictStore()
-	s.Intern(progs[0])
-	got := s.Intern(&copy1)
-	if got != &copy1 {
-		t.Fatal("different emit rows must keep the program distinct")
-	}
-	if &got.Pairs[0] != &progs[0].Pairs[0] {
-		t.Fatal("identical dictionaries must re-alias to the canonical Pairs slice")
-	}
-	st := s.Stats()
-	if st.DictHits != 1 {
-		t.Fatalf("stats = %+v, want 1 dict hit", st)
-	}
-
-	// The shared dictionary outlives the program that registered it and
-	// leaves with the last program aliasing it.
-	s.Release(progs[0])
-	if s.Len() != 1 || len(s.dicts) != 1 {
-		t.Fatalf("after releasing the first head: %d programs, %d dictionaries, want 1/1", s.Len(), len(s.dicts))
-	}
-	s.Release(&copy1, progs[1]) // progs[1] was never interned: ignored
-	if st := s.Stats(); s.Len() != 0 || len(s.dicts) != 0 || st.UniqueBytes != 0 || st.SavedBytes != 0 {
-		t.Fatalf("after releasing both heads: %d programs, %d dictionaries, %+v", s.Len(), len(s.dicts), st)
-	}
-}
-
 func TestDictStoreDistinguishesConfig(t *testing.T) {
-	// Same weights, different encoder config: wire bytes can coincide for
-	// tiny layers, but Validate consults Config, so the store must not
-	// merge across configs.
-	r := tensor.NewRNG(5)
-	w := tensor.New(4, 16)
-	tensor.FillGaussian(w, r, 1)
-	q := quant.Quantize(w, 4, quant.PerTensor)
-	p1, _, err := Encode(q, Config{MaxDict: 4, MaxDepth: 2, TileSize: 8})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	p2, _, err := Encode(q, Config{MaxDict: 4, MaxDepth: 2, TileSize: 8, MinPairCount: 3})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
+	// Same streams, different encoder config: Validate consults Config, so
+	// the store must not merge across configs even when the wire bytes
+	// coincide.
+	p1 := encodeRandom(t, 5, 4, 16)
+	p2 := &Program{K: p1.K, M: p1.M, Pairs: p1.Pairs, Rows: p1.Rows, Bits: p1.Bits, Config: p1.Config, Depth: p1.Depth}
+	p2.Config.MinPairCount = 3
 	s := NewDictStore()
-	a, b := s.Intern(p1), s.Intern(p2)
-	if a == b && a.Config != b.Config {
+	if s.Intern(p1) == s.Intern(p2) {
 		t.Fatal("programs with different configs merged")
 	}
 }
@@ -157,16 +87,13 @@ func TestDictStoreDistinguishesConfig(t *testing.T) {
 func TestDictStoreNilSafe(t *testing.T) {
 	var s *DictStore
 	p := encodeRandom(t, 9, 4, 16)
-	if got := s.Intern(p); got != p {
-		t.Fatal("nil store must pass programs through")
+	if got := s.Intern(p); got != p.Compiled() {
+		t.Fatal("nil store must return the program's compiled form")
 	}
 	if s.Len() != 0 || s.Stats() != (metrics.SharedDictSnapshot{}) {
 		t.Fatal("nil store must report zero state")
 	}
-	if s.Intern(nil) != nil {
-		t.Fatal("nil program must pass through")
-	}
-	s.Release(p) // no-op
+	s.Release(p.Compiled()) // no-op
 }
 
 func TestDictStoreConcurrentIntern(t *testing.T) {
@@ -174,7 +101,7 @@ func TestDictStoreConcurrentIntern(t *testing.T) {
 	// with identical content. All duplicates must collapse to one pointer.
 	s := NewDictStore()
 	const workers = 8
-	results := make([]*Program, workers)
+	results := make([]*Compiled, workers)
 	done := make(chan int, workers)
 	for i := 0; i < workers; i++ {
 		go func(i int) {
@@ -190,21 +117,21 @@ func TestDictStoreConcurrentIntern(t *testing.T) {
 			t.Fatalf("worker %d got a different canonical program", i)
 		}
 	}
-	if got := s.Stats().UniquePrograms; got != 1 {
-		t.Fatalf("UniquePrograms = %d, want 1", got)
+	if st := s.Stats(); st.UniquePrograms != 1 || st.ProgramHits != workers-1 {
+		t.Fatalf("stats = %+v, want 1 unique and %d hits", st, workers-1)
 	}
 }
 
 func TestMemoryBytesGrowsWithCompilation(t *testing.T) {
-	p := encodeRandom(t, 11, 16, 64)
-	before := p.MemoryBytes()
-	if before <= 0 {
-		t.Fatalf("MemoryBytes = %d, want > 0", before)
+	// An unlowered program has no compiled form to count; lowering counts
+	// its streams, more of them for a larger program.
+	small, large := encodeRandom(t, 11, 16, 64), encodeRandom(t, 11, 64, 256)
+	if b := small.compiled.MemoryBytes(); b != 0 {
+		t.Fatalf("MemoryBytes before lowering = %d, want 0", b)
 	}
-	p.Compiled()
-	after := p.MemoryBytes()
-	if after <= before {
-		t.Fatalf("MemoryBytes after compile = %d, want > %d", after, before)
+	s, l := small.Compiled().MemoryBytes(), large.Compiled().MemoryBytes()
+	if s <= 0 || l <= s {
+		t.Fatalf("MemoryBytes = %d (16x64), %d (64x256): want 0 < small < large", s, l)
 	}
 }
 

@@ -57,7 +57,7 @@ func compileIPE(t *testing.T, g *graph.Graph, store *ipe.DictStore) *runtime.Pla
 	return p
 }
 
-func samePrograms(t *testing.T, what string, got, want []*ipe.Program) {
+func samePrograms(t *testing.T, what string, got, want []*ipe.Compiled) {
 	t.Helper()
 	if len(got) == 0 || len(got) != len(want) {
 		t.Fatalf("%s: %d programs, want %d", what, len(got), len(want))

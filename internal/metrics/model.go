@@ -100,9 +100,11 @@ func (s *ModelStats) Snapshot() ModelSnapshot {
 // SharedDictSnapshot is a point-in-time view of what the shared dictionary
 // store (ipe.DictStore) deduplicated.
 type SharedDictSnapshot struct {
-	// Lookups counts interns; ProgramHits of them returned an existing
-	// canonical program and DictHits shared only the pair dictionary (emit
-	// rows differed). These three only grow.
+	// Lookups counts interns and ProgramHits those that returned an
+	// existing canonical program; both only grow. DictHits is always 0:
+	// the store no longer shares a pair dictionary apart from its program.
+	// It and its dict_hits key stay because the benchmark harness
+	// (benchmark/traced.go) reads them.
 	Lookups     int64 `json:"lookups"`
 	ProgramHits int64 `json:"program_hits"`
 	DictHits    int64 `json:"dict_hits"`

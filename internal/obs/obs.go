@@ -252,17 +252,16 @@ func ModelTable(title string, s metrics.Snapshot) *report.Table {
 }
 
 // SharedDictTable renders the shared dictionary store's dedup gauges: how
-// many encode results were interned, the program- and dictionary-level hit
-// counts, and the byte ledger (unique resident vs saved by interning).
+// many encode results were interned, how many of them hit a canonical
+// program, and the byte ledger (unique resident vs saved by interning).
 func SharedDictTable(s metrics.Snapshot) *report.Table {
 	t := report.NewTable("shared dictionary store",
-		"lookups", "program hits", "dict hits", "unique programs",
+		"lookups", "program hits", "unique programs",
 		"unique bytes", "saved bytes")
 	if d := s.SharedDict; d != nil {
 		t.AddRow(
 			report.Count(d.Lookups),
 			report.Count(d.ProgramHits),
-			report.Count(d.DictHits),
 			report.Count(d.UniquePrograms),
 			report.Bytes(d.UniqueBytes),
 			report.Bytes(d.SavedBytes),

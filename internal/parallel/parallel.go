@@ -141,11 +141,3 @@ func (p *Pool) ForBlocks(shards, n, quantum int, fn func(shard, lo, hi int)) {
 		fn(shard, lo, hi)
 	})
 }
-
-// Size returns the pool's helper-token capacity.
-func (p *Pool) Size() int {
-	if p == nil {
-		return 0
-	}
-	return cap(p.tokens)
-}

@@ -116,8 +116,8 @@ func TestForNestedDoesNotDeadlock(t *testing.T) {
 // TestSharedPoolSize pins the shared pool to at least one helper token so
 // concurrency is exercised even on single-core machines.
 func TestSharedPoolSize(t *testing.T) {
-	if Shared().Size() < 1 {
-		t.Fatalf("Shared() pool size %d, want >= 1", Shared().Size())
+	if n := cap(Shared().tokens); n < 1 {
+		t.Fatalf("Shared() pool size %d, want >= 1", n)
 	}
 	if Shared() != Shared() {
 		t.Fatal("Shared() must return one process-wide pool")

@@ -140,18 +140,6 @@ func (q *Quantized) Rows(lo, hi int) *Quantized {
 	return &v
 }
 
-// Clone returns a deep copy of the quantized tensor.
-func (q *Quantized) Clone() *Quantized {
-	c := &Quantized{
-		Codes:  append([]int32(nil), q.Codes...),
-		Shape:  q.Shape.Clone(),
-		Bits:   q.Bits,
-		Scheme: q.Scheme,
-		Params: append([]Params(nil), q.Params...),
-	}
-	return c
-}
-
 // Quantize quantizes t symmetrically to the given bit-width: the zero point
 // is always 0 and the scale maps the max-magnitude value to the integer
 // range edge. Symmetric quantization keeps the zero code exactly zero,

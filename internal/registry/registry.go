@@ -19,12 +19,12 @@
 //
 // When Options.DictStore is set, every version compiles through one shared
 // content-addressed dictionary store (see ipe.DictStore): identical
-// index-pair programs across models — and across successive versions of the
-// same model, which typically share most layers — are interned to one
-// canonical program whose compiled emit pass and partial-sum tables are
-// reused. A canonical program stays interned while any live version
-// references it. Residency() reports the resulting resident bytes per model,
-// with the interned overlap attributed once.
+// index-pair programs across models — and across a swap back to a served
+// version's weights — are interned to one canonical compiled form, whose
+// streams every plan serving that program shares. Canonical streams stay
+// interned while any live version references them. Residency() reports the
+// resulting resident bytes per model, with the interned overlap attributed
+// once.
 package registry
 
 import (
@@ -319,13 +319,13 @@ type ModelResidency struct {
 	SharedRefs int64  `json:"shared_bytes"` // bytes referencing programs another model owns
 }
 
-// Residency walks every model's current plan with one canonical-program set
+// Residency walks every model's current plan with one canonical-stream set
 // (sorted by name, so attribution is deterministic): the first plan
-// referencing an interned program owns its bytes, later plans count them as
+// referencing interned streams owns their bytes, later plans count them as
 // shared references. The sum of OwnedBytes is the process's actual resident
 // model bytes; the sum of SharedRefs is what interning saved.
 func (r *Registry) Residency() []ModelResidency {
-	seen := make(map[*ipe.Program]bool)
+	seen := make(map[*ipe.Compiled]bool)
 	out := make([]ModelResidency, 0)
 	for _, name := range r.Names() {
 		m, ok := r.model(name)

@@ -32,7 +32,7 @@ func (p *Plan) EffectiveWeights() (map[int]*tensor.Tensor, error) {
 	eff := make(map[int]*tensor.Tensor)
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.progConv == nil && op.progDense == nil {
+		if op.streams == nil {
 			continue
 		}
 		eff[op.Node.ID] = quant.Quantize(op.Node.Param("weight"), p.Opts.Bits, quant.PerChannel).Dequantize()

@@ -1,19 +1,33 @@
 package runtime
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ipe"
 	"repro/internal/nn"
 	"repro/internal/quant"
 )
 
+// streamsFrom builds and lowers op's implementation from the codes q the
+// way Compile does, without a dictionary store, for comparison with the
+// streams op serves.
+func streamsFrom(t *testing.T, p *Plan, op *CompiledOp, q *quant.Quantized) []*ipe.Compiled {
+	t.Helper()
+	_, b, _, err := build(op.Node, op.Impl, codes{q: q}, p.Opts, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.lower(op.Impl, nil).streams
+}
+
 // TestEffectiveWeightsMatchQuantizer checks EffectiveWeights on both served
 // models, under auto selection and under every forced implementation: each
 // CSR, factorized or IPE operator's effective weight must be the
-// quantizer's dequantization bit for bit, its served programs must encode
-// the quantizer's codes, and no other operator may have an effective
-// weight.
+// quantizer's dequantization bit for bit, its served streams must be the
+// lowering of the quantizer's codes, and no other operator may have an
+// effective weight.
 func TestEffectiveWeightsMatchQuantizer(t *testing.T) {
 	models := []struct {
 		name  string
@@ -53,17 +67,8 @@ func TestEffectiveWeightsMatchQuantizer(t *testing.T) {
 						t.Fatalf("%s: effective weight shape %v, node weight %v", op.Node.Name, got.Shape(), w.Shape())
 					}
 					expectBitsEqual(t, op.Node.Name, got.Data(), q.Dequantize().Data())
-					if op.progDense != nil {
-						if err := op.progDense.Program.VerifyAgainst(q); err != nil {
-							t.Fatalf("%s: %v", op.Node.Name, err)
-						}
-						continue
-					}
-					ocg := op.progConv.Spec.OutC / op.progConv.Spec.Groups
-					for g, prog := range op.progConv.Programs {
-						if err := prog.VerifyAgainst(q.Rows(g*ocg, (g+1)*ocg)); err != nil {
-							t.Fatalf("%s group %d: %v", op.Node.Name, g, err)
-						}
+					if !reflect.DeepEqual(op.streams, streamsFrom(t, plan, op, q)) {
+						t.Fatalf("%s: served streams are not the lowering of the quantizer's codes", op.Node.Name)
 					}
 				}
 				if impl != ImplAuto && impl != ImplDense && impl != ImplWinograd && quantized == 0 {

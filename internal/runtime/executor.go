@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/ipe"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -277,10 +278,10 @@ func (e *Executor) runStep(st *execStep) error {
 	n := op.Node
 	relu := n.Attrs.FusedReLU
 	switch {
-	case op.progConv != nil:
-		op.progConv.ForwardIntoPar(dst, st.ins[0], relu, e.par)
-	case op.progDense != nil:
-		op.progDense.ForwardIntoPar(dst, st.ins[0], relu, e.par)
+	case op.streams != nil && n.Kind == graph.OpConv:
+		tensor.ConvColumns(dst, st.ins[0], n.Attrs.Conv, op.bias, relu, e.par, (*ipe.Groups)(&op.streams))
+	case op.streams != nil:
+		op.streams[0].DenseIntoPar(dst, st.ins[0], op.bias, relu, e.par)
 	case op.winConv != nil:
 		op.winConv.ForwardIntoPar(dst, st.ins[0], e.par)
 		if relu {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/ipe"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -58,19 +59,21 @@ func referenceOp(op *CompiledOp, n *graph.Node, vals map[*graph.Node]*tensor.Ten
 	}
 	var out *tensor.Tensor
 	switch {
-	case op.progConv != nil:
-		out = op.progConv.Forward(ins[0])
+	case op.streams != nil && n.Kind == graph.OpConv:
+		spec := n.Attrs.Conv.Normalize()
+		oh, ow := spec.OutDims(ins[0].Dim(2), ins[0].Dim(3))
+		out = tensor.New(ins[0].Dim(0), spec.OutC, oh, ow)
+		tensor.ConvColumns(out, ins[0], spec, op.bias, false, tensor.NewPar(nil, 1), (*ipe.Groups)(&op.streams))
 	case op.winConv != nil:
 		out = op.winConv.Forward(ins[0])
-	case op.progDense != nil && op.Impl == ImplCSR:
-		// The program interpreter, not the compiled executor the plan runs.
-		prog := op.progDense.Program
+	case op.streams != nil:
+		// One compiled column per item, not the executor's items-as-columns
+		// pass.
+		c := op.streams[0]
+		par := tensor.NewPar(nil, 1)
 		out = referenceDense(ins[0], func(x, y []float32) {
-			var s tensor.Scratch
-			prog.ExecuteMatrixInto(y, x, 1, &s)
-		}, prog.M, op.denseBias)
-	case op.progDense != nil:
-		out = op.progDense.Forward(ins[0])
+			c.ExecuteMatrixIntoPar(y, x, 1, par)
+		}, c.M, op.bias)
 	default:
 		return graph.EvalNode(n, ins) // applies FusedReLU itself
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -129,9 +130,10 @@ func TestRunBatchRejectsBadInputs(t *testing.T) {
 }
 
 // TestCompileDefaultSchemePerChannel pins the one quantization scheme a plan
-// compiles with: with Options left at their defaults, every IPE program
-// decodes to the per-channel codes of its weights, and at least one layer's
-// per-tensor codes differ, so the check can tell the two schemes apart.
+// compiles with: with Options left at their defaults, every IPE layer serves
+// the lowering of the per-channel codes of its weights, and at least one
+// layer's per-tensor codes lower to different streams, so the check can
+// tell the two schemes apart.
 func TestCompileDefaultSchemePerChannel(t *testing.T) {
 	g := nn.LeNet5(1, 43)
 	p, err := Compile(g, Options{Force: ImplIPE})
@@ -141,26 +143,16 @@ func TestCompileDefaultSchemePerChannel(t *testing.T) {
 	distinct := false
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if op.progConv == nil && op.progDense == nil {
+		if op.streams == nil {
 			continue
 		}
 		w := op.Node.Param("weight")
 		perCh := quant.Quantize(w, p.Opts.Bits, quant.PerChannel)
 		perT := quant.Quantize(w, p.Opts.Bits, quant.PerTensor)
-		if op.progDense != nil {
-			if err := op.progDense.Program.VerifyAgainst(perCh); err != nil {
-				t.Fatalf("%s: %v", op.Node.Name, err)
-			}
-			distinct = distinct || op.progDense.Program.VerifyAgainst(perT) != nil
-			continue
+		if !reflect.DeepEqual(op.streams, streamsFrom(t, p, op, perCh)) {
+			t.Fatalf("%s: served streams are not the lowering of the per-channel codes", op.Node.Name)
 		}
-		ocg := op.progConv.Spec.OutC / op.progConv.Spec.Groups
-		for gi, prog := range op.progConv.Programs {
-			if err := prog.VerifyAgainst(perCh.Rows(gi*ocg, (gi+1)*ocg)); err != nil {
-				t.Fatalf("%s group %d: %v", op.Node.Name, gi, err)
-			}
-			distinct = distinct || prog.VerifyAgainst(perT.Rows(gi*ocg, (gi+1)*ocg)) != nil
-		}
+		distinct = distinct || !reflect.DeepEqual(op.streams, streamsFrom(t, p, op, perT))
 	}
 	if !distinct {
 		t.Fatal("no layer's per-tensor codes differ from its per-channel ones; the check cannot tell the schemes apart")

@@ -188,7 +188,7 @@ func TestResidentBytesSharedBackboneReduction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[*ipe.Program]bool)
+	seen := make(map[*ipe.Compiled]bool)
 	own1, _ := s1.ResidentBytes(seen)
 	own2, sh2 := s2.ResidentBytes(seen)
 	sharedTotal := own1 + own2

@@ -1,35 +1,23 @@
 package runtime
 
 import (
-	"repro/internal/graph"
 	"repro/internal/ipe"
 	"repro/internal/tensor"
 )
 
 // ResidentBytes estimates the heap bytes this plan's serving structures keep
 // resident — the selected implementation per operator — split into bytes
-// attributable to the plan (owned) and bytes aliased to IPE programs some
-// other plan already accounted for (shared).
-// seen carries the canonical-program set across calls: pass one map over
-// every live plan to get dedup-aware totals (a program interned by the
-// shared dictionary store is counted as owned by the first plan that
-// reports it and as shared by the rest). A nil seen counts the plan alone,
+// attributable to the plan (owned) and bytes of compiled streams some other
+// plan already accounted for (shared).
+// seen carries the canonical-stream set across calls: pass one map over
+// every live plan to get dedup-aware totals (streams interned by the shared
+// dictionary store are counted as owned by the first plan that reports them
+// and as shared by the rest). A nil seen counts the plan alone,
 // deduplicating only within it. Activation arenas are accounted separately
 // (metrics.ExecStats.ArenaBytesResident tracks live executors).
-func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
+func (p *Plan) ResidentBytes(seen map[*ipe.Compiled]bool) (owned, shared int64) {
 	if seen == nil {
-		seen = make(map[*ipe.Program]bool)
-	}
-	addProg := func(prog *ipe.Program) {
-		if prog == nil {
-			return
-		}
-		if seen[prog] {
-			shared += prog.MemoryBytes()
-			return
-		}
-		seen[prog] = true
-		owned += prog.MemoryBytes()
+		seen = make(map[*ipe.Compiled]bool)
 	}
 	tensorBytes := func(t *tensor.Tensor) {
 		if t != nil {
@@ -38,13 +26,13 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 	}
 	for i := range p.Ops {
 		op := &p.Ops[i]
-		if l := op.progConv; l != nil {
-			for _, prog := range l.Programs {
-				addProg(prog)
+		for _, c := range op.streams {
+			if seen[c] {
+				shared += c.MemoryBytes()
+				continue
 			}
-		}
-		if l := op.progDense; l != nil {
-			addProg(l.Program)
+			seen[c] = true
+			owned += c.MemoryBytes()
 		}
 		if op.winConv != nil {
 			for _, oc := range op.winConv.U {
@@ -52,32 +40,23 @@ func (p *Plan) ResidentBytes(seen map[*ipe.Program]bool) (owned, shared int64) {
 			}
 		}
 		tensorBytes(op.denseWeight)
-		if k := op.Node.Kind; k == graph.OpConv || k == graph.OpDense {
-			// Every structure an op keeps (and denseBias) reads the node's
-			// one bias tensor: count it once per op.
-			tensorBytes(op.Node.Param("bias"))
-		}
+		// Every structure an op keeps reads the node's one bias tensor,
+		// op.bias: count it once per op.
+		tensorBytes(op.bias)
 	}
 	return owned, shared
 }
 
-// IPEPrograms returns every IPE program the plan references, in operator
-// order (conv groups before dense). Programs interned by a shared
-// dictionary store appear as their canonical pointers, so callers can
-// detect cross-plan sharing by identity.
-func (p *Plan) IPEPrograms() []*ipe.Program {
-	var progs []*ipe.Program
+// IPEPrograms returns the compiled streams of every IPE program the plan
+// serves, in operator order (one per conv group, one per dense layer).
+// Streams interned by a shared dictionary store appear as their canonical
+// pointers, so callers can detect cross-plan sharing by identity.
+func (p *Plan) IPEPrograms() []*ipe.Compiled {
+	var cs []*ipe.Compiled
 	for i := range p.Ops {
-		op := &p.Ops[i]
-		if op.Impl != ImplIPE {
-			continue
-		}
-		if l := op.progConv; l != nil {
-			progs = append(progs, l.Programs...)
-		}
-		if l := op.progDense; l != nil {
-			progs = append(progs, l.Program)
+		if op := &p.Ops[i]; op.Impl == ImplIPE {
+			cs = append(cs, op.streams...)
 		}
 	}
-	return progs
+	return cs
 }

@@ -4,14 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/ipe"
 	"repro/internal/nn"
 )
 
-// TestResidentBytesCountsEachBiasOnce pins a program-only plan's owned bytes
-// to its programs' MemoryBytes plus every conv/dense bias exactly once: a
-// dense layer's program structure and the op's denseBias hold the same
-// tensor, which must not be counted twice.
+// TestResidentBytesCountsEachBiasOnce pins a stream-only plan's owned bytes
+// to its compiled streams' MemoryBytes plus every conv/dense bias exactly
+// once.
 func TestResidentBytesCountsEachBiasOnce(t *testing.T) {
 	for _, force := range []Impl{ImplIPE, ImplFactorized, ImplCSR} {
 		p, err := Compile(nn.LeNet5(1, 7), Options{Force: force})
@@ -21,17 +19,11 @@ func TestResidentBytesCountsEachBiasOnce(t *testing.T) {
 		var want int64
 		for i := range p.Ops {
 			op := &p.Ops[i]
-			var progs []*ipe.Program
-			if l := op.progConv; l != nil {
-				progs = l.Programs
-			} else if l := op.progDense; l != nil {
-				progs = []*ipe.Program{l.Program}
-			}
-			if k := op.Node.Kind; (k == graph.OpConv || k == graph.OpDense) && (op.Impl != force || len(progs) == 0) {
+			if k := op.Node.Kind; (k == graph.OpConv || k == graph.OpDense) && (op.Impl != force || len(op.streams) == 0) {
 				t.Fatalf("-force %s: %s runs %s", force, op.Node, op.Impl)
 			}
-			for _, prog := range progs {
-				want += prog.MemoryBytes()
+			for _, c := range op.streams {
+				want += c.MemoryBytes()
 			}
 			if b := op.Node.Param("bias"); b != nil {
 				want += int64(b.NumElements()) * 4

@@ -72,15 +72,14 @@ type Options struct {
 	Bits int
 	// IPE configures the index-pair encoder (default ipe.DefaultConfig).
 	IPE ipe.Config
-	// DictStore, when non-nil, interns every encoded IPE program into the
+	// DictStore, when non-nil, interns every served IPE program into the
 	// shared dictionary store: layers whose encodings coincide — across
 	// this plan, across plans of other models, and across successive
-	// versions of one model — share a single canonical Program and its
-	// compiled emit pass, shrinking resident bytes per served model.
-	// Execution is bit-identical to an unshared plan (the canonical
-	// program's content equals what the layer encoded; conformance's
-	// shared-dict variant enforces this). The store is safe for
-	// concurrent use from parallel compiles.
+	// versions of one model — share one canonical compiled form, shrinking
+	// resident bytes per served model. Execution is bit-identical to an
+	// unshared plan (the canonical streams are the lowering of what the
+	// layer encoded; conformance's shared-dict variant enforces this). The
+	// store is safe for concurrent use from parallel compiles.
 	DictStore *ipe.DictStore
 	// HW is the accelerator model (default accel.Default).
 	HW accel.Config
@@ -120,21 +119,31 @@ type CompiledOp struct {
 
 	// structure is Impl's serving structure, the only one Compile keeps.
 	structure
-	denseBias *tensor.Tensor
+	// bias is the node's bias (nil if it has none), which the compiled
+	// streams' drivers add.
+	bias *tensor.Tensor
 }
 
-// structure is one implementation's serving state on an operator: the ipe
-// layer CSR (one term per nonzero), factorized (one term per distinct code)
-// and IPE (pair-merged terms) run on the IPE executors, Winograd's
-// transformed weights, or the node's float weight, which marks the dense
-// kernel as built (EvalNodeIntoPar reads it through the node). At most one
-// field is set; the zero value means the implementation was ranked without
-// being built.
+// structure is one implementation's serving state on an operator: the
+// compiled streams of CSR (one term per nonzero), factorized (one term per
+// distinct code) or IPE (pair-merged terms), one per conv group and one for
+// a dense layer, which run on the IPE executors; Winograd's transformed
+// weights; or the node's float weight, which marks the dense kernel as
+// built (EvalNodeIntoPar reads it through the node). At most one field is
+// set. The spec and bias come from the node.
 type structure struct {
-	progConv    *ipe.ConvLayer
-	progDense   *ipe.DenseLayer
+	streams     []*ipe.Compiled
 	winConv     *baseline.ConvWinograd
 	denseWeight *tensor.Tensor
+}
+
+// built is what build returns for one implementation: Winograd's or dense's
+// serving structure, or the encoded programs of CSR, factorized or IPE,
+// which lower turns into streams. The zero value means the implementation
+// was ranked without being built.
+type built struct {
+	structure
+	programs []*ipe.Program
 }
 
 // Plan is a compiled, memory-planned, implementation-selected graph.
@@ -347,12 +356,9 @@ func quantizeOnce(w *tensor.Tensor, opts Options) codes {
 // programs are lowered (and, for IPE, interned), so losing programs are
 // never pinned by the dictionary store.
 func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
-	op := CompiledOp{Node: n, Candidates: make(map[Impl]accel.Result)}
-	if n.Kind == graph.OpDense {
-		op.denseBias = n.Param("bias")
-	}
+	op := CompiledOp{Node: n, Candidates: make(map[Impl]accel.Result), bias: n.Param("bias")}
 	q := quantizeOnce(n.Param("weight"), opts)
-	var ranked [ImplWinograd + 1]structure // indexed by Impl
+	var ranked [ImplWinograd + 1]built // indexed by Impl
 	for _, im := range implOrder {
 		if !wants(opts.Force, im) {
 			continue
@@ -376,14 +382,14 @@ func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	}
 	op.Impl = chooseImpl(op.Candidates, opts.Force)
 	op.Sim = op.Candidates[op.Impl]
-	op.structure = ranked[op.Impl]
-	if op.structure == (structure{}) {
+	b := ranked[op.Impl]
+	if b.programs == nil && b.winConv == nil && b.denseWeight == nil {
 		var err error
-		if _, op.structure, _, err = build(n, op.Impl, q, opts, false); err != nil {
+		if _, b, _, err = build(n, op.Impl, q, opts, false); err != nil {
 			return op, err
 		}
 	}
-	op.lower(op.Impl, opts.DictStore)
+	op.structure = b.lower(op.Impl, opts.DictStore)
 	return op, nil
 }
 
@@ -401,18 +407,18 @@ func convWorkload(n *graph.Node) schedule.Workload {
 // their structure;
 // IPE is modeled from its program, which is built either way, as is dense,
 // whose structure is the node's own weight. Programs come out raw; lower
-// readies the kept ones.
-func build(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
+// turns the kept ones into streams.
+func build(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, built, bool, error) {
 	if n.Kind == graph.OpConv {
 		return buildConv(n, im, q, opts, rankOnly)
 	}
 	return buildDense(n, im, q, opts, rankOnly)
 }
 
-func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
+func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, built, bool, error) {
 	spec, wl := n.Attrs.Conv, convWorkload(n)
 	weight, bias := n.Param("weight"), n.Param("bias")
-	var s structure
+	var s built
 	switch im {
 	case ImplDense:
 		// Float weights, scheduled.
@@ -424,7 +430,7 @@ func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (ac
 			if err != nil {
 				return accel.Result{}, s, false, err
 			}
-			s.progConv = l
+			s.programs = l.Programs
 		}
 		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, q.counts.CSR)), s, true, nil
 	case ImplFactorized:
@@ -433,7 +439,7 @@ func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (ac
 			if err != nil {
 				return accel.Result{}, s, false, err
 			}
-			s.progConv = l
+			s.programs = l.Programs
 		}
 		return opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, q.counts.Factorized())), s, true, nil
 	case ImplIPE:
@@ -441,7 +447,7 @@ func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (ac
 		if err != nil {
 			return accel.Result{}, s, false, err
 		}
-		s.progConv = l
+		s.programs = l.Programs
 		return opts.HW.Simulate(accel.IPEConvProfile(l, wl.N, wl.H, wl.W)), s, true, nil
 	case ImplWinograd:
 		if baseline.SupportsWinograd(spec) != nil {
@@ -459,8 +465,8 @@ func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (ac
 	return accel.Result{}, s, false, nil
 }
 
-func buildDense(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, structure, bool, error) {
-	weight, bias := n.Param("weight"), n.Param("bias")
+func buildDense(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, built, bool, error) {
+	weight := n.Param("weight")
 	m, k := weight.Dim(0), weight.Dim(1)
 	batch := int64(n.Inputs[0].OutShape[0])
 	simulate := func(name string, c ipe.Cost, weightBytes int64) accel.Result {
@@ -474,58 +480,56 @@ func buildDense(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (a
 			WorkingSetBytes: weightBytes,
 		})
 	}
-	var s structure
+	var s built
 	switch im {
 	case ImplDense:
 		s.denseWeight = weight
 		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), s, true, nil
 	case ImplCSR:
 		if !rankOnly {
-			s.progDense = &ipe.DenseLayer{Program: ipe.Sparse(q.q), Bias: bias}
+			s.programs = []*ipe.Program{ipe.Sparse(q.q)}
 		}
 		nnz := q.counts.CSR
 		return simulate("csr", ipe.SparseCost(nnz), nnz*6), s, true, nil
 	case ImplFactorized:
 		if !rankOnly {
-			s.progDense = &ipe.DenseLayer{Program: ipe.Factorize(q.q), Bias: bias}
+			s.programs = []*ipe.Program{ipe.Factorize(q.q)}
 		}
 		fc := q.counts.Factorized()
 		return simulate("factorized", fc, fc.StreamSymbols*2), s, true, nil
 	case ImplIPE:
-		l, _, err := ipe.EncodeDenseQuantized(q.q, bias, opts.IPE)
+		prog, _, err := ipe.Encode(q.q, opts.IPE)
 		if err != nil {
 			return accel.Result{}, s, false, err
 		}
-		s.progDense = l
-		ic := l.Program.Cost()
-		return simulate("ipe", ic, ic.StreamSymbols*2+int64(l.Program.DictSize())*4), s, true, nil
+		s.programs = []*ipe.Program{prog}
+		ic := prog.Cost()
+		return simulate("ipe", ic, ic.StreamSymbols*2+int64(prog.DictSize())*4), s, true, nil
 	}
 	return accel.Result{}, s, false, nil // Winograd has no fully connected form
 }
 
-// lower readies implementation im's programs for serving by lowering each
-// to its compiled form now, so the first Run never pays the lazy
-// compilation inside the hot path. IPE programs are first interned through
-// the dictionary store (a hit swaps in the canonical program, whose lowered
-// form is shared); every program acquired there is given back once, by
-// Plan.ReleasePool. CSR and factorized programs, the empty-dictionary
-// forms, are not interned: they stay owned by the op.
-func (s structure) lower(im Impl, store *ipe.DictStore) {
-	ready := func(prog *ipe.Program) *ipe.Program {
+// lower turns implementation im's programs into the streams the op serves
+// and drops the programs: each is lowered to its compiled form now, so the
+// first Run never pays the lazy compilation inside the hot path. IPE
+// programs are interned through the dictionary store (a hit returns the
+// canonical streams, already lowered); every stream acquired there is given
+// back once, by Plan.ReleasePool. CSR and factorized programs, the
+// empty-dictionary forms, are not interned: their streams stay owned by the
+// op.
+func (b built) lower(im Impl, store *ipe.DictStore) structure {
+	if b.programs == nil {
+		return b.structure
+	}
+	streams := make([]*ipe.Compiled, len(b.programs))
+	for i, prog := range b.programs {
 		if im == ImplIPE {
-			prog = store.Intern(prog)
-		}
-		prog.Compiled()
-		return prog
-	}
-	if l := s.progConv; l != nil {
-		for i, prog := range l.Programs {
-			l.Programs[i] = ready(prog)
+			streams[i] = store.Intern(prog)
+		} else {
+			streams[i] = prog.Compiled()
 		}
 	}
-	if l := s.progDense; l != nil {
-		l.Program = ready(l.Program)
-	}
+	return structure{streams: streams}
 }
 
 // compileGeneric models every other operator as elementwise/windowed work.

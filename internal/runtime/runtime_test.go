@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -323,7 +324,7 @@ func TestAutoConsidersWinograd(t *testing.T) {
 // operator interns a program into the shared dictionary store first
 // depends on the worker count and the scheduler. The plan must not:
 // at 1, 2 and 8 workers every op keeps the same implementation, cycles and
-// served structure (program bytes, Winograd and dense weights), the plan
+// served structure (compiled streams, Winograd and dense weights), the plan
 // the same resident bytes, and one Run the same output bits.
 func TestParallelCompileDeterministic(t *testing.T) {
 	build := func(workers int) *Plan {
@@ -356,7 +357,7 @@ func TestParallelCompileDeterministic(t *testing.T) {
 				t.Fatalf("workers=%d: op %d differs: %v/%d vs %v/%d", workers,
 					i, a.Ops[i].Impl, a.Ops[i].Sim.Cycles, b.Ops[i].Impl, b.Ops[i].Sim.Cycles)
 			}
-			if !bytes.Equal(servedBytes(t, &a.Ops[i]), servedBytes(t, &b.Ops[i])) {
+			if !reflect.DeepEqual(a.Ops[i].structure, b.Ops[i].structure) {
 				t.Fatalf("workers=%d: op %d (%s, %v) serves a different structure", workers, i, a.Ops[i].Node, a.Ops[i].Impl)
 			}
 		}
@@ -370,39 +371,6 @@ func TestParallelCompileDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d: Run output bits differ", workers)
 		}
 	}
-}
-
-// servedBytes serializes the structure op serves: its programs' binary
-// form, Winograd's transformed weights or the dense weight's bits.
-func servedBytes(t *testing.T, op *CompiledOp) []byte {
-	t.Helper()
-	var out []byte
-	addProg := func(p *ipe.Program) {
-		b, err := p.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b...)
-	}
-	if l := op.progConv; l != nil {
-		for _, p := range l.Programs {
-			addProg(p)
-		}
-	}
-	if l := op.progDense; l != nil {
-		addProg(l.Program)
-	}
-	if w := op.winConv; w != nil {
-		for _, oc := range w.U {
-			for _, tile := range oc {
-				out = append(out, floatBits(tile[:])...)
-			}
-		}
-	}
-	if w := op.denseWeight; w != nil {
-		out = append(out, floatBits(w.Data())...)
-	}
-	return out
 }
 
 func floatBits(v []float32) []byte {
@@ -590,7 +558,7 @@ func TestAutoBuildsOnlyItsPick(t *testing.T) {
 		want  Impl
 		built func(*CompiledOp) bool
 	}{
-		{"csr", sparseConvGraph, ImplCSR, func(op *CompiledOp) bool { return op.progConv != nil }},
+		{"csr", sparseConvGraph, ImplCSR, func(op *CompiledOp) bool { return op.streams != nil }},
 		{"winograd", wideConvGraph, ImplWinograd, func(op *CompiledOp) bool { return op.winConv != nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -65,16 +65,5 @@ func (s Shape) Valid() bool {
 	return true
 }
 
-// Strides computes row-major (C-order) strides for the shape.
-func (s Shape) Strides() []int {
-	st := make([]int, len(s))
-	acc := 1
-	for i := len(s) - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= s[i]
-	}
-	return st
-}
-
 // String renders the shape as, e.g., "[1 3 224 224]".
 func (s Shape) String() string { return fmt.Sprint([]int(s)) }

@@ -8,9 +8,8 @@ import (
 // Tensor is a dense row-major float32 tensor. The zero value is a scalar
 // holding 0; use New or From to construct tensors with a shape.
 type Tensor struct {
-	shape   Shape
-	strides []int
-	data    []float32
+	shape Shape
+	data  []float32
 }
 
 // New allocates a zero-filled tensor with the given shape.
@@ -20,11 +19,7 @@ func New(shape ...int) *Tensor {
 	if !s.Valid() {
 		panic(fmt.Sprintf("tensor: invalid shape %v", s))
 	}
-	return &Tensor{
-		shape:   s,
-		strides: s.Strides(),
-		data:    make([]float32, s.NumElements()),
-	}
+	return &Tensor{shape: s, data: make([]float32, s.NumElements())}
 }
 
 // From wraps an existing backing slice in a tensor with the given shape.
@@ -39,14 +34,11 @@ func From(data []float32, shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (%d elements)",
 			len(data), s, s.NumElements()))
 	}
-	return &Tensor{shape: s, strides: s.Strides(), data: data}
+	return &Tensor{shape: s, data: data}
 }
 
 // Shape returns the tensor's shape. Callers must not mutate it.
 func (t *Tensor) Shape() Shape { return t.shape }
-
-// Strides returns the row-major strides. Callers must not mutate it.
-func (t *Tensor) Strides() []int { return t.strides }
 
 // Data returns the backing slice in row-major order.
 func (t *Tensor) Data() []float32 { return t.data }
@@ -57,7 +49,7 @@ func (t *Tensor) NumElements() int { return len(t.data) }
 // Dim returns the extent of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// Offset computes the linear offset of a multidimensional index.
+// Offset computes the row-major linear offset of a multidimensional index.
 func (t *Tensor) Offset(idx ...int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d != tensor rank %d", len(idx), len(t.shape)))
@@ -67,7 +59,7 @@ func (t *Tensor) Offset(idx ...int) int {
 		if ix < 0 || ix >= t.shape[i] {
 			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
 		}
-		off += ix * t.strides[i]
+		off = off*t.shape[i] + ix
 	}
 	return off
 }
@@ -93,7 +85,7 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v (%d elems)",
 			t.shape, len(t.data), s, s.NumElements()))
 	}
-	return &Tensor{shape: s, strides: s.Strides(), data: t.data}
+	return &Tensor{shape: s, data: t.data}
 }
 
 // Fill sets every element to v and returns t for chaining.
@@ -111,14 +103,6 @@ func (t *Tensor) Add(o *Tensor) *Tensor {
 	}
 	for i := range t.data {
 		t.data[i] += o.data[i]
-	}
-	return t
-}
-
-// Scale multiplies every element by v in place and returns t.
-func (t *Tensor) Scale(v float32) *Tensor {
-	for i := range t.data {
-		t.data[i] *= v
 	}
 	return t
 }
@@ -141,20 +125,6 @@ func (t *Tensor) Sum() float64 {
 		s += float64(v)
 	}
 	return s
-}
-
-// Sparsity returns the fraction of elements that are exactly zero, in [0,1].
-func (t *Tensor) Sparsity() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	zero := 0
-	for _, v := range t.data {
-		if v == 0 {
-			zero++
-		}
-	}
-	return float64(zero) / float64(len(t.data))
 }
 
 // AllClose reports whether every pair of corresponding elements of t and o
