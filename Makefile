@@ -119,7 +119,10 @@ benchmark-smoke:
 # flushed singletons would read 1.0). Then SIGTERM the server and fail
 # unless it exits 0 with "drained, bye" as its last log line. Exercises the
 # full path (HTTP -> batcher -> RunBatch -> metrics -> drain) in a few
-# seconds; heavier runs are manual (see README). Needs jq. The second half
+# seconds; heavier runs are manual (see README). Needs jq. Before the load,
+# the boot lines must show both models compiled with no IPE layer: the
+# default flags serve factorized (D = 0), so an IPE layer here means the
+# served default changed. The second half
 # boots a lenet5-only server 20 times
 # and SIGTERMs it the instant the address file appears (boot spins on the
 # file without sleeping, so the signal lands within microseconds of the
@@ -146,6 +149,9 @@ serve-smoke:
 			{ echo "serve-smoke: $$1: exit $$rc, log ends:"; tail -n 3 $$dir/log; exit 1; }; \
 	}; \
 	boot; \
+	grep ' compiled (' $$dir/log; \
+	awk '/ compiled \(/ { n++; if ($$NF != "ipe=0") bad++ } END { exit !(n == 2 && !bad) }' $$dir/log || \
+		{ echo "serve-smoke: a default-flag boot must serve both models with no IPE layer (ipe=0)"; exit 1; }; \
 	$$dir/inspire-load -url http://$$(cat $$dir/addr) -models lenet5,squeezenet \
 		-clients 32 -duration 3s -fail -json > $$dir/load.json; \
 	jq -r '.[] | "serve-smoke: \(.model): \(.ok) ok, mean batch \(.endpoint.mean_batch)"' $$dir/load.json; \

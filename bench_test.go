@@ -141,11 +141,11 @@ func BenchmarkExecIPEMatVec(b *testing.B) {
 	benchMatVec(b, prog, x)
 }
 
-// BenchmarkDenseLayer times lenet5's served fully connected layers — fc1
-// (400 → 120) and fc2 (120 → 84), IPE programs in inspire-serve's default
-// auto plan — at 1, 2 and 8 items through the executor's dense driver,
-// Compiled.DenseIntoPar, on the served streams with the fused ReLU, on one
-// shard, as the executor runs them.
+// BenchmarkDenseLayer times lenet5's fully connected layers — fc1
+// (400 → 120) and fc2 (120 → 84), IPE programs in the auto plan
+// (inspire-serve -force auto) — at 1, 2 and 8 items through the executor's
+// dense driver, Compiled.DenseIntoPar, on the served streams with the fused
+// ReLU, on one shard, as the executor runs them.
 func BenchmarkDenseLayer(b *testing.B) {
 	plan, err := obs.CompilePlan("lenet5", 0, runtime.Options{Bits: 4, DictStore: ipe.NewDictStore()})
 	if err != nil {
@@ -298,22 +298,27 @@ func BenchmarkCompileLeNetAuto(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileSqueezeNetAuto measures the compile a hot swap pays: the
+// BenchmarkCompileSqueezeNet measures the compile a hot swap pays: the
 // served 32x32 SqueezeNet through obs.CompilePlan with inspire-serve's
-// default options, on one compile worker and on GOMAXPROCS. allocs/op and
-// B/op are the garbage a swap charges to the predicts running beside it
-// (internal/obs TestCompileAllocationBudget gates them).
-func BenchmarkCompileSqueezeNetAuto(b *testing.B) {
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opts := runtime.Options{Bits: 4, DictStore: ipe.NewDictStore(), Workers: workers}
-				if _, err := obs.CompilePlan("squeezenet", 0, opts); err != nil {
-					b.Fatal(err)
+// default options (obs.ServedOptions, factorized) and with -force auto,
+// which encodes, ranks and interns every layer's IPE candidate, each on one
+// compile worker and on GOMAXPROCS. allocs/op and B/op are the garbage a
+// swap charges to the predicts running beside it (internal/obs
+// TestCompileAllocationBudget gates them).
+func BenchmarkCompileSqueezeNet(b *testing.B) {
+	for _, force := range []runtime.Impl{obs.ServedOptions().Force, runtime.ImplAuto} {
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("force=%s/workers=%d", force, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					opts := obs.ServedOptions()
+					opts.Force, opts.DictStore, opts.Workers = force, ipe.NewDictStore(), workers
+					if _, err := obs.CompilePlan("squeezenet", 0, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -349,11 +354,15 @@ func benchPlan(b *testing.B, batch int) (*runtime.Plan, *tensor.Tensor) {
 }
 
 // BenchmarkRunSteadyState measures one warm Executor doing repeated
-// inference: destination-passing into the planned arena, so allocs/op must
-// report 0 after the warm-up run.
+// inference at one intra-op shard: destination-passing into the planned
+// arena, so allocs/op must report 0 after the warm-up run. The executor is
+// pinned to one shard because a sharded region still allocates (about 18
+// allocs/op at two shards); at GOMAXPROCS shards the figure would depend on
+// the host's core count.
 func BenchmarkRunSteadyState(b *testing.B) {
 	plan, in := benchPlan(b, 1)
 	e := plan.NewExecutor()
+	e.SetParallelism(1)
 	if _, err := e.Run(in); err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,8 @@
 //
 //	inspire-serve                          # lenet5 + squeezenet on :8080
 //	inspire-serve -addr 127.0.0.1:0        # ephemeral port (printed on stdout)
-//	inspire-serve -models lenet5 -force ipe
+//	inspire-serve -force ipe               # the paper's encoding
+//	inspire-serve -force auto              # the accelerator model's per-layer choice
 //	inspire-serve -max-batch 64 -inflight 2 -queue 4096
 //	inspire-serve -share-dict=false        # disable shared-dictionary interning
 //
@@ -14,13 +15,16 @@
 //
 // Every model compiles through obs.CompilePlan, so a served plan and a
 // benchmarked plan (benchmark/) differ only in the explicit options
-// (-force, -bits), never in model construction. Each layer serves the
+// (-force, -bits), never in model construction; the defaults are
+// obs.ServedOptions (every layer factorized, D = 0), and the boot line
+// prints how many layers each implementation serves. Each layer serves the
 // implementation Compile selected for it; nothing is re-chosen on live
 // traffic. With -share-dict (the default) all models and all hot-swap
 // versions compile through one content-addressed dictionary store:
-// identical index-pair programs across models and versions are interned
-// once and their compiled emit tables reused, shrinking resident bytes per
-// model (watch the "models" table of `inspire-stats -url ...`).
+// identical IPE programs (-force auto or ipe) across models and versions
+// are interned once and their compiled emit tables reused, shrinking
+// resident bytes per model (watch the "models" table of
+// `inspire-stats -url ...`).
 //
 // Hot swap: POST /v1/models/{model}/versions with {"seed":N} compiles a new
 // weight version while the old one keeps serving, atomically redirects
@@ -76,9 +80,10 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
 	addrFile := flag.String("addrfile", "", "write the bound address to this file once listening (for scripts)")
 	models := flag.String("models", "lenet5,squeezenet", "comma-separated models to serve")
-	force := flag.String("force", "auto",
+	defaults := obs.ServedOptions()
+	force := flag.String("force", defaults.Force.String(),
 		"implementation to pin every conv/dense layer to: auto, dense, csr, factorized, ipe, winograd")
-	bits := flag.Int("bits", 4, "weight quantization bit-width for encoded implementations")
+	bits := flag.Int("bits", defaults.Bits, "weight quantization bit-width for encoded implementations")
 	shareDict := flag.Bool("share-dict", true,
 		"intern index-pair programs through one shared dictionary store across models and versions")
 	maxBatch := flag.Int("max-batch", 32, "stop growing a batch at this many compiled-batch chunks")
@@ -134,8 +139,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "inspire-serve: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Printf("inspire-serve: %s v%d compiled (force=%s share-dict=%v, input %v)\n",
-			name, v.Version, *force, *shareDict, v.Plan.Graph.In.OutShape)
+		c := v.Plan.ImplCounts()
+		fmt.Printf("inspire-serve: %s v%d compiled (force=%s share-dict=%v, input %v): dense=%d winograd=%d csr=%d factorized=%d ipe=%d\n",
+			name, v.Version, *force, *shareDict, v.Plan.Graph.In.OutShape,
+			c[runtime.ImplDense], c[runtime.ImplWinograd], c[runtime.ImplCSR], c[runtime.ImplFactorized], c[runtime.ImplIPE])
 		served++
 	}
 	if served == 0 {

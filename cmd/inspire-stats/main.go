@@ -4,8 +4,9 @@
 // kernel and latency distribution, plus worker-pool and executor/arena
 // telemetry.
 //
-//	inspire-stats                  # auto-selected kernels, aligned tables
-//	inspire-stats -force ipe       # pin every conv/dense layer to one family
+//	inspire-stats                  # inspire-serve's default kernels, aligned tables
+//	inspire-stats -force ipe       # pin every conv/dense layer to another family
+//	inspire-stats -force auto      # the accelerator model's per-layer choice
 //	inspire-stats -model lenet5    # single model
 //	inspire-stats -json            # machine-readable metrics.Snapshot dump
 //	inspire-stats -runs 20         # more samples per layer series
@@ -35,9 +36,10 @@ import (
 )
 
 func main() {
-	force := flag.String("force", "auto",
+	defaults := obs.ServedOptions()
+	force := flag.String("force", defaults.Force.String(),
 		"implementation to pin every conv/dense layer to: auto, dense, csr, factorized, ipe, winograd")
-	bits := flag.Int("bits", 4, "weight quantization bit-width for encoded implementations")
+	bits := flag.Int("bits", defaults.Bits, "weight quantization bit-width for encoded implementations")
 	runs := flag.Int("runs", 5, "inference runs per model (samples per layer series)")
 	model := flag.String("model", "", "restrict to one model: lenet5 or squeezenet (default both)")
 	jsonOut := flag.Bool("json", false, "dump the raw metrics.Snapshot as JSON instead of tables")

@@ -34,10 +34,12 @@ var compiledProgramDigests = map[string]string{
 	"squeezenet/1003": "7484e24f9851e78bc957a84975e5f90652e008d98cf343bfcb259e32b9134bec",
 }
 
-// serveDefaults is what a default-flag inspire-serve compiles with: auto
-// selection, 4-bit, a dictionary store of its own.
+// serveDefaults is what a default-flag inspire-serve compiles with:
+// ServedOptions and a dictionary store of its own.
 func serveDefaults() runtime.Options {
-	return runtime.Options{Force: runtime.ImplAuto, Bits: 4, DictStore: ipe.NewDictStore()}
+	opts := ServedOptions()
+	opts.DictStore = ipe.NewDictStore()
+	return opts
 }
 
 // TestCompiledProgramDigests hashes the direct encodings against the

@@ -71,6 +71,15 @@ func InputFor(name string) (*tensor.Tensor, error) {
 	return nil, fmt.Errorf("obs: unknown model %q (have lenet5, squeezenet)", name)
 }
 
+// ServedOptions are the compile options of a default-flag inspire-serve
+// and inspire-stats: every conv/dense layer factorized (the IPE program with
+// an empty pair dictionary, D = 0) at 4 bits. No encoder configuration beat
+// D = 0 on the host CPU (EXPERIMENTS.md, "Host serving: D = 0"), and it
+// compiles without the pair encoder. The caller adds a DictStore.
+func ServedOptions() runtime.Options {
+	return runtime.Options{Force: runtime.ImplFactorized, Bits: 4}
+}
+
 // CompilePlan is the one compile path the serving and benchmarking CLIs
 // share: it builds the named evaluation model at the given weight seed and
 // compiles it through exactly the options the caller passes — so a plan

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ipe"
 	"repro/internal/metrics"
 	"repro/internal/runtime"
 )
@@ -59,20 +58,21 @@ func TestMeterAndTables(t *testing.T) {
 
 // TestDefaultTrafficKernelCensus pins the kernel families default-flag
 // serving traffic dispatches: each evaluation model compiled through
-// CompilePlan with inspire-serve's default options (auto selection, 4-bit,
-// one shared dictionary store) and run under a fresh recorder installed
-// before compile, as the server does. Path deletions are argued from this
-// census (DESIGN.md §15), so a change in implementation selection must
-// change the golden set here deliberately. The same run pins what the
-// memory planner and the step runner hand the ledger: the plan's arena size
-// (runtime.arena_peak_bytes) and one executed step per plan operator.
-// The layers auto puts on factorized run empty-dictionary programs on the
-// IPE executor, so they count as ipe-compiled here; their layer series
-// still carry the factorized tag.
+// CompilePlan with inspire-serve's default options (serveDefaults) and run
+// under a fresh recorder installed before compile, as the server does. Path
+// deletions are argued from this census (DESIGN.md §15), so a change in
+// implementation selection must change the golden set here deliberately.
+// The same run pins what the memory planner and the step runner hand the
+// ledger: the plan's arena size (runtime.arena_peak_bytes) and one executed
+// step per plan operator. Factorized layers run empty-dictionary programs
+// on the IPE executor, so they count as ipe-compiled here; their layer
+// series carry the factorized tag. The set and the arenas read the same
+// under auto selection, where 2 of lenet5's 5 layers and 21 of
+// squeezenet's 26 are IPE.
 func TestDefaultTrafficKernelCensus(t *testing.T) {
 	want := []string{"generic", "im2col", "ipe-compiled"}
 	arena := map[string]int64{"lenet5": 23520, "squeezenet": 81920}
-	opts := runtime.Options{Force: runtime.ImplAuto, Bits: 4, DictStore: ipe.NewDictStore()}
+	opts := serveDefaults()
 	for _, name := range []string{"lenet5", "squeezenet"} {
 		in, err := InputFor(name)
 		if err != nil {
