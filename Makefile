@@ -16,7 +16,8 @@ FUZZ_TARGETS := \
 	./internal/conformance:FuzzConformanceSharedDict \
 	./internal/registry:FuzzRegistrySwap \
 	./internal/serve:FuzzDecodePredict \
-	./internal/tensor:FuzzMaxPool
+	./internal/tensor:FuzzMaxPool \
+	./internal/quant:FuzzGroupRows
 
 # Serving-path coverage gate: the packages behind the HTTP front end, their
 # committed floor, and where the profile lands. 80.3% measured when the

@@ -81,10 +81,12 @@ func (c *Compiled) ScratchLen() int { return c.K + c.NumSlots }
 var compileMu sync.RWMutex
 
 // Compiled returns the compiled form of the program, lowering it on first
-// use and caching the result. The cache is reset whenever the Program
-// value is overwritten (UnmarshalBinary builds a fresh value); callers
-// that mutate Pairs/Rows in place must not reuse a previously obtained
-// Compiled.
+// use and caching the result. A Factorize program is born with its streams,
+// equal to what compile makes of it, and its terms' Syms are windows of
+// their syms, so the two share that storage. The cache is reset whenever
+// the Program value is overwritten (UnmarshalBinary builds a fresh value);
+// callers that mutate Pairs/Rows in place must not reuse a previously
+// obtained Compiled, nor mutate a Factorize program's Syms.
 func (p *Program) Compiled() *Compiled {
 	compileMu.RLock()
 	c := p.compiled

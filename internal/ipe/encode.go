@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"repro/internal/quant"
 )
@@ -88,22 +89,90 @@ func Encode(q *quant.Quantized, cfg Config) (*Program, Stats, error) {
 // carrying that code, ascending (quant.GroupRows). This is the UCNN-style
 // baseline of the evaluation, and it runs on the same executors as an
 // encoded program.
+//
+// With an empty dictionary, lowering is the identity on the symbol layout,
+// so the compiled streams come out of the same row grouping and Compiled
+// returns them without running compile (which they equal): syms is the
+// grouping's index array, and the terms' Syms are windows of it, so the
+// program and its streams share that storage.
 func Factorize(q *quant.Quantized) *Program {
 	m := q.Shape[0]
-	p := &Program{K: q.NumElements() / m, M: m, Bits: q.Bits, Rows: make([]Row, m)}
-	// Rows' terms are windows of one growing array; each window's capacity
-	// ends with it, so a later reallocation leaves earlier rows intact.
-	var terms []Term
-	q.GroupRows(nil, func(r int, groups []quant.RowGroup) {
+	k := q.NumElements() / m
+	p := &Program{K: k, M: m, Bits: q.Bits, Rows: make([]Row, m)}
+	c := &Compiled{K: k, M: m, pairA: []int32{}, pairB: []int32{}, pairDst: []int32{}, rowOff: make([]int32, m+1)}
+	s := factorPool.Get().(*factorScratch)
+	s.read = slices.Grow(s.read[:0], k)[:k]
+	codes, values, ends, read := s.codes[:0], s.values[:0], s.ends[:0], s.read
+	unread := k // columns no term has read yet; most layers read all after a few rows
+	var end int32
+	syms := q.GroupRows(nil, func(r int, groups []quant.RowGroup) {
 		scale := q.RowScale(r)
-		first := len(terms)
 		for _, g := range groups {
-			terms = append(terms, Term{Code: g.Code, Value: float32(g.Code) * scale, Syms: g.Idx})
+			codes = append(codes, g.Code)
+			values = append(values, float32(g.Code)*scale)
+			end += int32(len(g.Idx))
+			ends = append(ends, end)
+			if unread == 0 {
+				continue
+			}
+			for _, i := range g.Idx {
+				if !read[i] {
+					read[i] = true
+					unread--
+				}
+			}
 		}
-		p.Rows[r].Terms = terms[first:len(terms):len(terms)]
+		c.rowOff[r+1] = int32(len(codes))
 	})
+	if syms == nil { // an all-zero matrix: empty streams, as compile makes them
+		syms = []int32{}
+	}
+	n := len(codes)
+	c.syms = syms
+	c.termOff = make([]int32, n+1)
+	copy(c.termOff[1:], ends)
+	c.values = make([]float32, n)
+	copy(c.values, values)
+	terms := make([]Term, n)
+	for t := range terms {
+		lo, hi := c.termOff[t], c.termOff[t+1]
+		terms[t] = Term{Code: codes[t], Value: values[t], Syms: syms[lo:hi:hi]}
+	}
+	for r := range p.Rows {
+		// Rows GroupRows did not visit (all zero) carry the offset before them.
+		lo, hi := c.rowOff[r], max(c.rowOff[r+1], c.rowOff[r])
+		c.rowOff[r+1] = hi
+		if hi > lo {
+			p.Rows[r].Terms = terms[lo:hi:hi]
+		}
+	}
+	if nRead := k - unread; nRead > 0 {
+		c.gatherRows = make([]int32, 0, nRead)
+		for i, ok := range read {
+			if ok {
+				c.gatherRows = append(c.gatherRows, int32(i))
+			}
+		}
+	}
+	clear(read)
+	s.codes, s.values, s.ends = codes, values, ends
+	factorPool.Put(s)
+	p.compiled = c
 	return p
 }
+
+// factorScratch is Factorize's per-call working storage, kept between calls
+// in factorPool: the terms' codes, values and stream ends before they are
+// copied to their exact sizes, and which inputs the terms read. read is
+// all false whenever a scratch is in the pool.
+type factorScratch struct {
+	codes  []int32
+	values []float32
+	ends   []int32
+	read   []bool
+}
+
+var factorPool = sync.Pool{New: func() any { return new(factorScratch) }}
 
 // Sparse builds the compressed-sparse-row form of a quantized weight tensor
 // (dimension 0 = rows, the rest flattened) as a Program: the degenerate

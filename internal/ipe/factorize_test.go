@@ -2,8 +2,10 @@ package ipe
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -55,5 +57,64 @@ func TestFactorizeMatchesFactorizedLoops(t *testing.T) {
 		checkBits(t, fmt.Sprintf("M=%d K=%d pTotal=%d shards=%d: ExecuteMatrixIntoPar", prog.M, prog.K, pTotal, shards),
 			got, want, "factorized loop", pinsNaNPayloads)
 
+	}
+}
+
+// TestFactorizeStreamsMatchLowering checks that the streams Factorize emits
+// from its row grouping are exactly what the general lowering makes of the
+// same program, and that the program's terms window them.
+func TestFactorizeStreamsMatchLowering(t *testing.T) {
+	check := func(name string, p *Program) {
+		t.Helper()
+		got := p.Compiled()
+		if want := compile(p); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Factorize streams %+v, lowering %+v", name, got, want)
+		}
+		off := 0
+		for r, row := range p.Rows {
+			for i, term := range row.Terms {
+				if cap(term.Syms) != len(term.Syms) || &term.Syms[0] != &got.syms[off] {
+					t.Errorf("%s: row %d term %d: Syms is not its capacity-limited window of the streams' syms", name, r, i)
+				}
+				off += len(term.Syms)
+			}
+		}
+	}
+	matrix := func(codes []int32, m, k, bits int) *quant.Quantized {
+		return &quant.Quantized{Codes: codes, Shape: tensor.Shape{m, k}, Bits: bits, Params: []quant.Params{{Scale: 0.5}}}
+	}
+	check("1x1", Factorize(matrix([]int32{3}, 1, 1, 4)))
+	check("1x1 zero", Factorize(matrix([]int32{0}, 1, 1, 4)))
+	check("all-zero matrix", Factorize(matrix(make([]int32, 12), 3, 4, 4)))
+	check("all-zero rows", Factorize(matrix([]int32{
+		0, 0, 0, 0,
+		1, -2, 0, 1,
+		0, 0, 0, 0,
+		0, 0, 0, 0,
+		-2, -2, 3, 0,
+		0, 0, 0, 0,
+	}, 6, 4, 4)))
+	for _, bits := range []int{2, 4, 8} {
+		for _, scheme := range []quant.Scheme{quant.PerTensor, quant.PerChannel} {
+			r := tensor.NewRNG(uint64(100 + bits))
+			w := tensor.New(17, 45)
+			tensor.FillGaussian(w, r, 1)
+			quant.PruneMagnitude(w, 0.3)
+			for i := 0; i < 45; i++ { // row 5 all zero
+				w.Data()[5*45+i] = 0
+			}
+			check(fmt.Sprintf("bits %d %v", bits, scheme), Factorize(quant.Quantize(w, bits, scheme)))
+
+			spec := tensor.ConvSpec{InC: 6, OutC: 9, KH: 3, KW: 3, StrideH: 1, StrideW: 1, Groups: 3}
+			cw := tensor.New(spec.WeightShape()...)
+			tensor.FillGaussian(cw, r, 1)
+			l, err := FactorizeConv(quant.Quantize(cw, bits, scheme), nil, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, p := range l.Programs {
+				check(fmt.Sprintf("bits %d %v conv group %d", bits, scheme, g), p)
+			}
+		}
 	}
 }

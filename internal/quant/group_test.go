@@ -2,6 +2,7 @@ package quant
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -164,4 +165,69 @@ func TestRowsViewSharesCodesAndSlicesParams(t *testing.T) {
 			t.Errorf("%v: view dequantizes differently from the rows it views", scheme)
 		}
 	}
+}
+
+// FuzzGroupRows checks GroupRows against the map-and-sort reference on
+// fuzzed shapes, bit-widths 1–16 and forced all-zero rows, appending to a
+// dst that holds up to 7 entries already: those stay as they were, dst
+// grows by exactly the non-zero count, and every group's Idx is a
+// capacity-limited window of it.
+func FuzzGroupRows(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(9), uint8(4), uint16(0), uint8(3), uint8(0))
+	f.Add(uint64(2), uint8(1), uint8(1), uint8(1), uint16(0), uint8(0), uint8(1))
+	f.Add(uint64(3), uint8(7), uint8(33), uint8(16), uint16(0b1010), uint8(5), uint8(2))
+	f.Add(uint64(4), uint8(3), uint8(5), uint8(8), uint16(0xffff), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, m, k, bits uint8, zeroRows uint16, prefix, zeros uint8) {
+		rows, cols, b := 1+int(m%32), 1+int(k%80), 1+int(bits%16)
+		r := tensor.NewRNG(seed)
+		codes := make([]int32, rows*cols)
+		lo, span := -(1 << (b - 1)), 1<<b
+		for i := range codes {
+			if r.Intn(4) >= int(zeros%4) {
+				codes[i] = int32(lo + r.Intn(span))
+			}
+		}
+		for row := 0; row < rows; row++ {
+			if zeroRows>>(row%16)&1 == 1 {
+				clear(codes[row*cols : (row+1)*cols])
+			}
+		}
+		q := &Quantized{Codes: codes, Shape: tensor.Shape{rows, cols}, Bits: b, Params: []Params{{Scale: 1}}}
+
+		head := make([]int32, int(prefix%8))
+		for i := range head {
+			head[i] = int32(-1 - i)
+		}
+		dst := append([]int32(nil), head...)
+		var got []group
+		var firsts []*int32 // each group's first index, where it lives
+		dst = q.GroupRows(dst, func(row int, groups []RowGroup) {
+			for _, g := range groups {
+				if cap(g.Idx) != len(g.Idx) {
+					t.Fatalf("row %d code %d: window cap %d != len %d", row, g.Code, cap(g.Idx), len(g.Idx))
+				}
+				got = append(got, group{row, g.Code, append([]int32(nil), g.Idx...)})
+				firsts = append(firsts, &g.Idx[0])
+			}
+		})
+		if want := referenceGroups(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("groups %v, want %v", got, want)
+		}
+		nnz := 0
+		for _, c := range codes {
+			if c != 0 {
+				nnz++
+			}
+		}
+		if len(dst) != len(head)+nnz || !slices.Equal(dst[:len(head)], head) {
+			t.Fatalf("dst %v: want the prefix %v grown by the %d non-zeros", dst, head, nnz)
+		}
+		off := len(head)
+		for i, g := range got {
+			if firsts[i] != &dst[off] {
+				t.Fatalf("group %d (row %d code %d) is not the window of dst after the groups before it", i, g.row, g.code)
+			}
+			off += len(g.idx)
+		}
+	})
 }

@@ -318,11 +318,6 @@ func denseConvSim(w schedule.Workload, opts Options) accel.Result {
 	return r
 }
 
-// wants reports whether implementation im must be built given the Force
-// option: all candidates under auto selection, only the forced one
-// otherwise.
-func wants(force, im Impl) bool { return force == ImplAuto || force == im }
-
 // codes is an operator's quantized weights, which its CSR, factorized and
 // IPE candidates all run on, with the counts CSR and factorized are ranked
 // by.
@@ -332,55 +327,61 @@ type codes struct {
 }
 
 // quantizeOnce quantizes an operator's weights once for all its encoded
-// candidates and counts them when CSR or factorized is to be ranked; q is
-// nil when the plan is forced to an implementation that builds none of
-// them.
+// candidates; q is nil when the plan is forced to an implementation that
+// builds none of them. The codes are counted only under auto, which ranks
+// CSR and factorized without building them; a forced plan models the one
+// implementation it builds from what it built.
 func quantizeOnce(w *tensor.Tensor, opts Options) codes {
 	var c codes
-	counted := wants(opts.Force, ImplCSR) || wants(opts.Force, ImplFactorized)
-	if counted || wants(opts.Force, ImplIPE) {
+	if opts.Force != ImplDense && opts.Force != ImplWinograd {
 		c.q = quant.Quantize(w, opts.Bits, quant.PerChannel)
 	}
-	if counted {
+	if opts.Force == ImplAuto {
 		c.counts = ipe.CountCodes(c.q)
 	}
 	return c
 }
 
-// compileOp ranks every wanted candidate implementation of a conv/dense
-// operator on the accelerator model and selects the winner. Only the
-// winner's structure is built, or kept: dense, CSR, factorized and
-// Winograd are ranked from the spec and the code counts alone and built
-// only if they win; IPE is built to be ranked (its cost is the encoder's
-// output) and dropped with the ranking if it loses. Only the winner's
-// programs are lowered (and, for IPE, interned), so losing programs are
-// never pinned by the dictionary store.
+// compileOp selects and builds the implementation of a conv/dense operator.
+// A forced plan builds the forced implementation once (dense when it does
+// not apply) and models it from what it built. Under auto every candidate
+// is ranked on the accelerator model and only the winner's structure is
+// built, or kept: dense, CSR, factorized and Winograd are ranked from the
+// spec and the code counts alone and built only if they win; IPE is built
+// to be ranked (its cost is the encoder's output) and dropped with the
+// ranking if it loses. Only the winner's programs are lowered (and, for
+// IPE, interned), so losing programs are never pinned by the dictionary
+// store.
 func compileOp(n *graph.Node, opts Options) (CompiledOp, error) {
 	op := CompiledOp{Node: n, Candidates: make(map[Impl]accel.Result), bias: n.Param("bias")}
 	q := quantizeOnce(n.Param("weight"), opts)
-	var ranked [ImplWinograd + 1]built // indexed by Impl
-	for _, im := range implOrder {
-		if !wants(opts.Force, im) {
-			continue
-		}
-		sim, s, ok, err := build(n, im, q, opts, true)
-		if err != nil {
-			return op, err
-		}
-		if !ok && opts.Force == im {
+	if im := opts.Force; im != ImplAuto {
+		sim, b, ok, err := build(n, im, q, opts, false)
+		if err == nil && !ok {
 			// The forced implementation does not apply (Winograd off a 3x3
 			// stride-1 conv, or on a dense layer): fall back to dense so a
 			// forced plan stays runnable.
 			im = ImplDense
-			if sim, s, ok, err = build(n, im, q, opts, true); err != nil {
-				return op, err
-			}
+			sim, b, _, err = build(n, im, q, opts, false)
+		}
+		if err != nil {
+			return op, err
+		}
+		op.Impl, op.Sim, op.Candidates[im] = im, sim, sim
+		op.structure = b.lower(im, opts.DictStore)
+		return op, nil
+	}
+	var ranked [ImplWinograd + 1]built // indexed by Impl
+	for _, im := range implOrder {
+		sim, s, ok, err := build(n, im, q, opts, true)
+		if err != nil {
+			return op, err
 		}
 		if ok {
 			op.Candidates[im], ranked[im] = sim, s
 		}
 	}
-	op.Impl = chooseImpl(op.Candidates, opts.Force)
+	op.Impl = chooseImpl(op.Candidates)
 	op.Sim = op.Candidates[op.Impl]
 	b := ranked[op.Impl]
 	if b.programs == nil && b.winConv == nil && b.denseWeight == nil {
@@ -402,10 +403,11 @@ func convWorkload(n *graph.Node) schedule.Workload {
 // rankOnly is set, its serving structure; ok is false when im does not
 // apply to the operator (Winograd off 3x3 stride-1 convs and on dense
 // layers). q holds the operator's quantized weights, shared by the CSR,
-// factorized and IPE programs, and their counts. CSR and factorized are
-// modeled from the counts and Winograd from the spec, so rankOnly skips
-// their structure;
-// IPE is modeled from its program, which is built either way, as is dense,
+// factorized and IPE programs, and, under auto, their counts. A built CSR
+// or factorized program is modeled from its own cost, and a rank-only one
+// from the counts, which equal it (accel.TestCountsMatchBuiltPrograms), so
+// rankOnly skips their structure; Winograd is modeled from the spec. IPE
+// is modeled from its program, which is built either way, as is dense,
 // whose structure is the node's own weight. Programs come out raw; lower
 // turns the kept ones into streams.
 func build(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (accel.Result, built, bool, error) {
@@ -425,23 +427,27 @@ func buildConv(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (ac
 		s.denseWeight = weight
 		return denseConvSim(wl, opts), s, true, nil
 	case ImplCSR:
+		nnz := q.counts.CSR
 		if !rankOnly {
 			l, err := ipe.SparseConv(q.q, bias, spec)
 			if err != nil {
 				return accel.Result{}, s, false, err
 			}
 			s.programs = l.Programs
+			nnz = l.PixelCost().Muls // one term per nonzero
 		}
-		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, q.counts.CSR)), s, true, nil
+		return opts.HW.Simulate(accel.SparseConvProfile(spec, wl.N, wl.H, wl.W, nnz)), s, true, nil
 	case ImplFactorized:
+		perPixel := q.counts.Factorized()
 		if !rankOnly {
 			l, err := ipe.FactorizeConv(q.q, bias, spec)
 			if err != nil {
 				return accel.Result{}, s, false, err
 			}
 			s.programs = l.Programs
+			perPixel = l.PixelCost()
 		}
-		return opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, q.counts.Factorized())), s, true, nil
+		return opts.HW.Simulate(accel.FactorizedConvProfile(spec, wl.N, wl.H, wl.W, perPixel)), s, true, nil
 	case ImplIPE:
 		l, _, err := ipe.EncodeConvQuantized(q.q, bias, spec, opts.IPE)
 		if err != nil {
@@ -486,16 +492,20 @@ func buildDense(n *graph.Node, im Impl, q codes, opts Options, rankOnly bool) (a
 		s.denseWeight = weight
 		return simulate("dense", ipe.DenseCost(m, k), int64(m*k)*4), s, true, nil
 	case ImplCSR:
-		if !rankOnly {
-			s.programs = []*ipe.Program{ipe.Sparse(q.q)}
-		}
 		nnz := q.counts.CSR
+		if !rankOnly {
+			prog := ipe.Sparse(q.q)
+			s.programs = []*ipe.Program{prog}
+			nnz = prog.Cost().Muls // one term per nonzero
+		}
 		return simulate("csr", ipe.SparseCost(nnz), nnz*6), s, true, nil
 	case ImplFactorized:
-		if !rankOnly {
-			s.programs = []*ipe.Program{ipe.Factorize(q.q)}
-		}
 		fc := q.counts.Factorized()
+		if !rankOnly {
+			prog := ipe.Factorize(q.q)
+			s.programs = []*ipe.Program{prog}
+			fc = prog.Cost()
+		}
 		return simulate("factorized", fc, fc.StreamSymbols*2), s, true, nil
 	case ImplIPE:
 		prog, _, err := ipe.Encode(q.q, opts.IPE)
@@ -564,15 +574,9 @@ func compileGeneric(n *graph.Node, opts Options) CompiledOp {
 	}
 }
 
-func chooseImpl(cands map[Impl]accel.Result, force Impl) Impl {
-	if force != ImplAuto {
-		if _, ok := cands[force]; ok {
-			return force
-		}
-		// The forced implementation does not apply to this operator (e.g.
-		// winograd on a strided conv): fall through to whatever fallback
-		// candidate was built.
-	}
+// chooseImpl picks the candidate with the fewest simulated cycles (a tie
+// goes to the earlier in implOrder).
+func chooseImpl(cands map[Impl]accel.Result) Impl {
 	best, bestCycles := ImplDense, int64(1)<<62
 	for _, im := range implOrder {
 		if r, ok := cands[im]; ok && r.Cycles < bestCycles {
